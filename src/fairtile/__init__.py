@@ -67,7 +67,6 @@ from .strip import (
     triangle_at,
 )
 from .verify import (
-    ClosenessReport,
     VerificationReport,
     check_closeness,
     check_contraction,

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameter,
 )
 from .geometry import Point, TileId, Triangle, edge_vectors, reflect_x, shear, translate
-from .strip import StripTiling, tile_ids, triangle_at
+from .strip import StripTiling, tile_ids, triangle_at, window_triangles
 
 __all__ = [
     "SQRT3",
@@ -126,10 +126,6 @@ def shear_index(k: int) -> int:
     return 2 * k if k > 0 else 2 * (-k) + 1
 
 
-def _window_tiles(base: StripTiling, window_cols: int) -> list[Triangle]:
-    return [triangle_at(base, tid.col, tid.slot) for tid in tile_ids(window_cols)]
-
-
 def _cross_roots(e0: np.ndarray, fixed_sq: list[np.ndarray]) -> np.ndarray:
     """Shear parameters matching one certificate edge length of each base
     tile against any fixed edge length of the earlier rows (vectorized)."""
@@ -169,7 +165,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
             f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
     rng = rng if rng is not None else random.Random(seed)
 
-    tiles = _window_tiles(base, window_cols)
+    tiles = window_triangles(base, window_cols)
     static: list[float] = []
     for a in range(len(tiles)):
         static.extend(equilateral_shear_set(tiles[a]).roots)

@@ -12,44 +12,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
-from . import assembly, document, pipeline, render, verify
+# assembly is not called here; it stays bound as ``cli.assembly`` because
+# bench/test_bench.py reaches the layers it traces through this module
+from . import assembly, document, pipeline, render, verify  # noqa: F401
 from .errors import DocumentError, FairtileError, InvalidParameter
-from .geometry import tile_label
-from .strip import deviations, strip_tiling
+from .strip import strip_tiling
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GENERATION = 3
 
-_CHECK_NAMES = ("area", "perimeter", "v2v", "incongruent", "halfturn",
-                "contraction", "closeness", "convex", "identity")
-
 
 class _UsageError(Exception):
     pass
-
-
-def _thread_cap() -> int | None:
-    """Worker-parallelism cap from FAIRTILE_THREADS (all cores when unset).
-
-    Verification sweeps are vectorized and stay within budget on one
-    worker, so the cap currently only bounds, never spawns.
-    """
-    raw = os.environ.get("FAIRTILE_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"FAIRTILE_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError(f"FAIRTILE_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _report_dict(r: verify.VerificationReport) -> dict:
@@ -63,17 +42,6 @@ def _report_dict(r: verify.VerificationReport) -> dict:
         "tolerance_used": r.tolerance_used,
         "note": r.note,
         "subchecks": [_report_dict(s) for s in r.subchecks],
-    }
-
-
-def _closeness_dict(c: verify.ClosenessReport) -> dict:
-    return {
-        "check_name": "closeness",
-        "passed": c.passed,
-        "epsilon_target": c.epsilon_target,
-        "max_coord_deviation": c.max_coord_deviation,
-        "reference": c.reference,
-        "tiles_checked": c.tiles_checked,
     }
 
 
@@ -91,13 +59,6 @@ def _print_report(r: verify.VerificationReport) -> None:
     print(f"[{status}] {r.check_name}: " + ("; ".join(detail) if detail else "ok"))
     for s in r.subchecks:
         _print_report(s)
-
-
-def _print_closeness(c: verify.ClosenessReport) -> None:
-    status = "PASS" if c.passed else "FAIL"
-    print(f"[{status}] closeness: max per-coordinate deviation "
-          f"{c.max_coord_deviation:.3e} vs bound {2 * c.epsilon_target:.3e} "
-          f"({c.reference})")
 
 
 def _cmd_gen_strip(args) -> int:
@@ -136,7 +97,6 @@ def _cmd_gen_plane(args) -> int:
     build = pipeline.build_plane(args.epsilon, args.seed, args.rows, args.cols)
     for r in build.reports:
         _print_report(r)
-    _print_closeness(build.closeness)
     if not build.passed:
         print("generation failed verification; no document written", file=sys.stderr)
         return EXIT_GENERATION
@@ -149,8 +109,6 @@ def _cmd_gen_plane(args) -> int:
 
 def _cmd_quadify(args) -> int:
     doc = document.read_document(args.infile)
-    if doc.kind != "plane":
-        raise _UsageError(f"quadify needs a plane document, got kind {doc.kind!r}")
     quads, reports, passed = pipeline.quadify_checked(doc)
     for r in reports:
         _print_report(r)
@@ -163,76 +121,16 @@ def _cmd_quadify(args) -> int:
     return EXIT_OK
 
 
-def _default_checks(doc: document.TilingDocument) -> list[str]:
-    if doc.kind == "strip":
-        checks = ["area", "v2v", "halfturn", "identity"]
-        if doc.float_param("y0") <= pipeline.Y0_RANGE[1]:
-            checks.append("contraction")
-        return checks
-    if doc.kind == "plane":
-        return ["area", "v2v", "incongruent", "closeness"]
-    return ["area", "perimeter", "convex", "incongruent"]
-
-
-def _run_check(name: str, doc: document.TilingDocument):
-    tiles = doc.tiles
-    if name == "area":
-        if doc.kind == "strip":
-            target = 1.0
-        elif doc.kind == "plane":
-            target = assembly.SQRT3
-        else:
-            s = doc.float_param("scale")
-            target = assembly.SQRT3 * s * s / 3.0
-        tol = 1e-10 if doc.kind != "quad" else 1e-9
-        return verify.check_equal_area(tiles, target, tol)
-    if name == "perimeter":
-        return verify.check_equal_perimeter(tiles, doc.float_param("p0"), 1e-9)
-    if name == "v2v":
-        return verify.check_vertex_to_vertex(tiles, 1e-9)
-    if name == "incongruent":
-        return verify.check_pairwise_incongruent(tiles, 1e-9)
-    if name == "halfturn":
-        return verify.check_halfturn_incongruent(tiles, 1e-9)
-    if name == "contraction":
-        tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
-        return verify.check_contraction(deviations(tiling))
-    if name == "identity":
-        tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
-        return verify.check_identity(tiling)
-    if name == "convex":
-        bad = tuple((tile_label(q), tile_label(q))
-                    for q in tiles if not verify.check_convex(q))
-        return verify.VerificationReport(
-            check_name="convex", passed=not bad, worst_residual=None, margin=None,
-            offenders=bad[:10], tiles_checked=len(tiles), tolerance_used=1e-12)
-    if name == "closeness":
-        return verify.check_closeness(tiles, doc.float_param("epsilon"))
-    raise _UsageError(f"unknown check {name!r} (choose from {', '.join(_CHECK_NAMES)})")
-
-
 def _cmd_verify(args) -> int:
     doc = document.read_document(args.infile)
-    names = args.check if args.check else _default_checks(doc)
-    for name in names:
-        if name not in _CHECK_NAMES:
-            raise _UsageError(f"unknown check {name!r} (choose from {', '.join(_CHECK_NAMES)})")
-    results = [_run_check(name, doc) for name in names]
-    payload = []
-    ok = True
-    for res in results:
-        if isinstance(res, verify.ClosenessReport):
-            _print_closeness(res)
-            payload.append(_closeness_dict(res))
-        else:
-            _print_report(res)
-            payload.append(_report_dict(res))
-        ok = ok and res.passed
+    reports = pipeline.run_checks(doc, args.check)
+    for r in reports:
+        _print_report(r)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump([_report_dict(r) for r in reports], fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
 def _cmd_render(args) -> int:
@@ -283,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--check", action="append", metavar="NAME",
                    help=f"check to run (repeatable); default depends on kind; "
-                        f"one of: {', '.join(_CHECK_NAMES)}")
+                        f"one of: {', '.join(pipeline.CHECK_NAMES)}")
     p.add_argument("--json", help="also write a machine-readable report to this path")
     p.set_defaults(func=_cmd_verify)
 
@@ -302,15 +200,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DocumentError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParameter as e:
+    except (_UsageError, InvalidParameter, DocumentError,
+            FileNotFoundError, IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except FairtileError as e:

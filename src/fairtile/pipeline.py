@@ -5,20 +5,29 @@ height, gate it through the contraction suite and the strip-level
 incongruence check, stretch to the equilateral regime, certify shears,
 stack, and verify the finished window.  Everything is driven by one seeded
 generator, so a fixed seed reproduces the construction byte for byte.
+
+:data:`CHECKS` says which checks verify each document kind, with which
+targets and tolerances; the builders here and ``fairtile verify`` all run
+their checks through it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from . import assembly, document, quadsplit, verify
 from .errors import ExhaustedRetries, InvalidParameter
-from .geometry import Quadrangle, TileId, Triangle, tile_label
-from .strip import StripTiling, deviations, strip_tiling, tile_ids, triangle_at
+from .geometry import Quadrangle, TileId, Triangle
+from .strip import StripTiling, deviations, strip_tiling, window_triangles
 
 __all__ = [
     "Y0_RANGE",
+    "Check",
+    "CHECKS",
+    "CHECK_NAMES",
+    "run_checks",
     "PlaneBuild",
     "sample_certified_y0",
     "build_plane",
@@ -26,7 +35,6 @@ __all__ = [
     "strip_document",
     "plane_document",
     "quad_document",
-    "plane_tiles_from_document",
 ]
 
 # default sampling window for the strip height; with a closeness budget the
@@ -35,6 +43,90 @@ __all__ = [
 Y0_RANGE = (0.001, 0.01)
 
 _SAMPLE_TRIES = 50
+
+
+@dataclass(frozen=True)
+class Check:
+    """How one named check runs: ``verify.<function>(subject, target, tol)``.
+
+    The function is looked up in :mod:`verify` when the check runs.  The
+    subject is the document's tiles, or for ``"strip"`` and
+    ``"deviations"`` the strip tiling rebuilt from its ``y0`` and ``cols``
+    parameters or that tiling's deviation series.  Target and tolerance
+    are passed only when set.  With ``param`` the target is that document
+    parameter, mapped through ``target`` when that is a function.
+    """
+
+    function: str
+    target: float | Callable[[float], float] | None = None
+    tol: float | None = None
+    param: str | None = None
+    subject: str = "tiles"
+
+    def run(self, doc: document.TilingDocument) -> verify.VerificationReport:
+        if self.subject == "tiles":
+            args = [doc.tiles]
+        else:
+            tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
+            args = [deviations(tiling) if self.subject == "deviations" else tiling]
+        if self.param is not None:
+            value = doc.float_param(self.param)
+            args.append(self.target(value) if callable(self.target) else value)
+        elif self.target is not None:
+            args.append(self.target)
+        if self.tol is not None:
+            args.append(self.tol)
+        return getattr(verify, self.function)(*args)
+
+
+_V2V = Check("check_vertex_to_vertex", tol=1e-9)
+_INCONGRUENT = Check("check_pairwise_incongruent", tol=1e-9)
+
+# The checks of each document kind, in report order; each kind's own are its
+# defaults, and any named check may be run on any kind.
+CHECKS: dict[str, dict[str, Check]] = {
+    "strip": {
+        "area": Check("check_equal_area", target=1.0, tol=1e-10),
+        "v2v": _V2V,
+        "halfturn": Check("check_halfturn_incongruent", tol=1e-9),
+        "identity": Check("check_identity", tol=1e-10, subject="strip"),
+        "contraction": Check("check_contraction", subject="deviations"),
+    },
+    "plane": {
+        "area": Check("check_equal_area", target=assembly.SQRT3, tol=1e-10),
+        "v2v": _V2V,
+        "incongruent": _INCONGRUENT,
+        "closeness": Check("check_closeness", param="epsilon"),
+    },
+    "quad": {
+        "area": Check("check_equal_area", target=lambda s: assembly.SQRT3 * s * s / 3.0,
+                      tol=1e-9, param="scale"),
+        "perimeter": Check("check_equal_perimeter", tol=1e-9, param="p0"),
+        "convex": Check("check_convex", tol=1e-12),
+        "incongruent": _INCONGRUENT,
+    },
+}
+
+_BY_NAME = {name: check for table in CHECKS.values() for name, check in table.items()}
+CHECK_NAMES = tuple(_BY_NAME)
+
+
+def run_checks(doc: document.TilingDocument,
+               names: Sequence[str] | None = None) -> tuple[verify.VerificationReport, ...]:
+    """Run the named checks on a document, by default its kind's own.
+
+    A check of the document's kind uses that kind's target and tolerance.
+    The contraction suite runs by default only for strip heights inside the
+    sampling window ``Y0_RANGE``.
+    """
+    if names is None:
+        names = [name for name in CHECKS[doc.kind]
+                 if name != "contraction" or doc.float_param("y0") <= Y0_RANGE[1]]
+    for name in names:
+        if name not in _BY_NAME:
+            raise InvalidParameter(
+                f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
+    return tuple(CHECKS[doc.kind].get(name, _BY_NAME[name]).run(doc) for name in names)
 
 
 def _y0_window(epsilon: float | None) -> tuple[float, float]:
@@ -61,8 +153,7 @@ def sample_certified_y0(rng: random.Random, cols: int,
         if not gate.passed:
             last = f"contraction gate failed for y0={y0!r}"
             continue
-        tiles = [triangle_at(tiling, tid.col, tid.slot) for tid in tile_ids(cols)]
-        sep = verify.check_halfturn_incongruent(tiles)
+        sep = verify.check_halfturn_incongruent(window_triangles(tiling, cols))
         if not sep.passed:
             last = f"strip-level congruence for y0={y0!r} (margin {sep.margin:.3e})"
             continue
@@ -77,11 +168,10 @@ class PlaneBuild:
     y0: float
     shears: tuple[float, ...]
     reports: tuple[verify.VerificationReport, ...]
-    closeness: verify.ClosenessReport
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.reports) and self.closeness.passed
+        return all(r.passed for r in self.reports)
 
 
 def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
@@ -103,15 +193,11 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
         check_name="shear-budget", passed=budget < epsilon, worst_residual=None,
         margin=epsilon - budget, offenders=(), tiles_checked=len(shears),
         tolerance_used=epsilon)
-    reports = (
-        verify.check_equal_area(tiles, assembly.SQRT3, 1e-10),
-        verify.check_vertex_to_vertex(tiles, 1e-9),
-        verify.check_pairwise_incongruent(tiles, 1e-9),
-        budget_report,
-    )
-    closeness = verify.check_closeness(tiles, epsilon)
-    return PlaneBuild(plane=plane, tiles=tiles, y0=y0, shears=tuple(shears),
-                      reports=reports, closeness=closeness)
+    doc = document.TilingDocument(
+        kind="plane", parameters=document.make_parameters(epsilon=epsilon),
+        tiles=[tri for _, tri in tiles])
+    reports = run_checks(doc) + (budget_report,)
+    return PlaneBuild(plane=plane, tiles=tiles, y0=y0, shears=tuple(shears), reports=reports)
 
 
 def quadify_checked(doc: document.TilingDocument):
@@ -124,27 +210,12 @@ def quadify_checked(doc: document.TilingDocument):
     """
     if doc.kind != "plane":
         raise InvalidParameter(f"quadify needs a plane document, got kind {doc.kind!r}")
-    pairs = [(t.id, t) for t in doc.tiles]
-    pre = verify.check_pairwise_incongruent(pairs, 1e-9)
-    if not pre.passed:
-        return [], (pre,), False
+    pre = run_checks(doc, ("incongruent",))
+    if not pre[0].passed:
+        return [], pre, False
 
-    quads = quadsplit.quadify_plane(pairs)
-    scale = quadsplit.QUADIFY_SCALE
-    area_target = assembly.SQRT3 * scale * scale / 3.0
-    nonconvex = tuple(
-        (tile_label(q), tile_label(q))
-        for q in quads if not verify.check_convex(q))
-    convex_report = verify.VerificationReport(
-        check_name="convex", passed=not nonconvex, worst_residual=None, margin=None,
-        offenders=nonconvex[:10], tiles_checked=len(quads), tolerance_used=1e-12)
-    reports = (
-        pre,
-        verify.check_equal_area(quads, area_target, 1e-9),
-        verify.check_equal_perimeter(quads, quadsplit.P0, 1e-9),
-        convex_report,
-        verify.check_pairwise_incongruent(quads, 1e-9),
-    )
+    quads = quadsplit.quadify_plane([(t.id, t) for t in doc.tiles])
+    reports = pre + run_checks(quad_document(quads, doc))
     return quads, reports, all(r.passed for r in reports)
 
 
@@ -154,9 +225,9 @@ def quadify_checked(doc: document.TilingDocument):
 
 def strip_document(tiling: StripTiling, cols: int, *,
                    seed: int | None = None, mode: str = "fixed") -> document.TilingDocument:
-    tiles = [triangle_at(tiling, tid.col, tid.slot) for tid in tile_ids(cols)]
     params = document.make_parameters(y0=tiling.y0, cols=cols, seed=seed, mode=mode)
-    return document.TilingDocument(kind="strip", parameters=params, tiles=tiles)
+    return document.TilingDocument(kind="strip", parameters=params,
+                                   tiles=window_triangles(tiling, cols))
 
 
 def plane_document(build: PlaneBuild, epsilon: float, seed: int,
@@ -174,7 +245,3 @@ def quad_document(quads: list[Quadrangle],
     params.update(document.make_parameters(
         scale=quadsplit.QUADIFY_SCALE, p0=quadsplit.P0))
     return document.TilingDocument(kind="quad", parameters=params, tiles=list(quads))
-
-
-def plane_tiles_from_document(doc: document.TilingDocument):
-    return [(t.id, t) for t in doc.tiles]

@@ -35,6 +35,7 @@ __all__ = [
     "deviations",
     "triangle_at",
     "tile_ids",
+    "window_triangles",
     "unit_area_residual",
     "identity_residual",
 ]
@@ -200,6 +201,11 @@ def tile_ids(n_cols: int, row: int = 0):
     for i in range(-n_cols, n_cols + 1):
         for j in (1, 4) if i == 0 else (1, 2, 3, 4):
             yield TileId(row, i, j)
+
+
+def window_triangles(t: StripTiling, n_cols: int) -> list[Triangle]:
+    """Every triangle of the window -n_cols..n_cols, ordered by (col, slot)."""
+    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(n_cols)]
 
 
 def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:

@@ -4,9 +4,11 @@ contraction suite, convexity, and closeness to the periodic reference.
 
 Every check returns a :class:`VerificationReport` built the same way from
 the same inputs, so reports are reproducible run to run.  Residual-type
-checks pass when the worst residual stays under the tolerance;
-separation-type checks pass when the reported margin is positive.  Checks
-never repair geometry: candidate shared vertices are snapped within
+checks pass when the worst residual stays under the tolerance (closeness
+reports the largest per-coordinate deviation against 2*epsilon);
+incongruence checks pass only when the reported margin exceeds the
+quantum; the contraction suite passes when every margin is positive.
+Checks never repair geometry: candidate shared vertices are snapped within
 tolerance for classification only.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .congruence import DEFAULT_QUANTUM, congruence_signature, signature_variants, simeq_distance
+from .congruence import DEFAULT_QUANTUM, signature_variants, simeq_distance
 from .errors import InvalidParameter
 from .geometry import (
     area,
@@ -33,7 +35,6 @@ from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_re
 
 __all__ = [
     "VerificationReport",
-    "ClosenessReport",
     "check_equal_area",
     "check_equal_perimeter",
     "check_vertex_to_vertex",
@@ -66,15 +67,6 @@ class VerificationReport:
     tolerance_used: float
     note: str = ""
     subchecks: tuple["VerificationReport", ...] = ()
-
-
-@dataclass(frozen=True)
-class ClosenessReport:
-    epsilon_target: float
-    max_coord_deviation: float
-    reference: str
-    passed: bool
-    tiles_checked: int
 
 
 def _polys(tiles) -> list:
@@ -117,9 +109,13 @@ def check_equal_perimeter(tiles, target: float, tol: float = 1e-9) -> Verificati
     return _scalar_sweep("equal-perimeter", tiles, target, tol, perimeter)
 
 
-def check_convex(q, tol: float = 1e-12) -> bool:
-    """Whether all consecutive-edge cross products share one sign."""
-    return is_convex(q, tol)
+def check_convex(tiles, tol: float = 1e-12) -> VerificationReport:
+    """Every tile's consecutive-edge cross products share one sign."""
+    polys = _polys(tiles)
+    offenders = [(tile_label(p), tile_label(p)) for p in polys if not is_convex(p, tol)]
+    return VerificationReport(
+        check_name="convex", passed=not offenders, worst_residual=None, margin=None,
+        offenders=_cap(offenders), tiles_checked=len(polys), tolerance_used=tol)
 
 
 def check_identity(t: StripTiling, tol: float = 1e-10) -> VerificationReport:
@@ -250,7 +246,7 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
 # pairwise incongruence
 
 
-def _pair_margin_and_collisions(polys, quantum: float, method: str):
+def _pair_margin_and_collisions(polys, quantum: float):
     groups: dict[int, list[int]] = {}
     for idx, p in enumerate(polys):
         groups.setdefault(len(vertices_of(p)), []).append(idx)
@@ -258,46 +254,31 @@ def _pair_margin_and_collisions(polys, quantum: float, method: str):
     margin = math.inf
     collisions: list[tuple[int, int]] = []
     for idxs in groups.values():
-        sigs = [congruence_signature(polys[i], quantum) for i in idxs]
-        canon = np.array([s.raw for s in sigs])
         variants = np.stack([signature_variants(polys[i]) for i in idxs])
-        m = len(idxs)
-        for a in range(m - 1):
-            diffs = np.abs(variants[a][None, :, :] - canon[a + 1:, None, :])
+        # every alignment of tile a against one fixed row of each later tile
+        reference = variants[:, 0, :]
+        for a in range(len(idxs) - 1):
+            diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
             d = np.min(np.max(diffs, axis=2), axis=1)
             margin = min(margin, float(np.min(d)))
-        if method == "buckets":
-            seen: dict[tuple, int] = {}
-            for pos, s in enumerate(sigs):
-                if s.canonical in seen:
-                    collisions.append((idxs[seen[s.canonical]], idxs[pos]))
-                else:
-                    seen[s.canonical] = pos
-        else:
-            quantized = [s.canonical for s in sigs]
-            for a in range(m):
-                for b in range(a + 1, m):
-                    if quantized[a] == quantized[b]:
-                        collisions.append((idxs[a], idxs[b]))
+            collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
     return margin, collisions
 
 
-def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM,
-                               method: str = "pairs") -> VerificationReport:
+def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> VerificationReport:
     """No two tiles congruent, and no equilateral triangle among them.
 
-    The margin is the smallest aligned signature distance over all pairs;
-    the check passes when no two quantized signatures coincide and no
-    triangle has all edges equal within the quantum.  ``method`` switches
-    the duplicate detection between the all-pairs sweep and signature
-    bucketing; both produce identical reports.
+    The margin is the smallest aligned signature distance over all pairs,
+    reflections included.  A pair at distance ``<= quantum`` is a collision,
+    so the check passes only when the margin exceeds the quantum and no
+    triangle has all edges equal within the quantum.
     """
-    if method not in ("pairs", "buckets"):
-        raise InvalidParameter(f"unknown method {method!r}")
+    if quantum <= 0:
+        raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
     polys = _polys(tiles)
     if not polys:
         raise InvalidParameter("pairwise-incongruence: empty tile list")
-    margin, collisions = _pair_margin_and_collisions(polys, quantum, method)
+    margin, collisions = _pair_margin_and_collisions(polys, quantum)
 
     offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in sorted(collisions)]
     equilateral = []
@@ -310,7 +291,7 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM,
                 equilateral.append((tile_label(p), tile_label(p)))
     if equilateral:
         eq_note = f"{len(equilateral)} equilateral tile(s) flagged"
-    passed = not collisions and not equilateral and margin > 0.0
+    passed = not collisions and not equilateral
     return VerificationReport(
         check_name="pairwise-incongruent", passed=passed,
         worst_residual=None, margin=margin,
@@ -408,9 +389,13 @@ def check_contraction(series: DeviationSeries) -> VerificationReport:
 # closeness to the periodic reference
 
 
-def check_closeness(tiles, epsilon: float) -> ClosenessReport:
+def check_closeness(tiles, epsilon: float) -> VerificationReport:
     """Per-coordinate deviation of every vertex from its counterpart in the
-    periodic tiling by equilateral edge-2 triangles; passes under 2*epsilon."""
+    periodic tiling by equilateral edge-2 triangles.
+
+    The worst residual is the largest deviation; the check passes when it
+    stays strictly under the tolerance 2*epsilon.
+    """
     worst = 0.0
     count = 0
     for item in tiles:
@@ -423,7 +408,8 @@ def check_closeness(tiles, epsilon: float) -> ClosenessReport:
         count += 1
     if count == 0:
         raise InvalidParameter("closeness: empty tile list")
-    return ClosenessReport(
-        epsilon_target=epsilon, max_coord_deviation=worst,
-        reference="periodic-equilateral-edge-2", passed=worst < 2.0 * epsilon,
-        tiles_checked=count)
+    tol = 2.0 * epsilon
+    return VerificationReport(
+        check_name="closeness", passed=worst < tol, worst_residual=worst, margin=None,
+        offenders=(), tiles_checked=count, tolerance_used=tol,
+        note="periodic-equilateral-edge-2")

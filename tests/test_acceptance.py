@@ -151,13 +151,13 @@ def test_a05_plane_window(plane_run):
         lengths = edge_lengths(tri)
         assert max(lengths) - min(lengths) > 1e-9  # no equilateral tile
     closeness = check_closeness(tiles, PLANE_EPSILON)
-    assert closeness.passed and closeness.max_coord_deviation < 2 * PLANE_EPSILON
+    assert closeness.passed and closeness.worst_residual < 2 * PLANE_EPSILON
     shears = doc.float_list("shears")
     assert sum(2 * SQRT3 * abs(m) for m in shears) < PLANE_EPSILON
     conclude("A5", elapsed, 60.0,
              f"{len(tiles)}-tile window: areas sqrt(3)+-1e-10, vertex-to-vertex at 1e-9, "
              f"incongruence margin {incong.margin:.1e}, deviation "
-             f"{closeness.max_coord_deviation:.4f} < {2 * PLANE_EPSILON}")
+             f"{closeness.worst_residual:.4f} < {2 * PLANE_EPSILON}")
 
 
 # --- A6: Jacobian determinant anchors ------------------------------------------
@@ -197,7 +197,7 @@ def test_a07_fair_split_ensemble(random_splits):
         for q in quads:
             assert abs(perimeter(q) - P0) <= 1e-10
             assert abs(area(q) - tri_area / 3) <= 1e-10
-            assert check_convex(q)
+        assert check_convex(quads).passed
         spread = max(a, b, c) - min(a, b, c)
         if spread >= 1e-4:
             sigs = {congruence_signature(q, 1e-9).canonical for q in quads}
@@ -247,7 +247,7 @@ def test_a09_quadify_plane_window(quad_run, plane_run, tmp_path):
     t0 = time.monotonic()
     assert check_equal_area(quads, SQRT3 * scale * scale / 3, 1e-9).passed
     assert check_equal_perimeter(quads, P0, 1e-9).passed
-    assert all(check_convex(q) for q in quads)
+    assert check_convex(quads).passed
     incong = check_pairwise_incongruent(quads, 1e-9)
     assert incong.passed and incong.margin > 0
 

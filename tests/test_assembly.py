@@ -128,10 +128,10 @@ def test_closeness_of_stacked_window(base):
     plane = stack_plane(base, mus, 3, 5, epsilon=eps)
     rep = check_closeness(plane.tiles(), eps)
     assert rep.passed
-    assert rep.max_coord_deviation < 2 * eps
+    assert rep.worst_residual < 2 * eps
     # second coordinates move by at most sqrt(3)*y0; first by strip deviation
     # plus the shear drift, both well under the budget here
-    assert rep.max_coord_deviation < SQRT3 * 0.004 + sum(2 * SQRT3 * abs(m) for m in mus)
+    assert rep.worst_residual < SQRT3 * 0.004 + sum(2 * SQRT3 * abs(m) for m in mus)
 
 
 def test_periodic_reference_self_closeness():
@@ -141,7 +141,7 @@ def test_periodic_reference_self_closeness():
             tiles.append((tid, periodic_triangle(tid)))
     rep = check_closeness(tiles, 1e-6)
     assert rep.passed
-    assert rep.max_coord_deviation == 0.0
+    assert rep.worst_residual == 0.0
 
 
 def test_periodic_tiles_are_equilateral_area_sqrt3():

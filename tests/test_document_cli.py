@@ -107,6 +107,8 @@ def test_verify_plane_document(plane_doc, tmp_path):
     names = {entry["check_name"] for entry in payload}
     assert names == {"equal-area", "vertex-to-vertex", "pairwise-incongruent", "closeness"}
     assert all(entry["passed"] for entry in payload)
+    # closeness uses the common report fields
+    assert len({tuple(sorted(entry)) for entry in payload}) == 1
 
 
 def test_verify_detects_tampering(plane_doc, tmp_path):
@@ -132,6 +134,15 @@ def test_verify_strip_contraction_report(tmp_path, capsys):
     text = capsys.readouterr().out
     for part in ("h-bound", "h-monotone", "y-alternating", "y-abs-sum"):
         assert part in text
+    # by default the contraction suite runs only for heights in the sampling window
+    report = tmp_path / "report.json"
+    high = tmp_path / "high.tiles"
+    assert run_cli("gen-strip", "--y0", "0.2", "--cols", "3", "--out", str(high)) == 0
+    for path, contraction in ((out, True), (high, False)):
+        assert run_cli("verify", "--in", str(path), "--json", str(report)) == 0
+        names = [entry["check_name"] for entry in json.loads(report.read_text())]
+        assert names == ["equal-area", "vertex-to-vertex", "halfturn-incongruent",
+                         "strip-identities"] + ["contraction"] * contraction
 
 
 def test_quadify_and_determinism(plane_doc, tmp_path):
@@ -185,11 +196,3 @@ def test_render_empty_document(tmp_path):
     assert run_cli("render", "--in", str(path), "--out", str(svg)) == 0
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
-
-
-def test_thread_cap_env(monkeypatch, tmp_path):
-    out = tmp_path / "s.tiles"
-    monkeypatch.setenv("FAIRTILE_THREADS", "2")
-    assert run_cli("gen-strip", "--y0", "0.2", "--cols", "2", "--out", str(out)) == 0
-    monkeypatch.setenv("FAIRTILE_THREADS", "zero")
-    assert run_cli("gen-strip", "--y0", "0.2", "--cols", "2", "--out", str(out)) == 2
