@@ -21,9 +21,7 @@ from .assembly import (
 )
 from .congruence import (
     ShearRootSet,
-    Signature,
     bad_shear_set,
-    congruence_signature,
     congruent,
     equilateral_shear_set,
     halfturn_translate_congruent,

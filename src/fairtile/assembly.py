@@ -371,11 +371,7 @@ def window(p: PlaneTiling, x_range: tuple[float, float],
     if x_lo < -coverage or x_hi > coverage:
         raise IndexOutOfRange(
             f"x range {x_range} outside certified coverage +-{coverage}")
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        for tid in tile_ids(p.window_cols, row=k):
-            tri = plane_triangle(p, tid)
-            xs = [v.x for v in tri.vertices]
-            if max(xs) >= x_lo and min(xs) <= x_hi:
-                out.append((tid, tri))
-    return out
+    return [(tid, tri) for tid, tri in p.tiles()
+            if k_lo <= tid.row <= k_hi
+            and max(v.x for v in tri.vertices) >= x_lo
+            and min(v.x for v in tri.vertices) <= x_hi]

@@ -1,6 +1,6 @@
-"""Congruence predicates, congruence-invariant signatures, and the shear
-parameters at which given triangles can collide into congruent or
-equilateral shapes.
+"""Congruence predicates, the alignment rows that the pairwise sweeps
+compare, and the shear parameters at which given triangles can collide
+into congruent or equilateral shapes.
 
 Two congruence relations appear side by side:
 
@@ -11,7 +11,7 @@ Two congruence relations appear side by side:
   relation that matters inside a single strip before shearing.
 
 Equality of ideal reals is not decidable in binary64, so predicates take an
-explicit tolerance and the signature machinery always exposes separation
+explicit tolerance and the distances behind them are exposed as separation
 margins rather than bare booleans.
 """
 
@@ -32,10 +32,9 @@ from .geometry import (
 )
 
 __all__ = [
-    "Signature",
     "ShearRootSet",
-    "congruence_signature",
     "signature_variants",
+    "halfturn_variants",
     "signature_distance",
     "congruent",
     "simeq_distance",
@@ -52,26 +51,6 @@ DEFAULT_QUANTUM = 1e-9
 _LEADING_EPS = 1e-14
 _DISC_CLAMP = 1e-12
 _ROOT_DEDUP = 1e-9
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Canonical (edge length, interior angle) sequence of a polygon.
-
-    ``canonical`` is quantized to multiples of ``quantum`` and is identical
-    for congruent polygons (including reflected copies); ``raw`` keeps the
-    pre-quantization values of the chosen ordering for margin reporting.
-    """
-
-    canonical: tuple[float, ...]
-    raw: tuple[float, ...]
-    quantum: float
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and self.canonical == other.canonical
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
 
 
 def _orderings(pts):
@@ -98,29 +77,9 @@ def _flat_pairs(pts) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _quantize(values, quantum: float) -> tuple[float, ...]:
-    return tuple(round(v / quantum) * quantum for v in values)
-
-
-def congruence_signature(p, quantum: float = DEFAULT_QUANTUM) -> Signature:
-    """Canonical congruence-invariant signature of a triangle or quadrangle.
-
-    The lexicographically smallest quantized (length, angle) sequence over
-    all cyclic rotations of both orientations; ties between quantized
-    candidates are broken by the pre-quantization values.
-    """
-    if quantum <= 0:
-        raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
-    pts = vertices_of(p)
-    best = min(
-        ((_quantize(row, quantum), row) for row in
-         (_flat_pairs(o) for o in _orderings(pts))),
-    )
-    return Signature(canonical=best[0], raw=best[1], quantum=quantum)
-
-
 def signature_variants(p) -> np.ndarray:
-    """All 2n alignment rows of the raw signature, shape (2n, 2n).
+    """All 2n alignment rows of the (edge length, interior angle) signature,
+    one per cyclic rotation of either orientation, shape (2n, 2n).
 
     Comparing every row of one polygon against a fixed row of another
     covers every relative alignment, which is what the vectorized pairwise
@@ -131,7 +90,7 @@ def signature_variants(p) -> np.ndarray:
 
 
 def signature_distance(p, q) -> float:
-    """Smallest max-component difference between aligned raw signatures.
+    """Smallest max-component difference between aligned signatures.
 
     Zero exactly for congruent polygons; the reported value is the margin
     by which the pair fails to be congruent.  Polygons with different
@@ -140,16 +99,15 @@ def signature_distance(p, q) -> float:
     pp, qq = vertices_of(p), vertices_of(q)
     if len(pp) != len(qq):
         return math.inf
-    ref = np.array(congruence_signature(q).raw)
     rows = signature_variants(p)
-    return float(np.min(np.max(np.abs(rows - ref), axis=1)))
+    return float(np.min(np.max(np.abs(rows - signature_variants(q)[0]), axis=1)))
 
 
 def congruent(p, q, tol: float = DEFAULT_QUANTUM) -> bool:
     """Whether some Euclidean isometry (reflections included) maps p onto q.
 
     Triangles reduce to the side-side-side comparison; quadrangles compare
-    canonical signatures at the given tolerance.
+    aligned signatures at the given tolerance.
     """
     pp, qq = vertices_of(p), vertices_of(q)
     if len(pp) != len(qq):
@@ -182,6 +140,20 @@ def simeq_distance(t, u) -> float:
             )
             best = min(best, d)
     return best
+
+
+def halfturn_variants(p) -> np.ndarray:
+    """All 2n alignment rows of the edge-vector cycle, shape (2n, 2n).
+
+    Rows are the n cyclic rotations of the cycle, then the same rotations
+    negated, each flattened to (x0, y0, x1, y1, ...).  Every row of one
+    polygon against the first row of another gives the alignments that
+    :func:`simeq_distance` minimises over, with the same floating-point
+    differences.
+    """
+    ev = np.array(edge_vectors(p))
+    rotations = np.stack([np.roll(ev, -r, axis=0) for r in range(len(ev))])
+    return np.concatenate([rotations, -rotations]).reshape(2 * len(ev), -1)
 
 
 def halfturn_translate_congruent(t, u, tol: float = DEFAULT_QUANTUM) -> bool:

@@ -88,5 +88,13 @@ class BoundaryMismatch(FairtileError):
         self.deviation = deviation
 
 
+class TileFailed(FairtileError):
+    """Processing one tile of a window failed; the cause is chained."""
+
+    def __init__(self, tile_id, cause: FairtileError):
+        super().__init__(f"tile {tile_id}: {type(cause).__name__}: {cause}")
+        self.tile_id = tile_id
+
+
 class DocumentError(FairtileError):
     """A tiling document is malformed or of the wrong kind."""

@@ -37,12 +37,14 @@ from .errors import (
     DegeneratePolygon,
     DegenerateTriangle,
     EdgeOutOfRange,
+    FairtileError,
     InvalidParameter,
     NoConvergence,
     NonConvexOutput,
     OutOfBasin,
     SingularDenominator,
     SingularJacobian,
+    TileFailed,
 )
 from .geometry import (
     Point,
@@ -502,16 +504,15 @@ def quadify_plane(tiles, scale: float = QUADIFY_SCALE) -> list[Quadrangle]:
     The single common factor takes stacked-tiling edges (about 2) to the
     near-unit regime; because it is shared, equal areas and equal
     perimeters hold across the whole output, three quadrangles per input
-    triangle.  Errors are re-raised annotated with the offending tile id.
+    triangle.  A package error on one tile is re-raised as
+    :class:`TileFailed` carrying that tile's id, with the error as its cause.
     """
     out: list[Quadrangle] = []
     for tid, tri in tiles:
         posed = scale_uniform(tri, scale)
         try:
             quads = fair_split(posed)
-        except Exception as e:
-            e.args = (f"tile {tid}: {e}",) + e.args[1:]
-            e.tile_id = tid
-            raise
+        except FairtileError as e:
+            raise TileFailed(tid, e) from e
         out.extend(quads)
     return out

@@ -15,12 +15,12 @@ tolerance for classification only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import assembly
-from .congruence import DEFAULT_QUANTUM, signature_variants, simeq_distance
+from .congruence import DEFAULT_QUANTUM, halfturn_variants, signature_variants
 from .errors import InvalidParameter
 from .geometry import (
     area,
@@ -90,7 +90,7 @@ def _scalar_sweep(name, tiles, target, tol, measure) -> VerificationReport:
     worst = 0.0
     offenders = []
     for p in polys:
-        r = abs(measure(p) - target)
+        r = float(abs(measure(p) - target))
         if r > tol:
             offenders.append((tile_label(p), tile_label(p)))
         worst = max(worst, r)
@@ -246,7 +246,14 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
 # pairwise incongruence
 
 
-def _pair_margin_and_collisions(polys, quantum: float):
+def _aligned_sweep(polys, rows_of, quantum: float):
+    """Smallest aligned distance over all tile pairs, and every pair within
+    ``quantum``.
+
+    ``rows_of(p)`` gives one row per alignment of p; every row of one tile
+    against the first row of each later tile covers every relative
+    alignment.  Tiles with different vertex counts are never compared.
+    """
     groups: dict[int, list[int]] = {}
     for idx, p in enumerate(polys):
         groups.setdefault(len(vertices_of(p)), []).append(idx)
@@ -254,15 +261,26 @@ def _pair_margin_and_collisions(polys, quantum: float):
     margin = math.inf
     collisions: list[tuple[int, int]] = []
     for idxs in groups.values():
-        variants = np.stack([signature_variants(polys[i]) for i in idxs])
-        # every alignment of tile a against one fixed row of each later tile
+        variants = np.stack([rows_of(polys[i]) for i in idxs])
         reference = variants[:, 0, :]
         for a in range(len(idxs) - 1):
             diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
             d = np.min(np.max(diffs, axis=2), axis=1)
             margin = min(margin, float(np.min(d)))
             collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
-    return margin, collisions
+    return margin, sorted(collisions)
+
+
+def _incongruence(name, polys, quantum: float, rows_of) -> VerificationReport:
+    if quantum <= 0:
+        raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
+    if not polys:
+        raise InvalidParameter(f"{name}: empty tile list")
+    margin, collisions = _aligned_sweep(polys, rows_of, quantum)
+    offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in collisions]
+    return VerificationReport(
+        check_name=name, passed=not collisions, worst_residual=None, margin=margin,
+        offenders=_cap(offenders), tiles_checked=len(polys), tolerance_used=quantum)
 
 
 def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> VerificationReport:
@@ -273,30 +291,19 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     so the check passes only when the margin exceeds the quantum and no
     triangle has all edges equal within the quantum.
     """
-    if quantum <= 0:
-        raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
     polys = _polys(tiles)
-    if not polys:
-        raise InvalidParameter("pairwise-incongruence: empty tile list")
-    margin, collisions = _pair_margin_and_collisions(polys, quantum)
-
-    offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in sorted(collisions)]
+    report = _incongruence("pairwise-incongruent", polys, quantum, signature_variants)
     equilateral = []
-    eq_note = ""
     for p in polys:
         if len(vertices_of(p)) == 3:
             lengths = edge_lengths(p)
             spread = max(lengths) - min(lengths)
             if spread <= quantum:
                 equilateral.append((tile_label(p), tile_label(p)))
-    if equilateral:
-        eq_note = f"{len(equilateral)} equilateral tile(s) flagged"
-    passed = not collisions and not equilateral
-    return VerificationReport(
-        check_name="pairwise-incongruent", passed=passed,
-        worst_residual=None, margin=margin,
-        offenders=_cap(offenders + equilateral), tiles_checked=len(polys),
-        tolerance_used=quantum, note=eq_note)
+    if not equilateral:
+        return report
+    return replace(report, passed=False, offenders=_cap(report.offenders + tuple(equilateral)),
+                   note=f"{len(equilateral)} equilateral tile(s) flagged")
 
 
 def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> VerificationReport:
@@ -304,24 +311,11 @@ def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
 
     This is the strip-level relation: reflected column pairs are fully
     congruent by symmetry, but must stay separated under this relation for
-    the shear certification to apply.
+    the shear certification to apply.  The margin is the smallest
+    :func:`~fairtile.congruence.simeq_distance` over all pairs; the check
+    passes only when it exceeds the quantum.
     """
-    polys = _polys(tiles)
-    if not polys:
-        raise InvalidParameter("halfturn-incongruence: empty tile list")
-    margin = math.inf
-    offenders = []
-    n = len(polys)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = simeq_distance(polys[i], polys[j])
-            if d <= quantum:
-                offenders.append((tile_label(polys[i]), tile_label(polys[j])))
-            margin = min(margin, d)
-    return VerificationReport(
-        check_name="halfturn-incongruent", passed=not offenders and margin > 0.0,
-        worst_residual=None, margin=margin, offenders=_cap(offenders),
-        tiles_checked=n, tolerance_used=quantum)
+    return _incongruence("halfturn-incongruent", _polys(tiles), quantum, halfturn_variants)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +396,12 @@ def check_closeness(tiles, epsilon: float) -> VerificationReport:
         tid, tri = item if isinstance(item, tuple) else (item.id, item)
         if tid is None:
             raise InvalidParameter("closeness needs tiles with ids")
+        if len(vertices_of(tri)) != 3:
+            raise InvalidParameter(
+                f"closeness applies to triangles only; tile {tile_label(tri)} is not one")
         ref = assembly.periodic_triangle(tid)
         for v, r in zip(tri.vertices, ref.vertices):
-            worst = max(worst, abs(v.x - r.x), abs(v.y - r.y))
+            worst = max(worst, float(abs(v.x - r.x)), float(abs(v.y - r.y)))
         count += 1
     if count == 0:
         raise InvalidParameter("closeness: empty tile list")

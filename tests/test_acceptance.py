@@ -3,6 +3,7 @@ pinned tolerance and runtime budget, one printed pass/fail line per
 criterion.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import math
 import random
 import time
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from fairtile import cli
-from fairtile.congruence import congruence_signature
+from fairtile.congruence import signature_distance
 from fairtile.document import read_document
 from fairtile.geometry import Point, Triangle, area, edge_lengths, perimeter
 from fairtile.quadsplit import (
@@ -200,12 +201,12 @@ def test_a07_fair_split_ensemble(random_splits):
         assert check_convex(quads).passed
         spread = max(a, b, c) - min(a, b, c)
         if spread >= 1e-4:
-            sigs = {congruence_signature(q, 1e-9).canonical for q in quads}
-            assert len(sigs) == 3
+            assert all(signature_distance(p, q) > 1e-9
+                       for p, q in itertools.combinations(quads, 2))
 
     placed = Triangle(Point(2.0, -1.0), Point(3.0, -1.0), Point(2.5, -1.0 + SQRT3 / 2))
-    sigs = {congruence_signature(q, 1e-9).canonical for q in fair_split(placed)}
-    assert len(sigs) == 1
+    assert all(signature_distance(p, q) <= 1e-9
+               for p, q in itertools.combinations(fair_split(placed), 2))
     conclude("A7", build_time + (time.monotonic() - t0), 30.0,
              "1000 random near-unit splits: <=12 Newton steps, perimeter p0 and "
              "area/3 to 1e-10, convex; equilateral gives congruent pieces")

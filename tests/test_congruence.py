@@ -1,4 +1,4 @@
-"""Congruence predicates, signatures, vertical widths, shear root sets."""
+"""Congruence predicates, signature distances, vertical widths, shear root sets."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fairtile.congruence import (
     bad_shear_set,
-    congruence_signature,
     congruent,
     equilateral_shear_set,
     halfturn_translate_congruent,
@@ -133,7 +132,10 @@ def test_critical_tiling_congruence_classes():
         if i == 0:
             continue
         tiles += [triangle_at(t, i, j) for j in (1, 2, 3, 4)]
-    classes = {congruence_signature(x).canonical for x in tiles}
+    classes = []
+    for x in tiles:
+        if not any(congruent(x, c, 1e-9) for c in classes):
+            classes.append(x)
     assert len(classes) == 6
 
 
@@ -176,10 +178,9 @@ def test_halfturn_symmetric_and_reflexive():
 
 def test_signature_ignores_vertex_rotation_and_reflection():
     rotated = Quadrangle(tuple(UNIT_SQUARE.vertices[2:] + UNIT_SQUARE.vertices[:2]))
-    assert congruence_signature(UNIT_SQUARE) == congruence_signature(rotated)
+    assert signature_distance(UNIT_SQUARE, rotated) <= 1e-9
     q = quad((0, 0), (1.4, 0.1), (1.5, 1.2), (0.2, 0.9))
     mirrored = Quadrangle(tuple(Point(-v.x, v.y) for v in reversed(q.vertices)))
-    assert congruence_signature(q) == congruence_signature(mirrored)
     assert signature_distance(q, mirrored) <= 1e-12
 
 
@@ -215,7 +216,7 @@ def test_signature_invariance_under_random_isometries():
         if mirror:
             mapped.reverse()
         q = Triangle(*mapped) if n == 3 else Quadrangle(tuple(mapped))
-        assert congruence_signature(p).canonical == congruence_signature(q).canonical
+        assert signature_distance(p, q) <= 1e-9
         checked += 1
 
 
@@ -224,10 +225,8 @@ def test_fair_split_of_scalene_gives_three_distinct_signatures():
 
     t = Triangle(Point(0, 0), Point(1.01, 0), apex(1.01, 1.00, 0.99))
     quads = fair_split(t)
-    sigs = [congruence_signature(q).canonical for q in quads]
-    assert len(set(sigs)) == 3
     gaps = [signature_distance(quads[a], quads[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
-    assert min(gaps) > 0
+    assert min(gaps) > 1e-9
 
 
 def test_congruence_soundness_on_congruent_samples():

@@ -157,6 +157,26 @@ def test_quadify_and_determinism(plane_doc, tmp_path):
     assert run_cli("verify", "--in", str(q1)) == 0
 
 
+def test_verify_refuses_closeness_on_quad_documents(tmp_path):
+    plane, quads = tmp_path / "p.tiles", tmp_path / "q.tiles"
+    assert run_cli("gen-plane", "--epsilon", "0.05", "--seed", "4",
+                   "--rows", "2", "--cols", "3", "--out", str(plane)) == 0
+    assert run_cli("quadify", "--in", str(plane), "--out", str(quads)) == 0
+    assert run_cli("verify", "--in", str(quads), "--check", "closeness") == 2
+
+
+def test_reports_of_in_memory_documents_are_json():
+    from fairtile.quadsplit import quadify_plane
+
+    build = pipeline.build_plane(0.05, 4, 2, 3)
+    plane = pipeline.plane_document(build, 0.05, 4, 2, 3)
+    docs = [pipeline.strip_document(strip_tiling(0.005, 3), 3), plane,
+            pipeline.quad_document(quadify_plane(build.tiles), plane)]
+    for doc in docs:
+        for r in pipeline.run_checks(doc, list(pipeline.CHECKS[doc.kind])):
+            json.dumps(cli._report_dict(r))
+
+
 def test_quadify_usage_errors(plane_doc, tmp_path):
     assert run_cli("quadify", "--in", str(tmp_path / "missing.tiles"),
                    "--out", str(tmp_path / "q.tiles")) == 2

@@ -1,5 +1,6 @@
 """Fair splitting, the Newton solver, and triangle reconstruction."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fairtile.errors import (
     OutOfBasin,
     SingularDenominator,
     SingularJacobian,
+    TileFailed,
 )
 from fairtile.geometry import (
     Point,
@@ -25,6 +27,7 @@ from fairtile.geometry import (
     interior_angles,
     is_convex,
     perimeter,
+    scale_uniform,
 )
 from fairtile.quadsplit import (
     FAIR,
@@ -185,14 +188,13 @@ def test_fair_split_requires_near_unit_edges():
 
 
 def test_fair_split_of_equilateral_gives_congruent_quads():
-    from fairtile.congruence import congruence_signature
+    from fairtile.congruence import signature_distance
 
     c, s = math.cos(0.7), math.sin(0.7)
     pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
     placed = [Point(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
     quads = fair_split(Triangle(*placed))
-    sigs = {congruence_signature(q, 1e-9).canonical for q in quads}
-    assert len(sigs) == 1
+    assert all(signature_distance(p, q) <= 1e-9 for p, q in itertools.combinations(quads, 2))
 
 
 def test_fair_split_equivariance_under_isometry():
@@ -278,3 +280,16 @@ def test_quadify_plane():
         assert area(q) == pytest.approx(tri_area / 3, abs=1e-9)
         assert perimeter(q) == pytest.approx(P0, abs=1e-9)
         assert q.id is not None and q.corner in "ABC"
+
+
+def test_quadify_plane_names_the_failing_tile():
+    from fairtile.assembly import periodic_triangle
+    from fairtile.strip import tile_ids
+
+    tiles = [(tid, periodic_triangle(tid)) for tid in tile_ids(1)]
+    bad_id, bad = tiles[2]
+    tiles[2] = (bad_id, scale_uniform(bad, 3.0))
+    with pytest.raises(TileFailed) as info:
+        quadify_plane(tiles)
+    assert info.value.tile_id == bad_id
+    assert isinstance(info.value.__cause__, EdgeOutOfRange)

@@ -1,6 +1,7 @@
 """The verification engine: residual sweeps, conformity, incongruence,
 contraction suite, closeness, fault injection."""
 
+import itertools
 import math
 import random
 
@@ -8,9 +9,26 @@ import numpy as np
 import pytest
 
 from fairtile import assembly, pipeline
-from fairtile.geometry import Point, Quadrangle, TileId, Triangle, perimeter, with_vertices
+from fairtile.congruence import signature_distance, simeq_distance
+from fairtile.errors import InvalidParameter
+from fairtile.geometry import (
+    Point,
+    Quadrangle,
+    TileId,
+    Triangle,
+    perimeter,
+    tile_label,
+    with_vertices,
+)
 from fairtile.quadsplit import P0, quadify_plane
-from fairtile.strip import DeviationSeries, deviations, strip_tiling, tile_ids, triangle_at
+from fairtile.strip import (
+    DeviationSeries,
+    deviations,
+    strip_tiling,
+    tile_ids,
+    triangle_at,
+    window_triangles,
+)
 from fairtile.verify import (
     check_closeness,
     check_contraction,
@@ -102,7 +120,8 @@ def test_pairwise_incongruent(small_plane):
 
 def test_pair_straddling_a_rounding_boundary_is_congruent():
     # 2e-12 apart, with the base length on either side of a 1e-9 rounding
-    # boundary: quantized signatures differ, the distance is under the quantum
+    # boundary: rounding to the quantum would separate them, the distance
+    # does not
     pair = [Triangle(Point(0, 0), Point(0.9 + 0.5e-9 + d, 0), Point(0.3, 1.1))
             for d in (-1e-12, 1e-12)]
     rep = check_pairwise_incongruent(pair, 1e-9)
@@ -115,6 +134,27 @@ def test_halfturn_check(strip_tiles):
     assert rep.passed and rep.margin > 0
     doubled = strip_tiles + [strip_tiles[0]]
     assert not check_halfturn_incongruent(doubled, 1e-9).passed
+
+
+def test_sweeps_match_the_pair_distances(small_plane):
+    strip = window_triangles(strip_tiling(0.004, 10), 10)
+    quads = quadify_plane(small_plane)[:90]
+    for tiles, check, distance in ((strip, check_halfturn_incongruent, simeq_distance),
+                                   (quads, check_pairwise_incongruent, signature_distance)):
+        dists = {(i, j): distance(tiles[i], tiles[j])
+                 for i, j in itertools.combinations(range(len(tiles)), 2)}
+        # the second quantum lies above the four smallest distances
+        for quantum in (1e-9, sorted(dists.values())[3]):
+            offenders = [(tile_label(tiles[i]), tile_label(tiles[j]))
+                         for (i, j), d in dists.items() if d <= quantum]
+            rep = check(tiles, quantum)
+            assert rep.margin == min(dists.values())
+            assert rep.offenders == tuple(offenders[:10])
+            assert rep.passed == (not offenders)
+        assert len(offenders) >= 4
+        for bad in (0.0, -1e-9):
+            with pytest.raises(InvalidParameter):
+                check(tiles, bad)
 
 
 def test_contraction_suite_passes_in_regime():
