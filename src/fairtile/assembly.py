@@ -28,7 +28,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .geometry import Point, TileId, Triangle, edge_vectors, reflect_x, shear, translate
+from .geometry import TileId, Triangle, edge_vectors, reflect_x, shear, translate
 from .strip import StripTiling, tile_ids, triangle_at, window_triangles
 
 __all__ = [
@@ -56,6 +56,7 @@ _BOUNDARY_TOL = 1e-9
 _MARGIN_CAP = 1e-6
 _MARGIN_FLOOR = 1e-9
 _MARGIN_STEP = 8.0
+_DRAWS_PER_MARGIN = 1000
 
 
 @dataclass(frozen=True)
@@ -78,20 +79,14 @@ class PlaneTiling:
     """
 
     base: StripTiling
-    shears: tuple[float, ...]
     rows: tuple[int, ...]
     transforms: dict[int, StripTransform]
     window_cols: int
-    epsilon: float | None = None
-    seed: int | None = None
 
-    def tiles(self) -> list[tuple[TileId, Triangle]]:
+    def tiles(self) -> list[Triangle]:
         """Every generated tile, ordered by (row, col, slot)."""
-        out = []
-        for k in self.rows:
-            for tid in tile_ids(self.window_cols, row=k):
-                out.append((tid, plane_triangle(self, tid)))
-        return out
+        return [plane_triangle(self, tid)
+                for k in self.rows for tid in tile_ids(self.window_cols, row=k)]
 
 
 def scale_to_equilateral(t: StripTiling) -> StripTiling:
@@ -144,13 +139,13 @@ def _cross_roots(e0: np.ndarray, fixed_sq: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([(mid - root)[ok], (mid + root)[ok]])
 
 
-def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
-                  window_cols: int, *, max_retries: int = 1000,
-                  rng: random.Random | None = None) -> list[float]:
+def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: int,
+                  rng: random.Random) -> list[float]:
     """Draw and certify the shear parameters for ``count`` strip rows.
 
-    Parameter n comes from (-2^-n * eps/(2*sqrt(3)), +2^-n * eps/(2*sqrt(3)))
-    so the stacked drift stays under eps, and is redrawn until it clears
+    Parameter n is drawn from ``rng`` in
+    (-2^-n * eps/(2*sqrt(3)), +2^-n * eps/(2*sqrt(3))) so the stacked drift
+    stays under eps, and is redrawn until it clears
     every collision root of the window by a positive margin: the co-shear
     and equilateral roots of the base, and the match roots against all
     previously fixed rows.  The base must already be free of
@@ -163,7 +158,6 @@ def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
     if window_cols < 1 or window_cols > base.n_cols:
         raise InvalidParameter(
             f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
-    rng = rng if rng is not None else random.Random(seed)
 
     tiles = window_triangles(base, window_cols)
     static: list[float] = []
@@ -199,7 +193,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
         margins.sort(reverse=True)  # intervals narrower than the floor still try it first
         mu = None
         for margin in margins:
-            for _ in range(max_retries):
+            for _ in range(_DRAWS_PER_MARGIN):
                 cand = rng.uniform(-half, half)
                 if roots.size == 0 or gap_to_roots(cand) >= margin:
                     mu = cand
@@ -209,7 +203,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
         if mu is None:
             raise ExhaustedRetries(
                 f"no shear for row parameter {n} clears the collision roots by "
-                f"{_MARGIN_FLOOR} within {max_retries} draws per margin level "
+                f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
                 f"(window too dense for epsilon={epsilon})")
         chosen.append(mu)
         sx = ev[:, :, 0] + mu * ev[:, :, 1]
@@ -221,28 +215,23 @@ def select_shears(base: StripTiling, count: int, epsilon: float, seed: int,
 def _row_offsets(ks: list[int], mu_of: dict[int, float]) -> dict[int, float]:
     # translation x-offsets chaining boundary matches away from row 0
     t_off = {0: 0.0}
-    for k in range(1, max(ks) + 1 if ks else 1):
-        if k - 1 in t_off and k in mu_of:
-            if (k - 1) % 2 == 0:
-                t_off[k] = t_off[k - 1] + (mu_of[k - 1] - mu_of[k]) * SQRT3
-            else:
-                t_off[k] = t_off[k - 1] + (mu_of[k] - mu_of[k - 1]) * SQRT3
-    for k in range(-1, min(ks) - 1 if ks else -1, -1):
-        if k + 1 in t_off and k in mu_of:
-            if (k + 1) % 2 == 0:
-                t_off[k] = t_off[k + 1] + (mu_of[k] - mu_of[k + 1]) * SQRT3
-            else:
-                t_off[k] = t_off[k + 1] + (mu_of[k + 1] - mu_of[k]) * SQRT3
+    for k in range(1, max(ks) + 1):
+        if (k - 1) % 2 == 0:
+            t_off[k] = t_off[k - 1] + (mu_of[k - 1] - mu_of[k]) * SQRT3
+        else:
+            t_off[k] = t_off[k - 1] + (mu_of[k] - mu_of[k - 1]) * SQRT3
+    for k in range(-1, min(ks) - 1, -1):
+        if (k + 1) % 2 == 0:
+            t_off[k] = t_off[k + 1] + (mu_of[k] - mu_of[k + 1]) * SQRT3
+        else:
+            t_off[k] = t_off[k + 1] + (mu_of[k + 1] - mu_of[k]) * SQRT3
     return t_off
 
 
-def stack_plane(base: StripTiling, shears, rows, window_cols: int, *,
-                epsilon: float | None = None,
-                seed: int | None = None) -> PlaneTiling:
+def stack_plane(base: StripTiling, shears, rows: int, window_cols: int) -> PlaneTiling:
     """Stack sheared copies of the base strip into a plane tiling.
 
-    ``rows`` is either a row count (rows are then taken in construction
-    order 0, +1, -1, ...) or an explicit contiguous range containing 0.
+    ``rows`` strip rows are taken in construction order 0, +1, -1, ...
     Row k is sheared by its assigned parameter, reflected when k is odd,
     and translated so consecutive strips share boundary vertices; the
     shared-vertex property is asserted on the window to 1e-9 and a
@@ -253,12 +242,7 @@ def stack_plane(base: StripTiling, shears, rows, window_cols: int, *,
     if window_cols < 1 or window_cols > base.n_cols:
         raise InvalidParameter(
             f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
-    if isinstance(rows, int):
-        ks = row_order(rows)
-    else:
-        ks = sorted(set(int(k) for k in rows))
-        if not ks or 0 not in ks or ks != list(range(min(ks), max(ks) + 1)):
-            raise InvalidParameter("rows must form a contiguous range containing 0")
+    ks = row_order(rows)
     shears = tuple(float(m) for m in shears)
     needed = max(shear_index(k) for k in ks)
     if len(shears) < needed:
@@ -271,9 +255,8 @@ def stack_plane(base: StripTiling, shears, rows, window_cols: int, *,
                           translation=(t_off[k], 2.0 * k * SQRT3))
         for k in ks
     }
-    plane = PlaneTiling(base=base, shears=shears, rows=tuple(sorted(ks)),
-                        transforms=transforms, window_cols=window_cols,
-                        epsilon=epsilon, seed=seed)
+    plane = PlaneTiling(base=base, rows=tuple(sorted(ks)),
+                        transforms=transforms, window_cols=window_cols)
     _assert_boundaries(plane)
     return plane
 
@@ -298,8 +281,6 @@ def _boundary_profiles(p: PlaneTiling, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _assert_boundaries(p: PlaneTiling) -> None:
     for k in p.rows[:-1]:
-        if k + 1 not in p.transforms:
-            continue
         top, _ = _boundary_profiles(p, k)
         _, bottom = _boundary_profiles(p, k + 1)
         dev = float(np.max(np.abs(top - bottom)))
@@ -322,31 +303,19 @@ def plane_triangle(p: PlaneTiling, tid: TileId) -> Triangle:
     return Triangle(*tri.vertices, id=tid)
 
 
-def _periodic_strip_triangle(i: int, j: int) -> Triangle:
-    """Closed-form tile of the scaled undistorted strip (edge-2 triangles)."""
-    s = SQRT3
-    if i < 0:
-        m = _periodic_strip_triangle(-i, j)
-        p1, p2, p3 = m.vertices
-        return Triangle(Point(-p3.x, p3.y), Point(-p2.x, p2.y), Point(-p1.x, p1.y))
-    if i == 0:
-        if j == 1:
-            return Triangle(Point(0.0, 0.0), Point(1.0, s), Point(-1.0, s))
-        return Triangle(Point(0.0, 0.0), Point(-1.0, -s), Point(1.0, -s))
-    lo, hi, mid_prev, mid = 2.0 * i - 1.0, 2.0 * i + 1.0, 2.0 * i - 2.0, 2.0 * i
-    if j == 1:
-        return Triangle(Point(lo, s), Point(mid, 0.0), Point(hi, s))
-    if j == 2:
-        return Triangle(Point(mid_prev, 0.0), Point(mid, 0.0), Point(lo, s))
-    if j == 3:
-        return Triangle(Point(mid_prev, 0.0), Point(lo, -s), Point(mid, 0.0))
-    return Triangle(Point(lo, -s), Point(hi, -s), Point(mid, 0.0))
+def _undistorted_strip(n_cols: int) -> StripTiling:
+    """The scaled strip at height 0: a_i = b_i = 2i - 1, x_i = 2i, y_i = 0."""
+    i = np.arange(n_cols + 2, dtype=np.float64)
+    zeros = np.zeros(n_cols + 2)
+    return StripTiling(y0=0.0, n_cols=n_cols, xs=2.0 * i[:-1], ys=zeros[:-1],
+                       aa=2.0 * i - 1.0, bb=2.0 * i - 1.0, alpha=zeros, beta=zeros,
+                       xi=zeros[:-1], y_scale=SQRT3)
 
 
 def periodic_triangle(tid: TileId) -> Triangle:
     """The tile's counterpart in the periodic tiling by equilateral
     triangles of edge length 2 (zero shears, zero horizontal offsets)."""
-    tri = _periodic_strip_triangle(tid.col, tid.slot)
+    tri = triangle_at(_undistorted_strip(abs(tid.col)), tid.col, tid.slot)
     if tid.row % 2 != 0:
         tri = reflect_x(tri)
     tri = translate(tri, 0.0, 2.0 * tid.row * SQRT3)
@@ -354,7 +323,7 @@ def periodic_triangle(tid: TileId) -> Triangle:
 
 
 def window(p: PlaneTiling, x_range: tuple[float, float],
-           row_range: tuple[int, int]) -> list[tuple[TileId, Triangle]]:
+           row_range: tuple[int, int]) -> list[Triangle]:
     """Every generated tile meeting the closed box, ordered (row, col, slot).
 
     ``x_range`` is a closed interval (empty if reversed); ``row_range`` is
@@ -371,7 +340,8 @@ def window(p: PlaneTiling, x_range: tuple[float, float],
     if x_lo < -coverage or x_hi > coverage:
         raise IndexOutOfRange(
             f"x range {x_range} outside certified coverage +-{coverage}")
-    return [(tid, tri) for tid, tri in p.tiles()
-            if k_lo <= tid.row <= k_hi
-            and max(v.x for v in tri.vertices) >= x_lo
+    tiles = [plane_triangle(p, tid)
+             for k in range(k_lo, k_hi + 1) for tid in tile_ids(p.window_cols, row=k)]
+    return [tri for tri in tiles
+            if max(v.x for v in tri.vertices) >= x_lo
             and min(v.x for v in tri.vertices) <= x_hi]

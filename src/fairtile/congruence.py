@@ -28,7 +28,6 @@ from .geometry import (
     edge_lengths,
     edge_vectors,
     vertical_width,
-    vertices_of,
 )
 
 __all__ = [
@@ -85,8 +84,7 @@ def signature_variants(p) -> np.ndarray:
     covers every relative alignment, which is what the vectorized pairwise
     sweeps rely on.
     """
-    pts = vertices_of(p)
-    return np.array([_flat_pairs(o) for o in _orderings(pts)])
+    return np.array([_flat_pairs(o) for o in _orderings(p.vertices)])
 
 
 def signature_distance(p, q) -> float:
@@ -96,8 +94,7 @@ def signature_distance(p, q) -> float:
     by which the pair fails to be congruent.  Polygons with different
     vertex counts are infinitely far apart.
     """
-    pp, qq = vertices_of(p), vertices_of(q)
-    if len(pp) != len(qq):
+    if len(p.vertices) != len(q.vertices):
         return math.inf
     rows = signature_variants(p)
     return float(np.min(np.max(np.abs(rows - signature_variants(q)[0]), axis=1)))
@@ -109,10 +106,9 @@ def congruent(p, q, tol: float = DEFAULT_QUANTUM) -> bool:
     Triangles reduce to the side-side-side comparison; quadrangles compare
     aligned signatures at the given tolerance.
     """
-    pp, qq = vertices_of(p), vertices_of(q)
-    if len(pp) != len(qq):
+    if len(p.vertices) != len(q.vertices):
         return False
-    if len(pp) == 3:
+    if len(p.vertices) == 3:
         lp, lq = sorted(edge_lengths(p)), sorted(edge_lengths(q))
         return max(abs(a - b) for a, b in zip(lp, lq)) <= tol
     return signature_distance(p, q) <= tol
@@ -236,16 +232,16 @@ def _match_roots(t, fixed) -> list[float]:
     return roots
 
 
-def bad_shear_set(t: Triangle, u: Triangle, *,
-                  degeneracy_tol: float = DEFAULT_QUANTUM) -> ShearRootSet:
+def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
     """Shear parameters at which t and u can collide into congruent images.
 
     Covers both collision modes: the pair sheared together, and sheared t
     against u left fixed.  Outside the returned roots both are certified
-    non-congruent.  If t and u agree up to translation/half-turn, every
-    shear keeps them congruent and :class:`DegeneratePair` is raised.
+    non-congruent.  If t and u agree up to translation/half-turn (within
+    :data:`DEFAULT_QUANTUM`), every shear keeps them congruent and
+    :class:`DegeneratePair` is raised.
     """
-    if simeq_distance(t, u) <= degeneracy_tol:
+    if simeq_distance(t, u) <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
     return ShearRootSet(roots=_dedup(_coshear_roots(t, u) + _match_roots(t, u)))
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DocumentError
-from .geometry import Point, Quadrangle, TileId, Triangle, vertices_of
+from .geometry import Point, Quadrangle, TileId, Triangle, tile_label
 
 __all__ = [
     "FORMAT_VERSION",
@@ -30,6 +30,7 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 KINDS = ("strip", "plane", "quad")
+_VERTEX_COUNT = {"strip": 3, "plane": 3, "quad": 4}
 
 
 def fmt17(x: float) -> str:
@@ -108,7 +109,7 @@ def serialize(doc: TilingDocument) -> str:
             id_obj["corner"] = corner
         lines.append(_dump({
             "id": id_obj,
-            "vertices": [[fmt17(v.x), fmt17(v.y)] for v in vertices_of(tile)],
+            "vertices": [[fmt17(v.x), fmt17(v.y)] for v in tile.vertices],
         }))
     return "\n".join(lines) + "\n"
 
@@ -145,6 +146,11 @@ def parse(text: str) -> TilingDocument:
         raise DocumentError(f"unsupported format version {version!r}")
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
+    for tile in tiles:
+        if len(tile.vertices) != _VERTEX_COUNT[kind]:
+            raise DocumentError(
+                f"{kind} documents hold {_VERTEX_COUNT[kind]}-vertex tiles; "
+                f"tile {tile_label(tile)} has {len(tile.vertices)}")
     return TilingDocument(kind=kind, parameters=parameters, tiles=tiles,
                           format_version=version)
 

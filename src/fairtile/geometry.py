@@ -141,29 +141,21 @@ class Quadrangle:
             raise DegeneratePolygon("self-intersecting quadrangle")
 
 
-def vertices_of(p) -> tuple[Point, ...]:
-    if isinstance(p, Triangle):
-        return p.vertices
-    if isinstance(p, Quadrangle):
-        return p.vertices
-    return tuple(p)
-
-
 def area(p) -> float:
-    s = signed_area(vertices_of(p))
+    s = signed_area(p.vertices)
     if abs(s) <= _DEGENERACY_EPS:
         raise DegeneratePolygon(f"degenerate polygon (signed area {s:.3e})")
     return abs(s)
 
 
 def perimeter(p) -> float:
-    pts = vertices_of(p)
+    pts = p.vertices
     return sum(math.hypot(q.x - r.x, q.y - r.y) for q, r in zip(pts, pts[1:] + pts[:1]))
 
 
 def edge_vectors(p) -> list[tuple[float, float]]:
     """Edge vectors v[k+1]-v[k] in counterclockwise order; they sum to zero."""
-    pts = vertices_of(p)
+    pts = p.vertices
     return [(q.x - r.x, q.y - r.y) for r, q in zip(pts, pts[1:] + pts[:1])]
 
 
@@ -173,7 +165,7 @@ def edge_lengths(p) -> list[float]:
 
 def interior_angles(p) -> list[float]:
     """Unsigned interior angles in radians, one per vertex (convex polygons)."""
-    pts = vertices_of(p)
+    pts = p.vertices
     n = len(pts)
     out = []
     for k in range(n):
@@ -188,7 +180,7 @@ def interior_angles(p) -> list[float]:
 
 def vertical_width(t) -> float:
     """Largest difference between second coordinates of the vertices."""
-    ys = [v.y for v in vertices_of(t)]
+    ys = [v.y for v in t.vertices]
     return max(ys) - min(ys)
 
 
@@ -203,7 +195,7 @@ def is_convex(p, tol: float = 1e-12) -> bool:
 
 
 def bounding_box(p) -> tuple[float, float, float, float]:
-    pts = vertices_of(p)
+    pts = p.vertices
     xs = [v.x for v in pts]
     ys = [v.y for v in pts]
     return (min(xs), min(ys), max(xs), max(ys))
@@ -219,7 +211,7 @@ def with_vertices(p, pts: Iterable[Point]):
 
 def tile_label(p) -> str:
     """Compact "row/col/slot[/corner]" label for reports, "?" if unknown."""
-    tid = getattr(p, "id", None)
+    tid = p.id
     if tid is None:
         return "?"
     corner = getattr(p, "corner", None)
@@ -228,22 +220,18 @@ def tile_label(p) -> str:
 
 
 def _map_polygon(p, f, reverses_orientation: bool = False):
-    pts = [Point(*f(v.x, v.y)) for v in vertices_of(p)]
+    pts = [Point(*f(v.x, v.y)) for v in p.vertices]
     if reverses_orientation:
         pts.reverse()
     return with_vertices(p, pts)
 
 
 def translate(p, dx: float, dy: float):
-    if isinstance(p, Point):
-        return Point(p.x + dx, p.y + dy)
     return _map_polygon(p, lambda x, y: (x + dx, y + dy))
 
 
 def shear(p, mu: float):
     """Horizontal shear (x, y) -> (x + mu*y, y); preserves areas."""
-    if isinstance(p, Point):
-        return Point(p.x + mu * p.y, p.y)
     return _map_polygon(p, lambda x, y: (x + mu * y, y))
 
 
@@ -251,8 +239,6 @@ def scale_uniform(p, s: float):
     """Uniform scaling about the origin by a positive factor."""
     if s <= 0:
         raise InvalidParameter(f"scale factor must be positive, got {s!r}")
-    if isinstance(p, Point):
-        return Point(s * p.x, s * p.y)
     return _map_polygon(p, lambda x, y: (s * x, s * y))
 
 
@@ -261,6 +247,4 @@ def reflect_x(p):
 
     Vertex order is reversed so the result stays counterclockwise.
     """
-    if isinstance(p, Point):
-        return Point(p.x, -p.y)
     return _map_polygon(p, lambda x, y: (x, -y), reverses_orientation=True)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import assembly, document, quadsplit, verify
 from .errors import ExhaustedRetries, InvalidParameter
-from .geometry import Quadrangle, TileId, Triangle
+from .geometry import Quadrangle, Triangle
 from .strip import StripTiling, deviations, strip_tiling, window_triangles
 
 __all__ = [
@@ -164,7 +164,7 @@ def sample_certified_y0(rng: random.Random, cols: int,
 @dataclass(frozen=True)
 class PlaneBuild:
     plane: assembly.PlaneTiling
-    tiles: list[tuple[TileId, Triangle]]
+    tiles: list[Triangle]
     y0: float
     shears: tuple[float, ...]
     reports: tuple[verify.VerificationReport, ...]
@@ -183,9 +183,8 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
     rng = random.Random(seed)
     y0, base = sample_certified_y0(rng, cols, epsilon)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, count=rows, epsilon=epsilon, seed=seed,
-                                    window_cols=cols, rng=rng)
-    plane = assembly.stack_plane(scaled, shears, rows, cols, epsilon=epsilon, seed=seed)
+    shears = assembly.select_shears(scaled, rows, epsilon, cols, rng)
+    plane = assembly.stack_plane(scaled, shears, rows, cols)
     tiles = plane.tiles()
 
     budget = sum(2.0 * assembly.SQRT3 * abs(m) for m in shears)
@@ -194,8 +193,7 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
         margin=epsilon - budget, offenders=(), tiles_checked=len(shears),
         tolerance_used=epsilon)
     doc = document.TilingDocument(
-        kind="plane", parameters=document.make_parameters(epsilon=epsilon),
-        tiles=[tri for _, tri in tiles])
+        kind="plane", parameters=document.make_parameters(epsilon=epsilon), tiles=tiles)
     reports = run_checks(doc) + (budget_report,)
     return PlaneBuild(plane=plane, tiles=tiles, y0=y0, shears=tuple(shears), reports=reports)
 
@@ -214,7 +212,7 @@ def quadify_checked(doc: document.TilingDocument):
     if not pre[0].passed:
         return [], pre, False
 
-    quads = quadsplit.quadify_plane([(t.id, t) for t in doc.tiles])
+    quads = quadsplit.quadify_plane(doc.tiles)
     reports = pre + run_checks(quad_document(quads, doc))
     return quads, reports, all(r.passed for r in reports)
 
@@ -235,8 +233,7 @@ def plane_document(build: PlaneBuild, epsilon: float, seed: int,
     params = document.make_parameters(
         epsilon=epsilon, seed=seed, rows=rows, cols=cols,
         y0=build.y0, shears=list(build.shears))
-    tiles = [tri for _, tri in build.tiles]
-    return document.TilingDocument(kind="plane", parameters=params, tiles=tiles)
+    return document.TilingDocument(kind="plane", parameters=params, tiles=list(build.tiles))
 
 
 def quad_document(quads: list[Quadrangle],

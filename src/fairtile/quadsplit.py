@@ -92,6 +92,8 @@ _BASIN_RADIUS = 0.1
 _ANGLE_TIE_TOL = 1e-9
 
 _NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+_FD_STEP = 1e-7
 _COND_LIMIT = 1e12
 
 
@@ -258,24 +260,22 @@ def _fd_jacobian(residual, x: np.ndarray, step: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def newton3(residual, x0, tol: float = _NEWTON_TOL, max_iter: int = 50,
-            fd_step: float = 1e-7, jacobian=None) -> tuple[np.ndarray, int]:
+def newton3(residual, x0) -> tuple[np.ndarray, int]:
     """Damped Newton iteration for a small dense system.
 
-    The Jacobian comes from central differences unless an analytic one is
-    supplied.  Steps are halved (at most 20 times) whenever the max-norm
-    residual fails to decrease.  Returns the solution and the number of
-    accepted iterations; raises :class:`NoConvergence` or
-    :class:`SingularJacobian`.
+    The Jacobian comes from central differences.  Steps are halved (at
+    most 20 times) whenever the max-norm residual fails to decrease; the
+    iteration stops once that residual is at most 1e-12, within 50
+    iterations.  Returns the solution and the number of accepted
+    iterations; raises :class:`NoConvergence` or :class:`SingularJacobian`.
     """
     x = np.array(x0, dtype=float)
     fx = np.asarray(residual(x), dtype=float)
     res = float(np.max(np.abs(fx)))
-    for it in range(max_iter):
-        if res <= tol:
+    for it in range(_NEWTON_MAX_ITER):
+        if res <= _NEWTON_TOL:
             return x, it
-        jac = jacobian(x) if jacobian is not None else _fd_jacobian(residual, x, fd_step)
-        jac = np.asarray(jac, dtype=float)
+        jac = _fd_jacobian(residual, x, _FD_STEP)
         if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > _COND_LIMIT:
             raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
         step = np.linalg.solve(jac, fx)
@@ -294,9 +294,9 @@ def newton3(residual, x0, tol: float = _NEWTON_TOL, max_iter: int = 50,
         else:
             raise NoConvergence(it + 1, res)
         x, fx, res = x_new, f_new, r_new
-    if res <= tol:
-        return x, max_iter
-    raise NoConvergence(max_iter, res)
+    if res <= _NEWTON_TOL:
+        return x, _NEWTON_MAX_ITER
+    raise NoConvergence(_NEWTON_MAX_ITER, res)
 
 
 def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
@@ -498,7 +498,7 @@ def reconstruction_jacobian_det(step: float = 1e-6) -> float:
     return float(np.linalg.det(jac))
 
 
-def quadify_plane(tiles, scale: float = QUADIFY_SCALE) -> list[Quadrangle]:
+def quadify_plane(tiles: list[Triangle]) -> list[Quadrangle]:
     """Fair-split every triangle of a window, after one global rescaling.
 
     The single common factor takes stacked-tiling edges (about 2) to the
@@ -508,11 +508,11 @@ def quadify_plane(tiles, scale: float = QUADIFY_SCALE) -> list[Quadrangle]:
     :class:`TileFailed` carrying that tile's id, with the error as its cause.
     """
     out: list[Quadrangle] = []
-    for tid, tri in tiles:
-        posed = scale_uniform(tri, scale)
+    for tri in tiles:
+        posed = scale_uniform(tri, QUADIFY_SCALE)
         try:
             quads = fair_split(posed)
         except FairtileError as e:
-            raise TileFailed(tid, e) from e
+            raise TileFailed(tri.id, e) from e
         out.extend(quads)
     return out

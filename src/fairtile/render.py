@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import InvalidParameter
-from .geometry import bounding_box, tile_label, vertices_of
+from .geometry import bounding_box, tile_label
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -65,7 +65,7 @@ def render_svg(tiles, options: RenderOptions = RenderOptions()) -> str:
     ]
     labels = []
     for tile in tiles:
-        pts = vertices_of(tile)
+        pts = tile.vertices
         d = "M" + "L".join(f"{_num(v.x)} {_num(-v.y)}" for v in pts) + "Z"
         out.append(f'<path d="{d}"/>')
         if options.label_tiles:

@@ -71,10 +71,6 @@ class StripTiling:
     xi: np.ndarray
     y_scale: float = 1.0
 
-    @property
-    def tile_area(self) -> float:
-        return self.y_scale
-
     def scaled(self, y_scale: float) -> "StripTiling":
         return replace(self, y_scale=y_scale)
 
@@ -249,8 +245,9 @@ def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:
 
 
 def unit_area_residual(t: StripTiling) -> float:
-    """Worst |area - tile_area| over all generated tiles, computed from the
-    four determinant families (vectorized; covers every column at once)."""
+    """Worst |area - y_scale| over all generated tiles (every tile's area
+    is the vertical scale), computed from the four determinant families
+    (vectorized; covers every column at once)."""
     s = t.y_scale
     n = t.n_cols
     a, b = t.aa, t.bb

@@ -29,7 +29,6 @@ from .geometry import (
     is_convex,
     perimeter,
     tile_label,
-    vertices_of,
 )
 from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual
 
@@ -69,34 +68,23 @@ class VerificationReport:
     subchecks: tuple["VerificationReport", ...] = ()
 
 
-def _polys(tiles) -> list:
-    out = []
-    for item in tiles:
-        if isinstance(item, tuple) and len(item) == 2:
-            out.append(item[1])
-        else:
-            out.append(item)
-    return out
-
-
 def _cap(offenders) -> tuple[tuple[str, str], ...]:
     return tuple(offenders[:_MAX_OFFENDERS])
 
 
 def _scalar_sweep(name, tiles, target, tol, measure) -> VerificationReport:
-    polys = _polys(tiles)
-    if not polys:
+    if not tiles:
         raise InvalidParameter(f"{name}: empty tile list")
     worst = 0.0
     offenders = []
-    for p in polys:
+    for p in tiles:
         r = float(abs(measure(p) - target))
         if r > tol:
             offenders.append((tile_label(p), tile_label(p)))
         worst = max(worst, r)
     return VerificationReport(
         check_name=name, passed=worst <= tol, worst_residual=worst, margin=None,
-        offenders=_cap(offenders), tiles_checked=len(polys), tolerance_used=tol)
+        offenders=_cap(offenders), tiles_checked=len(tiles), tolerance_used=tol)
 
 
 def check_equal_area(tiles, target: float, tol: float = 1e-10) -> VerificationReport:
@@ -111,11 +99,12 @@ def check_equal_perimeter(tiles, target: float, tol: float = 1e-9) -> Verificati
 
 def check_convex(tiles, tol: float = 1e-12) -> VerificationReport:
     """Every tile's consecutive-edge cross products share one sign."""
-    polys = _polys(tiles)
-    offenders = [(tile_label(p), tile_label(p)) for p in polys if not is_convex(p, tol)]
+    if not tiles:
+        raise InvalidParameter("convex: empty tile list")
+    offenders = [(tile_label(p), tile_label(p)) for p in tiles if not is_convex(p, tol)]
     return VerificationReport(
         check_name="convex", passed=not offenders, worst_residual=None, margin=None,
-        offenders=_cap(offenders), tiles_checked=len(polys), tolerance_used=tol)
+        offenders=_cap(offenders), tiles_checked=len(tiles), tolerance_used=tol)
 
 
 def check_identity(t: StripTiling, tol: float = 1e-10) -> VerificationReport:
@@ -217,12 +206,11 @@ def _classify_pair(vp, vq, tol: float) -> tuple[bool, float]:
 
 def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
     """Every tile pair must meet in nothing, one vertex, or a full edge."""
-    polys = _polys(tiles)
-    n = len(polys)
+    n = len(tiles)
     if n == 0:
         raise InvalidParameter("vertex-to-vertex: empty tile list")
-    verts = [np.array([v.xy for v in vertices_of(p)]) for p in polys]
-    boxes = np.array([bounding_box(p) for p in polys])
+    verts = [np.array([v.xy for v in p.vertices]) for p in tiles]
+    boxes = np.array([bounding_box(p) for p in tiles])
     xmin, ymin, xmax, ymax = boxes.T
     offenders = []
     worst = 0.0
@@ -234,7 +222,7 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
             j = int(off) + i + 1
             ok, size = _classify_pair(verts[i], verts[j], tol)
             if not ok:
-                offenders.append((tile_label(polys[i]), tile_label(polys[j])))
+                offenders.append((tile_label(tiles[i]), tile_label(tiles[j])))
                 worst = max(worst, size)
     return VerificationReport(
         check_name="vertex-to-vertex", passed=not offenders,
@@ -256,7 +244,7 @@ def _aligned_sweep(polys, rows_of, quantum: float):
     """
     groups: dict[int, list[int]] = {}
     for idx, p in enumerate(polys):
-        groups.setdefault(len(vertices_of(p)), []).append(idx)
+        groups.setdefault(len(p.vertices), []).append(idx)
 
     margin = math.inf
     collisions: list[tuple[int, int]] = []
@@ -291,11 +279,10 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     so the check passes only when the margin exceeds the quantum and no
     triangle has all edges equal within the quantum.
     """
-    polys = _polys(tiles)
-    report = _incongruence("pairwise-incongruent", polys, quantum, signature_variants)
+    report = _incongruence("pairwise-incongruent", tiles, quantum, signature_variants)
     equilateral = []
-    for p in polys:
-        if len(vertices_of(p)) == 3:
+    for p in tiles:
+        if len(p.vertices) == 3:
             lengths = edge_lengths(p)
             spread = max(lengths) - min(lengths)
             if spread <= quantum:
@@ -315,7 +302,7 @@ def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     :func:`~fairtile.congruence.simeq_distance` over all pairs; the check
     passes only when it exceeds the quantum.
     """
-    return _incongruence("halfturn-incongruent", _polys(tiles), quantum, halfturn_variants)
+    return _incongruence("halfturn-incongruent", tiles, quantum, halfturn_variants)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +377,20 @@ def check_closeness(tiles, epsilon: float) -> VerificationReport:
     The worst residual is the largest deviation; the check passes when it
     stays strictly under the tolerance 2*epsilon.
     """
+    if not tiles:
+        raise InvalidParameter("closeness: empty tile list")
     worst = 0.0
-    count = 0
-    for item in tiles:
-        tid, tri = item if isinstance(item, tuple) else (item.id, item)
-        if tid is None:
+    for tri in tiles:
+        if tri.id is None:
             raise InvalidParameter("closeness needs tiles with ids")
-        if len(vertices_of(tri)) != 3:
+        if len(tri.vertices) != 3:
             raise InvalidParameter(
                 f"closeness applies to triangles only; tile {tile_label(tri)} is not one")
-        ref = assembly.periodic_triangle(tid)
+        ref = assembly.periodic_triangle(tri.id)
         for v, r in zip(tri.vertices, ref.vertices):
             worst = max(worst, float(abs(v.x - r.x)), float(abs(v.y - r.y)))
-        count += 1
-    if count == 0:
-        raise InvalidParameter("closeness: empty tile list")
     tol = 2.0 * epsilon
     return VerificationReport(
         check_name="closeness", passed=worst < tol, worst_residual=worst, margin=None,
-        offenders=(), tiles_checked=count, tolerance_used=tol,
+        offenders=(), tiles_checked=len(tiles), tolerance_used=tol,
         note="periodic-equilateral-edge-2")

@@ -141,14 +141,14 @@ def test_a05_plane_window(plane_run):
     out, code, elapsed = plane_run
     assert code == 0
     doc = read_document(out)
-    tiles = [(t.id, t) for t in doc.tiles]
+    tiles = doc.tiles
     assert len(tiles) == PLANE_ROWS * (8 * PLANE_COLS + 2)
 
     assert check_equal_area(tiles, SQRT3, 1e-10).passed
     assert check_vertex_to_vertex(tiles, 1e-9).passed
     incong = check_pairwise_incongruent(tiles, 1e-9)
     assert incong.passed and incong.margin > 0
-    for _, tri in tiles:
+    for tri in tiles:
         lengths = edge_lengths(tri)
         assert max(lengths) - min(lengths) > 1e-9  # no equilateral tile
     closeness = check_closeness(tiles, PLANE_EPSILON)

@@ -199,6 +199,24 @@ def test_quadify_refuses_equilateral_tiles(tmp_path):
     assert run_cli("quadify", "--in", str(path), "--out", str(tmp_path / "q.tiles")) == 3
 
 
+def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):
+    from fairtile.quadsplit import quadify_plane
+
+    plane = read_document(plane_doc)
+    quad = pipeline.quad_document(quadify_plane(plane.tiles[:1]), plane)
+    # a plane document with one quadrangle, a quad document with one triangle
+    odd = {"plane": (plane, plane.tiles[1:] + quad.tiles[:1]),
+           "quad": (quad, quad.tiles + plane.tiles[1:2])}
+    for kind, (source, tiles) in odd.items():
+        path = tmp_path / f"{kind}.tiles"
+        document.write_document(document.TilingDocument(kind, source.parameters, tiles), path)
+        with pytest.raises(DocumentError):
+            read_document(path)
+        assert run_cli("verify", "--in", str(path), "--check", "incongruent") == 2
+    assert run_cli("quadify", "--in", str(tmp_path / "plane.tiles"),
+                   "--out", str(tmp_path / "q.tiles")) == 2
+
+
 def test_render(plane_doc, tmp_path):
     svg = tmp_path / "plane.svg"
     assert run_cli("render", "--in", str(plane_doc), "--out", str(svg), "--labels") == 0

@@ -49,7 +49,7 @@ def small_plane():
     rng = random.Random(6)
     y0, base = pipeline.sample_certified_y0(rng, 4)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, 3, 0.01, 6, 4, rng=rng)
+    shears = assembly.select_shears(scaled, 3, 0.01, 4, rng)
     plane = assembly.stack_plane(scaled, shears, 3, 4)
     return plane.tiles()
 
@@ -57,15 +57,14 @@ def small_plane():
 @pytest.fixture(scope="module")
 def strip_tiles():
     t = strip_tiling(0.007, 5)
-    return [(tid, triangle_at(t, tid.col, tid.slot)) for tid in tile_ids(5)]
+    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(5)]
 
 
 def _perturb(tiles, index, delta=1e-3):
     out = list(tiles)
-    tid, tri = out[index]
+    tri = out[index]
     v = tri.vertices[0]
-    moved = with_vertices(tri, (Point(v.x + delta, v.y + delta),) + tri.vertices[1:])
-    out[index] = (tid, moved)
+    out[index] = with_vertices(tri, (Point(v.x + delta, v.y + delta),) + tri.vertices[1:])
     return out
 
 
@@ -86,7 +85,7 @@ def test_equal_perimeter(small_plane):
     # the stacked triangles deliberately have unequal perimeters
     tri_rep = check_equal_perimeter(small_plane, 6.0, 1e-9)
     assert not tri_rep.passed
-    single = check_equal_perimeter(small_plane[:1], perimeter(small_plane[0][1]), 1e-9)
+    single = check_equal_perimeter(small_plane[:1], perimeter(small_plane[0]), 1e-9)
     assert single.passed
 
 
@@ -100,7 +99,7 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
     quads = quadify_plane(small_plane)
     assert not check_vertex_to_vertex(quads, 1e-9).passed
     # disjoint tiles are fine
-    far = [strip_tiles[2], (TileId(0, 3, 1), Triangle(Point(90, 0), Point(92, 0), Point(91, 1)))]
+    far = [strip_tiles[2], Triangle(Point(90, 0), Point(92, 0), Point(91, 1), id=TileId(0, 3, 1))]
     assert check_vertex_to_vertex(far, 1e-9).passed
 
 
@@ -108,7 +107,7 @@ def test_pairwise_incongruent(small_plane):
     rep = check_pairwise_incongruent(small_plane, 1e-9)
     assert rep.passed and rep.margin > 0
 
-    periodic = [(tid, assembly.periodic_triangle(tid)) for tid in tile_ids(2)]
+    periodic = [assembly.periodic_triangle(tid) for tid in tile_ids(2)]
     rep2 = check_pairwise_incongruent(periodic, 1e-9)
     assert not rep2.passed
     assert rep2.offenders
@@ -191,7 +190,7 @@ def test_closeness(small_plane):
     rep = check_closeness(small_plane, 0.01)
     assert rep.passed and rep.worst_residual < 0.02
     assert not check_closeness(small_plane, rep.worst_residual / 4).passed
-    exact = [(tid, assembly.periodic_triangle(tid)) for tid in tile_ids(2, row=1)]
+    exact = [assembly.periodic_triangle(tid) for tid in tile_ids(2, row=1)]
     assert check_closeness(exact, 1e-9).worst_residual == 0.0
 
 
@@ -201,6 +200,8 @@ def test_convexity_check():
     dart = Quadrangle((Point(0, 0), Point(2, 0), Point(0.4, 0.4), Point(0, 2)))
     rep = check_convex([square, dart])
     assert not rep.passed and len(rep.offenders) == 1 and rep.tiles_checked == 2
+    with pytest.raises(InvalidParameter):
+        check_convex([])
 
 
 def test_perimeter_and_closeness_fault_injection(small_plane):
