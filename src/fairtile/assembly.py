@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import bad_shear_set, equilateral_shear_set
+from .congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set, equilateral_shear_set,
+                         halfturn_variants, match_roots, pair_shear_roots)
 from .errors import (
     BoundaryMismatch,
     ExhaustedRetries,
@@ -121,22 +122,10 @@ def shear_index(k: int) -> int:
     return 2 * k if k > 0 else 2 * (-k) + 1
 
 
-def _cross_roots(e0: np.ndarray, fixed_sq: list[np.ndarray]) -> np.ndarray:
-    """Shear parameters matching one certificate edge length of each base
-    tile against any fixed edge length of the earlier rows (vectorized)."""
-    if not fixed_sq:
-        return np.empty(0)
-    lengths = np.concatenate(fixed_sq)
-    x0 = e0[:, 0:1]
-    y0 = e0[:, 1:2]
-    p = 2.0 * x0 * y0 / (y0 * y0)
-    q = (x0 * x0 + y0 * y0 - lengths[None, :]) / (y0 * y0)
-    disc = 0.25 * p * p - q
-    disc = np.where(np.abs(disc) < 1e-12, 0.0, disc)
-    ok = disc >= 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    mid = np.broadcast_to(-0.5 * p, disc.shape)
-    return np.concatenate([(mid - root)[ok], (mid + root)[ok]])
+def _gap_to_roots(roots: np.ndarray, value: float) -> float:
+    """Distance from value to the nearest of the sorted, non-empty roots."""
+    idx = int(np.searchsorted(roots, value))
+    return float(np.min(np.abs(roots[max(idx - 1, 0):idx + 1] - value)))
 
 
 def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: int,
@@ -148,8 +137,8 @@ def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: in
     stays under eps, and is redrawn until it clears
     every collision root of the window by a positive margin: the co-shear
     and equilateral roots of the base, and the match roots against all
-    previously fixed rows.  The base must already be free of
-    translation/half-turn congruent pairs on the window.
+    previously fixed rows.  A window pair that agrees up to translation or
+    half-turn admits no certified shear and raises :class:`DegeneratePair`.
     """
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
@@ -160,32 +149,21 @@ def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: in
             f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
 
     tiles = window_triangles(base, window_cols)
-    static: list[float] = []
-    for a in range(len(tiles)):
-        static.extend(equilateral_shear_set(tiles[a]).roots)
-        for bdx in range(a + 1, len(tiles)):
-            static.extend(bad_shear_set(tiles[a], tiles[bdx]).roots)
-    static_roots = np.asarray(sorted(static))
+    _, collisions = aligned_sweep(tiles, halfturn_variants, DEFAULT_QUANTUM)
+    if collisions:
+        bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
 
     ev = np.array([edge_vectors(t) for t in tiles])  # (N, 3, 2)
-    pick = np.argmax(np.abs(ev[:, :, 1]), axis=1)
-    e0 = ev[np.arange(len(tiles)), pick, :]
+    static: list[np.ndarray] = []
+    for a, tile in enumerate(tiles):
+        static.append(np.array(equilateral_shear_set(tile).roots))
+        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:]).ravel())
+    roots = np.concatenate(static)
+    roots = np.sort(roots[~np.isnan(roots)])
 
     chosen: list[float] = []
-    fixed_sq: list[np.ndarray] = []
     for n in range(1, count + 1):
         half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
-        roots = np.sort(np.concatenate([static_roots, _cross_roots(e0, fixed_sq)]))
-
-        def gap_to_roots(value: float) -> float:
-            idx = int(np.searchsorted(roots, value))
-            gap = math.inf
-            if idx < roots.size:
-                gap = roots[idx] - value
-            if idx > 0:
-                gap = min(gap, value - roots[idx - 1])
-            return gap
-
         margins = [min(_MARGIN_CAP, half / 20.0)]
         while margins[-1] / _MARGIN_STEP > _MARGIN_FLOOR:
             margins.append(margins[-1] / _MARGIN_STEP)
@@ -195,7 +173,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: in
         for margin in margins:
             for _ in range(_DRAWS_PER_MARGIN):
                 cand = rng.uniform(-half, half)
-                if roots.size == 0 or gap_to_roots(cand) >= margin:
+                if roots.size == 0 or _gap_to_roots(roots, cand) >= margin:
                     mu = cand
                     break
             if mu is not None:
@@ -206,9 +184,11 @@ def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: in
                 f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
                 f"(window too dense for epsilon={epsilon})")
         chosen.append(mu)
-        sx = ev[:, :, 0] + mu * ev[:, :, 1]
-        sy = ev[:, :, 1]
-        fixed_sq.append((sx * sx + sy * sy).ravel())
+        if n < count:
+            # later rows must also avoid matching this row's sheared edges
+            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], axis=-1)
+            cross = match_roots(ev, sheared.reshape(1, -1, 2)).ravel()
+            roots = np.sort(np.concatenate([roots, cross[~np.isnan(cross)]]))
     return chosen
 
 

@@ -38,6 +38,9 @@ __all__ = [
     "congruent",
     "simeq_distance",
     "halfturn_translate_congruent",
+    "aligned_sweep",
+    "match_roots",
+    "pair_shear_roots",
     "bad_shear_set",
     "shear_match_roots",
     "equilateral_shear_set",
@@ -157,6 +160,31 @@ def halfturn_translate_congruent(t, u, tol: float = DEFAULT_QUANTUM) -> bool:
     return simeq_distance(t, u) <= tol
 
 
+def aligned_sweep(polys, rows_of, quantum: float):
+    """Smallest aligned distance over all tile pairs, and every pair within
+    ``quantum``.
+
+    ``rows_of(p)`` gives one row per alignment of p; every row of one tile
+    against the first row of each later tile covers every relative
+    alignment.  Tiles with different vertex counts are never compared.
+    """
+    groups: dict[int, list[int]] = {}
+    for idx, p in enumerate(polys):
+        groups.setdefault(len(p.vertices), []).append(idx)
+
+    margin = math.inf
+    collisions: list[tuple[int, int]] = []
+    for idxs in groups.values():
+        variants = np.stack([rows_of(polys[i]) for i in idxs])
+        reference = variants[:, 0, :]
+        for a in range(len(idxs) - 1):
+            diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
+            d = np.min(np.max(diffs, axis=2), axis=1)
+            margin = min(margin, float(np.min(d)))
+            collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
+    return margin, sorted(collisions)
+
+
 @dataclass(frozen=True)
 class ShearRootSet:
     """Real shear parameters at which a congruence collision can occur.
@@ -167,69 +195,89 @@ class ShearRootSet:
     """
 
     roots: tuple[float, ...]
-    degenerate: bool = False
 
 
-def _real_roots(a: float, b: float, c: float) -> list[float]:
-    # monic normalization when the leading coefficient is meaningful,
-    # linear fallback otherwise; near-zero discriminants clamp to zero
-    if abs(a) > _LEADING_EPS:
+def _roots(a, b, c) -> np.ndarray:
+    """Real roots of a*mu^2 + b*mu + c elementwise over broadcast arrays:
+    shape (..., 2), ascending, NaN where absent.
+
+    Monic normalisation when |a| is meaningful, else a linear fallback;
+    near-zero discriminants clamp to a double root; the cancellation-free
+    root comes first and its partner from Vieta's formula.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, q = b / a, c / a
         disc = 0.25 * p * p - q
-        if abs(disc) < _DISC_CLAMP:
-            disc = 0.0
-        if disc < 0.0:
-            return []
-        r = math.sqrt(disc)
-        if r == 0.0:
-            return [-0.5 * p, -0.5 * p]
-        # evaluate the cancellation-free root first, its partner via Vieta
-        far = -0.5 * p - r if p >= 0.0 else -0.5 * p + r
-        return sorted((far, q / far))
-    if abs(b) > _LEADING_EPS:
-        return [-c / b]
-    return []
+        disc = np.where(np.abs(disc) < _DISC_CLAMP, 0.0, disc)
+        r = np.sqrt(disc)  # NaN where disc < 0
+        mid = -0.5 * p
+        far = np.where(p >= 0.0, mid - r, mid + r)
+        partner = q / far
+        swap = partner < far
+        lo = np.where(r == 0.0, mid, np.where(swap, partner, far))
+        hi = np.where(r == 0.0, mid, np.where(swap, far, partner))
+        linear = np.where(np.abs(b) > _LEADING_EPS, -c / b, np.nan)
+    quadratic = np.abs(a) > _LEADING_EPS
+    return np.stack([np.where(quadratic, lo, linear), np.where(quadratic, hi, np.nan)], axis=-1)
 
 
-def _dedup(roots) -> tuple[float, ...]:
-    out: list[float] = []
-    for r in sorted(roots):
-        if not out or r - out[-1] > _ROOT_DEDUP:
-            out.append(r)
-    return tuple(out)
+def _dedup(roots: np.ndarray) -> np.ndarray:
+    """Each row of roots ascending, with NaN for absent roots and for roots
+    within 1e-9 of the last root kept."""
+    s = np.sort(roots, axis=-1, kind="stable")
+    last = s[..., 0]
+    for k in range(1, s.shape[-1]):
+        near = s[..., k] - last <= _ROOT_DEDUP
+        s[..., k] = np.where(near, np.nan, s[..., k])
+        last = np.where(near, last, s[..., k])
+    return s
 
 
-def _pm_gap(e, f) -> float:
-    """Distance of edge vectors up to sign (segments are unoriented)."""
-    return min(max(abs(e[0] - f[0]), abs(e[1] - f[1])),
-               max(abs(e[0] + f[0]), abs(e[1] + f[1])))
+def _root_set(row: np.ndarray) -> ShearRootSet:
+    return ShearRootSet(roots=tuple(row[~np.isnan(row)].tolist()))
 
 
-def _coshear_roots(t, u) -> list[float]:
-    ev_t, ev_u = edge_vectors(t), edge_vectors(u)
-    # the certificate edge must be a translate of none of u's edges; pick
-    # the one farthest from all of them so its quadratics stay well scaled
-    e0 = max(ev_t, key=lambda e: min(_pm_gap(e, f) for f in ev_u))
-    x0, y0 = e0
-    roots: list[float] = []
-    for fx, fy in ev_u:
-        roots += _real_roots(y0 * y0 - fy * fy,
-                             2.0 * (x0 * y0 - fx * fy),
-                             x0 * x0 + y0 * y0 - fx * fx - fy * fy)
-    return roots
+def match_roots(ev: np.ndarray, ev_fixed: np.ndarray) -> np.ndarray:
+    """Shear parameters at which each sheared triangle of ``ev`` (edge
+    vectors, shape (N, 3, 2)) can match a length of ``ev_fixed`` (shape
+    (N, M, 2) or (1, M, 2)); shape (N, M, 2) as :func:`_roots` gives.
 
-
-def _match_roots(t, fixed) -> list[float]:
-    ev_t = edge_vectors(t)
-    x0, y0 = max(ev_t, key=lambda e: abs(e[1]))
-    if abs(y0) <= _LEADING_EPS:
+    The certificate is the edge of largest |height|, the first on ties:
+    outside the roots it differs in length from every fixed edge.
+    """
+    pick = np.argmax(np.abs(ev[:, :, 1]), axis=1)
+    e0 = ev[np.arange(len(ev)), pick]
+    if np.any(np.abs(e0[:, 1]) <= _LEADING_EPS):
         raise InvalidParameter("triangle has no edge with nonzero height")
-    roots: list[float] = []
-    for fx, fy in edge_vectors(fixed):
-        roots += _real_roots(y0 * y0,
-                             2.0 * x0 * y0,
-                             x0 * x0 + y0 * y0 - (fx * fx + fy * fy))
-    return roots
+    x0, y0 = e0[:, 0:1], e0[:, 1:2]
+    fx, fy = ev_fixed[..., 0], ev_fixed[..., 1]
+    return _roots(y0 * y0, 2.0 * x0 * y0, x0 * x0 + y0 * y0 - (fx * fx + fy * fy))
+
+
+def pair_shear_roots(ev_t: np.ndarray, ev_u: np.ndarray) -> np.ndarray:
+    """Shear parameters at which t[i] and u[i] can collide into congruent
+    images, for edge-vector arrays of shape (N, 3, 2) or (1, 3, 2).
+
+    Covers the pair sheared together (co-shear roots) and sheared t against
+    u left fixed (match roots).  Each row holds one pair's roots ascending,
+    without repeats within 1e-9, padded with NaN: shape (N, 12).
+    """
+    ev_t, ev_u = np.broadcast_arrays(ev_t, ev_u)
+    n = len(ev_t)
+    # the co-shear certificate edge of t must be a translate of none of u's
+    # edges; pick the one farthest, up to sign (segments are unoriented),
+    # from all of them so its quadratics stay well scaled
+    et, eu = ev_t[:, :, None, :], ev_u[:, None, :, :]
+    gap = np.minimum(np.max(np.abs(et - eu), axis=3), np.max(np.abs(et + eu), axis=3))
+    e0 = ev_t[np.arange(n), np.argmax(np.min(gap, axis=2), axis=1)]
+    x0, y0 = e0[:, 0:1], e0[:, 1:2]
+    fx, fy = ev_u[..., 0], ev_u[..., 1]
+    coshear = _roots(y0 * y0 - fy * fy, 2.0 * (x0 * y0 - fx * fy),
+                     x0 * x0 + y0 * y0 - fx * fx - fy * fy)
+    match = match_roots(ev_t, ev_u)
+    roots = np.concatenate([coshear, match], axis=1)
+    return _dedup(roots.reshape(n, 2 * roots.shape[1]))
 
 
 def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
@@ -243,7 +291,8 @@ def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
     """
     if simeq_distance(t, u) <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
-    return ShearRootSet(roots=_dedup(_coshear_roots(t, u) + _match_roots(t, u)))
+    ev_t, ev_u = np.array([edge_vectors(t)]), np.array([edge_vectors(u)])
+    return _root_set(pair_shear_roots(ev_t, ev_u)[0])
 
 
 def shear_match_roots(t: Triangle, fixed: Triangle) -> ShearRootSet:
@@ -253,7 +302,8 @@ def shear_match_roots(t: Triangle, fixed: Triangle) -> ShearRootSet:
     inputs: it only compares one sheared edge length of t against the fixed
     edge lengths, so the root set is finite even for identical triangles.
     """
-    return ShearRootSet(roots=_dedup(_match_roots(t, fixed)))
+    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]))
+    return _root_set(_dedup(roots.reshape(-1)))
 
 
 def equilateral_shear_set(t: Triangle) -> ShearRootSet:
@@ -269,7 +319,6 @@ def equilateral_shear_set(t: Triangle) -> ShearRootSet:
     (x1, y1), (x2, y2) = max(pairs, key=lambda p: abs(abs(p[0][1]) - abs(p[1][1])))
     if abs(abs(y1) - abs(y2)) <= _LEADING_EPS:
         raise NoUnequalHeights("every edge-vector pair has equal |y| components")
-    roots = _real_roots(y1 * y1 - y2 * y2,
-                        2.0 * (x1 * y1 - x2 * y2),
-                        x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2)
-    return ShearRootSet(roots=_dedup(roots))
+    return _root_set(_dedup(_roots(y1 * y1 - y2 * y2,
+                                   2.0 * (x1 * y1 - x2 * y2),
+                                   x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2)))

@@ -51,10 +51,11 @@ class Check:
 
     The function is looked up in :mod:`verify` when the check runs.  The
     subject is the document's tiles, or for ``"strip"`` and
-    ``"deviations"`` the strip tiling rebuilt from its ``y0`` and ``cols``
-    parameters or that tiling's deviation series.  Target and tolerance
-    are passed only when set.  With ``param`` the target is that document
-    parameter, mapped through ``target`` when that is a function.
+    ``"deviations"`` the ``tiling`` that :func:`run_checks` rebuilt from the
+    document's ``y0`` and ``cols`` or that tiling's deviation series.
+    Target and tolerance are passed only when set.  With ``param`` the
+    target is that document parameter, mapped through ``target`` when that
+    is a function.
     """
 
     function: str
@@ -63,11 +64,11 @@ class Check:
     param: str | None = None
     subject: str = "tiles"
 
-    def run(self, doc: document.TilingDocument) -> verify.VerificationReport:
+    def run(self, doc: document.TilingDocument,
+            tiling: StripTiling | None) -> verify.VerificationReport:
         if self.subject == "tiles":
             args = [doc.tiles]
         else:
-            tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
             args = [deviations(tiling) if self.subject == "deviations" else tiling]
         if self.param is not None:
             value = doc.float_param(self.param)
@@ -126,7 +127,11 @@ def run_checks(doc: document.TilingDocument,
         if name not in _BY_NAME:
             raise InvalidParameter(
                 f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
-    return tuple(CHECKS[doc.kind].get(name, _BY_NAME[name]).run(doc) for name in names)
+    checks = [CHECKS[doc.kind].get(name, _BY_NAME[name]) for name in names]
+    tiling = None
+    if any(check.subject != "tiles" for check in checks):
+        tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
+    return tuple(check.run(doc, tiling) for check in checks)
 
 
 def _y0_window(epsilon: float | None) -> tuple[float, float]:

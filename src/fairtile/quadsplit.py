@@ -387,18 +387,9 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
     quads = quad_vertices(a, b, c, params)
 
     _, inverse, mirrored = _canonical_frame(va, vb, r)
-    # map the shared point M once so it stays bit-identical across quads
-    cache: dict[tuple[float, float], Point] = {}
-
-    def back(pt: Point) -> Point:
-        key = pt.xy
-        if key not in cache:
-            cache[key] = inverse(pt)
-        return cache[key]
-
     out = []
     for quad in quads:
-        mapped = [back(v) for v in quad.vertices]
+        mapped = [inverse(v) for v in quad.vertices]
         if mirrored:
             mapped.reverse()
         out.append(Quadrangle(tuple(mapped), id=t.id, corner=quad.corner))

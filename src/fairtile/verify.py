@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assembly
-from .congruence import DEFAULT_QUANTUM, halfturn_variants, signature_variants
+from .congruence import DEFAULT_QUANTUM, aligned_sweep, halfturn_variants, signature_variants
 from .errors import InvalidParameter
 from .geometry import (
     area,
@@ -181,7 +181,6 @@ def _classify_pair(vp, vq, tol: float) -> tuple[bool, float]:
         return False, overlap
 
     # a vertex resting on the other tile's edge away from its vertices
-    worst = 0.0
     for verts, other in ((vp, vq), (vq, vp)):
         n_other = len(other)
         for v in verts:
@@ -201,7 +200,7 @@ def _classify_pair(vp, vq, tol: float) -> tuple[bool, float]:
         edge_in_q = (j2 - j1) % nq_ in (1, nq_ - 1)
         if not (edge_in_p and edge_in_q):
             return False, tol
-    return True, worst
+    return True, 0.0
 
 
 def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
@@ -234,37 +233,12 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
 # pairwise incongruence
 
 
-def _aligned_sweep(polys, rows_of, quantum: float):
-    """Smallest aligned distance over all tile pairs, and every pair within
-    ``quantum``.
-
-    ``rows_of(p)`` gives one row per alignment of p; every row of one tile
-    against the first row of each later tile covers every relative
-    alignment.  Tiles with different vertex counts are never compared.
-    """
-    groups: dict[int, list[int]] = {}
-    for idx, p in enumerate(polys):
-        groups.setdefault(len(p.vertices), []).append(idx)
-
-    margin = math.inf
-    collisions: list[tuple[int, int]] = []
-    for idxs in groups.values():
-        variants = np.stack([rows_of(polys[i]) for i in idxs])
-        reference = variants[:, 0, :]
-        for a in range(len(idxs) - 1):
-            diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
-            d = np.min(np.max(diffs, axis=2), axis=1)
-            margin = min(margin, float(np.min(d)))
-            collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
-    return margin, sorted(collisions)
-
-
 def _incongruence(name, polys, quantum: float, rows_of) -> VerificationReport:
     if quantum <= 0:
         raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
     if not polys:
         raise InvalidParameter(f"{name}: empty tile list")
-    margin, collisions = _aligned_sweep(polys, rows_of, quantum)
+    margin, collisions = aligned_sweep(polys, rows_of, quantum)
     offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in collisions]
     return VerificationReport(
         check_name=name, passed=not collisions, worst_residual=None, margin=margin,

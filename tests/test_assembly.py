@@ -16,10 +16,15 @@ from fairtile.assembly import (
     stack_plane,
     window,
 )
-from fairtile.congruence import bad_shear_set, congruent, halfturn_translate_congruent
-from fairtile.errors import BoundaryMismatch, IndexOutOfRange, InvalidParameter
+from fairtile.congruence import (
+    bad_shear_set,
+    congruent,
+    halfturn_translate_congruent,
+    shear_match_roots,
+)
+from fairtile.errors import BoundaryMismatch, DegeneratePair, IndexOutOfRange, InvalidParameter
 from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, shear
-from fairtile.strip import strip_tiling, tile_ids, triangle_at
+from fairtile.strip import critical_tiling, strip_tiling, tile_ids, triangle_at
 from fairtile.verify import check_closeness, check_vertex_to_vertex
 
 
@@ -72,13 +77,33 @@ def test_select_shears_budget_and_determinism(base):
 
 
 def test_selected_shears_clear_root_sets(base):
-    mus = select_shears(base, count=2, epsilon=0.01, window_cols=2, rng=random.Random(3))
+    mus = select_shears(base, count=3, epsilon=0.01, window_cols=2, rng=random.Random(3))
     tiles = [triangle_at(base, tid.col, tid.slot) for tid in tile_ids(2)]
     for mu in mus:
         for a in range(len(tiles)):
             for b in range(a + 1, len(tiles)):
                 gaps = [abs(mu - r) for r in bad_shear_set(tiles[a], tiles[b]).roots]
                 assert min(gaps) >= 1e-9
+    # each row also clears the match roots against every tile of the earlier
+    # rows; shearing the vertices rounds differently from shearing the edge
+    # vectors, which moves the roots by far less than the slack
+    for n, mu in enumerate(mus):
+        for earlier in mus[:n]:
+            for t in tiles:
+                for u in tiles:
+                    gaps = [abs(mu - r) for r in shear_match_roots(t, shear(u, earlier)).roots]
+                    assert min(gaps) >= 1e-9 - 1e-13
+
+
+def test_select_shears_sweeps_the_window_once(base, monkeypatch):
+    # the critical strip's mirror columns agree up to a half-turn
+    critical = scale_to_equilateral(critical_tiling(3))
+    with pytest.raises(DegeneratePair):
+        select_shears(critical, count=2, epsilon=0.01, window_cols=3, rng=random.Random(0))
+    calls = []
+    monkeypatch.setattr(assembly, "bad_shear_set", lambda *pair: calls.append(pair))
+    select_shears(base, count=2, epsilon=0.01, window_cols=6, rng=random.Random(3))
+    assert calls == []  # no per-pair root call on a window without degenerate pairs
 
 
 def test_stack_plane_transforms(base):

@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtile.congruence import (
+    _roots,
     bad_shear_set,
     congruent,
     equilateral_shear_set,
@@ -249,13 +251,61 @@ def test_congruence_soundness_on_congruent_samples():
 
 # --- shear root sets ---------------------------------------------------------
 
-def test_quadratic_edge_pair_examples():
-    from fairtile.congruence import _real_roots
+def _found(roots):
+    return [float(r) for r in roots if not math.isnan(r)]
 
+
+def test_quadratic_edge_pair_examples():
     # vectors (1,1) against (1,-1): degenerate leading coefficient, root 0
-    assert _real_roots(1 - 1, 2 * (1 * 1 - 1 * -1), (1 + 1) - (1 + 1)) == [0.0]
+    assert _found(_roots(1 - 1, 2 * (1 * 1 - 1 * -1), (1 + 1) - (1 + 1))) == [0.0]
     # both heights zero with distinct |x|: contradiction, empty set
-    assert _real_roots(0.0, 0.0, 9.0 - 4.0) == []
+    assert _found(_roots(0.0, 0.0, 9.0 - 4.0)) == []
+
+
+def _scalar_real_roots(a, b, c):
+    """The scalar solver the array solver replaced, kept as its oracle."""
+    if abs(a) > 1e-14:
+        p, q = b / a, c / a
+        disc = 0.25 * p * p - q
+        if abs(disc) < 1e-12:
+            disc = 0.0
+        if disc < 0.0:
+            return []
+        r = math.sqrt(disc)
+        if r == 0.0:
+            return [-0.5 * p, -0.5 * p]
+        far = -0.5 * p - r if p >= 0.0 else -0.5 * p + r
+        return sorted((far, q / far))
+    if abs(b) > 1e-14:
+        return [-c / b]
+    return []
+
+
+def test_array_solver_matches_the_scalar_oracle_bit_for_bit():
+    rng = random.Random(17)
+    triples = [
+        (0.0, 2.5, -1.0), (1e-15, -3.0, 0.5),  # a = 0: linear fallback
+        (0.0, 0.0, 1.0), (0.0, 1e-15, 1.0),  # a = b = 0: no root
+        (1.0, 2.0, 1.0 + 4e-13), (1.0, 2.0, 1.0 - 4e-13),  # |disc| < 1e-12: double root
+        (1.0, -2.0, 1.0), (2.0, 0.0, 0.0), (1.0, -0.0, 0.0),  # exact double roots
+        (1.0, 0.0, 1.0), (3.0, 1.0, 5.0),  # disc < 0
+        (1.0, 5.0, 2.0), (1.0, 0.0, -4.0), (1.0, -5.0, 2.0), (-2.0, -5.0, 2.0),  # p >= 0, p < 0
+        (1.0, 1e8, 1.0), (1.0, -1e8, 1.0),  # the Vieta partner avoids cancellation
+    ]
+    for _ in range(2000):
+        scale = [10.0 ** rng.randint(-16, 3) for _ in range(3)]
+        triples.append(tuple(rng.choice((-1, 1)) * rng.random() * s for s in scale))
+    for _ in range(500):  # shear-root shaped: a = y0^2 - fy^2, b = 2(x0 y0 - fx fy), ...
+        x0, y0, fx, fy = (rng.uniform(-2.0, 2.0) for _ in range(4))
+        triples.append((y0 * y0 - fy * fy, 2.0 * (x0 * y0 - fx * fy),
+                        x0 * x0 + y0 * y0 - fx * fx - fy * fy))
+    a, b, c = (np.array(col) for col in zip(*triples))
+    got = _roots(a, b, c)
+    assert got.shape == (len(triples), 2)
+    for (ta, tb, tc), row in zip(triples, got):
+        want = _scalar_real_roots(ta, tb, tc)
+        assert [r.hex() for r in _found(row)] == [r.hex() for r in want], (ta, tb, tc)
+        assert math.isnan(row[1]) or not math.isnan(row[0])  # present roots come first
 
 
 def test_bad_shear_set_mirror_pair_contains_zero():

@@ -145,6 +145,23 @@ def test_verify_strip_contraction_report(tmp_path, capsys):
                          "strip-identities"] + ["contraction"] * contraction
 
 
+def test_strip_checks_rebuild_the_tiling_once(monkeypatch):
+    doc = pipeline.strip_document(strip_tiling(0.005, 10), 10)
+    calls = []
+
+    def counted(y0, cols):
+        calls.append((y0, cols))
+        return strip_tiling(y0, cols)
+
+    monkeypatch.setattr(pipeline, "strip_tiling", counted)
+    reports = pipeline.run_checks(doc, ["identity", "contraction"])
+    assert calls == [(0.005, 10)]
+    assert [r.check_name for r in reports] == ["strip-identities", "contraction"]
+    assert all(r.passed for r in reports)
+    pipeline.run_checks(doc, ["area"])
+    assert len(calls) == 1  # tile checks need no tiling
+
+
 def test_quadify_and_determinism(plane_doc, tmp_path):
     q1, q2 = tmp_path / "q1.tiles", tmp_path / "q2.tiles"
     assert run_cli("quadify", "--in", str(plane_doc), "--out", str(q1)) == 0
