@@ -45,6 +45,7 @@ __all__ = [
     "window",
     "plane_triangle",
     "periodic_triangle",
+    "periodic_triangles",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -283,23 +284,30 @@ def plane_triangle(p: PlaneTiling, tid: TileId) -> Triangle:
     return Triangle(*tri.vertices, id=tid)
 
 
-def _undistorted_strip(n_cols: int) -> StripTiling:
-    """The scaled strip at height 0: a_i = b_i = 2i - 1, x_i = 2i, y_i = 0."""
+def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
+    """The tiles' counterparts in the periodic tiling by equilateral
+    triangles of edge length 2 (zero shears, zero horizontal offsets), all
+    read from one flat strip as wide as the widest column asked for."""
+    n_cols = max((abs(tid.col) for tid in tids), default=0)
+    # the scaled strip at height 0: a_i = b_i = 2i - 1, x_i = 2i, y_i = 0
     i = np.arange(n_cols + 2, dtype=np.float64)
     zeros = np.zeros(n_cols + 2)
-    return StripTiling(y0=0.0, n_cols=n_cols, xs=2.0 * i[:-1], ys=zeros[:-1],
+    flat = StripTiling(y0=0.0, n_cols=n_cols, xs=2.0 * i[:-1], ys=zeros[:-1],
                        aa=2.0 * i - 1.0, bb=2.0 * i - 1.0, alpha=zeros, beta=zeros,
                        xi=zeros[:-1], y_scale=SQRT3)
+    out = []
+    for tid in tids:
+        tri = triangle_at(flat, tid.col, tid.slot)
+        if tid.row % 2 != 0:
+            tri = reflect_x(tri)
+        tri = translate(tri, 0.0, 2.0 * tid.row * SQRT3)
+        out.append(Triangle(*tri.vertices, id=tid))
+    return out
 
 
 def periodic_triangle(tid: TileId) -> Triangle:
-    """The tile's counterpart in the periodic tiling by equilateral
-    triangles of edge length 2 (zero shears, zero horizontal offsets)."""
-    tri = triangle_at(_undistorted_strip(abs(tid.col)), tid.col, tid.slot)
-    if tid.row % 2 != 0:
-        tri = reflect_x(tri)
-    tri = translate(tri, 0.0, 2.0 * tid.row * SQRT3)
-    return Triangle(*tri.vertices, id=tid)
+    """One-tile form of :func:`periodic_triangles`."""
+    return periodic_triangles([tid])[0]
 
 
 def window(p: PlaneTiling, x_range: tuple[float, float],

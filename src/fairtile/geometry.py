@@ -131,6 +131,9 @@ class Quadrangle:
             raise InvalidParameter("a quadrangle needs exactly 4 vertices")
         if self.corner is not None and self.corner not in CORNERS:
             raise InvalidParameter(f"corner must be one of {CORNERS}, got {self.corner!r}")
+        # a repeated vertex leaves a triangle with positive area
+        if min(edge_lengths(self)) <= _DEGENERACY_EPS:
+            raise DegeneratePolygon("quadrangle with a zero-length edge")
         s = signed_area(self.vertices)
         if abs(s) <= _DEGENERACY_EPS:
             raise DegeneratePolygon(f"degenerate quadrangle (signed area {s:.3e})")

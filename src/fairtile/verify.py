@@ -119,114 +119,101 @@ def check_identity(t: StripTiling, tol: float = 1e-10) -> VerificationReport:
 # vertex-to-vertex conformity
 
 
-def _point_segment_dist(v, a, b) -> float:
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    L2 = dx * dx + dy * dy
-    if L2 <= 0.0:
-        return math.hypot(v[0] - ax, v[1] - ay)
-    t = ((v[0] - ax) * dx + (v[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(v[0] - (ax + t * dx), v[1] - (ay + t * dy))
+def _vertex_edge(V, W):
+    """Vertices ``V`` (M, n, 2) against the edges of ccw polygons ``W``
+    (M, m, 2): each vertex's distance to the nearest edge (M, n), and per
+    pair the largest, over the edges of ``W``, of the least signed distance
+    of ``V`` outside that edge's line (M,), which is positive when that line
+    separates the pair and minus the overlap along its normal otherwise."""
+    D = np.roll(W, -1, axis=1) - W
+    L2 = D[..., 0] ** 2 + D[..., 1] ** 2
+    ax, ay = W[:, None, :, 0], W[:, None, :, 1]
+    vx, vy = V[:, :, None, 0], V[:, :, None, 1]
+    dx, dy = D[:, None, :, 0], D[:, None, :, 1]
+    rx, ry = vx - ax, vy - ay
+    t = np.clip((rx * dx + ry * dy) / L2[:, None, :], 0.0, 1.0)
+    seg = np.hypot(vx - (ax + t * dx), vy - (ay + t * dy))
+    outside = (dy * rx - dx * ry) / np.sqrt(L2)[:, None, :]
+    return seg.min(axis=2), outside.min(axis=1).max(axis=1)
 
 
-def _convex_clip_area(vp, vq) -> float:
-    # Sutherland-Hodgman; both polygons convex and counterclockwise
-    out = [tuple(v) for v in vp]
-    m = len(vq)
-    for k in range(m):
-        ax, ay = vq[k]
-        bx, by = vq[(k + 1) % m]
-        ex, ey = bx - ax, by - ay
-        res = []
-        for idx in range(len(out)):
-            px, py = out[idx]
-            qx, qy = out[(idx + 1) % len(out)]
-            sp = ex * (py - ay) - ey * (px - ax)
-            sq = ex * (qy - ay) - ey * (qx - ax)
-            if sp >= 0.0:
-                res.append((px, py))
-            if (sp > 0.0 > sq) or (sp < 0.0 < sq):
-                f = sp / (sp - sq)
-                res.append((px + f * (qx - px), py + f * (qy - py)))
-        out = res
-        if not out:
-            return 0.0
-    s = 0.0
-    for idx in range(len(out)):
-        px, py = out[idx]
-        qx, qy = out[(idx + 1) % len(out)]
-        s += px * qy - qx * py
-    return abs(0.5 * s)
+def _contact(P, Q, tol: float):
+    """Classify the contact of convex ccw tile pairs ``P`` (M, n, 2) and
+    ``Q`` (M, m, 2).
 
-
-def _classify_pair(vp, vq, tol: float) -> tuple[bool, float]:
-    """Classify the contact of two convex tiles.
-
-    Returns (conforming, violation size): conforming means the intersection
-    is numerically empty, one shared vertex, or a full common edge.
+    Returns (violates, size) per pair.  A pair conforms when it meets in
+    nothing, one shared vertex or one full common edge.  The rules, first
+    match deciding the size: a vertex matched twice or three shared
+    vertices (``tol``); overlap depth above ``tol`` (the depth, a length:
+    how far the pair must move apart along the best separating edge
+    normal); a vertex away from every vertex of the other tile but on one
+    of its edges (that vertex's gap to the nearest vertex); two shared
+    vertices that are not an edge of both tiles (``tol``).
     """
-    dist = np.hypot(vp[:, 0:1] - vq[None, :, 0], vp[:, 1:2] - vq[None, :, 1])
-    matches = np.argwhere(dist <= tol)
-    shared_p = {int(i) for i, _ in matches}
-    shared_q = {int(j) for _, j in matches}
-    if len(matches) > len(shared_p) or len(matches) > len(shared_q):
-        return False, tol  # one vertex matched twice: degenerate neighbor
-    if len(shared_p) >= 3:
-        return False, tol  # tiles coincide
+    dist = np.hypot(P[:, :, None, 0] - Q[:, None, :, 0], P[:, :, None, 1] - Q[:, None, :, 1])
+    match = dist <= tol
+    shared_p, shared_q = match.any(axis=2), match.any(axis=1)
+    n_shared = shared_p.sum(axis=1)
+    coincide = ((match.sum(axis=2) > 1).any(axis=1) | (match.sum(axis=1) > 1).any(axis=1)
+                | (n_shared >= 3))
 
-    # interior overlap
-    overlap = _convex_clip_area(vp, vq)
-    if overlap > max(100.0 * tol * tol, 10.0 * tol):
-        return False, overlap
+    edge_gap_p, sep_q = _vertex_edge(P, Q)
+    edge_gap_q, sep_p = _vertex_edge(Q, P)
+    depth = -np.maximum(sep_p, sep_q)
 
-    # a vertex resting on the other tile's edge away from its vertices
-    for verts, other in ((vp, vq), (vq, vp)):
-        n_other = len(other)
-        for v in verts:
-            v_gap = float(np.min(np.hypot(other[:, 0] - v[0], other[:, 1] - v[1])))
-            if v_gap <= tol:
-                continue
-            edge_gap = min(
-                _point_segment_dist(v, other[k], other[(k + 1) % n_other])
-                for k in range(n_other))
-            if edge_gap <= tol:
-                return False, v_gap
+    v_gap = np.concatenate([dist.min(axis=2), dist.min(axis=1)], axis=1)
+    on_edge = (v_gap > tol) & (np.concatenate([edge_gap_p, edge_gap_q], axis=1) <= tol)
 
-    if len(shared_p) == 2:
-        (i1, j1), (i2, j2) = sorted((int(i), int(j)) for i, j in matches)
-        np_, nq_ = len(vp), len(vq)
-        edge_in_p = (i2 - i1) % np_ in (1, np_ - 1)
-        edge_in_q = (j2 - j1) % nq_ in (1, nq_ - 1)
-        if not (edge_in_p and edge_in_q):
-            return False, tol
-    return True, 0.0
+    adjacent = ((shared_p & np.roll(shared_p, -1, axis=1)).any(axis=1)
+                & (shared_q & np.roll(shared_q, -1, axis=1)).any(axis=1))
+    rules = [coincide, depth > tol, on_edge.any(axis=1), (n_shared == 2) & ~adjacent]
+    sizes = [tol, depth, v_gap[np.arange(len(P)), np.argmax(on_edge, axis=1)], tol]
+    return np.logical_or.reduce(rules), np.select(rules, sizes, 0.0)
 
 
 def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
-    """Every tile pair must meet in nothing, one vertex, or a full edge."""
+    """Every tile pair must meet in nothing, one vertex, or a full edge.
+
+    Pairs whose bounding boxes are apart by more than ``tol`` are skipped;
+    the rest are classified at once by :func:`_contact`.  The worst
+    residual is the largest violation size; an overlap counts by its depth.
+    """
     n = len(tiles)
     if n == 0:
         raise InvalidParameter("vertex-to-vertex: empty tile list")
-    verts = [np.array([v.xy for v in p.vertices]) for p in tiles]
+    for p in tiles:  # edge lines decide overlap only between convex tiles
+        if not is_convex(p):
+            raise InvalidParameter(f"vertex-to-vertex needs convex tiles; {tile_label(p)} is not")
     boxes = np.array([bounding_box(p) for p in tiles])
     xmin, ymin, xmax, ymax = boxes.T
-    offenders = []
-    worst = 0.0
-    for i in range(n):
-        near = np.nonzero(
-            (xmin[i + 1:] <= xmax[i] + tol) & (xmax[i + 1:] >= xmin[i] - tol)
-            & (ymin[i + 1:] <= ymax[i] + tol) & (ymax[i + 1:] >= ymin[i] - tol))[0]
-        for off in near:
-            j = int(off) + i + 1
-            ok, size = _classify_pair(verts[i], verts[j], tol)
-            if not ok:
-                offenders.append((tile_label(tiles[i]), tile_label(tiles[j])))
-                worst = max(worst, size)
+    near = [np.nonzero(
+        (xmin[i + 1:] <= xmax[i] + tol) & (xmax[i + 1:] >= xmin[i] - tol)
+        & (ymin[i + 1:] <= ymax[i] + tol) & (ymax[i + 1:] >= ymin[i] - tol))[0] + i + 1
+        for i in range(n)]
+    I = np.repeat(np.arange(n), [len(js) for js in near])
+    J = np.concatenate(near)
+
+    counts = np.array([len(p.vertices) for p in tiles])
+    row = np.zeros(n, dtype=np.intp)
+    verts = {}
+    for k in np.unique(counts):
+        members = np.nonzero(counts == k)[0]
+        row[members] = np.arange(len(members))
+        verts[k] = np.array([[v.xy for v in tiles[i].vertices] for i in members])
+    bad = np.zeros(len(I), dtype=bool)
+    size = np.zeros(len(I))
+    for kp in verts:
+        for kq in verts:
+            sel = np.nonzero((counts[I] == kp) & (counts[J] == kq))[0]
+            if sel.size:
+                bad[sel], size[sel] = _contact(
+                    verts[kp][row[I[sel]]], verts[kq][row[J[sel]]], tol)
+    first = np.nonzero(bad)[0][:_MAX_OFFENDERS]
+    offenders = [(tile_label(tiles[i]), tile_label(tiles[j])) for i, j in zip(I[first], J[first])]
     return VerificationReport(
-        check_name="vertex-to-vertex", passed=not offenders,
-        worst_residual=worst, margin=None, offenders=_cap(offenders),
-        tiles_checked=n, tolerance_used=tol)
+        check_name="vertex-to-vertex", passed=not bad.any(),
+        worst_residual=float(size[bad].max(initial=0.0)), margin=None,
+        offenders=tuple(offenders), tiles_checked=n, tolerance_used=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +340,14 @@ def check_closeness(tiles, epsilon: float) -> VerificationReport:
     """
     if not tiles:
         raise InvalidParameter("closeness: empty tile list")
-    worst = 0.0
     for tri in tiles:
         if tri.id is None:
             raise InvalidParameter("closeness needs tiles with ids")
         if len(tri.vertices) != 3:
             raise InvalidParameter(
                 f"closeness applies to triangles only; tile {tile_label(tri)} is not one")
-        ref = assembly.periodic_triangle(tri.id)
+    worst = 0.0
+    for tri, ref in zip(tiles, assembly.periodic_triangles([tri.id for tri in tiles])):
         for v, r in zip(tri.vertices, ref.vertices):
             worst = max(worst, float(abs(v.x - r.x)), float(abs(v.y - r.y)))
     tol = 2.0 * epsilon

@@ -8,6 +8,7 @@ from fairtile import assembly
 from fairtile.assembly import (
     SQRT3,
     periodic_triangle,
+    periodic_triangles,
     plane_triangle,
     row_order,
     scale_to_equilateral,
@@ -200,11 +201,13 @@ def _periodic_oracle(tid):
 
 
 def test_periodic_triangle_matches_the_closed_form_lattice():
-    for k in (-1, 0, 1):
-        for tid in tile_ids(3, row=k):
-            tri = periodic_triangle(tid)
-            assert tri.id == tid
-            assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
+    tids = [tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)]
+    # the one-tile form and the list form read the same slots of one flat strip
+    for tri, tid in zip(periodic_triangles(tids), tids):
+        assert tri == periodic_triangle(tid)
+        assert tri.id == tid
+        assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
+    assert periodic_triangles([]) == []
 
 
 def test_window_selection(base):

@@ -8,7 +8,8 @@ import pytest
 
 from fairtile import cli, document, pipeline
 from fairtile.document import fmt17, parse, read_document, serialize
-from fairtile.errors import DocumentError
+from fairtile.errors import DegeneratePolygon, DocumentError
+from fairtile.geometry import Point, Quadrangle
 from fairtile.strip import strip_tiling
 
 
@@ -232,6 +233,24 @@ def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):
         assert run_cli("verify", "--in", str(path), "--check", "incongruent") == 2
     assert run_cli("quadify", "--in", str(tmp_path / "plane.tiles"),
                    "--out", str(tmp_path / "q.tiles")) == 2
+
+
+def test_documents_refuse_a_quadrangle_with_a_repeated_vertex(plane_doc, tmp_path):
+    from fairtile.quadsplit import quadify_plane
+
+    with pytest.raises(DegeneratePolygon):
+        Quadrangle((Point(0, 0), Point(1, 0), Point(1, 0), Point(0, 1)))
+    plane = read_document(plane_doc)
+    header, first, *rest = serialize(
+        pipeline.quad_document(quadify_plane(plane.tiles[:2]), plane)).splitlines()
+    tile = json.loads(first)
+    tile["vertices"][2] = tile["vertices"][1]
+    path = tmp_path / "repeated.tiles"
+    path.write_text("\n".join([header, json.dumps(tile), *rest]) + "\n")
+    with pytest.raises(DocumentError):
+        read_document(path)
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert run_cli("quadify", "--in", str(path), "--out", str(tmp_path / "q.tiles")) == 2
 
 
 def test_render(plane_doc, tmp_path):

@@ -89,6 +89,14 @@ def test_equal_perimeter(small_plane):
     assert single.passed
 
 
+def _tri(*pts):
+    return Triangle(*(Point(*p) for p in pts))
+
+
+def _quad(*pts):
+    return Quadrangle(tuple(Point(*p) for p in pts))
+
+
 def test_vertex_to_vertex(strip_tiles, small_plane):
     assert check_vertex_to_vertex(strip_tiles, 1e-9).passed
     assert check_vertex_to_vertex(small_plane, 1e-9).passed
@@ -101,6 +109,40 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
     # disjoint tiles are fine
     far = [strip_tiles[2], Triangle(Point(90, 0), Point(92, 0), Point(91, 1), id=TileId(0, 3, 1))]
     assert check_vertex_to_vertex(far, 1e-9).passed
+
+    # one input per contact rule
+    tol = 1e-9
+    t1 = _tri((0, 0), (1, 0), (0, 1))
+    square = _quad((0, 0), (1, 0), (1, 1), (0, 1))
+    conforming = {
+        "shared edge": [t1, _tri((1, 0), (1, 1), (0, 1))],
+        "shared vertex": [t1, _tri((1, 0), (2, 0), (1.5, 1))],
+        "disjoint, boxes overlapping": [t1, _tri((0.6, 0.6), (1, 0.6), (0.6, 1))],
+        "triangle on a quadrangle's edge": [square, _tri((1, 0), (2, 0.5), (1, 1))],
+    }
+    for name, tiles in conforming.items():
+        rep = check_vertex_to_vertex(tiles, tol)
+        assert rep.passed and rep.worst_residual == 0.0, name
+    # (tiles, size of the violation); overlaps count by their depth, a length
+    faulty = {
+        "vertex matched twice": ([t1, _tri((0, 0), (0, -1), (5e-10, -1e-10))], tol),
+        "coincident tiles": ([t1, _tri((0, 0), (1, 0), (0, 1))], tol),
+        "T-junction": ([_tri((0, 0), (2, 0), (1, 1)), _tri((0, 0), (1, -1), (1, 0))], 1.0),
+        # two vertices on an edge: the first one's gap to the nearest vertex
+        "two T-junctions": ([_tri((0, 0), (4, 0), (2, 2)), _tri((0.5, 0), (1.5, -1), (3, 0))], 0.5),
+        "quadrangle on the diagonal": (
+            [square, _quad((0, 0), (1, 1), (0, 2), (-1, 1))], math.sqrt(0.5)),
+        "corner penetration": ([t1, _tri((1e-5, 0.5), (-1, 1), (-1, 0))], 1e-5),
+        "sliver overlap": ([t1, _tri((-0.5, 5e-9), (0.5, -1), (1.5, 5e-9))], 5e-9),
+    }
+    for name, (tiles, size) in faulty.items():
+        rep = check_vertex_to_vertex(tiles, tol)
+        assert not rep.passed and rep.offenders == (("?", "?"),), name
+        assert rep.worst_residual == pytest.approx(size, rel=1e-6), name
+    # edge lines decide overlap only between convex tiles
+    dart = _quad((0, 0), (2, 0), (0.4, 0.4), (0, 2))
+    with pytest.raises(InvalidParameter):
+        check_vertex_to_vertex([dart, _tri((1.2, 0.1), (1.5, 0.5), (1, 0.5))], tol)
 
 
 def test_pairwise_incongruent(small_plane):
