@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .geometry import TileId, Triangle, edge_vectors, reflect_x, shear, translate
+from .geometry import Point, TileId, Triangle, edge_vectors
 from .strip import StripTiling, tile_ids, triangle_at, window_triangles
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "StripTransform",
     "PlaneTiling",
     "scale_to_equilateral",
-    "shear",
     "row_order",
     "shear_index",
     "select_shears",
@@ -63,12 +62,28 @@ _DRAWS_PER_MARGIN = 1000
 
 @dataclass(frozen=True)
 class StripTransform:
-    """Placement of one sheared strip copy: optional reflection through the
-    horizontal axis, then a translation."""
+    """Placement of one strip copy: the shear (x, y) -> (x + mu*y, y), an
+    optional reflection through the horizontal axis, then a translation."""
 
     mu: float
     reflected: bool
     translation: tuple[float, float]
+
+    def place(self, x, y):
+        """Image of the strip point(s) ``(x, y)``, for floats or arrays alike.
+
+        A reflected copy reverses orientation, so a polygon placed vertex by
+        vertex has to reverse its vertex order to stay counterclockwise.
+        """
+        tx, ty = self.translation
+        return (x + self.mu * y) + tx, (-y if self.reflected else y) + ty
+
+    def place_triangle(self, tri: Triangle, tid: TileId) -> Triangle:
+        """The placed copy of a strip triangle, carrying ``tid``."""
+        pts = [Point(*self.place(v.x, v.y)) for v in tri.vertices]
+        if self.reflected:
+            pts.reverse()
+        return Triangle(*pts, id=tid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +91,19 @@ class PlaneTiling:
     """Stacked sheared copies of one certified base strip.
 
     ``rows`` holds the generated strip rows (contiguous, containing 0) and
-    ``transforms`` their placements.  Tiles materialize lazily through
+    ``transforms`` their placements.  Each row is the whole base strip,
+    columns -n_cols..n_cols.  Tiles materialize lazily through
     :func:`plane_triangle` / :func:`window`.
     """
 
     base: StripTiling
     rows: tuple[int, ...]
     transforms: dict[int, StripTransform]
-    window_cols: int
 
     def tiles(self) -> list[Triangle]:
         """Every generated tile, ordered by (row, col, slot)."""
         return [plane_triangle(self, tid)
-                for k in self.rows for tid in tile_ids(self.window_cols, row=k)]
+                for k in self.rows for tid in tile_ids(self.base.n_cols, row=k)]
 
 
 def scale_to_equilateral(t: StripTiling) -> StripTiling:
@@ -129,27 +144,25 @@ def _gap_to_roots(roots: np.ndarray, value: float) -> float:
     return float(np.min(np.abs(roots[max(idx - 1, 0):idx + 1] - value)))
 
 
-def select_shears(base: StripTiling, count: int, epsilon: float, window_cols: int,
+def select_shears(base: StripTiling, count: int, epsilon: float,
                   rng: random.Random) -> list[float]:
-    """Draw and certify the shear parameters for ``count`` strip rows.
+    """Draw and certify the shear parameters for ``count`` copies of the base.
 
     Parameter n is drawn from ``rng`` in
     (-2^-n * eps/(2*sqrt(3)), +2^-n * eps/(2*sqrt(3))) so the stacked drift
     stays under eps, and is redrawn until it clears
     every collision root of the window by a positive margin: the co-shear
     and equilateral roots of the base, and the match roots against all
-    previously fixed rows.  A window pair that agrees up to translation or
-    half-turn admits no certified shear and raises :class:`DegeneratePair`.
+    previously fixed rows.  A pair of base tiles that agrees up to
+    translation or half-turn admits no certified shear and raises
+    :class:`DegeneratePair`.
     """
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     if not 0.0 < epsilon:
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
-    if window_cols < 1 or window_cols > base.n_cols:
-        raise InvalidParameter(
-            f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
 
-    tiles = window_triangles(base, window_cols)
+    tiles = window_triangles(base)
     _, collisions = aligned_sweep(tiles, halfturn_variants, DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
@@ -209,7 +222,7 @@ def _row_offsets(ks: list[int], mu_of: dict[int, float]) -> dict[int, float]:
     return t_off
 
 
-def stack_plane(base: StripTiling, shears, rows: int, window_cols: int) -> PlaneTiling:
+def stack_plane(base: StripTiling, shears, rows: int) -> PlaneTiling:
     """Stack sheared copies of the base strip into a plane tiling.
 
     ``rows`` strip rows are taken in construction order 0, +1, -1, ...
@@ -220,9 +233,6 @@ def stack_plane(base: StripTiling, shears, rows: int, window_cols: int) -> Plane
     """
     if base.y_scale != SQRT3:
         raise InvalidParameter("stack_plane needs the vertically scaled strip")
-    if window_cols < 1 or window_cols > base.n_cols:
-        raise InvalidParameter(
-            f"window_cols must be in [1, {base.n_cols}], got {window_cols}")
     ks = row_order(rows)
     shears = tuple(float(m) for m in shears)
     needed = max(shear_index(k) for k in ks)
@@ -236,28 +246,18 @@ def stack_plane(base: StripTiling, shears, rows: int, window_cols: int) -> Plane
                           translation=(t_off[k], 2.0 * k * SQRT3))
         for k in ks
     }
-    plane = PlaneTiling(base=base, rows=tuple(sorted(ks)),
-                        transforms=transforms, window_cols=window_cols)
+    plane = PlaneTiling(base=base, rows=tuple(sorted(ks)), transforms=transforms)
     _assert_boundaries(plane)
     return plane
 
 
 def _boundary_profiles(p: PlaneTiling, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted x-coordinates of a row's (top, bottom) boundary vertices."""
-    w = p.window_cols
-    a_pos = p.base.aa[1:w + 2]
-    b_pos = p.base.bb[1:w + 2]
-    a_full = np.concatenate([-a_pos[::-1], a_pos])
-    b_full = np.concatenate([-b_pos[::-1], b_pos])
+    a_pos, b_pos, s = p.base.aa[1:], p.base.bb[1:], p.base.y_scale
     tr = p.transforms[k]
-    shift = tr.mu * p.base.y_scale
-    if tr.reflected:
-        top = b_full - shift + tr.translation[0]
-        bottom = a_full + shift + tr.translation[0]
-    else:
-        top = a_full + shift + tr.translation[0]
-        bottom = b_full - shift + tr.translation[0]
-    return top, bottom
+    upper, _ = tr.place(np.concatenate([-a_pos[::-1], a_pos]), s)
+    lower, _ = tr.place(np.concatenate([-b_pos[::-1], b_pos]), -s)
+    return (lower, upper) if tr.reflected else (upper, lower)
 
 
 def _assert_boundaries(p: PlaneTiling) -> None:
@@ -273,15 +273,7 @@ def plane_triangle(p: PlaneTiling, tid: TileId) -> Triangle:
     """Materialize one tile of the plane tiling."""
     if tid.row not in p.transforms:
         raise IndexOutOfRange(f"row {tid.row} not generated")
-    if abs(tid.col) > p.window_cols:
-        raise IndexOutOfRange(f"column {tid.col} outside window +-{p.window_cols}")
-    tr = p.transforms[tid.row]
-    tri = triangle_at(p.base, tid.col, tid.slot)
-    tri = shear(tri, tr.mu)
-    if tr.reflected:
-        tri = reflect_x(tri)
-    tri = translate(tri, tr.translation[0], tr.translation[1])
-    return Triangle(*tri.vertices, id=tid)
+    return p.transforms[tid.row].place_triangle(triangle_at(p.base, tid.col, tid.slot), tid)
 
 
 def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
@@ -295,14 +287,8 @@ def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
     flat = StripTiling(y0=0.0, n_cols=n_cols, xs=2.0 * i[:-1], ys=zeros[:-1],
                        aa=2.0 * i - 1.0, bb=2.0 * i - 1.0, alpha=zeros, beta=zeros,
                        xi=zeros[:-1], y_scale=SQRT3)
-    out = []
-    for tid in tids:
-        tri = triangle_at(flat, tid.col, tid.slot)
-        if tid.row % 2 != 0:
-            tri = reflect_x(tri)
-        tri = translate(tri, 0.0, 2.0 * tid.row * SQRT3)
-        out.append(Triangle(*tri.vertices, id=tid))
-    return out
+    return [StripTransform(0.0, tid.row % 2 != 0, (0.0, 2.0 * tid.row * SQRT3))
+            .place_triangle(triangle_at(flat, tid.col, tid.slot), tid) for tid in tids]
 
 
 def periodic_triangle(tid: TileId) -> Triangle:
@@ -324,12 +310,12 @@ def window(p: PlaneTiling, x_range: tuple[float, float],
         return []
     if k_lo < min(p.rows) or k_hi > max(p.rows):
         raise IndexOutOfRange(f"row range {row_range} outside generated rows {p.rows}")
-    coverage = 2.0 * p.window_cols - 1.0
+    coverage = 2.0 * p.base.n_cols - 1.0
     if x_lo < -coverage or x_hi > coverage:
         raise IndexOutOfRange(
             f"x range {x_range} outside certified coverage +-{coverage}")
     tiles = [plane_triangle(p, tid)
-             for k in range(k_lo, k_hi + 1) for tid in tile_ids(p.window_cols, row=k)]
+             for k in range(k_lo, k_hi + 1) for tid in tile_ids(p.base.n_cols, row=k)]
     return [tri for tri in tiles
             if max(v.x for v in tri.vertices) >= x_lo
             and min(v.x for v in tri.vertices) <= x_hi]

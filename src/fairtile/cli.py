@@ -78,7 +78,7 @@ def _cmd_gen_strip(args) -> int:
             raise _UsageError(f"--y0 must lie in (0, 1), got {y0}")
         tiling = strip_tiling(y0, cols)
         mode, seed = "fixed", None
-    doc = pipeline.strip_document(tiling, cols, seed=seed, mode=mode)
+    doc = pipeline.strip_document(tiling, seed=seed, mode=mode)
     document.write_document(doc, args.out)
     print(f"strip document: y0={document.fmt17(y0)}, cols={cols}, "
           f"{len(doc.tiles)} tiles -> {args.out}")
@@ -100,10 +100,9 @@ def _cmd_gen_plane(args) -> int:
     if not build.passed:
         print("generation failed verification; no document written", file=sys.stderr)
         return EXIT_GENERATION
-    doc = pipeline.plane_document(build, args.epsilon, args.seed, args.rows, args.cols)
-    document.write_document(doc, args.out)
+    document.write_document(build.doc, args.out)
     print(f"plane document: epsilon={document.fmt17(args.epsilon)}, seed={args.seed}, "
-          f"{len(doc.tiles)} tiles -> {args.out}")
+          f"{len(build.doc.tiles)} tiles -> {args.out}")
     return EXIT_OK
 
 

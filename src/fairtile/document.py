@@ -114,9 +114,16 @@ def serialize(doc: TilingDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _id_field(id_obj, key: str) -> int:
+    value = id_obj[key]
+    if type(value) is not int:  # refuses floats, strings and booleans alike
+        raise DocumentError(f"tile id field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_tile(obj) -> Triangle | Quadrangle:
     id_obj = obj["id"]
-    tid = TileId(int(id_obj["row"]), int(id_obj["col"]), int(id_obj["slot"]))
+    tid = TileId(*(_id_field(id_obj, key) for key in ("row", "col", "slot")))
     corner = id_obj.get("corner")
     pts = [Point(float(x), float(y)) for x, y in obj["vertices"]]
     if len(pts) == 3:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import assembly, document, quadsplit, verify
 from .errors import ExhaustedRetries, InvalidParameter
-from .geometry import Quadrangle, Triangle
+from .geometry import Quadrangle
 from .strip import StripTiling, deviations, strip_tiling, window_triangles
 
 __all__ = [
@@ -158,7 +158,7 @@ def sample_certified_y0(rng: random.Random, cols: int,
         if not gate.passed:
             last = f"contraction gate failed for y0={y0!r}"
             continue
-        sep = verify.check_halfturn_incongruent(window_triangles(tiling, cols))
+        sep = verify.check_halfturn_incongruent(window_triangles(tiling))
         if not sep.passed:
             last = f"strip-level congruence for y0={y0!r} (margin {sep.margin:.3e})"
             continue
@@ -168,10 +168,9 @@ def sample_certified_y0(rng: random.Random, cols: int,
 
 @dataclass(frozen=True)
 class PlaneBuild:
-    plane: assembly.PlaneTiling
-    tiles: list[Triangle]
-    y0: float
-    shears: tuple[float, ...]
+    """A plane document and the reports of the checks run on it."""
+
+    doc: document.TilingDocument
     reports: tuple[verify.VerificationReport, ...]
 
     @property
@@ -186,21 +185,17 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
     if rows < 1 or cols < 1:
         raise InvalidParameter("rows and cols must be >= 1")
     rng = random.Random(seed)
-    y0, base = sample_certified_y0(rng, cols, epsilon)
+    _, base = sample_certified_y0(rng, cols, epsilon)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, rows, epsilon, cols, rng)
-    plane = assembly.stack_plane(scaled, shears, rows, cols)
-    tiles = plane.tiles()
+    shears = assembly.select_shears(scaled, rows, epsilon, rng)
+    doc = plane_document(assembly.stack_plane(scaled, shears, rows), epsilon, seed)
 
     budget = sum(2.0 * assembly.SQRT3 * abs(m) for m in shears)
     budget_report = verify.VerificationReport(
         check_name="shear-budget", passed=budget < epsilon, worst_residual=None,
         margin=epsilon - budget, offenders=(), tiles_checked=len(shears),
         tolerance_used=epsilon)
-    doc = document.TilingDocument(
-        kind="plane", parameters=document.make_parameters(epsilon=epsilon), tiles=tiles)
-    reports = run_checks(doc) + (budget_report,)
-    return PlaneBuild(plane=plane, tiles=tiles, y0=y0, shears=tuple(shears), reports=reports)
+    return PlaneBuild(doc=doc, reports=run_checks(doc) + (budget_report,))
 
 
 def quadify_checked(doc: document.TilingDocument):
@@ -226,19 +221,21 @@ def quadify_checked(doc: document.TilingDocument):
 # document builders
 
 
-def strip_document(tiling: StripTiling, cols: int, *,
+def strip_document(tiling: StripTiling, *,
                    seed: int | None = None, mode: str = "fixed") -> document.TilingDocument:
-    params = document.make_parameters(y0=tiling.y0, cols=cols, seed=seed, mode=mode)
+    params = document.make_parameters(y0=tiling.y0, cols=tiling.n_cols, seed=seed, mode=mode)
     return document.TilingDocument(kind="strip", parameters=params,
-                                   tiles=window_triangles(tiling, cols))
+                                   tiles=window_triangles(tiling))
 
 
-def plane_document(build: PlaneBuild, epsilon: float, seed: int,
-                   rows: int, cols: int) -> document.TilingDocument:
+def plane_document(plane: assembly.PlaneTiling, epsilon: float,
+                   seed: int) -> document.TilingDocument:
+    # the shears in draw order: row_order(rows)[n - 1] takes parameter n
+    shears = [plane.transforms[k].mu for k in assembly.row_order(len(plane.rows))]
     params = document.make_parameters(
-        epsilon=epsilon, seed=seed, rows=rows, cols=cols,
-        y0=build.y0, shears=list(build.shears))
-    return document.TilingDocument(kind="plane", parameters=params, tiles=list(build.tiles))
+        epsilon=epsilon, seed=seed, rows=len(plane.rows), cols=plane.base.n_cols,
+        y0=plane.base.y0, shears=shears)
+    return document.TilingDocument(kind="plane", parameters=params, tiles=plane.tiles())
 
 
 def quad_document(quads: list[Quadrangle],

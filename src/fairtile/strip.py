@@ -182,13 +182,9 @@ def deviations(t: StripTiling) -> DeviationSeries:
     exercised by the tests.
     """
     y = t.ys
-    h = np.empty(t.n_cols + 1)
-    h[0] = 1.0 + 2.0 * y[0] * y[0] / (1.0 - y[0] * y[0])
+    h0 = 1.0 + 2.0 * y[0] * y[0] / (1.0 - y[0] * y[0])
     inc = 4.0 * y[1:] * y[1:] / (1.0 - y[1:] * y[1:])
-    acc = h[0]
-    for i, step in enumerate(inc, start=1):
-        acc += step
-        h[i] = acc
+    h = np.cumsum(np.concatenate(([h0], inc)))  # adds in order, as a running sum does
     return DeviationSeries(alpha=t.alpha, beta=t.beta, xi=t.xi, y=y, h=h)
 
 
@@ -199,9 +195,9 @@ def tile_ids(n_cols: int, row: int = 0):
             yield TileId(row, i, j)
 
 
-def window_triangles(t: StripTiling, n_cols: int) -> list[Triangle]:
-    """Every triangle of the window -n_cols..n_cols, ordered by (col, slot)."""
-    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(n_cols)]
+def window_triangles(t: StripTiling) -> list[Triangle]:
+    """Every triangle of the tiling, columns -n_cols..n_cols, ordered by (col, slot)."""
+    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(t.n_cols)]
 
 
 def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:
@@ -216,13 +212,6 @@ def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:
         raise IndexOutOfRange(f"no tile at column {i}, slot {j}")
 
     s = t.y_scale
-    if i < 0:
-        m = triangle_at(t, -i, j)
-        # negate x and reverse the order so the mirror stays ccw
-        p1, p2, p3 = m.vertices
-        return Triangle(Point(-p3.x, p3.y), Point(-p2.x, p2.y), Point(-p1.x, p1.y),
-                        id=TileId(0, i, j))
-
     if i == 0:
         apex = Point(0.0, t.y0 * s)
         if j == 1:
@@ -231,16 +220,20 @@ def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:
             tri = (apex, Point(-t.bb[1], -s), Point(t.bb[1], -s))
         return Triangle(*tri, id=TileId(0, 0, j))
 
-    mid_prev = Point(t.xs[i - 1], t.ys[i - 1] * s)
-    mid = Point(t.xs[i], t.ys[i] * s)
+    n = abs(i)
+    mid_prev = Point(t.xs[n - 1], t.ys[n - 1] * s)
+    mid = Point(t.xs[n], t.ys[n] * s)
     if j == 1:
-        tri = (Point(t.aa[i], s), mid, Point(t.aa[i + 1], s))
+        tri = (Point(t.aa[n], s), mid, Point(t.aa[n + 1], s))
     elif j == 2:
-        tri = (mid_prev, mid, Point(t.aa[i], s))
+        tri = (mid_prev, mid, Point(t.aa[n], s))
     elif j == 3:
-        tri = (mid_prev, Point(t.bb[i], -s), mid)
+        tri = (mid_prev, Point(t.bb[n], -s), mid)
     else:
-        tri = (Point(t.bb[i], -s), Point(t.bb[i + 1], -s), mid)
+        tri = (Point(t.bb[n], -s), Point(t.bb[n + 1], -s), mid)
+    if i < 0:
+        # negate x and reverse the order so the mirror stays ccw
+        tri = tuple(Point(-p.x, p.y) for p in reversed(tri))
     return Triangle(*tri, id=TileId(0, i, j))
 
 

@@ -276,6 +276,17 @@ def _subreport(name, passed, margin, count, note="") -> VerificationReport:
         offenders=(), tiles_checked=count, tolerance_used=0.0, note=note)
 
 
+def _chain(steps: np.ndarray, strict: np.ndarray) -> tuple[bool, float, str]:
+    """Whether ``steps`` are positive where ``strict`` holds and non-negative
+    elsewhere, the smallest strict step, and a note naming the first index
+    past the strict floor."""
+    holds = bool(np.all(steps[strict] > 0.0)) and bool(np.all(steps[~strict] >= 0.0))
+    margin = float(np.min(steps[strict])) if strict.any() else math.inf
+    cut = int(np.argmin(strict)) if strict.any() and not strict.all() else None
+    note = f"strict up to index {cut}, non-reversal beyond" if cut is not None else ""
+    return holds, margin, note
+
+
 def check_contraction(series: DeviationSeries) -> VerificationReport:
     """The four contraction estimates of the deviation series.
 
@@ -294,27 +305,14 @@ def check_contraction(series: DeviationSeries) -> VerificationReport:
     m1 = min(float(np.min(cum_sq - h)), float(np.min(2.0 - cum_sq)))
     sub1 = _subreport("h-bound", m1 > 0.0, m1, n)
 
-    inc = np.diff(h)
-    strict_h = np.abs(y[1:]) >= _H_STRICT_FLOOR if n > 1 else np.zeros(0, bool)
     bound = min(float(np.min(h - 1.0)), float(np.min(2.0 - h)))
-    strict_ok = bool(np.all(inc[strict_h] > 0.0)) if inc.size else True
-    relax_ok = bool(np.all(inc[~strict_h] >= 0.0)) if inc.size else True
-    m2 = float(np.min(inc[strict_h])) if strict_h.any() else math.inf
-    m2 = min(m2, bound)
-    cut = int(np.argmin(strict_h)) if strict_h.any() and not strict_h.all() else None
-    note = f"strict up to index {cut}, non-reversal beyond" if cut is not None else ""
-    sub2 = _subreport("h-monotone", strict_ok and relax_ok and bound > 0.0, m2, n, note)
+    ok, m2, note = _chain(np.diff(h), np.abs(y[1:]) >= _H_STRICT_FLOOR)
+    sub2 = _subreport("h-monotone", ok and bound > 0.0, min(m2, bound), n, note)
 
     sign_ok = bool(np.all(np.sign(y) == np.where(np.arange(n) % 2 == 0, 1.0, -1.0)))
     ay = np.abs(y)
-    dec = ay[:-1] - ay[1:]
-    strict_y = ay[:-1] >= _Y_STRICT_FLOOR if n > 1 else np.zeros(0, bool)
-    strict_ok_y = bool(np.all(dec[strict_y] > 0.0)) if dec.size else True
-    relax_ok_y = bool(np.all(dec[~strict_y] >= 0.0)) if dec.size else True
-    m3 = float(np.min(dec[strict_y])) if strict_y.any() else math.inf
-    cut_y = int(np.argmin(strict_y)) if strict_y.any() and not strict_y.all() else None
-    note_y = f"strict up to index {cut_y}, non-reversal beyond" if cut_y is not None else ""
-    sub3 = _subreport("y-alternating", sign_ok and strict_ok_y and relax_ok_y, m3, n, note_y)
+    ok, m3, note = _chain(ay[:-1] - ay[1:], ay[:-1] >= _Y_STRICT_FLOOR)
+    sub3 = _subreport("y-alternating", sign_ok and ok, m3, n, note)
 
     m4 = 4.0 - float(np.max(np.cumsum(ay)))
     sub4 = _subreport("y-abs-sum", m4 > 0.0, m4, n)

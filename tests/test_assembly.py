@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from fairtile import assembly
@@ -24,14 +25,22 @@ from fairtile.congruence import (
     shear_match_roots,
 )
 from fairtile.errors import BoundaryMismatch, DegeneratePair, IndexOutOfRange, InvalidParameter
-from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, shear
-from fairtile.strip import critical_tiling, strip_tiling, tile_ids, triangle_at
+from fairtile.geometry import (Point, TileId, Triangle, area, edge_lengths, reflect_x, shear,
+                               translate)
+from fairtile.strip import (StripTiling, critical_tiling, strip_tiling, tile_ids, triangle_at,
+                            window_triangles)
 from fairtile.verify import check_closeness, check_vertex_to_vertex
 
 
 @pytest.fixture(scope="module")
 def base():
     return scale_to_equilateral(strip_tiling(0.004, 6))
+
+
+def window_base(cols):
+    """The scaled base strip built at a window width; the recursion runs
+    column by column, so its columns equal those of any wider base."""
+    return scale_to_equilateral(strip_tiling(0.004, cols))
 
 
 def test_scale_produces_near_equilateral_tiles(base):
@@ -67,18 +76,20 @@ def test_row_order_and_shear_indices():
     assert [shear_index(k) for k in (0, 1, -1, 2, -2, 3)] == [1, 2, 3, 4, 5, 6]
 
 
-def test_select_shears_budget_and_determinism(base):
-    mus = select_shears(base, count=16, epsilon=0.1, window_cols=3, rng=random.Random(7))
+def test_select_shears_budget_and_determinism():
+    base = window_base(3)
+    mus = select_shears(base, count=16, epsilon=0.1, rng=random.Random(7))
     assert len(mus) == 16
     assert sum(2 * SQRT3 * abs(m) for m in mus) < 0.1
     for n, mu in enumerate(mus, start=1):
         assert abs(mu) < (0.5 ** n) * 0.1 / (2 * SQRT3)
-    again = select_shears(base, count=16, epsilon=0.1, window_cols=3, rng=random.Random(7))
+    again = select_shears(base, count=16, epsilon=0.1, rng=random.Random(7))
     assert mus == again
 
 
-def test_selected_shears_clear_root_sets(base):
-    mus = select_shears(base, count=3, epsilon=0.01, window_cols=2, rng=random.Random(3))
+def test_selected_shears_clear_root_sets():
+    base = window_base(2)
+    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(3))
     tiles = [triangle_at(base, tid.col, tid.slot) for tid in tile_ids(2)]
     for mu in mus:
         for a in range(len(tiles)):
@@ -100,16 +111,17 @@ def test_select_shears_sweeps_the_window_once(base, monkeypatch):
     # the critical strip's mirror columns agree up to a half-turn
     critical = scale_to_equilateral(critical_tiling(3))
     with pytest.raises(DegeneratePair):
-        select_shears(critical, count=2, epsilon=0.01, window_cols=3, rng=random.Random(0))
+        select_shears(critical, count=2, epsilon=0.01, rng=random.Random(0))
     calls = []
     monkeypatch.setattr(assembly, "bad_shear_set", lambda *pair: calls.append(pair))
-    select_shears(base, count=2, epsilon=0.01, window_cols=6, rng=random.Random(3))
+    select_shears(base, count=2, epsilon=0.01, rng=random.Random(3))
     assert calls == []  # no per-pair root call on a window without degenerate pairs
 
 
-def test_stack_plane_transforms(base):
-    mus = select_shears(base, count=4, epsilon=0.01, window_cols=4, rng=random.Random(11))
-    plane = stack_plane(base, mus, 4, 4)
+def test_stack_plane_transforms():
+    base = window_base(4)
+    mus = select_shears(base, count=4, epsilon=0.01, rng=random.Random(11))
+    plane = stack_plane(base, mus, 4)
     assert plane.rows == (-1, 0, 1, 2)
     t0, t1 = plane.transforms[0], plane.transforms[1]
     assert not t0.reflected and t1.reflected
@@ -122,19 +134,21 @@ def test_stack_plane_transforms(base):
     assert not plane.transforms[2].reflected
 
 
-def test_stack_plane_validation(base):
-    mus = select_shears(base, count=4, epsilon=0.01, window_cols=4, rng=random.Random(11))
+def test_stack_plane_validation():
+    base = window_base(4)
+    mus = select_shears(base, count=4, epsilon=0.01, rng=random.Random(11))
     with pytest.raises(InvalidParameter):
-        stack_plane(strip_tiling(0.004, 6), mus, 2, 4)  # unscaled base
+        stack_plane(strip_tiling(0.004, 4), mus, 2)  # unscaled base
     with pytest.raises(InvalidParameter):
-        stack_plane(base, mus[:2], 4, 4)  # too few shears
+        stack_plane(base, mus[:2], 4)  # too few shears
     with pytest.raises(InvalidParameter):
-        stack_plane(base, mus, 0, 4)  # no rows
+        stack_plane(base, mus, 0)  # no rows
 
 
-def test_boundary_sentinel_detects_corruption(base):
-    mus = select_shears(base, count=3, epsilon=0.01, window_cols=3, rng=random.Random(2))
-    plane = stack_plane(base, mus, 3, 3)
+def test_boundary_sentinel_detects_corruption():
+    base = window_base(3)
+    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(2))
+    plane = stack_plane(base, mus, 3)
     broken = plane.transforms[1]
     plane.transforms[1] = assembly.StripTransform(
         mu=broken.mu, reflected=broken.reflected,
@@ -143,17 +157,19 @@ def test_boundary_sentinel_detects_corruption(base):
         assembly._assert_boundaries(plane)
 
 
-def test_stacked_window_is_vertex_to_vertex(base):
-    mus = select_shears(base, count=3, epsilon=0.01, window_cols=5, rng=random.Random(5))
-    plane = stack_plane(base, mus, 3, 5)
+def test_stacked_window_is_vertex_to_vertex():
+    base = window_base(5)
+    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(5))
+    plane = stack_plane(base, mus, 3)
     report = check_vertex_to_vertex(plane.tiles(), 1e-9)
     assert report.passed
 
 
-def test_closeness_of_stacked_window(base):
+def test_closeness_of_stacked_window():
+    base = window_base(5)
     eps = 0.01
-    mus = select_shears(base, count=3, epsilon=eps, window_cols=5, rng=random.Random(5))
-    plane = stack_plane(base, mus, 3, 5)
+    mus = select_shears(base, count=3, epsilon=eps, rng=random.Random(5))
+    plane = stack_plane(base, mus, 3)
     rep = check_closeness(plane.tiles(), eps)
     assert rep.passed
     assert rep.worst_residual < 2 * eps
@@ -210,9 +226,10 @@ def test_periodic_triangle_matches_the_closed_form_lattice():
     assert periodic_triangles([]) == []
 
 
-def test_window_selection(base):
-    mus = select_shears(base, count=2, epsilon=0.01, window_cols=4, rng=random.Random(8))
-    plane = stack_plane(base, mus, 2, 4)
+def test_window_selection():
+    base = window_base(4)
+    mus = select_shears(base, count=2, epsilon=0.01, rng=random.Random(8))
+    plane = stack_plane(base, mus, 2)
     assert window(plane, (1.0, 0.0), (0, 1)) == []
     one_row = window(plane, (-4.5, 4.5), (0, 0))
     assert {t.id.row for t in one_row} == {0}
@@ -224,9 +241,10 @@ def test_window_selection(base):
         window(plane, (-100.0, 100.0), (0, 1))
 
 
-def test_window_builds_only_its_rows(base, monkeypatch):
-    mus = select_shears(base, count=3, epsilon=0.01, window_cols=4, rng=random.Random(8))
-    plane = stack_plane(base, mus, 3, 4)
+def test_window_builds_only_its_rows(monkeypatch):
+    base = window_base(4)
+    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(8))
+    plane = stack_plane(base, mus, 3)
     calls = []
 
     def counted(p, tid):
@@ -241,10 +259,80 @@ def test_window_builds_only_its_rows(base, monkeypatch):
                      and min(v.x for v in t.vertices) <= 7.0]
 
 
-def test_plane_triangle_bounds(base):
-    mus = select_shears(base, count=2, epsilon=0.01, window_cols=4, rng=random.Random(8))
-    plane = stack_plane(base, mus, 2, 4)
+def test_plane_triangle_bounds():
+    base = window_base(4)
+    mus = select_shears(base, count=2, epsilon=0.01, rng=random.Random(8))
+    plane = stack_plane(base, mus, 2)
     with pytest.raises(IndexOutOfRange):
         plane_triangle(plane, TileId(3, 1, 1))
     with pytest.raises(IndexOutOfRange):
         plane_triangle(plane, TileId(0, 9, 1))
+
+
+def _chained(tri, tid, mu, reflected, translation):
+    """A strip triangle placed the long way round, one validated polygon per
+    step: shear (skipped when ``mu`` is None), reflect through the x axis,
+    translate, re-id."""
+    if mu is not None:
+        tri = shear(tri, mu)
+    if reflected:
+        tri = reflect_x(tri)
+    tri = translate(tri, *translation)
+    return Triangle(*tri.vertices, id=tid)
+
+
+def _bits(tri):
+    return (tri.id, [(float(v.x).hex(), float(v.y).hex()) for v in tri.vertices])
+
+
+def test_placement_matches_the_transform_chain():
+    base = window_base(3)
+    plane = stack_plane(base, select_shears(base, count=3, epsilon=0.01,
+                                            rng=random.Random(2)), 3)
+    tiles = plane.tiles()
+    assert plane.rows == (-1, 0, 1) and min(t.id.col for t in tiles) == -3
+    for k in plane.rows:
+        tr = plane.transforms[k]
+        chained = [_chained(triangle_at(base, tid.col, tid.slot), tid,
+                            tr.mu, tr.reflected, tr.translation)
+                   for tid in tile_ids(3, row=k)]
+        assert [_bits(t) for t in chained] == [_bits(t) for t in tiles if t.id.row == k]
+        # the boundary profiles are the x-coordinates of the placed row's
+        # vertices on its top and bottom lines
+        ys = [v.y for t in chained for v in t.vertices]
+        for line, profile in zip((max(ys), min(ys)), assembly._boundary_profiles(plane, k)):
+            xs = sorted({v.x for t in chained for v in t.vertices if v.y == line})
+            assert [float(x).hex() for x in xs] == [float(x).hex() for x in profile]
+
+    # the periodic reference: the flat strip, reflected on odd rows and
+    # lifted by 2*sqrt(3) per row, with no shear step
+    i = np.arange(5, dtype=np.float64)
+    zeros = np.zeros(5)
+    flat = StripTiling(y0=0.0, n_cols=3, xs=2.0 * i[:-1], ys=zeros[:-1], aa=2.0 * i - 1.0,
+                       bb=2.0 * i - 1.0, alpha=zeros, beta=zeros, xi=zeros[:-1], y_scale=SQRT3)
+    chained = [_chained(triangle_at(flat, t.id.col, t.id.slot), t.id, None,
+                        t.id.row % 2 != 0, (0.0, 2.0 * t.id.row * SQRT3)) for t in tiles]
+    assert [_bits(t) for t in periodic_triangles([t.id for t in tiles])] == [
+        _bits(t) for t in chained]
+
+
+def test_tiles_are_built_once_per_placement(monkeypatch):
+    base = window_base(3)
+    plane = stack_plane(base, select_shears(base, count=3, epsilon=0.01,
+                                            rng=random.Random(2)), 3)
+    built = []
+    validate = Triangle.__post_init__
+
+    def counted(tri):
+        built.append(tri.id)
+        validate(tri)
+
+    monkeypatch.setattr(Triangle, "__post_init__", counted)
+    tiles = plane.tiles()
+    assert len(tiles) == 3 * 26 and len(built) == 2 * len(tiles)  # strip tile, placed copy
+    built.clear()
+    periodic = periodic_triangles([t.id for t in tiles])
+    assert len(built) == 2 * len(periodic)
+    built.clear()
+    strip_tiles = window_triangles(base)
+    assert len(built) == len(strip_tiles) == 26  # mirrored columns included

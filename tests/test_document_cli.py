@@ -20,7 +20,7 @@ def test_fmt17_round_trips_binary64():
 
 
 def test_document_round_trip_is_byte_identical(tmp_path):
-    doc = pipeline.strip_document(strip_tiling(0.2, 4), 4)
+    doc = pipeline.strip_document(strip_tiling(0.2, 4))
     text = serialize(doc)
     assert serialize(parse(text)) == text
     path = tmp_path / "strip.tiles"
@@ -38,7 +38,7 @@ def test_document_rejects_malformed_input():
         parse('{"format_version":"9","kind":"strip","parameters":{}}\n')
     with pytest.raises(DocumentError):
         parse('{"format_version":"1","kind":"blob","parameters":{}}\n')
-    good = serialize(pipeline.strip_document(strip_tiling(0.2, 1), 1))
+    good = serialize(pipeline.strip_document(strip_tiling(0.2, 1)))
     with pytest.raises(DocumentError):
         parse(good + "not json\n")
 
@@ -147,7 +147,7 @@ def test_verify_strip_contraction_report(tmp_path, capsys):
 
 
 def test_strip_checks_rebuild_the_tiling_once(monkeypatch):
-    doc = pipeline.strip_document(strip_tiling(0.005, 10), 10)
+    doc = pipeline.strip_document(strip_tiling(0.005, 10))
     calls = []
 
     def counted(y0, cols):
@@ -186,10 +186,9 @@ def test_verify_refuses_closeness_on_quad_documents(tmp_path):
 def test_reports_of_in_memory_documents_are_json():
     from fairtile.quadsplit import quadify_plane
 
-    build = pipeline.build_plane(0.05, 4, 2, 3)
-    plane = pipeline.plane_document(build, 0.05, 4, 2, 3)
-    docs = [pipeline.strip_document(strip_tiling(0.005, 3), 3), plane,
-            pipeline.quad_document(quadify_plane(build.tiles), plane)]
+    plane = pipeline.build_plane(0.05, 4, 2, 3).doc
+    docs = [pipeline.strip_document(strip_tiling(0.005, 3)), plane,
+            pipeline.quad_document(quadify_plane(plane.tiles), plane)]
     for doc in docs:
         for r in pipeline.run_checks(doc, list(pipeline.CHECKS[doc.kind])):
             json.dumps(cli._report_dict(r))
@@ -251,6 +250,20 @@ def test_documents_refuse_a_quadrangle_with_a_repeated_vertex(plane_doc, tmp_pat
         read_document(path)
     assert run_cli("verify", "--in", str(path)) == 2
     assert run_cli("quadify", "--in", str(path), "--out", str(tmp_path / "q.tiles")) == 2
+
+
+def test_documents_refuse_tile_ids_that_are_not_integers(tmp_path):
+    header, first, *rest = serialize(pipeline.strip_document(strip_tiling(0.2, 1))).splitlines()
+    bad_ids = [{"col": -1.7, "row": True}, {"col": 1.0}, {"slot": "1"}, {"row": False},
+               {"row": None}]
+    for k, fields in enumerate(bad_ids):
+        tile = json.loads(first)
+        tile["id"].update(fields)
+        path = tmp_path / f"id{k}.tiles"
+        path.write_text("\n".join([header, json.dumps(tile), *rest]) + "\n")
+        with pytest.raises(DocumentError):
+            read_document(path)
+        assert run_cli("verify", "--in", str(path)) == 2
 
 
 def test_render(plane_doc, tmp_path):

@@ -265,8 +265,8 @@ def test_quadify_plane():
     rng = random.Random(4)
     y0, base = pipeline.sample_certified_y0(rng, 2)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, 1, 0.01, 2, rng)
-    plane = assembly.stack_plane(scaled, shears, 1, 2)
+    shears = assembly.select_shears(scaled, 1, 0.01, rng)
+    plane = assembly.stack_plane(scaled, shears, 1)
     tiles = plane.tiles()
     assert len(tiles) == 18
     quads = quadify_plane(tiles)

@@ -49,8 +49,8 @@ def small_plane():
     rng = random.Random(6)
     y0, base = pipeline.sample_certified_y0(rng, 4)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, 3, 0.01, 4, rng)
-    plane = assembly.stack_plane(scaled, shears, 3, 4)
+    shears = assembly.select_shears(scaled, 3, 0.01, rng)
+    plane = assembly.stack_plane(scaled, shears, 3)
     return plane.tiles()
 
 
@@ -178,7 +178,7 @@ def test_halfturn_check(strip_tiles):
 
 
 def test_sweeps_match_the_pair_distances(small_plane):
-    strip = window_triangles(strip_tiling(0.004, 10), 10)
+    strip = window_triangles(strip_tiling(0.004, 10))
     quads = quadify_plane(small_plane)[:90]
     for tiles, check, distance in ((strip, check_halfturn_incongruent, simeq_distance),
                                    (quads, check_pairwise_incongruent, signature_distance)):
