@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -25,24 +26,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GENERATION = 3
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _report_dict(r: verify.VerificationReport) -> dict:
-    return {
-        "check_name": r.check_name,
-        "passed": r.passed,
-        "worst_residual": r.worst_residual,
-        "margin": r.margin,
-        "offenders": [list(pair) for pair in r.offenders],
-        "tiles_checked": r.tiles_checked,
-        "tolerance_used": r.tolerance_used,
-        "note": r.note,
-        "subchecks": [_report_dict(s) for s in r.subchecks],
-    }
 
 
 def _print_report(r: verify.VerificationReport) -> None:
@@ -62,38 +45,33 @@ def _print_report(r: verify.VerificationReport) -> None:
 
 
 def _cmd_gen_strip(args) -> int:
-    cols = args.cols
-    if cols < 1:
-        raise _UsageError(f"--cols must be >= 1, got {cols}")
     if args.y0 == "auto":
         rng = random.Random(args.seed)
-        y0, tiling = pipeline.sample_certified_y0(rng, cols)
+        y0, tiling = pipeline.sample_certified_y0(rng, args.cols)
         mode, seed = "auto", args.seed
     else:
         try:
             y0 = float(args.y0)
         except ValueError:
-            raise _UsageError(f"--y0 must be a number or 'auto', got {args.y0!r}")
-        if not 0.0 < y0 < 1.0:
-            raise _UsageError(f"--y0 must lie in (0, 1), got {y0}")
-        tiling = strip_tiling(y0, cols)
+            raise InvalidParameter(f"--y0 must be a number or 'auto', got {args.y0!r}")
+        tiling = strip_tiling(y0, args.cols)
         mode, seed = "fixed", None
     doc = pipeline.strip_document(tiling, seed=seed, mode=mode)
     document.write_document(doc, args.out)
-    print(f"strip document: y0={document.fmt17(y0)}, cols={cols}, "
+    print(f"strip document: y0={document.fmt17(y0)}, cols={args.cols}, "
           f"{len(doc.tiles)} tiles -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_gen_plane(args) -> int:
     if not 0.0 < args.epsilon <= 0.05:
-        raise _UsageError(f"--epsilon must lie in (0, 0.05], got {args.epsilon}")
+        raise InvalidParameter(f"--epsilon must lie in (0, 0.05], got {args.epsilon}")
     # beyond ~16 rows the nested shear intervals drop below the congruence
     # quantum and the finite-precision incongruence certificate saturates
     if not 1 <= args.rows <= 16:
-        raise _UsageError(f"--rows must lie in [1, 16], got {args.rows}")
+        raise InvalidParameter(f"--rows must lie in [1, 16], got {args.rows}")
     if not 1 <= args.cols <= 2000:
-        raise _UsageError(f"--cols must lie in [1, 2000], got {args.cols}")
+        raise InvalidParameter(f"--cols must lie in [1, 2000], got {args.cols}")
     build = pipeline.build_plane(args.epsilon, args.seed, args.rows, args.cols)
     for r in build.reports:
         _print_report(r)
@@ -108,15 +86,14 @@ def _cmd_gen_plane(args) -> int:
 
 def _cmd_quadify(args) -> int:
     doc = document.read_document(args.infile)
-    quads, reports, passed = pipeline.quadify_checked(doc)
+    quad_doc, reports, passed = pipeline.quadify_checked(doc)
     for r in reports:
         _print_report(r)
     if not passed:
         print("quadify refused: input or output failed verification", file=sys.stderr)
         return EXIT_GENERATION
-    out_doc = pipeline.quad_document(quads, doc)
-    document.write_document(out_doc, args.out)
-    print(f"quad document: {len(quads)} tiles -> {args.out}")
+    document.write_document(quad_doc, args.out)
+    print(f"quad document: {len(quad_doc.tiles)} tiles -> {args.out}")
     return EXIT_OK
 
 
@@ -127,7 +104,7 @@ def _cmd_verify(args) -> int:
         _print_report(r)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([_report_dict(r) for r in reports], fh, indent=2, sort_keys=True)
+            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
@@ -138,7 +115,7 @@ def _cmd_render(args) -> int:
     if args.viewbox:
         parts = args.viewbox.split(",")
         if len(parts) != 4:
-            raise _UsageError("--viewbox needs 'x,y,w,h'")
+            raise InvalidParameter("--viewbox needs 'x,y,w,h'")
         viewbox = tuple(float(v) for v in parts)
     options = render.RenderOptions(stroke_width=args.stroke_width, viewbox=viewbox,
                                    label_tiles=args.labels, scale=args.scale)
@@ -200,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, InvalidParameter, DocumentError,
+    except (InvalidParameter, DocumentError,
             FileNotFoundError, IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

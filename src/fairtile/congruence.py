@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, InvalidParameter, NoUnequalHeights
-from .geometry import (
-    Triangle,
-    edge_lengths,
-    edge_vectors,
-    vertical_width,
-)
+from .geometry import Triangle, edge_lengths, edge_vectors, interior_angles
 
 __all__ = [
     "ShearRootSet",
@@ -44,7 +39,6 @@ __all__ = [
     "bad_shear_set",
     "shear_match_roots",
     "equilateral_shear_set",
-    "vertical_width",
 ]
 
 DEFAULT_QUANTUM = 1e-9
@@ -55,39 +49,24 @@ _DISC_CLAMP = 1e-12
 _ROOT_DEDUP = 1e-9
 
 
-def _orderings(pts):
-    """All 2n vertex orderings: cyclic rotations of both orientations."""
-    n = len(pts)
-    fwd = list(pts)
-    rev = list(pts)[::-1]
-    for base in (fwd, rev):
-        for r in range(n):
-            yield base[r:] + base[:r]
-
-
-def _flat_pairs(pts) -> tuple[float, ...]:
-    """Flattened (length, angle) pairs for one explicit vertex ordering."""
-    n = len(pts)
-    out = []
-    for k in range(n):
-        v, w = pts[k], pts[(k + 1) % n]
-        u = pts[(k - 1) % n]
-        a = (w.x - v.x, w.y - v.y)
-        b = (u.x - v.x, u.y - v.y)
-        out.append(math.hypot(*a))
-        out.append(math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1]))
-    return tuple(out)
-
-
 def signature_variants(p) -> np.ndarray:
     """All 2n alignment rows of the (edge length, interior angle) signature,
     one per cyclic rotation of either orientation, shape (2n, 2n).
 
     Comparing every row of one polygon against a fixed row of another
     covers every relative alignment, which is what the vectorized pairwise
-    sweeps rely on.
+    sweeps rely on.  Row ``r < n`` starts at vertex ``r`` and runs forward;
+    in reversed rotation ``r`` position ``k`` is vertex ``(-1 - r - k) % n``,
+    whose edge in that direction is the one entering it.
     """
-    return np.array([_flat_pairs(o) for o in _orderings(p.vertices)])
+    n = len(p.vertices)
+    k = np.arange(n)
+    fwd = (k[:, None] + k) % n
+    rev = (-1 - k[:, None] - k) % n
+    rows = np.empty((2 * n, 2 * n))
+    rows[:, 0::2] = np.array(edge_lengths(p))[np.concatenate([fwd, (rev - 1) % n])]
+    rows[:, 1::2] = np.array(interior_angles(p))[np.concatenate([fwd, rev])]
+    return rows
 
 
 def signature_distance(p, q) -> float:

@@ -75,10 +75,10 @@ class TilingDocument:
             raise DocumentError(f"missing or malformed parameter {key!r}") from e
 
     def int_param(self, key: str) -> int:
-        try:
-            return int(self.parameters[key])
-        except (KeyError, TypeError, ValueError) as e:
-            raise DocumentError(f"missing or malformed parameter {key!r}") from e
+        value = self.parameters.get(key)
+        if type(value) is not int:  # refuses floats, strings and booleans alike
+            raise DocumentError(f"missing or malformed parameter {key!r}, got {value!r}")
+        return value
 
     def float_list(self, key: str) -> list[float]:
         try:

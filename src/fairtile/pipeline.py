@@ -13,6 +13,7 @@ their checks through it.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,7 +25,6 @@ from .strip import StripTiling, deviations, strip_tiling, window_triangles
 
 __all__ = [
     "Y0_RANGE",
-    "Check",
     "CHECKS",
     "CHECK_NAMES",
     "run_checks",
@@ -45,66 +45,37 @@ Y0_RANGE = (0.001, 0.01)
 _SAMPLE_TRIES = 50
 
 
-@dataclass(frozen=True)
-class Check:
-    """How one named check runs: ``verify.<function>(subject, target, tol)``.
+def _quad_area(doc: document.TilingDocument, strip) -> verify.VerificationReport:
+    s = doc.float_param("scale")
+    return verify.check_equal_area(doc.tiles, assembly.SQRT3 * s * s / 3.0, 1e-9)
 
-    The function is looked up in :mod:`verify` when the check runs.  The
-    subject is the document's tiles, or for ``"strip"`` and
-    ``"deviations"`` the ``tiling`` that :func:`run_checks` rebuilt from the
-    document's ``y0`` and ``cols`` or that tiling's deviation series.
-    Target and tolerance are passed only when set.  With ``param`` the
-    target is that document parameter, mapped through ``target`` when that
-    is a function.
-    """
-
-    function: str
-    target: float | Callable[[float], float] | None = None
-    tol: float | None = None
-    param: str | None = None
-    subject: str = "tiles"
-
-    def run(self, doc: document.TilingDocument,
-            tiling: StripTiling | None) -> verify.VerificationReport:
-        if self.subject == "tiles":
-            args = [doc.tiles]
-        else:
-            args = [deviations(tiling) if self.subject == "deviations" else tiling]
-        if self.param is not None:
-            value = doc.float_param(self.param)
-            args.append(self.target(value) if callable(self.target) else value)
-        elif self.target is not None:
-            args.append(self.target)
-        if self.tol is not None:
-            args.append(self.tol)
-        return getattr(verify, self.function)(*args)
-
-
-_V2V = Check("check_vertex_to_vertex", tol=1e-9)
-_INCONGRUENT = Check("check_pairwise_incongruent", tol=1e-9)
 
 # The checks of each document kind, in report order; each kind's own are its
-# defaults, and any named check may be run on any kind.
-CHECKS: dict[str, dict[str, Check]] = {
+# defaults, and any named check may be run on any kind.  A check is called as
+# ``check(doc, strip)``, where ``strip()`` builds the strip tiling that the
+# document's ``y0`` and ``cols`` describe.  The ``verify`` functions are looked
+# up when a check runs, so a tracer that rebinds them sees every call.
+CHECKS: dict[str, dict[str, Callable[..., verify.VerificationReport]]] = {
     "strip": {
-        "area": Check("check_equal_area", target=1.0, tol=1e-10),
-        "v2v": _V2V,
-        "halfturn": Check("check_halfturn_incongruent", tol=1e-9),
-        "identity": Check("check_identity", tol=1e-10, subject="strip"),
-        "contraction": Check("check_contraction", subject="deviations"),
+        "area": lambda doc, strip: verify.check_equal_area(doc.tiles, 1.0, 1e-10),
+        "v2v": lambda doc, strip: verify.check_vertex_to_vertex(doc.tiles, 1e-9),
+        "halfturn": lambda doc, strip: verify.check_halfturn_incongruent(doc.tiles, 1e-9),
+        "identity": lambda doc, strip: verify.check_identity(strip(), 1e-10),
+        "contraction": lambda doc, strip: verify.check_contraction(deviations(strip())),
     },
     "plane": {
-        "area": Check("check_equal_area", target=assembly.SQRT3, tol=1e-10),
-        "v2v": _V2V,
-        "incongruent": _INCONGRUENT,
-        "closeness": Check("check_closeness", param="epsilon"),
+        "area": lambda doc, strip: verify.check_equal_area(doc.tiles, assembly.SQRT3, 1e-10),
+        "v2v": lambda doc, strip: verify.check_vertex_to_vertex(doc.tiles, 1e-9),
+        "incongruent": lambda doc, strip: verify.check_pairwise_incongruent(doc.tiles, 1e-9),
+        "closeness": lambda doc, strip: verify.check_closeness(
+            doc.tiles, doc.float_param("epsilon")),
     },
     "quad": {
-        "area": Check("check_equal_area", target=lambda s: assembly.SQRT3 * s * s / 3.0,
-                      tol=1e-9, param="scale"),
-        "perimeter": Check("check_equal_perimeter", tol=1e-9, param="p0"),
-        "convex": Check("check_convex", tol=1e-12),
-        "incongruent": _INCONGRUENT,
+        "area": _quad_area,
+        "perimeter": lambda doc, strip: verify.check_equal_perimeter(
+            doc.tiles, doc.float_param("p0"), 1e-9),
+        "convex": lambda doc, strip: verify.check_convex(doc.tiles, 1e-12),
+        "incongruent": lambda doc, strip: verify.check_pairwise_incongruent(doc.tiles, 1e-9),
     },
 }
 
@@ -118,7 +89,8 @@ def run_checks(doc: document.TilingDocument,
 
     A check of the document's kind uses that kind's target and tolerance.
     The contraction suite runs by default only for strip heights inside the
-    sampling window ``Y0_RANGE``.
+    sampling window ``Y0_RANGE``.  The strip tiling is built at most once,
+    and only when a check needs it.
     """
     if names is None:
         names = [name for name in CHECKS[doc.kind]
@@ -127,11 +99,8 @@ def run_checks(doc: document.TilingDocument,
         if name not in _BY_NAME:
             raise InvalidParameter(
                 f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
-    checks = [CHECKS[doc.kind].get(name, _BY_NAME[name]) for name in names]
-    tiling = None
-    if any(check.subject != "tiles" for check in checks):
-        tiling = strip_tiling(doc.float_param("y0"), doc.int_param("cols"))
-    return tuple(check.run(doc, tiling) for check in checks)
+    strip = functools.cache(lambda: strip_tiling(doc.float_param("y0"), doc.int_param("cols")))
+    return tuple(CHECKS[doc.kind].get(name, _BY_NAME[name])(doc, strip) for name in names)
 
 
 def _y0_window(epsilon: float | None) -> tuple[float, float]:
@@ -204,17 +173,18 @@ def quadify_checked(doc: document.TilingDocument):
     Refuses inputs containing congruent or equilateral tiles (the fair
     split of an equilateral triangle yields congruent pieces), then checks
     equal areas, equal perimeters, convexity and pairwise incongruence of
-    the output.  Returns (quads, reports, passed).
+    the output.  Returns (quad document, reports, passed); the document is
+    ``None`` when the input fails its check.
     """
     if doc.kind != "plane":
         raise InvalidParameter(f"quadify needs a plane document, got kind {doc.kind!r}")
     pre = run_checks(doc, ("incongruent",))
     if not pre[0].passed:
-        return [], pre, False
+        return None, pre, False
 
-    quads = quadsplit.quadify_plane(doc.tiles)
-    reports = pre + run_checks(quad_document(quads, doc))
-    return quads, reports, all(r.passed for r in reports)
+    quad_doc = quad_document(quadsplit.quadify_plane(doc.tiles), doc)
+    reports = pre + run_checks(quad_doc)
+    return quad_doc, reports, all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Document round-trips, CLI exit codes, rendering, determinism."""
 
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -8,7 +9,7 @@ import pytest
 
 from fairtile import cli, document, pipeline
 from fairtile.document import fmt17, parse, read_document, serialize
-from fairtile.errors import DegeneratePolygon, DocumentError
+from fairtile.errors import DegeneratePolygon, DocumentError, InvalidParameter
 from fairtile.geometry import Point, Quadrangle
 from fairtile.strip import strip_tiling
 
@@ -67,10 +68,21 @@ def test_gen_strip_critical_height(tmp_path):
 
 
 def test_gen_strip_usage_errors(tmp_path):
-    out = str(tmp_path / "x.tiles")
-    assert run_cli("gen-strip", "--y0", "1.5", "--cols", "3", "--out", out) == 2
-    assert run_cli("gen-strip", "--y0", "nope", "--cols", "3", "--out", out) == 2
-    assert run_cli("gen-strip", "--y0", "0.2", "--cols", "0", "--out", out) == 2
+    out = tmp_path / "x.tiles"
+    for y0, cols in (("1.5", "3"), ("nope", "3"), ("0.2", "0"), ("nan", "3"), ("auto", "0")):
+        assert run_cli("gen-strip", "--y0", y0, "--cols", cols, "--out", str(out)) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cols", [2.9, True])
+def test_strip_header_cols_must_be_an_integer(tmp_path, cols):
+    path = tmp_path / "s.tiles"
+    assert run_cli("gen-strip", "--y0", "0.004", "--cols", "3", "--out", str(path)) == 0
+    header, *rest = path.read_text().splitlines()
+    head = json.loads(header)
+    head["parameters"]["cols"] = cols
+    path.write_text("\n".join([json.dumps(head), *rest]) + "\n")
+    assert run_cli("verify", "--in", str(path), "--check", "identity", "--check", "area") == 2
 
 
 def test_gen_strip_auto_is_seeded(tmp_path):
@@ -183,15 +195,72 @@ def test_verify_refuses_closeness_on_quad_documents(tmp_path):
     assert run_cli("verify", "--in", str(quads), "--check", "closeness") == 2
 
 
-def test_reports_of_in_memory_documents_are_json():
+@pytest.fixture(scope="module")
+def small_docs():
     from fairtile.quadsplit import quadify_plane
 
     plane = pipeline.build_plane(0.05, 4, 2, 3).doc
-    docs = [pipeline.strip_document(strip_tiling(0.005, 3)), plane,
-            pipeline.quad_document(quadify_plane(plane.tiles), plane)]
-    for doc in docs:
+    return {"strip": pipeline.strip_document(strip_tiling(0.005, 3)), "plane": plane,
+            "quad": pipeline.quad_document(quadify_plane(plane.tiles), plane)}
+
+
+def test_reports_of_in_memory_documents_are_json(small_docs):
+    for doc in small_docs.values():
         for r in pipeline.run_checks(doc, list(pipeline.CHECKS[doc.kind])):
-            json.dumps(cli._report_dict(r))
+            json.dumps(dataclasses.asdict(r))
+
+
+# Every named check on one small document of each kind: (check_name, passed,
+# tolerance_used), or the error a refused pair raises.  A name that is not a
+# kind's own runs with the settings of the last kind that defines it.
+CHECK_TABLE = {
+    "strip": {
+        "area": ("equal-area", True, 1e-10),
+        "v2v": ("vertex-to-vertex", True, 1e-09),
+        "halfturn": ("halfturn-incongruent", True, 1e-09),
+        "identity": ("strip-identities", True, 1e-10),
+        "contraction": ("contraction", True, 0.0),
+        "incongruent": ("pairwise-incongruent", False, 1e-09),
+        "closeness": DocumentError,
+        "perimeter": DocumentError,
+        "convex": ("convex", True, 1e-12),
+    },
+    "plane": {
+        "area": ("equal-area", True, 1e-10),
+        "v2v": ("vertex-to-vertex", True, 1e-09),
+        "halfturn": ("halfturn-incongruent", True, 1e-09),
+        "identity": ("strip-identities", True, 1e-10),
+        "contraction": ("contraction", True, 0.0),
+        "incongruent": ("pairwise-incongruent", True, 1e-09),
+        "closeness": ("closeness", True, 0.1),
+        "perimeter": DocumentError,
+        "convex": ("convex", True, 1e-12),
+    },
+    "quad": {
+        "area": ("equal-area", True, 1e-09),
+        "v2v": ("vertex-to-vertex", False, 1e-09),
+        "halfturn": ("halfturn-incongruent", True, 1e-09),
+        "identity": ("strip-identities", True, 1e-10),
+        "contraction": ("contraction", True, 0.0),
+        "incongruent": ("pairwise-incongruent", True, 1e-09),
+        "closeness": InvalidParameter,
+        "perimeter": ("equal-perimeter", True, 1e-09),
+        "convex": ("convex", True, 1e-12),
+    },
+}
+
+
+def test_every_check_on_every_kind_matches_the_table(small_docs):
+    got = {}
+    for kind, doc in small_docs.items():
+        got[kind] = {}
+        for name in pipeline.CHECK_NAMES:
+            try:
+                (r,) = pipeline.run_checks(doc, [name])
+                got[kind][name] = (r.check_name, r.passed, r.tolerance_used)
+            except (DocumentError, InvalidParameter) as e:
+                got[kind][name] = type(e)
+    assert got == CHECK_TABLE
 
 
 def test_quadify_usage_errors(plane_doc, tmp_path):
