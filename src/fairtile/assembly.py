@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set, equilateral_shear_set,
-                         halfturn_variants, match_roots, pair_shear_roots)
+                         halfturn_key, halfturn_variants, match_roots, pair_shear_roots)
 from .errors import (
     BoundaryMismatch,
     ExhaustedRetries,
@@ -58,6 +58,11 @@ _MARGIN_CAP = 1e-6
 _MARGIN_FLOOR = 1e-9
 _MARGIN_STEP = 8.0
 _DRAWS_PER_MARGIN = 1000
+
+# vertex offsets (dx, dy) of the flat strip's tiles, by (col == 0, slot)
+_FLAT_OFFSETS = {(False, 1): ((-1, 1), (0, 0), (1, 1)), (False, 2): ((-2, 0), (0, 0), (-1, 1)),
+                 (False, 3): ((-2, 0), (-1, -1), (0, 0)), (False, 4): ((-1, -1), (1, -1), (0, 0)),
+                 (True, 1): ((0, 0), (1, 1), (-1, 1)), (True, 4): ((0, 0), (-1, -1), (1, -1))}
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
 
     tiles = window_triangles(base)
-    _, collisions = aligned_sweep(tiles, halfturn_variants, DEFAULT_QUANTUM)
+    _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
 
@@ -278,17 +283,17 @@ def plane_triangle(p: PlaneTiling, tid: TileId) -> Triangle:
 
 def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
     """The tiles' counterparts in the periodic tiling by equilateral
-    triangles of edge length 2 (zero shears, zero horizontal offsets), all
-    read from one flat strip as wide as the widest column asked for."""
-    n_cols = max((abs(tid.col) for tid in tids), default=0)
-    # the scaled strip at height 0: a_i = b_i = 2i - 1, x_i = 2i, y_i = 0
-    i = np.arange(n_cols + 2, dtype=np.float64)
-    zeros = np.zeros(n_cols + 2)
-    flat = StripTiling(y0=0.0, n_cols=n_cols, xs=2.0 * i[:-1], ys=zeros[:-1],
-                       aa=2.0 * i - 1.0, bb=2.0 * i - 1.0, alpha=zeros, beta=zeros,
-                       xi=zeros[:-1], y_scale=SQRT3)
-    return [StripTransform(0.0, tid.row % 2 != 0, (0.0, 2.0 * tid.row * SQRT3))
-            .place_triangle(triangle_at(flat, tid.col, tid.slot), tid) for tid in tids]
+    triangles of edge length 2 (zero shears, zero horizontal offsets), each
+    read in closed form off the flat strip: x = 2|col| + dx, y = dy*sqrt(3)."""
+    out = []
+    for tid in tids:
+        n = abs(tid.col)
+        pts = [(2.0 * n + dx, dy * SQRT3) for dx, dy in _FLAT_OFFSETS[n == 0, tid.slot]]
+        if tid.col < 0:
+            pts = [(-x, y) for x, y in reversed(pts)]
+        out.append(StripTransform(0.0, tid.row % 2 != 0, (0.0, 2.0 * tid.row * SQRT3))
+                   .place_triangle(Triangle(*(Point(x, y) for x, y in pts)), tid))
+    return out
 
 
 def periodic_triangle(tid: TileId) -> Triangle:

@@ -113,10 +113,11 @@ def _cmd_render(args) -> int:
     doc = document.read_document(args.infile)
     viewbox = None
     if args.viewbox:
-        parts = args.viewbox.split(",")
-        if len(parts) != 4:
-            raise InvalidParameter("--viewbox needs 'x,y,w,h'")
-        viewbox = tuple(float(v) for v in parts)
+        try:
+            x, y, w, h = map(float, args.viewbox.split(","))
+        except ValueError:
+            raise InvalidParameter(f"--viewbox needs four numbers 'x,y,w,h', got {args.viewbox!r}")
+        viewbox = (x, y, w, h)
     options = render.RenderOptions(stroke_width=args.stroke_width, viewbox=viewbox,
                                    label_tiles=args.labels, scale=args.scale)
     svg = render.render_svg(doc.tiles, options)

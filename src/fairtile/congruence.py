@@ -29,6 +29,8 @@ __all__ = [
     "ShearRootSet",
     "signature_variants",
     "halfturn_variants",
+    "signature_key",
+    "halfturn_key",
     "signature_distance",
     "congruent",
     "simeq_distance",
@@ -47,6 +49,7 @@ DEFAULT_QUANTUM = 1e-9
 _LEADING_EPS = 1e-14
 _DISC_CLAMP = 1e-12
 _ROOT_DEDUP = 1e-9
+_BLOCK = 1024  # tile pairs per array pass of the incongruence sweep
 
 
 def signature_variants(p) -> np.ndarray:
@@ -139,28 +142,59 @@ def halfturn_translate_congruent(t, u, tol: float = DEFAULT_QUANTUM) -> bool:
     return simeq_distance(t, u) <= tol
 
 
-def aligned_sweep(polys, rows_of, quantum: float):
+def signature_key(rows: np.ndarray) -> np.ndarray:
+    """Sorted edge lengths, from row 0 of (stacked) signature rows."""
+    return np.sort(rows[..., 0, 0::2], axis=-1)
+
+
+def halfturn_key(rows: np.ndarray) -> np.ndarray:
+    """Sorted |x|, then sorted |y|, from row 0 of (stacked) half-turn rows."""
+    return np.concatenate([np.sort(np.abs(rows[..., 0, 0::2]), axis=-1),
+                           np.sort(np.abs(rows[..., 0, 1::2]), axis=-1)], axis=-1)
+
+
+def _distances(variants, order, s, t):
+    """Original (lower, higher) indices of the pairs at sorted positions (s, t)
+    and, in blocks, every row of the lower against the first row of the higher."""
+    a, b = np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
+    return a, b, np.concatenate([np.empty(0)] + [
+        np.min(np.max(np.abs(variants[a[k:k + _BLOCK]] - variants[b[k:k + _BLOCK], :1]), axis=2),
+               axis=1) for k in range(0, len(a), _BLOCK)])
+
+
+def aligned_sweep(polys, rows_of, key_of, quantum: float):
     """Smallest aligned distance over all tile pairs, and every pair within
     ``quantum``.
 
     ``rows_of(p)`` gives one row per alignment of p; every row of one tile
-    against the first row of each later tile covers every relative
-    alignment.  Tiles with different vertex counts are never compared.
+    against the first row of another covers every relative alignment.
+    Tiles with different vertex counts are never compared.  The distance of
+    ``key_of(rows)`` never exceeds the aligned distance, so with tiles
+    sorted on the first key component and ``best`` seeded from neighbours
+    in that order, only pairs within ``w = max(best, quantum)`` in key
+    distance are compared: they hold the closest pair and every collision.
     """
-    groups: dict[int, list[int]] = {}
-    for idx, p in enumerate(polys):
-        groups.setdefault(len(p.vertices), []).append(idx)
-
-    margin = math.inf
-    collisions: list[tuple[int, int]] = []
-    for idxs in groups.values():
+    sizes = np.array([len(p.vertices) for p in polys])
+    margin, collisions = math.inf, []
+    for n in np.unique(sizes):
+        idxs = np.nonzero(sizes == n)[0]
         variants = np.stack([rows_of(polys[i]) for i in idxs])
-        reference = variants[:, 0, :]
-        for a in range(len(idxs) - 1):
-            diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
-            d = np.min(np.max(diffs, axis=2), axis=1)
-            margin = min(margin, float(np.min(d)))
-            collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
+        keys = key_of(variants)
+        order = np.argsort(keys[:, 0], kind="stable")
+        keys, first, m = keys[order], keys[order, 0], len(idxs)
+        *_, d = _distances(variants, order, np.arange(m - 1), np.arange(1, m))
+        w = max(float(np.min(d, initial=math.inf)), quantum)
+        # pairs s < t within the window, widened against rounding, in blocks
+        counts = np.searchsorted(first, first + 2.0 * w, side="right") - np.arange(1, m + 1)
+        ends = np.cumsum(counts)
+        for start in range(0, int(ends[-1]), _BLOCK):
+            flat = np.arange(start, min(start + _BLOCK, int(ends[-1])))
+            s = np.searchsorted(ends, flat, side="right")
+            t = s + 1 + flat - (ends[s] - counts[s])
+            near = np.max(np.abs(keys[s] - keys[t]), axis=1) <= w
+            a, b, d = _distances(variants, order, s[near], t[near])
+            margin = min(margin, float(np.min(d, initial=math.inf)))
+            collisions.extend(zip(idxs[a[d <= quantum]].tolist(), idxs[b[d <= quantum]].tolist()))
     return margin, sorted(collisions)
 
 

@@ -7,6 +7,7 @@ bytes depend only on the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -26,8 +27,9 @@ class RenderOptions:
     def __post_init__(self):
         if self.scale <= 0.0:
             raise InvalidParameter(f"scale must be positive, got {self.scale}")
-        if self.viewbox is not None and (self.viewbox[2] <= 0 or self.viewbox[3] <= 0):
-            raise InvalidParameter(f"viewbox must be nonempty, got {self.viewbox}")
+        if self.viewbox is not None and not (all(map(math.isfinite, self.viewbox))
+                                             and self.viewbox[2] > 0 and self.viewbox[3] > 0):
+            raise InvalidParameter(f"viewbox must be finite and nonempty, got {self.viewbox}")
 
 
 def _num(x: float) -> str:

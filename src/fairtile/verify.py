@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assembly
-from .congruence import DEFAULT_QUANTUM, aligned_sweep, halfturn_variants, signature_variants
+from .congruence import (DEFAULT_QUANTUM, aligned_sweep, halfturn_key, halfturn_variants,
+                         signature_key, signature_variants)
 from .errors import InvalidParameter
 from .geometry import (
     area,
@@ -220,12 +221,12 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
 # pairwise incongruence
 
 
-def _incongruence(name, polys, quantum: float, rows_of) -> VerificationReport:
+def _incongruence(name, polys, quantum: float, rows_of, key_of) -> VerificationReport:
     if quantum <= 0:
         raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
     if not polys:
         raise InvalidParameter(f"{name}: empty tile list")
-    margin, collisions = aligned_sweep(polys, rows_of, quantum)
+    margin, collisions = aligned_sweep(polys, rows_of, key_of, quantum)
     offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in collisions]
     return VerificationReport(
         check_name=name, passed=not collisions, worst_residual=None, margin=margin,
@@ -240,14 +241,10 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     so the check passes only when the margin exceeds the quantum and no
     triangle has all edges equal within the quantum.
     """
-    report = _incongruence("pairwise-incongruent", tiles, quantum, signature_variants)
-    equilateral = []
-    for p in tiles:
-        if len(p.vertices) == 3:
-            lengths = edge_lengths(p)
-            spread = max(lengths) - min(lengths)
-            if spread <= quantum:
-                equilateral.append((tile_label(p), tile_label(p)))
+    report = _incongruence("pairwise-incongruent", tiles, quantum, signature_variants,
+                          signature_key)
+    equilateral = [(tile_label(p), tile_label(p)) for p in tiles if len(p.vertices) == 3
+                   and max(edge_lengths(p)) - min(edge_lengths(p)) <= quantum]
     if not equilateral:
         return report
     return replace(report, passed=False, offenders=_cap(report.offenders + tuple(equilateral)),
@@ -263,7 +260,7 @@ def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     :func:`~fairtile.congruence.simeq_distance` over all pairs; the check
     passes only when it exceeds the quantum.
     """
-    return _incongruence("halfturn-incongruent", tiles, quantum, halfturn_variants)
+    return _incongruence("halfturn-incongruent", tiles, quantum, halfturn_variants, halfturn_key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scaling, shearing, shear certification, stacking, windows."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ def test_periodic_triangle_matches_the_closed_form_lattice():
         assert tri.id == tid
         assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
     assert periodic_triangles([]) == []
+
+
+def test_periodic_reference_memory_does_not_grow_with_the_column():
+    tid = TileId(1, 1_000_000, 3)
+    tracemalloc.start()
+    try:
+        tri = periodic_triangle(tid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
 
 
 def test_window_selection():

@@ -1,5 +1,7 @@
-"""Congruence predicates, signature distances, vertical widths, shear root sets."""
+"""Congruence predicates, signature distances, vertical widths, the pruned
+incongruence sweep, shear root sets."""
 
+import itertools
 import math
 import random
 
@@ -10,12 +12,17 @@ from hypothesis import strategies as st
 
 from fairtile.congruence import (
     _roots,
+    aligned_sweep,
     bad_shear_set,
     congruent,
     equilateral_shear_set,
+    halfturn_key,
     halfturn_translate_congruent,
+    halfturn_variants,
     shear_match_roots,
     signature_distance,
+    signature_key,
+    signature_variants,
     simeq_distance,
 )
 from fairtile.errors import DegeneratePair
@@ -247,6 +254,73 @@ def test_congruence_soundness_on_congruent_samples():
         assert congruent(t, u, tol)
         assert abs(perimeter(t) - perimeter(u)) <= 4 * tol * 3 + 1e-12
         assert abs(area(t) - area(u)) <= perimeter(t) * tol + 1e-12
+
+
+# --- the pruned incongruence sweep -------------------------------------------
+
+def _unpruned_sweep(polys, rows_of, quantum):
+    """The sweep over every pair that the sorted-key sweep replaced, kept
+    as its oracle: every row of each tile against the reference row of
+    each later tile of the same vertex count."""
+    groups = {}
+    for idx, p in enumerate(polys):
+        groups.setdefault(len(p.vertices), []).append(idx)
+    margin = math.inf
+    collisions = []
+    for idxs in groups.values():
+        variants = np.stack([rows_of(polys[i]) for i in idxs])
+        reference = variants[:, 0, :]
+        for a in range(len(idxs) - 1):
+            diffs = np.abs(variants[a][None, :, :] - reference[a + 1:, None, :])
+            d = np.min(np.max(diffs, axis=2), axis=1)
+            margin = min(margin, float(np.min(d)))
+            collisions.extend((idxs[a], idxs[a + 1 + int(k)]) for k in np.nonzero(d <= quantum)[0])
+    return margin, sorted(collisions)
+
+
+_BASES = (tri((0, 0), (2.1, 0.05), (0.8, 1.7)), quad((0, 0), (1.4, 0.1), (1.5, 1.2), (0.2, 0.9)))
+
+
+def _near_copies(rng, base, count, jitter):
+    """Copies of base: exact duplicates, translates, half-turns and mirror
+    images, each with one vertex moved by up to ``jitter``."""
+    out = []
+    for _ in range(count):
+        kind = rng.choice(("duplicate", "translate", "halfturn", "mirror"))
+        if kind == "duplicate":
+            out.append(base)
+            continue
+        pts = [v.xy for v in base.vertices]
+        if kind == "halfturn":
+            pts = [(-x, -y) for x, y in pts]
+        elif kind == "mirror":
+            pts = [(-x, y) for x, y in reversed(pts)]
+        dx, dy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+        pts = [(x + dx, y + dy) for x, y in pts]
+        k = rng.randrange(len(pts))
+        pts[k] = (pts[k][0] + rng.uniform(-jitter, jitter), pts[k][1] + rng.uniform(-jitter, jitter))
+        out.append(tri(*pts) if len(pts) == 3 else quad(*pts))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pruned_sweep_matches_the_unpruned_oracle(seed):
+    rng = random.Random(seed)
+    jitter = rng.choice((0.0, 1e-12, 1e-9, 1e-7, 1e-3))
+    # seed 0 has a one-tile triangle group, seed 1 a one-tile quadrangle group
+    counts = [1 if seed == k else rng.randint(2, 30) for k in range(2)]
+    tiles = [t for base, n in zip(_BASES, counts) for t in _near_copies(rng, base, n, jitter)]
+    rng.shuffle(tiles)
+    for rows_of, key_of, distance in ((signature_variants, signature_key, signature_distance),
+                                      (halfturn_variants, halfturn_key, simeq_distance)):
+        dists = sorted(distance(p, q) for p, q in itertools.combinations(tiles, 2)
+                       if len(p.vertices) == len(q.vertices))
+        # the largest distance makes every pair of equal vertex count collide
+        for quantum in (1e-9, dists[len(dists) // 3], dists[-1]):
+            margin, collisions = aligned_sweep(tiles, rows_of, key_of, quantum)
+            want_margin, want = _unpruned_sweep(tiles, rows_of, quantum)
+            assert margin.hex() == want_margin.hex()
+            assert collisions == want
 
 
 # --- shear root sets ---------------------------------------------------------

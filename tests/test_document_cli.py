@@ -344,6 +344,20 @@ def test_render(plane_doc, tmp_path):
     assert len(paths) == len(read_document(plane_doc).tiles)
 
 
+def test_render_viewbox(plane_doc, tmp_path):
+    svg = tmp_path / "box.svg"
+    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg),
+                   "--viewbox=-1.5,-2,3,4.25") == 0
+    assert ET.fromstring(svg.read_text()).get("viewBox") == "-1.5 -2 3 4.25"
+
+
+@pytest.mark.parametrize("box", ["0,0,1", "a,b,c,d", "0,0,nan,1", "0,0,-1,1"])
+def test_render_refuses_a_bad_viewbox(plane_doc, tmp_path, box):
+    svg = tmp_path / "bad.svg"
+    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg), "--viewbox", box) == 2
+    assert not svg.exists()
+
+
 def test_render_empty_document(tmp_path):
     doc = document.TilingDocument(kind="strip", parameters={}, tiles=[])
     path = tmp_path / "empty.tiles"
