@@ -12,22 +12,15 @@ tolerances and margins.
 from .assembly import (
     PlaneTiling,
     StripTransform,
-    periodic_triangle,
     plane_triangle,
     scale_to_equilateral,
     select_shears,
     stack_plane,
-    window,
 )
 from .congruence import (
     ShearRootSet,
     bad_shear_set,
-    congruent,
     equilateral_shear_set,
-    halfturn_translate_congruent,
-    shear_match_roots,
-    signature_distance,
-    simeq_distance,
 )
 from .errors import FairtileError
 from .geometry import (
@@ -38,7 +31,6 @@ from .geometry import (
     area,
     edge_vectors,
     perimeter,
-    vertical_width,
 )
 from .quadsplit import (
     FAIR,

@@ -41,9 +41,7 @@ __all__ = [
     "shear_index",
     "select_shears",
     "stack_plane",
-    "window",
     "plane_triangle",
-    "periodic_triangle",
     "periodic_triangles",
 ]
 
@@ -98,7 +96,7 @@ class PlaneTiling:
     ``rows`` holds the generated strip rows (contiguous, containing 0) and
     ``transforms`` their placements.  Each row is the whole base strip,
     columns -n_cols..n_cols.  Tiles materialize lazily through
-    :func:`plane_triangle` / :func:`window`.
+    :func:`plane_triangle`.
     """
 
     base: StripTiling
@@ -294,33 +292,3 @@ def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
         out.append(StripTransform(0.0, tid.row % 2 != 0, (0.0, 2.0 * tid.row * SQRT3))
                    .place_triangle(Triangle(*(Point(x, y) for x, y in pts)), tid))
     return out
-
-
-def periodic_triangle(tid: TileId) -> Triangle:
-    """One-tile form of :func:`periodic_triangles`."""
-    return periodic_triangles([tid])[0]
-
-
-def window(p: PlaneTiling, x_range: tuple[float, float],
-           row_range: tuple[int, int]) -> list[Triangle]:
-    """Every generated tile meeting the closed box, ordered (row, col, slot).
-
-    ``x_range`` is a closed interval (empty if reversed); ``row_range`` is
-    an inclusive pair of strip rows.  Ranges outside the generated data
-    raise :class:`IndexOutOfRange`.
-    """
-    x_lo, x_hi = x_range
-    k_lo, k_hi = row_range
-    if x_lo > x_hi or k_lo > k_hi:
-        return []
-    if k_lo < min(p.rows) or k_hi > max(p.rows):
-        raise IndexOutOfRange(f"row range {row_range} outside generated rows {p.rows}")
-    coverage = 2.0 * p.base.n_cols - 1.0
-    if x_lo < -coverage or x_hi > coverage:
-        raise IndexOutOfRange(
-            f"x range {x_range} outside certified coverage +-{coverage}")
-    tiles = [plane_triangle(p, tid)
-             for k in range(k_lo, k_hi + 1) for tid in tile_ids(p.base.n_cols, row=k)]
-    return [tri for tri in tiles
-            if max(v.x for v in tri.vertices) >= x_lo
-            and min(v.x for v in tri.vertices) <= x_hi]

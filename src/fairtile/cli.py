@@ -111,13 +111,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     doc = document.read_document(args.infile)
-    viewbox = None
-    if args.viewbox:
-        try:
-            x, y, w, h = map(float, args.viewbox.split(","))
-        except ValueError:
-            raise InvalidParameter(f"--viewbox needs four numbers 'x,y,w,h', got {args.viewbox!r}")
-        viewbox = (x, y, w, h)
+    viewbox = tuple(args.viewbox) if args.viewbox else None
     options = render.RenderOptions(stroke_width=args.stroke_width, viewbox=viewbox,
                                    label_tiles=args.labels, scale=args.scale)
     svg = render.render_svg(doc.tiles, options)
@@ -168,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stroke-width", type=float, default=0.02)
     p.add_argument("--scale", type=float, default=40.0)
     p.add_argument("--labels", action="store_true", help="draw tile id labels")
-    p.add_argument("--viewbox", help="explicit viewBox as 'x,y,w,h' (render coordinates)")
+    p.add_argument("--viewbox", nargs=4, type=float, metavar=("X", "Y", "W", "H"),
+                   help="explicit viewBox (render coordinates)")
     p.set_defaults(func=_cmd_render)
     return parser
 

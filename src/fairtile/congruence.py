@@ -1,18 +1,19 @@
-"""Congruence predicates, the alignment rows that the pairwise sweeps
-compare, and the shear parameters at which given triangles can collide
-into congruent or equilateral shapes.
+"""The alignment rows and keys of the pairwise incongruence sweep, and the
+shear parameters at which given triangles can collide into congruent or
+equilateral shapes.
 
 Two congruence relations appear side by side:
 
 * full congruence under all Euclidean isometries, reflections included
-  (written ``congruent`` here);
+  (``signature_variants`` and ``signature_key``);
 * the restricted relation "translate of T or of -T", i.e. translations
-  composed with half-turns (``halfturn_translate_congruent``), which is the
-  relation that matters inside a single strip before shearing.
+  composed with half-turns (``halfturn_variants`` and ``halfturn_key``),
+  which is the relation that matters inside a single strip before shearing.
 
-Equality of ideal reals is not decidable in binary64, so predicates take an
-explicit tolerance and the distances behind them are exposed as separation
-margins rather than bare booleans.
+Both are decided by one function, :func:`aligned_sweep`.  Equality of ideal
+reals is not decidable in binary64, so the sweep takes an explicit quantum
+and reports the smallest distance as a separation margin rather than a bare
+boolean.
 """
 
 from __future__ import annotations
@@ -31,15 +32,10 @@ __all__ = [
     "halfturn_variants",
     "signature_key",
     "halfturn_key",
-    "signature_distance",
-    "congruent",
-    "simeq_distance",
-    "halfturn_translate_congruent",
     "aligned_sweep",
     "match_roots",
     "pair_shear_roots",
     "bad_shear_set",
-    "shear_match_roots",
     "equilateral_shear_set",
 ]
 
@@ -72,74 +68,18 @@ def signature_variants(p) -> np.ndarray:
     return rows
 
 
-def signature_distance(p, q) -> float:
-    """Smallest max-component difference between aligned signatures.
-
-    Zero exactly for congruent polygons; the reported value is the margin
-    by which the pair fails to be congruent.  Polygons with different
-    vertex counts are infinitely far apart.
-    """
-    if len(p.vertices) != len(q.vertices):
-        return math.inf
-    rows = signature_variants(p)
-    return float(np.min(np.max(np.abs(rows - signature_variants(q)[0]), axis=1)))
-
-
-def congruent(p, q, tol: float = DEFAULT_QUANTUM) -> bool:
-    """Whether some Euclidean isometry (reflections included) maps p onto q.
-
-    Triangles reduce to the side-side-side comparison; quadrangles compare
-    aligned signatures at the given tolerance.
-    """
-    if len(p.vertices) != len(q.vertices):
-        return False
-    if len(p.vertices) == 3:
-        lp, lq = sorted(edge_lengths(p)), sorted(edge_lengths(q))
-        return max(abs(a - b) for a, b in zip(lp, lq)) <= tol
-    return signature_distance(p, q) <= tol
-
-
-def simeq_distance(t, u) -> float:
-    """Distance of u from the set {T + v, -T + v} of translated half-turns.
-
-    Both relations preserve the counterclockwise edge cycle, so it suffices
-    to compare edge-vector cycles up to rotation and a global sign; the
-    value is the smallest max-component difference over those alignments.
-    """
-    ev_t = edge_vectors(t)
-    ev_u = edge_vectors(u)
-    if len(ev_t) != len(ev_u):
-        return math.inf
-    n = len(ev_t)
-    best = math.inf
-    for s in (1.0, -1.0):
-        for r in range(n):
-            d = max(
-                max(abs(ev_u[(k + r) % n][0] - s * ev_t[k][0]),
-                    abs(ev_u[(k + r) % n][1] - s * ev_t[k][1]))
-                for k in range(n)
-            )
-            best = min(best, d)
-    return best
-
-
 def halfturn_variants(p) -> np.ndarray:
     """All 2n alignment rows of the edge-vector cycle, shape (2n, 2n).
 
     Rows are the n cyclic rotations of the cycle, then the same rotations
-    negated, each flattened to (x0, y0, x1, y1, ...).  Every row of one
-    polygon against the first row of another gives the alignments that
-    :func:`simeq_distance` minimises over, with the same floating-point
-    differences.
+    negated, each flattened to (x0, y0, x1, y1, ...).  Translations and
+    half-turns keep the counterclockwise edge cycle, so the smallest
+    max-component difference of every row of one polygon against the first
+    row of another is the distance from the set {T + v, -T + v}.
     """
     ev = np.array(edge_vectors(p))
     rotations = np.stack([np.roll(ev, -r, axis=0) for r in range(len(ev))])
     return np.concatenate([rotations, -rotations]).reshape(2 * len(ev), -1)
-
-
-def halfturn_translate_congruent(t, u, tol: float = DEFAULT_QUANTUM) -> bool:
-    """Whether u is a translate of t or of -t, within tol per component."""
-    return simeq_distance(t, u) <= tol
 
 
 def signature_key(rows: np.ndarray) -> np.ndarray:
@@ -302,21 +242,11 @@ def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
     :data:`DEFAULT_QUANTUM`), every shear keeps them congruent and
     :class:`DegeneratePair` is raised.
     """
-    if simeq_distance(t, u) <= DEFAULT_QUANTUM:
+    margin, _ = aligned_sweep([t, u], halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
+    if margin <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
     ev_t, ev_u = np.array([edge_vectors(t)]), np.array([edge_vectors(u)])
     return _root_set(pair_shear_roots(ev_t, ev_u)[0])
-
-
-def shear_match_roots(t: Triangle, fixed: Triangle) -> ShearRootSet:
-    """Shear parameters at which sheared t can become congruent to ``fixed``.
-
-    Unlike :func:`bad_shear_set` this variant needs no relation between the
-    inputs: it only compares one sheared edge length of t against the fixed
-    edge lengths, so the root set is finite even for identical triangles.
-    """
-    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]))
-    return _root_set(_dedup(roots.reshape(-1)))
 
 
 def equilateral_shear_set(t: Triangle) -> ShearRootSet:

@@ -80,12 +80,6 @@ class TilingDocument:
             raise DocumentError(f"missing or malformed parameter {key!r}, got {value!r}")
         return value
 
-    def float_list(self, key: str) -> list[float]:
-        try:
-            return [float(v) for v in self.parameters[key]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DocumentError(f"missing or malformed parameter {key!r}") from e
-
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

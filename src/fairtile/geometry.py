@@ -29,13 +29,9 @@ __all__ = [
     "edge_vectors",
     "edge_lengths",
     "interior_angles",
-    "vertical_width",
     "is_convex",
     "bounding_box",
-    "translate",
-    "shear",
     "scale_uniform",
-    "reflect_x",
     "with_vertices",
     "tile_label",
 ]
@@ -181,12 +177,6 @@ def interior_angles(p) -> list[float]:
     return out
 
 
-def vertical_width(t) -> float:
-    """Largest difference between second coordinates of the vertices."""
-    ys = [v.y for v in t.vertices]
-    return max(ys) - min(ys)
-
-
 def is_convex(p, tol: float = 1e-12) -> bool:
     """True when all consecutive-edge cross products share one sign."""
     ev = edge_vectors(p)
@@ -222,32 +212,8 @@ def tile_label(p) -> str:
     return f"{base}/{corner}" if corner else base
 
 
-def _map_polygon(p, f, reverses_orientation: bool = False):
-    pts = [Point(*f(v.x, v.y)) for v in p.vertices]
-    if reverses_orientation:
-        pts.reverse()
-    return with_vertices(p, pts)
-
-
-def translate(p, dx: float, dy: float):
-    return _map_polygon(p, lambda x, y: (x + dx, y + dy))
-
-
-def shear(p, mu: float):
-    """Horizontal shear (x, y) -> (x + mu*y, y); preserves areas."""
-    return _map_polygon(p, lambda x, y: (x + mu * y, y))
-
-
 def scale_uniform(p, s: float):
     """Uniform scaling about the origin by a positive factor."""
     if s <= 0:
         raise InvalidParameter(f"scale factor must be positive, got {s!r}")
-    return _map_polygon(p, lambda x, y: (s * x, s * y))
-
-
-def reflect_x(p):
-    """Reflection through the horizontal axis (x, y) -> (x, -y).
-
-    Vertex order is reversed so the result stays counterclockwise.
-    """
-    return _map_polygon(p, lambda x, y: (x, -y), reverses_orientation=True)
+    return with_vertices(p, (Point(s * v.x, s * v.y) for v in p.vertices))

@@ -256,9 +256,10 @@ def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
 
     This is the strip-level relation: reflected column pairs are fully
     congruent by symmetry, but must stay separated under this relation for
-    the shear certification to apply.  The margin is the smallest
-    :func:`~fairtile.congruence.simeq_distance` over all pairs; the check
-    passes only when it exceeds the quantum.
+    the shear certification to apply.  The margin is the smallest distance
+    of one tile's edge-vector cycle from another's, or its negation, over
+    all rotations and pairs; the check passes only when it exceeds the
+    quantum.
     """
     return _incongruence("halfturn-incongruent", tiles, quantum, halfturn_variants, halfturn_key)
 

@@ -3,7 +3,6 @@ pinned tolerance and runtime budget, one printed pass/fail line per
 criterion.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import itertools
 import math
 import random
 import time
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from fairtile import cli
-from fairtile.congruence import signature_distance
+from fairtile.congruence import aligned_sweep, signature_key, signature_variants
 from fairtile.document import read_document
 from fairtile.geometry import Point, Triangle, area, edge_lengths, perimeter
 from fairtile.quadsplit import (
@@ -153,7 +152,7 @@ def test_a05_plane_window(plane_run):
         assert max(lengths) - min(lengths) > 1e-9  # no equilateral tile
     closeness = check_closeness(tiles, PLANE_EPSILON)
     assert closeness.passed and closeness.worst_residual < 2 * PLANE_EPSILON
-    shears = doc.float_list("shears")
+    shears = [float(m) for m in doc.parameters["shears"]]
     assert sum(2 * SQRT3 * abs(m) for m in shears) < PLANE_EPSILON
     conclude("A5", elapsed, 60.0,
              f"{len(tiles)}-tile window: areas sqrt(3)+-1e-10, vertex-to-vertex at 1e-9, "
@@ -201,12 +200,12 @@ def test_a07_fair_split_ensemble(random_splits):
         assert check_convex(quads).passed
         spread = max(a, b, c) - min(a, b, c)
         if spread >= 1e-4:
-            assert all(signature_distance(p, q) > 1e-9
-                       for p, q in itertools.combinations(quads, 2))
+            margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
+            assert margin > 1e-9
 
     placed = Triangle(Point(2.0, -1.0), Point(3.0, -1.0), Point(2.5, -1.0 + SQRT3 / 2))
-    assert all(signature_distance(p, q) <= 1e-9
-               for p, q in itertools.combinations(fair_split(placed), 2))
+    _, collisions = aligned_sweep(fair_split(placed), signature_variants, signature_key, 1e-9)
+    assert collisions == [(0, 1), (0, 2), (1, 2)]
     conclude("A7", build_time + (time.monotonic() - t0), 30.0,
              "1000 random near-unit splits: <=12 Newton steps, perimeter p0 and "
              "area/3 to 1e-10, convex; equilateral gives congruent pieces")

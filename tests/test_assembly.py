@@ -1,4 +1,4 @@
-"""Scaling, shearing, shear certification, stacking, windows."""
+"""Scaling, shearing, shear certification, stacking, placement."""
 
 import random
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from fairtile import assembly
 from fairtile.assembly import (
     SQRT3,
-    periodic_triangle,
+    StripTransform,
     periodic_triangles,
     plane_triangle,
     row_order,
@@ -17,20 +17,22 @@ from fairtile.assembly import (
     select_shears,
     shear_index,
     stack_plane,
-    window,
 )
 from fairtile.congruence import (
+    aligned_sweep,
     bad_shear_set,
-    congruent,
-    halfturn_translate_congruent,
-    shear_match_roots,
+    halfturn_key,
+    halfturn_variants,
+    match_roots,
+    signature_key,
+    signature_variants,
 )
 from fairtile.errors import BoundaryMismatch, DegeneratePair, IndexOutOfRange, InvalidParameter
-from fairtile.geometry import (Point, TileId, Triangle, area, edge_lengths, reflect_x, shear,
-                               translate)
+from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, edge_vectors
 from fairtile.strip import (StripTiling, critical_tiling, strip_tiling, tile_ids, triangle_at,
                             window_triangles)
 from fairtile.verify import check_closeness, check_vertex_to_vertex
+from oracles import reflect_x, shear, translate
 
 
 @pytest.fixture(scope="module")
@@ -56,18 +58,22 @@ def test_scale_produces_near_equilateral_tiles(base):
 
 def test_scale_preserves_halfturn_relation(base):
     unscaled = strip_tiling(0.004, 6)
-    for (i, j), (k, l) in [((1, 1), (-1, 1)), ((1, 2), (2, 2)), ((2, 3), (3, 3))]:
-        before = halfturn_translate_congruent(
-            triangle_at(unscaled, i, j), triangle_at(unscaled, k, l), 1e-9)
-        after = halfturn_translate_congruent(
-            triangle_at(base, i, j), triangle_at(base, k, l), 1e-9)
-        assert before == after
+
+    def collides(t, a, b):
+        pair = [triangle_at(t, *a), triangle_at(t, *b)]
+        return bool(aligned_sweep(pair, halfturn_variants, halfturn_key, 1e-9)[1])
+
+    for a, b in [((1, 1), (-1, 1)), ((1, 2), (2, 2)), ((2, 3), (3, 3))]:
+        assert collides(unscaled, a, b) == collides(base, a, b)
 
 
 def test_shear_map():
+    def shear_only(t, mu):
+        return StripTransform(mu, False, (0.0, 0.0)).place_triangle(t, t.id)
+
     t = Triangle(Point(0, 0), Point(2, 0), Point(1, SQRT3))
-    assert shear(t, 0.0).vertices == t.vertices
-    sheared = shear(t, 0.37)
+    assert shear_only(t, 0.0).vertices == t.vertices
+    sheared = shear_only(t, 0.37)
     assert area(sheared) == pytest.approx(area(t), abs=1e-12)
     assert sheared.vertices[2] == Point(1 + 0.37 * SQRT3, SQRT3)
 
@@ -100,12 +106,12 @@ def test_selected_shears_clear_root_sets():
     # each row also clears the match roots against every tile of the earlier
     # rows; shearing the vertices rounds differently from shearing the edge
     # vectors, which moves the roots by far less than the slack
+    ev = np.array([edge_vectors(t) for t in tiles])
     for n, mu in enumerate(mus):
         for earlier in mus[:n]:
-            for t in tiles:
-                for u in tiles:
-                    gaps = [abs(mu - r) for r in shear_match_roots(t, shear(u, earlier)).roots]
-                    assert min(gaps) >= 1e-9 - 1e-13
+            fixed = np.array([edge_vectors(shear(u, earlier)) for u in tiles])
+            roots = match_roots(ev, fixed.reshape(1, -1, 2))
+            assert np.min(np.abs(mu - roots[~np.isnan(roots)])) >= 1e-9 - 1e-13
 
 
 def test_select_shears_sweeps_the_window_once(base, monkeypatch):
@@ -180,19 +186,22 @@ def test_closeness_of_stacked_window():
 
 
 def test_periodic_reference_self_closeness():
-    tiles = [periodic_triangle(tid) for k in (-1, 0, 1) for tid in tile_ids(3, row=k)]
+    tiles = periodic_triangles([tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)])
     rep = check_closeness(tiles, 1e-6)
     assert rep.passed
     assert rep.worst_residual == 0.0
 
 
 def test_periodic_tiles_are_equilateral_area_sqrt3():
-    for tid in [TileId(0, 0, 1), TileId(0, 2, 3), TileId(1, -1, 2), TileId(-2, 3, 4)]:
-        tri = periodic_triangle(tid)
+    tids = [TileId(0, 0, 1), TileId(0, 2, 3), TileId(1, -1, 2), TileId(-2, 3, 4)]
+    for tri in periodic_triangles(tids):
         assert area(tri) == pytest.approx(SQRT3, abs=1e-12)
         for L in edge_lengths(tri):
             assert L == pytest.approx(2.0, abs=1e-12)
-    assert congruent(periodic_triangle(TileId(0, 1, 2)), periodic_triangle(TileId(1, 2, 1)), 1e-9)
+    # a tile and the mirrored copy of another, one row up
+    mirrored_pair = periodic_triangles([TileId(0, 1, 2), TileId(1, 2, 1)])
+    margin, _ = aligned_sweep(mirrored_pair, signature_variants, signature_key, 1e-9)
+    assert margin <= 1e-9
 
 
 def _periodic_oracle(tid):
@@ -219,9 +228,9 @@ def _periodic_oracle(tid):
 
 def test_periodic_triangle_matches_the_closed_form_lattice():
     tids = [tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)]
-    # the one-tile form and the list form read the same slots of one flat strip
+    # a tile read alone equals the same tile read in a list
     for tri, tid in zip(periodic_triangles(tids), tids):
-        assert tri == periodic_triangle(tid)
+        assert [tri] == periodic_triangles([tid])
         assert tri.id == tid
         assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
     assert periodic_triangles([]) == []
@@ -231,45 +240,12 @@ def test_periodic_reference_memory_does_not_grow_with_the_column():
     tid = TileId(1, 1_000_000, 3)
     tracemalloc.start()
     try:
-        tri = periodic_triangle(tid)
+        (tri,) = periodic_triangles([tid])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
-
-
-def test_window_selection():
-    base = window_base(4)
-    mus = select_shears(base, count=2, epsilon=0.01, rng=random.Random(8))
-    plane = stack_plane(base, mus, 2)
-    assert window(plane, (1.0, 0.0), (0, 1)) == []
-    one_row = window(plane, (-4.5, 4.5), (0, 0))
-    assert {t.id.row for t in one_row} == {0}
-    all_cols = window(plane, (-7.0, 7.0), (0, 1))
-    assert [t.id for t in all_cols] == sorted(t.id for t in all_cols)
-    with pytest.raises(IndexOutOfRange):
-        window(plane, (-1.0, 1.0), (0, 5))
-    with pytest.raises(IndexOutOfRange):
-        window(plane, (-100.0, 100.0), (0, 1))
-
-
-def test_window_builds_only_its_rows(monkeypatch):
-    base = window_base(4)
-    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(8))
-    plane = stack_plane(base, mus, 3)
-    calls = []
-
-    def counted(p, tid):
-        calls.append(tid)
-        return plane_triangle(p, tid)
-
-    monkeypatch.setattr(assembly, "plane_triangle", counted)
-    tiles = window(plane, (-7.0, 7.0), (0, 0))
-    assert len(calls) == 34 and {tid.row for tid in calls} == {0}
-    assert tiles == [t for t in plane.tiles() if t.id.row == 0
-                     and max(v.x for v in t.vertices) >= -7.0
-                     and min(v.x for v in t.vertices) <= 7.0]
 
 
 def test_plane_triangle_bounds():

@@ -1,5 +1,5 @@
-"""Congruence predicates, signature distances, vertical widths, the pruned
-incongruence sweep, shear root sets."""
+"""Congruence through the incongruence sweep, vertical widths, the pruned
+sweep against its unpruned oracle, shear root sets."""
 
 import itertools
 import math
@@ -14,16 +14,12 @@ from fairtile.congruence import (
     _roots,
     aligned_sweep,
     bad_shear_set,
-    congruent,
     equilateral_shear_set,
     halfturn_key,
-    halfturn_translate_congruent,
     halfturn_variants,
-    shear_match_roots,
-    signature_distance,
+    match_roots,
     signature_key,
     signature_variants,
-    simeq_distance,
 )
 from fairtile.errors import DegeneratePair
 from fairtile.geometry import (
@@ -34,12 +30,10 @@ from fairtile.geometry import (
     edge_lengths,
     edge_vectors,
     perimeter,
-    shear,
-    translate,
-    vertical_width,
 )
 from fairtile.quadsplit import fair_split
 from fairtile.strip import critical_tiling, strip_tiling, triangle_at
+from oracles import shear, signature_distance, simeq_distance, translate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -53,6 +47,16 @@ def quad(*pts):
 
 
 UNIT_SQUARE = quad((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def signature_margin(p, q):
+    """Full-congruence distance of one pair, as the sweep measures it."""
+    return aligned_sweep([p, q], signature_variants, signature_key, 1e-9)[0]
+
+
+def halfturn_margin(p, q):
+    """Translation-or-half-turn distance of one pair, as the sweep measures it."""
+    return aligned_sweep([p, q], halfturn_variants, halfturn_key, 1e-9)[0]
 
 
 # --- area / perimeter / edge vectors ---------------------------------------
@@ -97,6 +101,12 @@ def test_measures_invariant_under_isometry(shift, angle, mirror):
 
 # --- vertical width ----------------------------------------------------------
 
+def vertical_width(t):
+    """Largest difference between second coordinates of the vertices."""
+    ys = [v.y for v in t.vertices]
+    return max(ys) - min(ys)
+
+
 def test_vertical_width_basics():
     t = critical_tiling(2)
     assert vertical_width(triangle_at(t, 1, 1)) == pytest.approx(1.0, abs=1e-15)
@@ -122,41 +132,39 @@ def test_vertical_width_classification_table():
 # --- congruence --------------------------------------------------------------
 
 def test_congruent_translate_and_reflection():
-    assert congruent(tri((0, 0), (1, 0), (0, 1)), tri((5, 5), (6, 5), (5, 6)), 1e-9)
-    assert congruent(tri((0, 0), (2, 0), (0, 1)), tri((0, 0), (2, 0), (2, 1)), 1e-9)
-    assert not congruent(tri((0, 0), (2, 0), (0, 1)), tri((0, 0), (2, 0), (0, 1.01)), 1e-9)
+    assert signature_margin(tri((0, 0), (1, 0), (0, 1)), tri((5, 5), (6, 5), (5, 6))) <= 1e-9
+    assert signature_margin(tri((0, 0), (2, 0), (0, 1)), tri((0, 0), (2, 0), (2, 1))) <= 1e-9
+    assert signature_margin(tri((0, 0), (2, 0), (0, 1)), tri((0, 0), (2, 0), (0, 1.01))) > 1e-9
 
 
 def test_critical_tiling_congruence_classes():
     t = critical_tiling(4)
     t11 = triangle_at(t, 1, 1)
     t22 = triangle_at(t, 2, 2)
-    assert congruent(t11, t22, 1e-9)
+    assert signature_margin(t11, t22) <= 1e-9
     t14 = triangle_at(t, 1, 4)
     t23 = triangle_at(t, 2, 3)
-    assert congruent(t14, t23, 1e-9)
+    assert signature_margin(t14, t23) <= 1e-9
 
     tiles = [triangle_at(t, 0, j) for j in (1, 4)]
     for i in range(-4, 5):
         if i == 0:
             continue
         tiles += [triangle_at(t, i, j) for j in (1, 2, 3, 4)]
-    classes = []
-    for x in tiles:
-        if not any(congruent(x, c, 1e-9) for c in classes):
-            classes.append(x)
-    assert len(classes) == 6
+    # one class per tile congruent to no earlier tile
+    _, collisions = aligned_sweep(tiles, signature_variants, signature_key, 1e-9)
+    assert len(tiles) - len({b for _, b in collisions}) == 6
 
 
 def test_halfturn_relation():
     t = tri((0.2, 0.1), (1.7, 0.3), (0.9, 1.2))
-    assert halfturn_translate_congruent(t, translate(t, 7.0, -3.0), 1e-9)
+    assert halfturn_margin(t, translate(t, 7.0, -3.0)) <= 1e-9
     neg = Triangle(*(Point(1.0 - v.x, 1.0 - v.y) for v in t.vertices))
-    assert halfturn_translate_congruent(t, neg, 1e-9)
+    assert halfturn_margin(t, neg) <= 1e-9
     # a reflected copy is congruent but not a translated half-turn
     refl = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
-    assert congruent(t, refl, 1e-9)
-    assert not halfturn_translate_congruent(t, refl, 1e-9)
+    assert signature_margin(t, refl) <= 1e-9
+    assert halfturn_margin(t, refl) > 1e-9
 
 
 def test_halfturn_mirror_columns_of_critical_tiling():
@@ -165,7 +173,7 @@ def test_halfturn_mirror_columns_of_critical_tiling():
         for j in (1, 2, 3, 4):
             plus = triangle_at(t, i, j)
             minus = triangle_at(t, -i, j)
-            assert not halfturn_translate_congruent(plus, minus, 1e-9)
+            assert halfturn_margin(plus, minus) > 1e-9
 
 
 def test_halfturn_symmetric_and_reflexive():
@@ -177,26 +185,24 @@ def test_halfturn_symmetric_and_reflexive():
         except Exception:
             continue
         u = translate(t, rng.uniform(-9, 9), rng.uniform(-9, 9))
-        assert halfturn_translate_congruent(t, t, 1e-9)
-        assert (halfturn_translate_congruent(t, u, 1e-9)
-                == halfturn_translate_congruent(u, t, 1e-9))
-        assert abs(simeq_distance(t, u) - simeq_distance(u, t)) < 1e-12
+        assert halfturn_margin(t, t) == 0.0
+        assert halfturn_margin(t, u) == halfturn_margin(u, t) <= 1e-9
 
 
 # --- signatures --------------------------------------------------------------
 
 def test_signature_ignores_vertex_rotation_and_reflection():
     rotated = Quadrangle(tuple(UNIT_SQUARE.vertices[2:] + UNIT_SQUARE.vertices[:2]))
-    assert signature_distance(UNIT_SQUARE, rotated) <= 1e-9
+    assert signature_margin(UNIT_SQUARE, rotated) <= 1e-9
     q = quad((0, 0), (1.4, 0.1), (1.5, 1.2), (0.2, 0.9))
     mirrored = Quadrangle(tuple(Point(-v.x, v.y) for v in reversed(q.vertices)))
-    assert signature_distance(q, mirrored) <= 1e-12
+    assert signature_margin(q, mirrored) <= 1e-12
 
 
 def test_signature_invariance_under_random_isometries():
     rng = random.Random(20)
-    checked = 0
-    while checked < 10_000:
+    tiles = []
+    while len(tiles) < 20_000:
         n = 3 if rng.random() < 0.5 else 4
         if n == 3:
             pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
@@ -224,9 +230,10 @@ def test_signature_invariance_under_random_isometries():
             mapped.append(Point(c * x - s * y + dx, s * x + c * y + dy))
         if mirror:
             mapped.reverse()
-        q = Triangle(*mapped) if n == 3 else Quadrangle(tuple(mapped))
-        assert signature_distance(p, q) <= 1e-9
-        checked += 1
+        tiles += [p, Triangle(*mapped) if n == 3 else Quadrangle(tuple(mapped))]
+    # every tile collides with its image, whatever else collides in the set
+    _, collisions = aligned_sweep(tiles, signature_variants, signature_key, 1e-9)
+    assert set(zip(range(0, len(tiles), 2), range(1, len(tiles), 2))) <= set(collisions)
 
 
 def test_fair_split_of_scalene_gives_three_distinct_signatures():
@@ -234,8 +241,8 @@ def test_fair_split_of_scalene_gives_three_distinct_signatures():
 
     t = Triangle(Point(0, 0), Point(1.01, 0), apex(1.01, 1.00, 0.99))
     quads = fair_split(t)
-    gaps = [signature_distance(quads[a], quads[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
-    assert min(gaps) > 1e-9
+    margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
+    assert margin > 1e-9
 
 
 def test_congruence_soundness_on_congruent_samples():
@@ -251,7 +258,7 @@ def test_congruence_soundness_on_congruent_samples():
         u = Triangle(*(Point(c * v.x - s * v.y + 3, s * v.x + c * v.y - 2)
                        for v in t.vertices))
         tol = 1e-9
-        assert congruent(t, u, tol)
+        assert signature_margin(t, u) <= tol
         assert abs(perimeter(t) - perimeter(u)) <= 4 * tol * 3 + 1e-12
         assert abs(area(t) - area(u)) <= perimeter(t) * tol + 1e-12
 
@@ -407,7 +414,7 @@ def test_bad_shear_roots_mark_length_collisions():
             t, u = tri(*pts[:3]), tri(*pts[3:])
         except Exception:
             continue
-        if simeq_distance(t, u) < 1e-3:
+        if halfturn_margin(t, u) < 1e-3:
             continue
         for r in bad_shear_set(t, u).roots:
             lt = edge_lengths(shear(t, r))
@@ -430,7 +437,7 @@ def test_shear_certification_outside_roots():
             t, u = tri(*pts[:3]), tri(*pts[3:])
         except Exception:
             continue
-        if simeq_distance(t, u) < 1e-2:
+        if halfturn_margin(t, u) < 1e-2:
             continue
         roots = bad_shear_set(t, u).roots
         mu = None
@@ -441,8 +448,14 @@ def test_shear_certification_outside_roots():
                 break
         if mu is None:
             continue
-        assert not congruent(shear(t, mu), shear(u, mu), 1e-9)
+        assert signature_margin(shear(t, mu), shear(u, mu)) > 1e-9
         tested += 1
+
+
+def _match_roots(t, fixed):
+    """The shears at which sheared t can match a length of ``fixed``."""
+    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]))
+    return _found(roots.ravel())
 
 
 def test_shear_match_roots_certify_against_fixed():
@@ -454,17 +467,17 @@ def test_shear_match_roots_certify_against_fixed():
             t, u = tri(*pts[:3]), tri(*pts[3:])
         except Exception:
             continue
-        roots = shear_match_roots(t, u).roots
+        roots = _match_roots(t, u)
         for _ in range(10):
             mu = rng.uniform(-3, 3)
             if all(abs(mu - r) >= 1e-6 for r in roots):
-                assert not congruent(shear(t, mu), u, 1e-9)
+                assert signature_margin(shear(t, mu), u) > 1e-9
         tested += 1
 
 
 def test_shear_match_roots_allows_identical_inputs():
     t = tri((0, 0), (2.1, 0), (0.8, 1.7))
-    roots = shear_match_roots(t, t).roots
+    roots = _match_roots(t, t)
     assert min(abs(r) for r in roots) < 1e-12  # the identity shear collides
 
 

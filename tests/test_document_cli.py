@@ -272,10 +272,10 @@ def test_quadify_usage_errors(plane_doc, tmp_path):
 
 
 def test_quadify_refuses_equilateral_tiles(tmp_path):
-    from fairtile.assembly import periodic_triangle
+    from fairtile.assembly import periodic_triangles
     from fairtile.strip import tile_ids
 
-    tiles = [periodic_triangle(tid) for tid in tile_ids(2)]
+    tiles = periodic_triangles(list(tile_ids(2)))
     doc = document.TilingDocument(
         kind="plane",
         parameters=document.make_parameters(epsilon=0.01, seed=0, rows=1, cols=2, y0=0.0),
@@ -347,14 +347,20 @@ def test_render(plane_doc, tmp_path):
 def test_render_viewbox(plane_doc, tmp_path):
     svg = tmp_path / "box.svg"
     assert run_cli("render", "--in", str(plane_doc), "--out", str(svg),
-                   "--viewbox=-1.5,-2,3,4.25") == 0
+                   "--viewbox", "-1.5", "-2", "3", "4.25") == 0
     assert ET.fromstring(svg.read_text()).get("viewBox") == "-1.5 -2 3 4.25"
 
 
-@pytest.mark.parametrize("box", ["0,0,1", "a,b,c,d", "0,0,nan,1", "0,0,-1,1"])
+@pytest.mark.parametrize("box", ["0,0,1", "a,b,c,d", "0,0,nan,1", "0,0,-1,1", "0,0,0,1"])
 def test_render_refuses_a_bad_viewbox(plane_doc, tmp_path, box):
     svg = tmp_path / "bad.svg"
-    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg), "--viewbox", box) == 2
+    argv = ("render", "--in", str(plane_doc), "--out", str(svg), "--viewbox", *box.split(","))
+    if box in ("0,0,1", "a,b,c,d"):  # not four numbers: argparse refuses
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+    else:  # four numbers, but not finite and nonempty
+        assert run_cli(*argv) == 2
     assert not svg.exists()
 
 

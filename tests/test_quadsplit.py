@@ -1,6 +1,5 @@
 """Fair splitting, the Newton solver, and triangle reconstruction."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -184,13 +183,14 @@ def test_fair_split_requires_near_unit_edges():
 
 
 def test_fair_split_of_equilateral_gives_congruent_quads():
-    from fairtile.congruence import signature_distance
+    from fairtile.congruence import aligned_sweep, signature_key, signature_variants
 
     c, s = math.cos(0.7), math.sin(0.7)
     pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
     placed = [Point(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
     quads = fair_split(Triangle(*placed))
-    assert all(signature_distance(p, q) <= 1e-9 for p, q in itertools.combinations(quads, 2))
+    _, collisions = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
+    assert collisions == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_fair_split_equivariance_under_isometry():
@@ -279,10 +279,10 @@ def test_quadify_plane():
 
 
 def test_quadify_plane_names_the_failing_tile():
-    from fairtile.assembly import periodic_triangle
+    from fairtile.assembly import periodic_triangles
     from fairtile.strip import tile_ids
 
-    tiles = [periodic_triangle(tid) for tid in tile_ids(1)]
+    tiles = periodic_triangles(list(tile_ids(1)))
     tiles[2] = scale_uniform(tiles[2], 3.0)
     with pytest.raises(TileFailed) as info:
         quadify_plane(tiles)
