@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import random
+import re
 import sys
 
 # assembly is not called here; it stays bound as ``cli.assembly`` because
@@ -164,13 +165,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true", help="draw tile id labels")
     p.add_argument("--viewbox", nargs=4, type=float, metavar=("X", "Y", "W", "H"),
                    help="explicit viewBox (render coordinates)")
+    # argparse reads "-1e3" as an unknown option; take every string that
+    # starts with "-<digit>" or "-.<digit>" as a value instead
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_render)
     return parser
 
 
+def _split_viewbox(argv: list[str]) -> list[str]:
+    """``--viewbox=X Y W H`` as ``--viewbox X Y W H``; argparse refuses a
+    value after ``=`` for an option that takes four."""
+    out = []
+    for arg in argv:
+        head, eq, value = arg.partition("=")
+        out.extend([head, value] if eq and head == "--viewbox" else [arg])
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_split_viewbox(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (InvalidParameter, DocumentError,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, InvalidParameter, NoUnequalHeights
-from .geometry import Triangle, edge_lengths, edge_vectors, interior_angles
+from .geometry import Triangle, edge_vectors
 
 __all__ = [
     "ShearRootSet",
@@ -48,28 +48,51 @@ _ROOT_DEDUP = 1e-9
 _BLOCK = 1024  # tile pairs per array pass of the incongruence sweep
 
 
-def signature_variants(p) -> np.ndarray:
-    """All 2n alignment rows of the (edge length, interior angle) signature,
-    one per cyclic rotation of either orientation, shape (2n, 2n).
+def _vertices(polys) -> np.ndarray:
+    """Vertex coordinates of polygons with one vertex count, shape (m, n, 2)."""
+    return np.array([[v.xy for v in p.vertices] for p in polys])
+
+
+def _rotations(n: int) -> np.ndarray:
+    """Row ``r`` holds the indices 0..n-1 read cyclically from ``r``."""
+    k = np.arange(n)
+    return (k[:, None] + k) % n
+
+
+def signature_variants(polys) -> np.ndarray:
+    """All 2n alignment rows of the (edge length, interior angle) signature
+    of each of m polygons with n vertices, shape (m, 2n, 2n).
 
     Comparing every row of one polygon against a fixed row of another
     covers every relative alignment, which is what the vectorized pairwise
     sweeps rely on.  Row ``r < n`` starts at vertex ``r`` and runs forward;
     in reversed rotation ``r`` position ``k`` is vertex ``(-1 - r - k) % n``,
-    whose edge in that direction is the one entering it.
+    whose edge in that direction is the one entering it.  Lengths and
+    angles are the floats of :func:`~fairtile.geometry.edge_lengths` and
+    :func:`~fairtile.geometry.interior_angles`: the same differences and
+    products, with ``math.hypot`` and ``math.atan2`` taken one by one.
     """
-    n = len(p.vertices)
-    k = np.arange(n)
-    fwd = (k[:, None] + k) % n
-    rev = (-1 - k[:, None] - k) % n
-    rows = np.empty((2 * n, 2 * n))
-    rows[:, 0::2] = np.array(edge_lengths(p))[np.concatenate([fwd, (rev - 1) % n])]
-    rows[:, 1::2] = np.array(interior_angles(p))[np.concatenate([fwd, rev])]
+    pts = _vertices(polys)
+    m, n, _ = pts.shape
+    ahead = np.roll(pts, -1, axis=1) - pts
+    behind = np.roll(pts, 1, axis=1) - pts
+    cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
+    dot = ahead[..., 0] * behind[..., 0] + ahead[..., 1] * behind[..., 1]
+    lengths = np.array(list(map(math.hypot, ahead[..., 0].ravel().tolist(),
+                                ahead[..., 1].ravel().tolist()))).reshape(m, n)
+    angles = np.array(list(map(math.atan2, np.abs(cross).ravel().tolist(),
+                               dot.ravel().tolist()))).reshape(m, n)
+    fwd = _rotations(n)
+    rev = (-1 - fwd) % n
+    rows = np.empty((m, 2 * n, 2 * n))
+    rows[..., 0::2] = lengths[:, np.concatenate([fwd, (rev - 1) % n])]
+    rows[..., 1::2] = angles[:, np.concatenate([fwd, rev])]
     return rows
 
 
-def halfturn_variants(p) -> np.ndarray:
-    """All 2n alignment rows of the edge-vector cycle, shape (2n, 2n).
+def halfturn_variants(polys) -> np.ndarray:
+    """All 2n alignment rows of the edge-vector cycle of each of m polygons
+    with n vertices, shape (m, 2n, 2n).
 
     Rows are the n cyclic rotations of the cycle, then the same rotations
     negated, each flattened to (x0, y0, x1, y1, ...).  Translations and
@@ -77,9 +100,10 @@ def halfturn_variants(p) -> np.ndarray:
     max-component difference of every row of one polygon against the first
     row of another is the distance from the set {T + v, -T + v}.
     """
-    ev = np.array(edge_vectors(p))
-    rotations = np.stack([np.roll(ev, -r, axis=0) for r in range(len(ev))])
-    return np.concatenate([rotations, -rotations]).reshape(2 * len(ev), -1)
+    pts = _vertices(polys)
+    m, n, _ = pts.shape
+    rotations = (np.roll(pts, -1, axis=1) - pts)[:, _rotations(n)]
+    return np.concatenate([rotations, -rotations], axis=1).reshape(m, 2 * n, 2 * n)
 
 
 def signature_key(rows: np.ndarray) -> np.ndarray:
@@ -106,8 +130,9 @@ def aligned_sweep(polys, rows_of, key_of, quantum: float):
     """Smallest aligned distance over all tile pairs, and every pair within
     ``quantum``.
 
-    ``rows_of(p)`` gives one row per alignment of p; every row of one tile
-    against the first row of another covers every relative alignment.
+    ``rows_of(tiles)`` stacks one row per alignment of each of the given
+    same-size tiles; every row of one tile against the first row of
+    another covers every relative alignment.
     Tiles with different vertex counts are never compared.  The distance of
     ``key_of(rows)`` never exceeds the aligned distance, so with tiles
     sorted on the first key component and ``best`` seeded from neighbours
@@ -118,7 +143,7 @@ def aligned_sweep(polys, rows_of, key_of, quantum: float):
     margin, collisions = math.inf, []
     for n in np.unique(sizes):
         idxs = np.nonzero(sizes == n)[0]
-        variants = np.stack([rows_of(polys[i]) for i in idxs])
+        variants = rows_of([polys[i] for i in idxs])
         keys = key_of(variants)
         order = np.argsort(keys[:, 0], kind="stable")
         keys, first, m = keys[order], keys[order, 0], len(idxs)

@@ -190,12 +190,18 @@ def xi_eta(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     return xi, eta
 
 
-def _cut_points(a: float, x: float, y: float, p: FairSplitParams):
+def _corners(a: float, b: float, c: float, p: FairSplitParams):
+    """Posed vertices of the quadrangles at corners A, B and C, each
+    counterclockwise."""
+    top = apex(a, b, c)
+    x, y = top.x, top.y
     on_ab = (p.alpha * a, 0.0)
     on_ca = ((1.0 - p.beta) * x, (1.0 - p.beta) * y)
     on_bc = ((1.0 - p.gamma) * a + p.gamma * x, p.gamma * y)
     m = (p.xi * a + p.eta * x, p.eta * y)
-    return on_ab, on_ca, on_bc, m
+    return {"A": ((0.0, 0.0), on_ab, m, on_ca),
+            "B": (on_ab, (a, 0.0), on_bc, m),
+            "C": (m, on_bc, (x, y), on_ca)}
 
 
 def quad_vertices(a: float, b: float, c: float,
@@ -206,21 +212,15 @@ def quad_vertices(a: float, b: float, c: float,
     :class:`NonConvexOutput` if any of them fails convexity at 1e-12,
     which signals parameters outside the perturbative regime.
     """
-    top = apex(a, b, c)
-    x, y = top.x, top.y
-    on_ab, on_ca, on_bc, m = _cut_points(a, x, y, p)
-    pa, pb, pc = Point(0.0, 0.0), Point(a, 0.0), top
-    cp, bp, ap_, mp = Point(*on_ab), Point(*on_ca), Point(*on_bc), Point(*m)
     try:
-        q1 = Quadrangle((pa, cp, mp, bp), corner="A")
-        q2 = Quadrangle((cp, pb, ap_, mp), corner="B")
-        q3 = Quadrangle((mp, ap_, pc, bp), corner="C")
+        quads = tuple(Quadrangle(tuple(Point(*v) for v in posed), corner=corner)
+                      for corner, posed in _corners(a, b, c, p).items())
     except DegeneratePolygon as e:
         raise NonConvexOutput(f"degenerate quadrangle for sides {(a, b, c)}: {e}") from e
-    for q in (q1, q2, q3):
+    for q in quads:
         if not is_convex(q, 1e-12):
             raise NonConvexOutput(f"non-convex quadrangle at corner {q.corner}")
-    return q1, q2, q3
+    return quads
 
 
 def _split_residual(a: float, b: float, c: float):
@@ -240,54 +240,89 @@ def _split_residual(a: float, b: float, c: float):
         ap = math.hypot(mx - cpx, my - cpy)
         bp = math.hypot(mx - bpx, my - bpy)
         cp = math.hypot(mx - apx, my - apy)
-        return np.array([
-            al * a + ap + bp + (1.0 - be) * b - P0,
-            be * b + bp + cp + (1.0 - ga) * c - P0,
-            ga * c + cp + ap + (1.0 - al) * a - P0,
-        ])
+        return (al * a + ap + bp + (1.0 - be) * b - P0,
+                be * b + bp + cp + (1.0 - ga) * c - P0,
+                ga * c + cp + ap + (1.0 - al) * a - P0)
 
     return residual
 
 
-def _fd_jacobian(residual, x: np.ndarray, step: float) -> np.ndarray:
-    n = x.size
+def _fd_jacobian(residual, x, step: float) -> list[tuple[float, ...]]:
+    """Central-difference Jacobian of ``residual`` at ``x``, as row tuples."""
     cols = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = step
-        cols.append((np.asarray(residual(x + e), dtype=float)
-                     - np.asarray(residual(x - e), dtype=float)) / (2.0 * step))
-    return np.column_stack(cols)
+    for k in range(len(x)):
+        up = [v + (step if j == k else 0.0) for j, v in enumerate(x)]
+        down = [v - (step if j == k else 0.0) for j, v in enumerate(x)]
+        cols.append([(p - m) / (2.0 * step) for p, m in zip(residual(up), residual(down))])
+    return list(zip(*cols))
+
+
+def _max_abs(f) -> float:
+    """Max-norm of a residual vector; NaN when any component is NaN."""
+    return math.nan if any(map(math.isnan, f)) else max(map(abs, f))
+
+
+def _well_conditioned(jac) -> bool:
+    """Sufficient test that the 3x3 ``jac`` is finite with cond2 < 1e12.
+
+    cond2(J) <= ||J||_F * ||adj J||_F / |det J|.  Each cofactor and the
+    determinant carry an a priori rounding bound (with an absolute floor
+    for underflow), and the accepted bound is 1e11, so a True is never
+    wrong; a False leaves the verdict to the SVD.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = jac
+    pairs = ((e * i, f * h), (f * g, d * i), (d * h, e * g),
+             (c * h, b * i), (a * i, c * g), (b * g, a * h),
+             (b * f, c * e), (c * d, a * f), (a * e, b * d))
+    cof = [p - q for p, q in pairs]
+    size = [abs(p) + abs(q) for p, q in pairs]
+    det = a * cof[0] + b * cof[1] + c * cof[2]
+    low = abs(det) - (1e-15 * (abs(a) * size[0] + abs(b) * size[1] + abs(c) * size[2]) + 1e-300)
+    if not (math.isfinite(det) and low > 0.0):
+        return False
+    fro = math.hypot(a, b, c, d, e, f, g, h, i)
+    adj = math.hypot(*[abs(m) + 1e-15 * s + 1e-300 for m, s in zip(cof, size)])
+    return fro * adj / low <= _COND_LIMIT / 10.0
+
+
+def _singular(jac) -> bool:
+    """Whether ``jac`` holds a non-finite entry or has cond2 above 1e12."""
+    if _well_conditioned(jac):
+        return False
+    arr = np.array(jac)
+    return not np.all(np.isfinite(arr)) or bool(np.linalg.cond(arr) > _COND_LIMIT)
 
 
 def newton3(residual, x0) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration for a small dense system.
+    """Damped Newton iteration for a 3x3 system.
 
     The Jacobian comes from central differences.  Steps are halved (at
-    most 20 times) whenever the max-norm residual fails to decrease; the
-    iteration stops once that residual is at most 1e-12, within 50
-    iterations.  Returns the solution and the number of accepted
-    iterations; raises :class:`NoConvergence` or :class:`SingularJacobian`.
+    most 20 times) whenever the max-norm residual fails to decrease (a NaN
+    component never decreases it); the iteration stops once that residual
+    is at most 1e-12, within 50 iterations.  The iterate is a list of
+    floats; only the step solve goes through LAPACK.  Returns the solution
+    and the number of accepted iterations; raises :class:`NoConvergence`
+    or :class:`SingularJacobian`.
     """
-    x = np.array(x0, dtype=float)
-    fx = np.asarray(residual(x), dtype=float)
-    res = float(np.max(np.abs(fx)))
+    x = [float(v) for v in x0]
+    fx = residual(x)
+    res = _max_abs(fx)
     for it in range(_NEWTON_MAX_ITER):
         if res <= _NEWTON_TOL:
-            return x, it
+            return np.array(x), it
         jac = _fd_jacobian(residual, x, _FD_STEP)
-        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > _COND_LIMIT:
+        if _singular(jac):
             raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
-        step = np.linalg.solve(jac, fx)
+        step = np.linalg.solve(jac, fx).tolist()
         lam = 1.0
         for _ in range(20):
-            x_new = x - lam * step
+            x_new = [v - lam * s for v, s in zip(x, step)]
             try:
-                f_new = np.asarray(residual(x_new), dtype=float)
+                f_new = residual(x_new)
             except (SingularDenominator, DegenerateTriangle, ValueError):
                 lam *= 0.5
                 continue
-            r_new = float(np.max(np.abs(f_new)))
+            r_new = _max_abs(f_new)
             if r_new < res:
                 break
             lam *= 0.5
@@ -295,7 +330,7 @@ def newton3(residual, x0) -> tuple[np.ndarray, int]:
             raise NoConvergence(it + 1, res)
         x, fx, res = x_new, f_new, r_new
     if res <= _NEWTON_TOL:
-        return x, _NEWTON_MAX_ITER
+        return np.array(x), _NEWTON_MAX_ITER
     raise NoConvergence(_NEWTON_MAX_ITER, res)
 
 
@@ -337,10 +372,10 @@ def _canonical_frame(origin: Point, along: Point, upper: Point):
         dx, dy = p.x - origin.x, p.y - origin.y
         return Point(dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
 
-    def inverse(p: Point) -> Point:
-        yy = m * p.y
-        return Point(origin.x + p.x * ex[0] + yy * ey[0],
-                     origin.y + p.x * ex[1] + yy * ey[1])
+    def inverse(px: float, py: float) -> Point:
+        yy = m * py
+        return Point(origin.x + px * ex[0] + yy * ey[0],
+                     origin.y + px * ex[1] + yy * ey[1])
 
     return forward, inverse, m < 0.0
 
@@ -384,15 +419,14 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
     b = math.hypot(r.x - va.x, r.y - va.y)
     c = math.hypot(r.x - vb.x, r.y - vb.y)
     params = solve_fair_split(a, b, c)
-    quads = quad_vertices(a, b, c, params)
 
     _, inverse, mirrored = _canonical_frame(va, vb, r)
     out = []
-    for quad in quads:
-        mapped = [inverse(v) for v in quad.vertices]
+    for corner, posed in _corners(a, b, c, params).items():
+        mapped = [inverse(*v) for v in posed]
         if mirrored:
             mapped.reverse()
-        out.append(Quadrangle(tuple(mapped), id=t.id, corner=quad.corner))
+        out.append(Quadrangle(tuple(mapped), id=t.id, corner=corner))
     return tuple(out)
 
 
@@ -423,7 +457,7 @@ def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: flo
                  + 0.5 * det(px - zh, py - wh, xh - zh, yh - wh))
         perim = (math.hypot(px - bx, py) + math.hypot(ah - bx, 0.0)
                  + math.hypot(ah - zh, wh) + math.hypot(px - zh, py - wh))
-        return np.array([area1 - area2, area1 - area3, perim - P0])
+        return area1 - area2, area1 - area3, perim - P0
 
     return residual
 
@@ -477,7 +511,7 @@ def fair_split_jacobian_det(step: float = 1e-6) -> float:
     """Central-difference Jacobian determinant of the perimeter system in
     (alpha, beta, gamma) at the unit equilateral configuration."""
     residual = _split_residual(1.0, 1.0, 1.0)
-    jac = _fd_jacobian(residual, np.array([FAIR.alpha0, FAIR.beta0, FAIR.gamma0]), step)
+    jac = _fd_jacobian(residual, (FAIR.alpha0, FAIR.beta0, FAIR.gamma0), step)
     return float(np.linalg.det(jac))
 
 
@@ -485,7 +519,7 @@ def reconstruction_jacobian_det(step: float = 1e-6) -> float:
     """Central-difference Jacobian determinant of the reconstruction system
     in (rho, sigma, tau) at the symmetric quadrangle."""
     residual = _reconstruction_residual(*FAIR.quad0)
-    jac = _fd_jacobian(residual, np.array([FAIR.rho0, FAIR.sigma0, FAIR.tau0]), step)
+    jac = _fd_jacobian(residual, (FAIR.rho0, FAIR.sigma0, FAIR.tau0), step)
     return float(np.linalg.det(jac))
 
 

@@ -243,8 +243,9 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     """
     report = _incongruence("pairwise-incongruent", tiles, quantum, signature_variants,
                           signature_key)
-    equilateral = [(tile_label(p), tile_label(p)) for p in tiles if len(p.vertices) == 3
-                   and max(edge_lengths(p)) - min(edge_lengths(p)) <= quantum]
+    triangles = [(p, edge_lengths(p)) for p in tiles if len(p.vertices) == 3]
+    equilateral = [(tile_label(p), tile_label(p)) for p, lengths in triangles
+                   if max(lengths) - min(lengths) <= quantum]
     if not equilateral:
         return report
     return replace(report, passed=False, offenders=_cap(report.offenders + tuple(equilateral)),

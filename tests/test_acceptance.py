@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fairtile import cli
-from fairtile.congruence import aligned_sweep, signature_key, signature_variants
+from fairtile.congruence import aligned_sweep, halfturn_variants, signature_key, signature_variants
 from fairtile.document import read_document
 from fairtile.geometry import Point, Triangle, area, edge_lengths, perimeter
 from fairtile.quadsplit import (
@@ -36,6 +36,7 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
+from oracles import halfturn_rows, signature_rows
 
 SQRT3 = math.sqrt(3.0)
 
@@ -276,3 +277,34 @@ def test_a10_determinism(plane_run, quad_run, tmp_path):
     conclude("A10", time.monotonic() - t0, 300.0,
              "re-running the plane and quadrangle pipelines with the same seed "
              "reproduces both documents byte for byte")
+
+
+# --- A11: the gate margins, bit for bit -------------------------------------------
+
+GATE_MARGINS = {  # (rows, cols): (triangle margin, quadrangle margin), eps 0.005, seed 42
+    (6, 20): (1.1833976443220706e-07, 1.946165304467229e-07),
+    (16, 4): (5.7562372646202675e-09, 9.818780455361775e-09),
+}
+
+
+def test_a11_gate_margins(plane_run, quad_run, tmp_path):
+    t0 = time.monotonic()
+    plane16, quad16 = tmp_path / "plane16x4.tiles", tmp_path / "quads16x4.tiles"
+    assert cli.main(["gen-plane", "--epsilon", "0.005", "--seed", "42", "--rows", "16",
+                     "--cols", "4", "--out", str(plane16)]) == 0
+    assert cli.main(["quadify", "--in", str(plane16), "--out", str(quad16)]) == 0
+    docs = {(6, 20): (plane_run[0], quad_run[0]), (16, 4): (plane16, quad16)}
+    for shape, paths in docs.items():
+        got = tuple(check_pairwise_incongruent(read_document(p).tiles, 1e-9).margin for p in paths)
+        assert [m.hex() for m in got] == [m.hex() for m in GATE_MARGINS[shape]], shape
+    conclude("A11", time.monotonic() - t0, 60.0,
+             "6x20 and 16x4 plane and quadrangle margins equal their pinned values bit for bit")
+
+
+def test_batched_rows_equal_the_per_polygon_rows_on_the_window(plane_run, quad_run):
+    for path in (plane_run[0], quad_run[0]):
+        tiles = read_document(path).tiles
+        for rows_of, one_rows in ((signature_variants, signature_rows),
+                                  (halfturn_variants, halfturn_rows)):
+            want = np.stack([one_rows(p) for p in tiles])
+            assert rows_of(tiles).tobytes() == want.tobytes()

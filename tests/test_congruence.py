@@ -21,7 +21,7 @@ from fairtile.congruence import (
     signature_key,
     signature_variants,
 )
-from fairtile.errors import DegeneratePair
+from fairtile.errors import DegeneratePair, DegeneratePolygon
 from fairtile.geometry import (
     Point,
     Quadrangle,
@@ -33,7 +33,8 @@ from fairtile.geometry import (
 )
 from fairtile.quadsplit import fair_split
 from fairtile.strip import critical_tiling, strip_tiling, triangle_at
-from oracles import shear, signature_distance, simeq_distance, translate
+from oracles import (halfturn_rows, shear, signature_distance, signature_rows, simeq_distance,
+                     translate)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -268,7 +269,8 @@ def test_congruence_soundness_on_congruent_samples():
 def _unpruned_sweep(polys, rows_of, quantum):
     """The sweep over every pair that the sorted-key sweep replaced, kept
     as its oracle: every row of each tile against the reference row of
-    each later tile of the same vertex count."""
+    each later tile of the same vertex count, with the rows built one
+    polygon at a time by ``rows_of``."""
     groups = {}
     for idx, p in enumerate(polys):
         groups.setdefault(len(p.vertices), []).append(idx)
@@ -318,16 +320,46 @@ def test_pruned_sweep_matches_the_unpruned_oracle(seed):
     counts = [1 if seed == k else rng.randint(2, 30) for k in range(2)]
     tiles = [t for base, n in zip(_BASES, counts) for t in _near_copies(rng, base, n, jitter)]
     rng.shuffle(tiles)
-    for rows_of, key_of, distance in ((signature_variants, signature_key, signature_distance),
-                                      (halfturn_variants, halfturn_key, simeq_distance)):
+    for rows_of, key_of, one_rows, distance in (
+            (signature_variants, signature_key, signature_rows, signature_distance),
+            (halfturn_variants, halfturn_key, halfturn_rows, simeq_distance)):
         dists = sorted(distance(p, q) for p, q in itertools.combinations(tiles, 2)
                        if len(p.vertices) == len(q.vertices))
         # the largest distance makes every pair of equal vertex count collide
         for quantum in (1e-9, dists[len(dists) // 3], dists[-1]):
             margin, collisions = aligned_sweep(tiles, rows_of, key_of, quantum)
-            want_margin, want = _unpruned_sweep(tiles, rows_of, quantum)
+            want_margin, want = _unpruned_sweep(tiles, one_rows, quantum)
             assert margin.hex() == want_margin.hex()
             assert collisions == want
+
+
+def _random_convex(rng, n):
+    """A convex n-gon on a jittered circle, and its mirror image."""
+    angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+    r, cx, cy = rng.uniform(0.5, 2.0), rng.uniform(-9, 9), rng.uniform(-9, 9)
+    pts = [(cx + r * math.cos(t), cy + r * math.sin(t)) for t in angles]
+    mirror = [(-x, y) for x, y in reversed(pts)]
+    make = tri if n == 3 else quad
+    return [make(*pts), make(*mirror)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_batched_rows_equal_the_per_polygon_rows(seed):
+    rng = random.Random(seed)
+    tiles = [t for base in _BASES
+             for t in _near_copies(rng, base, 20, rng.choice((0.0, 1e-9, 1e-3)))]
+    for _ in range(40):
+        try:
+            tiles += _random_convex(rng, rng.choice((3, 4)))
+        except DegeneratePolygon:
+            pass
+    rng.shuffle(tiles)
+    for n in (3, 4):
+        group = [t for t in tiles if len(t.vertices) == n]
+        for rows_of, one_rows in ((signature_variants, signature_rows),
+                                  (halfturn_variants, halfturn_rows)):
+            want = np.stack([one_rows(p) for p in group])
+            assert rows_of(group).tobytes() == want.tobytes()
 
 
 # --- shear root sets ---------------------------------------------------------

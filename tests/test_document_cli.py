@@ -351,6 +351,26 @@ def test_render_viewbox(plane_doc, tmp_path):
     assert ET.fromstring(svg.read_text()).get("viewBox") == "-1.5 -2 3 4.25"
 
 
+@pytest.mark.parametrize("argv", [("--viewbox", "-1e3", "-2", "3", "4"),
+                                  ("--viewbox=-1e3", "-2", "3", "4"),
+                                  ("--viewbox", "-1E+3", "-.2e1", "3e0", "4")])
+def test_render_viewbox_with_exponents(plane_doc, tmp_path, argv):
+    svg = tmp_path / "box.svg"
+    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg), *argv) == 0
+    assert ET.fromstring(svg.read_text()).get("viewBox") == "-1000 -2 3 4"
+
+
+@pytest.mark.parametrize("argv", [("--viewbox", "-1e3", "-2", "3", "x"),
+                                  ("--viewbox=-1e3", "-2", "x", "4"),
+                                  ("--viewbox=-1ex", "-2", "3", "4")])
+def test_render_refuses_a_viewbox_part_that_is_no_number(plane_doc, tmp_path, argv):
+    svg = tmp_path / "bad.svg"
+    with pytest.raises(SystemExit) as info:
+        run_cli("render", "--in", str(plane_doc), "--out", str(svg), *argv)
+    assert info.value.code == 2
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("box", ["0,0,1", "a,b,c,d", "0,0,nan,1", "0,0,-1,1", "0,0,0,1"])
 def test_render_refuses_a_bad_viewbox(plane_doc, tmp_path, box):
     svg = tmp_path / "bad.svg"

@@ -32,6 +32,9 @@ from fairtile.quadsplit import (
     FAIR,
     P0,
     FairSplitParams,
+    _singular,
+    _split_residual,
+    _well_conditioned,
     apex,
     fair_split,
     fair_split_jacobian_det,
@@ -43,6 +46,7 @@ from fairtile.quadsplit import (
     solve_fair_split,
     xi_eta,
 )
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -288,3 +292,78 @@ def test_quadify_plane_names_the_failing_tile():
         quadify_plane(tiles)
     assert info.value.tile_id == tiles[2].id
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
+
+
+# --- the float Newton iteration against the numpy oracle ------------------------
+
+def test_solve_fair_split_matches_the_numpy_newton_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        a, b, c = (rng.uniform(0.985, 1.015) for _ in range(3))
+        params = solve_fair_split(a, b, c)
+        u, iterations = oracles.newton3(_split_residual(a, b, c),
+                                        (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
+        want = (*u, *xi_eta(*u))
+        got = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert params.iterations == iterations
+
+
+def _traced_outcome(solver, residual, x0):
+    """The points ``solver`` evaluates ``residual`` at, in order, and its
+    result or error, all as hex strings."""
+    points = []
+
+    def traced(u):
+        points.append([float(v).hex() for v in u])
+        return residual(u)
+
+    try:
+        x, iterations = solver(traced, x0)
+    except (NoConvergence, SingularJacobian) as e:
+        return points, type(e).__name__, str(e)
+    return points, [float(v).hex() for v in x], iterations
+
+
+@pytest.mark.parametrize("edge", [0.5, 0.9, 0.99])
+def test_newton3_treats_a_nan_component_as_no_decrease(edge):
+    # past ``edge`` the middle component is NaN; Newton's first full step
+    # lands there, where a max that skipped the NaN would see a decrease
+    def residual(u):
+        return (u[0] - 1.0, math.nan if u[0] > edge else u[1] - 2.0, u[2] + 0.5 * u[0])
+
+    got = _traced_outcome(newton3, residual, (0.0, 0.0, 0.0))
+    assert got == _traced_outcome(oracles.newton3, residual, (0.0, 0.0, 0.0))
+    assert got[1] in ("NoConvergence", "SingularJacobian")
+
+
+def _with_singular_values(rng, values):
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return (u * values) @ v.T
+
+
+def test_conditioning_guard_gives_the_svd_verdict():
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(3000):
+        cond = 10.0 ** rng.uniform(9.0, 15.0)
+        middle = cond ** -rng.uniform(0.0, 1.0)  # anywhere from 1 down to 1/cond
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        mats.append(scale * _with_singular_values(rng, [1.0, middle, 1.0 / cond]))
+    mats += [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
+             np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]),
+             np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 0.1, 0.3]])]
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in range(9):
+            m = rng.standard_normal((3, 3))
+            m.flat[k] = bad
+            mats.append(m)
+    guarded = 0
+    for m in mats:
+        jac = [tuple(row) for row in m.tolist()]
+        want = not np.all(np.isfinite(m)) or np.linalg.cond(m) > 1e12
+        assert _singular(jac) == want, m
+        guarded += _well_conditioned(jac)
+    # both routes run: the bound settles some matrices, the SVD the rest
+    assert 0 < guarded < len(mats)
