@@ -15,6 +15,7 @@ tile congruent to a tile of an earlier row, no tile equilateral.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -56,6 +57,8 @@ _MARGIN_CAP = 1e-6
 _MARGIN_FLOOR = 1e-9
 _MARGIN_STEP = 8.0
 _DRAWS_PER_MARGIN = 1000
+_PAIR_BLOCK = 4096  # tile pairs per static-root pass
+_CROSS_BLOCK = 1 << 15  # quadratics per cross-row root pass
 
 # vertex offsets (dx, dy) of the flat strip's tiles, by (col == 0, slot)
 _FLAT_OFFSETS = {(False, 1): ((-1, 1), (0, 0), (1, 1)), (False, 2): ((-2, 0), (0, 0), (-1, 1)),
@@ -143,8 +146,14 @@ def shear_index(k: int) -> int:
 
 def _gap_to_roots(roots: np.ndarray, value: float) -> float:
     """Distance from value to the nearest of the sorted, non-empty roots."""
-    idx = int(np.searchsorted(roots, value))
-    return float(np.min(np.abs(roots[max(idx - 1, 0):idx + 1] - value)))
+    idx = bisect.bisect_left(roots, value)  # np.searchsorted's index, without its call overhead
+    return min([abs(r - value) for r in roots[max(idx - 1, 0):idx + 1].tolist()])
+
+
+def _within(roots: np.ndarray, reach: float) -> np.ndarray:
+    """The roots at most ``reach`` from 0, flattened; absent (NaN) roots go too."""
+    roots = roots.ravel()
+    return roots[np.abs(roots) <= reach]
 
 
 def select_shears(base: StripTiling, count: int, epsilon: float,
@@ -171,12 +180,18 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
 
     ev = np.array([edge_vectors(t) for t in tiles])  # (N, 3, 2)
-    static: list[np.ndarray] = []
-    for a, tile in enumerate(tiles):
-        static.append(np.array(equilateral_shear_set(tile).roots))
-        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:]).ravel())
-    roots = np.concatenate(static)
-    roots = np.sort(roots[~np.isnan(roots)])
+    # every draw lies in [-half_1, half_1] and every margin is at most
+    # _MARGIN_CAP, so a root r with |r| > half_1 + _MARGIN_CAP rejects no
+    # draw: were it the nearest root, the gap would clear every margin, and
+    # the gap to the nearest root kept is no smaller.  The second _MARGIN_CAP
+    # absorbs the rounding of the draw and of |r - draw|; every nearer root
+    # is kept, so each verdict is the one the full root set gives.
+    reach = 0.5 * epsilon / (2.0 * SQRT3) + 2.0 * _MARGIN_CAP
+    static = [_within(np.array(equilateral_shear_set(tile).roots), reach) for tile in tiles]
+    a, b = np.triu_indices(len(tiles), 1)
+    static += [_within(pair_shear_roots(ev[a[k:k + _PAIR_BLOCK]], ev[b[k:k + _PAIR_BLOCK]]), reach)
+               for k in range(0, len(a), _PAIR_BLOCK)]
+    roots = np.sort(np.concatenate(static))
 
     chosen: list[float] = []
     for n in range(1, count + 1):
@@ -203,9 +218,12 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
         chosen.append(mu)
         if n < count:
             # later rows must also avoid matching this row's sheared edges
-            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], axis=-1)
-            cross = match_roots(ev, sheared.reshape(1, -1, 2)).ravel()
-            roots = np.sort(np.concatenate([roots, cross[~np.isnan(cross)]]))
+            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]],
+                               axis=-1).reshape(1, -1, 2)
+            step = max(1, _CROSS_BLOCK // sheared.shape[1])
+            roots = np.sort(np.concatenate([roots] + [
+                _within(match_roots(ev[k:k + step], sheared), reach)
+                for k in range(0, len(ev), step)]))
     return chosen
 
 

@@ -10,6 +10,7 @@ reproduces it byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -85,6 +86,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def _tile_template(cornered: bool, n_vertices: int) -> str:
+    """The %-template of a tile line: the bytes :func:`_dump` writes for
+    ``{"id": ..., "vertices": [[fmt17(x), fmt17(y)], ...]}``, keys sorted,
+    since ids are integers and corners are validated as A, B or C."""
+    corner = '"corner":"%s",' if cornered else ""
+    return ('{"id":{"col":%d,' + corner + '"row":%d,"slot":%d},"vertices":['
+            + ",".join(['["%.17g","%.17g"]'] * n_vertices) + "]}")
+
+
 def serialize(doc: TilingDocument) -> str:
     if doc.kind not in KINDS:
         raise DocumentError(f"unknown document kind {doc.kind!r}")
@@ -97,14 +108,10 @@ def serialize(doc: TilingDocument) -> str:
         tid = tile.id
         if tid is None:
             raise DocumentError("document tiles need ids")
-        id_obj: dict = {"row": tid.row, "col": tid.col, "slot": tid.slot}
         corner = getattr(tile, "corner", None)
-        if corner is not None:
-            id_obj["corner"] = corner
-        lines.append(_dump({
-            "id": id_obj,
-            "vertices": [[fmt17(v.x), fmt17(v.y)] for v in tile.vertices],
-        }))
+        ids = (tid.col, tid.row, tid.slot) if corner is None else (tid.col, corner, tid.row, tid.slot)
+        template = _tile_template(corner is not None, len(tile.vertices))
+        lines.append(template % (*ids, *(c for v in tile.vertices for c in (v.x, v.y))))
     return "\n".join(lines) + "\n"
 
 

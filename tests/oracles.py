@@ -2,15 +2,25 @@
 per-pair congruence distances that :func:`fairtile.congruence.aligned_sweep`
 replaced, the per-polygon alignment rows that the batched row builders
 replaced, the numpy Newton iteration that :func:`fairtile.quadsplit.newton3`
-replaced, and the elementary plane maps that :class:`StripTransform`
-composes into one placement."""
+replaced, the elementary plane maps that :class:`StripTransform`
+composes into one placement, the shear selection on unfiltered root sets
+that the blocked, reach-filtered one replaced, and the ``json.dumps``
+document serializer that the tile-line template replaced."""
 
+import json
 import math
 
 import numpy as np
 
-from fairtile.errors import DegenerateTriangle, NoConvergence, SingularDenominator, SingularJacobian
+from fairtile.assembly import _DRAWS_PER_MARGIN, _MARGIN_CAP, _MARGIN_FLOOR, _MARGIN_STEP, SQRT3
+from fairtile.congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set,
+                                 equilateral_shear_set, halfturn_key, halfturn_variants,
+                                 match_roots, pair_shear_roots)
+from fairtile.document import fmt17
+from fairtile.errors import (DegenerateTriangle, ExhaustedRetries, NoConvergence,
+                             SingularDenominator, SingularJacobian)
 from fairtile.geometry import Point, edge_lengths, edge_vectors, interior_angles, with_vertices
+from fairtile.strip import window_triangles
 
 
 def signature_rows(p) -> np.ndarray:
@@ -129,3 +139,79 @@ def reflect_x(p):
     Vertex order is reversed so the result stays counterclockwise.
     """
     return with_vertices(p, reversed([Point(v.x, -v.y) for v in p.vertices]))
+
+
+def gap_to_roots(roots: np.ndarray, value: float) -> float:
+    """Distance from value to the nearest of the sorted, non-empty roots."""
+    idx = int(np.searchsorted(roots, value))
+    return float(np.min(np.abs(roots[max(idx - 1, 0):idx + 1] - value)))
+
+
+def margin_ladder(half: float) -> list[float]:
+    """Root-avoidance margins of a row whose draws lie in (-half, half),
+    in the order they are tried."""
+    margins = [min(_MARGIN_CAP, half / 20.0)]
+    while margins[-1] / _MARGIN_STEP > _MARGIN_FLOOR:
+        margins.append(margins[-1] / _MARGIN_STEP)
+    margins.append(_MARGIN_FLOOR)
+    margins.sort(reverse=True)
+    return margins
+
+
+def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list[float]:
+    """The shear selection on every root: one static-root call per tile
+    against all later tiles, and each fixed row's cross-row roots as one
+    (N, 3N) array, none of them discarded.  The sorted root set each row
+    draws against is appended to ``root_sets`` when one is given."""
+    tiles = window_triangles(base)
+    _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
+    if collisions:
+        bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
+    ev = np.array([edge_vectors(t) for t in tiles])
+    static = []
+    for a, tile in enumerate(tiles):
+        static.append(np.array(equilateral_shear_set(tile).roots))
+        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:]).ravel())
+    roots = np.concatenate(static)
+    roots = np.sort(roots[~np.isnan(roots)])
+    chosen = []
+    for n in range(1, count + 1):
+        if root_sets is not None:
+            root_sets.append(roots)
+        half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
+        mu = None
+        for margin in margin_ladder(half):
+            for _ in range(_DRAWS_PER_MARGIN):
+                cand = rng.uniform(-half, half)
+                if roots.size == 0 or gap_to_roots(roots, cand) >= margin:
+                    mu = cand
+                    break
+            if mu is not None:
+                break
+        if mu is None:
+            raise ExhaustedRetries(
+                f"no shear for row parameter {n} clears the collision roots by "
+                f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
+                f"(window too dense for epsilon={epsilon})")
+        chosen.append(mu)
+        if n < count:
+            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], axis=-1)
+            cross = match_roots(ev, sheared.reshape(1, -1, 2)).ravel()
+            roots = np.sort(np.concatenate([roots, cross[~np.isnan(cross)]]))
+    return chosen
+
+
+def serialize(doc) -> str:
+    """A document as JSON Lines, every line written by ``json.dumps``."""
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    lines = [dump({"format_version": doc.format_version, "kind": doc.kind,
+                   "parameters": doc.parameters})]
+    for tile in doc.tiles:
+        tid = tile.id
+        id_obj = {"row": tid.row, "col": tid.col, "slot": tid.slot}
+        if getattr(tile, "corner", None) is not None:
+            id_obj["corner"] = tile.corner
+        lines.append(dump({"id": id_obj,
+                           "vertices": [[fmt17(v.x), fmt17(v.y)] for v in tile.vertices]}))
+    return "\n".join(lines) + "\n"

@@ -287,18 +287,62 @@ GATE_MARGINS = {  # (rows, cols): (triangle margin, quadrangle margin), eps 0.00
 }
 
 
-def test_a11_gate_margins(plane_run, quad_run, tmp_path):
-    t0 = time.monotonic()
-    plane16, quad16 = tmp_path / "plane16x4.tiles", tmp_path / "quads16x4.tiles"
+@pytest.fixture(scope="module")
+def gate16x4(tmp_path_factory):
+    out = tmp_path_factory.mktemp("acceptance-16x4")
+    plane16, quad16 = out / "plane16x4.tiles", out / "quads16x4.tiles"
     assert cli.main(["gen-plane", "--epsilon", "0.005", "--seed", "42", "--rows", "16",
                      "--cols", "4", "--out", str(plane16)]) == 0
     assert cli.main(["quadify", "--in", str(plane16), "--out", str(quad16)]) == 0
-    docs = {(6, 20): (plane_run[0], quad_run[0]), (16, 4): (plane16, quad16)}
+    return plane16, quad16
+
+
+def test_a11_gate_margins(plane_run, quad_run, gate16x4):
+    t0 = time.monotonic()
+    docs = {(6, 20): (plane_run[0], quad_run[0]), (16, 4): gate16x4}
     for shape, paths in docs.items():
         got = tuple(check_pairwise_incongruent(read_document(p).tiles, 1e-9).margin for p in paths)
         assert [m.hex() for m in got] == [m.hex() for m in GATE_MARGINS[shape]], shape
     conclude("A11", time.monotonic() - t0, 60.0,
              "6x20 and 16x4 plane and quadrangle margins equal their pinned values bit for bit")
+
+
+# --- A12: the gate windows' parameters, digit for digit ----------------------------
+
+# A plane document is fixed by its header: the strip height and the shears.
+GATE_HEADERS = {  # (rows, cols, epsilon, seed): (y0, shears)
+    (6, 20, "0.005", 42): ("0.00097497734428502608", [
+        "-0.00068558792083592572", "-0.00016235860449920325", "0.00017242657063086929",
+        "-7.9010609991965973e-07", "6.1300843547545155e-07", "1.8707030355011333e-06"]),
+    (3, 30, "0.005", 11): ("0.00073199584553565369", [
+        "8.6274007984201415e-05", "0.00030614761859898567", "-0.0001653096944487064"]),
+    (10, 10, "0.05", 7): ("0.0039144948834984612", [
+        "-0.0050395580855617256", "0.0010892757329944236", "-0.0015428376561763136",
+        "1.3415695495418763e-05", "-9.9564951739257728e-06", "-1.1683071768146184e-05",
+        "-8.6387643617428665e-06", "7.4808834697762886e-06", "7.9819784130938745e-06",
+        "1.0976207360159227e-05"]),
+    (16, 4, "0.005", 42): ("0.00097497734428502608", [
+        "-0.00068558792083592572", "-0.00016235860449920325", "-9.9877721774109385e-05",
+        "4.266459973537193e-05", "2.0724329513920226e-05", "1.969551904364793e-05",
+        "1.0465064130333511e-05", "-2.3769604918001042e-07", "-1.4513075757090448e-06",
+        "1.4681637486174794e-07", "3.8834964349364406e-07", "-8.4106413587540951e-08",
+        "-4.9595052177835274e-08", "-4.2011248356385186e-08", "-3.536127404116364e-08",
+        "2.1201274156670103e-08"]),
+}
+
+
+def test_a12_gate_window_headers(plane_run, gate16x4, tmp_path):
+    t0 = time.monotonic()
+    paths = {(6, 20, "0.005", 42): plane_run[0], (16, 4, "0.005", 42): gate16x4[0]}
+    for rows, cols, epsilon, seed in ((3, 30, "0.005", 11), (10, 10, "0.05", 7)):
+        out = paths[rows, cols, epsilon, seed] = tmp_path / f"plane{rows}x{cols}.tiles"
+        assert cli.main(["gen-plane", "--epsilon", epsilon, "--seed", str(seed), "--rows",
+                         str(rows), "--cols", str(cols), "--out", str(out)]) == 0
+    for shape, path in paths.items():
+        params = read_document(path).parameters
+        assert (params["y0"], params["shears"]) == GATE_HEADERS[shape], shape
+    conclude("A12", time.monotonic() - t0, 60.0,
+             "the 6x20, 3x30, 10x10 and 16x4 windows keep their pinned strip height and shears")
 
 
 def test_batched_rows_equal_the_per_polygon_rows_on_the_window(plane_run, quad_run):

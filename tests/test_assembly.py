@@ -27,11 +27,14 @@ from fairtile.congruence import (
     signature_key,
     signature_variants,
 )
-from fairtile.errors import BoundaryMismatch, DegeneratePair, IndexOutOfRange, InvalidParameter
+from fairtile.errors import (BoundaryMismatch, DegeneratePair, ExhaustedRetries, IndexOutOfRange,
+                             InvalidParameter)
 from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, edge_vectors
+from fairtile.pipeline import sample_certified_y0
 from fairtile.strip import (StripTiling, critical_tiling, strip_tiling, tile_ids, triangle_at,
                             window_triangles)
 from fairtile.verify import check_closeness, check_vertex_to_vertex
+import oracles
 from oracles import reflect_x, shear, translate
 
 
@@ -123,6 +126,95 @@ def test_select_shears_sweeps_the_window_once(base, monkeypatch):
     monkeypatch.setattr(assembly, "bad_shear_set", lambda *pair: calls.append(pair))
     select_shears(base, count=2, epsilon=0.01, rng=random.Random(3))
     assert calls == []  # no per-pair root call on a window without degenerate pairs
+
+
+def _shear_outcome(select, base, rows, epsilon, seed):
+    """The shears by ``float.hex``, or the refusal's type and message."""
+    try:
+        return [m.hex() for m in select(base, rows, epsilon, random.Random(seed))]
+    except (DegeneratePair, ExhaustedRetries) as e:
+        return type(e).__name__, str(e)
+
+
+def test_select_shears_matches_the_unfiltered_oracle():
+    rng = random.Random(3)
+    cases = []
+    for _ in range(22):
+        epsilon, rows = 10 ** rng.uniform(-6, -2), rng.randint(1, 8)
+        strip = strip_tiling(10 ** rng.uniform(-6, -3), rng.randint(1, 12))
+        cases.append((epsilon, rows, strip, rng.randrange(10 ** 6)))
+    cases += [(0.0001, 6, strip_tiling(3e-4, 8), 1),
+              (2.5e-6, 7, strip_tiling(3.2e-5, 6), 1),  # roots too dense for row 5
+              (0.01, 3, critical_tiling(3), 0)]  # mirror columns agree up to a half-turn
+    kinds = set()
+    for epsilon, rows, strip, seed in cases:
+        base = scale_to_equilateral(strip)
+        got = _shear_outcome(select_shears, base, rows, epsilon, seed)
+        assert got == _shear_outcome(oracles.select_shears, base, rows, epsilon, seed)
+        kinds.add(got[0] if isinstance(got, tuple) else "shears")
+    assert kinds == {"shears", "DegeneratePair", "ExhaustedRetries"}
+
+
+def test_reach_filter_keeps_every_verdict(monkeypatch):
+    real_gap = assembly._gap_to_roots
+    kept_sets = []  # the root array each row draws against, as select_shears passes it
+
+    def recording_gap(roots, value):
+        if not kept_sets or kept_sets[-1] is not roots:
+            kept_sets.append(roots)
+        return real_gap(roots, value)
+
+    monkeypatch.setattr(assembly, "_gap_to_roots", recording_gap)
+    cases = [(scale_to_equilateral(strip_tiling(y0, cols)), rows, epsilon)
+             for epsilon, rows, y0, cols in ((0.005, 4, 0.001, 10), (0.0001, 4, 2e-5, 8),
+                                             (0.05, 5, 0.004, 6))]
+    # the first row's interval ends a quarter margin short of a static root
+    # inside the root cluster, so a filter reaching too short shows
+    edge_base, static = cases[1][0], []
+    oracles.select_shears(edge_base, 1, 1.0, random.Random(0), static)
+    r0 = float(static[0][np.searchsorted(static[0], 2e-5)])
+    cases.append((edge_base, 4, (r0 - assembly._MARGIN_CAP / 4) * 4.0 * SQRT3))
+    rng = random.Random(17)
+    for base, rows, epsilon in cases:
+        kept_sets.clear()
+        select_shears(base, rows, epsilon, random.Random(1))
+        full_sets = []
+        oracles.select_shears(base, rows, epsilon, random.Random(1), full_sets)
+        assert len(kept_sets) == len(full_sets) == rows
+        half_1 = 0.5 * epsilon / (2.0 * SQRT3)
+        for n, (kept, full) in enumerate(zip(kept_sets, full_sets), start=1):
+            # the filter only drops roots, and keeps every root a draw can reach
+            assert kept.size < full.size and np.isin(kept, full).all()
+            near = half_1 + assembly._MARGIN_CAP
+            assert np.array_equal(kept[np.abs(kept) <= near], full[np.abs(full) <= near])
+            half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
+            ladder = oracles.margin_ladder(half)
+            cands = [rng.uniform(-half, half) for _ in range(300)] + [-half, half]
+            for margin in ladder:  # margin and half a margin from the roots around each end
+                for end in (-half, half):
+                    i = int(np.searchsorted(full, end))
+                    for r in full[max(i - 3, 0):i + 3].tolist():
+                        cands += [c for c in (r + k * margin for k in (-1.0, -0.5, 0.5, 1.0))
+                                  if -half <= c <= half]
+            for margin in ladder:
+                for cand in cands:
+                    assert ((real_gap(kept, cand) >= margin)
+                            == (oracles.gap_to_roots(full, cand) >= margin)), (n, margin, cand)
+
+
+def test_select_shears_peaks_below_32_mib_at_6x40():
+    # solving each fixed row's cross-row roots as one (N, 3N) array peaks
+    # at 89 MiB on this window
+    rng = random.Random(5)
+    _, strip = sample_certified_y0(rng, 40, 0.005)
+    base = scale_to_equilateral(strip)
+    tracemalloc.start()
+    try:
+        select_shears(base, 6, 0.005, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"select_shears peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_stack_plane_transforms():

@@ -12,6 +12,7 @@ from fairtile.document import fmt17, parse, read_document, serialize
 from fairtile.errors import DegeneratePolygon, DocumentError, InvalidParameter
 from fairtile.geometry import Point, Quadrangle
 from fairtile.strip import strip_tiling
+import oracles
 
 
 def test_fmt17_round_trips_binary64():
@@ -208,6 +209,15 @@ def test_reports_of_in_memory_documents_are_json(small_docs):
     for doc in small_docs.values():
         for r in pipeline.run_checks(doc, list(pipeline.CHECKS[doc.kind])):
             json.dumps(dataclasses.asdict(r))
+
+
+def test_tile_lines_are_the_json_dumps_bytes(small_docs):
+    strip = small_docs["strip"]
+    assert any(str(c) == "-0.0" for t in strip.tiles for v in t.vertices for c in v.xy)
+    assert {q.corner for q in small_docs["quad"].tiles} == {"A", "B", "C"}
+    for doc in small_docs.values():  # NumPy coordinates, then plain floats after a parse
+        assert serialize(doc) == oracles.serialize(doc)
+        assert serialize(parse(serialize(doc))) == oracles.serialize(doc)
 
 
 # Every named check on one small document of each kind: (check_name, passed,
