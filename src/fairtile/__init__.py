@@ -12,7 +12,6 @@ tolerances and margins.
 from .assembly import (
     PlaneTiling,
     StripTransform,
-    plane_triangle,
     scale_to_equilateral,
     select_shears,
     stack_plane,
@@ -54,7 +53,7 @@ from .strip import (
     critical_tiling,
     deviations,
     strip_tiling,
-    triangle_at,
+    window_triangles,
 )
 from .verify import (
     VerificationReport,

@@ -16,22 +16,18 @@ tile congruent to a tile of an earlier row, no tile equilateral.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set, equilateral_shear_set,
                          halfturn_key, halfturn_variants, match_roots, pair_shear_roots)
-from .errors import (
-    BoundaryMismatch,
-    ExhaustedRetries,
-    IndexOutOfRange,
-    InvalidParameter,
-)
-from .geometry import Point, TileId, Triangle, edge_vectors
-from .strip import StripTiling, tile_ids, triangle_at, window_triangles
+from .errors import BoundaryMismatch, ExhaustedRetries, InvalidParameter
+from .geometry import TileId, Triangle, triangles
+from .strip import StripTiling, flat_vertices, tile_ids, window_triangles, window_vertices
 
 __all__ = [
     "SQRT3",
@@ -39,10 +35,8 @@ __all__ = [
     "PlaneTiling",
     "scale_to_equilateral",
     "row_order",
-    "shear_index",
     "select_shears",
     "stack_plane",
-    "plane_triangle",
     "periodic_triangles",
 ]
 
@@ -60,11 +54,6 @@ _DRAWS_PER_MARGIN = 1000
 _PAIR_BLOCK = 4096  # tile pairs per static-root pass
 _CROSS_BLOCK = 1 << 15  # quadratics per cross-row root pass
 
-# vertex offsets (dx, dy) of the flat strip's tiles, by (col == 0, slot)
-_FLAT_OFFSETS = {(False, 1): ((-1, 1), (0, 0), (1, 1)), (False, 2): ((-2, 0), (0, 0), (-1, 1)),
-                 (False, 3): ((-2, 0), (-1, -1), (0, 0)), (False, 4): ((-1, -1), (1, -1), (0, 0)),
-                 (True, 1): ((0, 0), (1, 1), (-1, 1)), (True, 4): ((0, 0), (-1, -1), (1, -1))}
-
 
 @dataclass(frozen=True)
 class StripTransform:
@@ -76,20 +65,16 @@ class StripTransform:
     translation: tuple[float, float]
 
     def place(self, x, y):
-        """Image of the strip point(s) ``(x, y)``, for floats or arrays alike.
-
-        A reflected copy reverses orientation, so a polygon placed vertex by
-        vertex has to reverse its vertex order to stay counterclockwise.
-        """
+        """Image of the strip point(s) ``(x, y)``, for floats or arrays alike."""
         tx, ty = self.translation
         return (x + self.mu * y) + tx, (-y if self.reflected else y) + ty
 
-    def place_triangle(self, tri: Triangle, tid: TileId) -> Triangle:
-        """The placed copy of a strip triangle, carrying ``tid``."""
-        pts = [Point(*self.place(v.x, v.y)) for v in tri.vertices]
-        if self.reflected:
-            pts.reverse()
-        return Triangle(*pts, id=tid)
+
+def _placed(tr: StripTransform, verts: np.ndarray, ids) -> list[Triangle]:
+    """The copies of the strip tiles ``verts`` (m, 3, 2) that ``tr`` places,
+    carrying ``ids``; reflected copies reverse their vertex order to stay ccw."""
+    placed = np.stack(tr.place(verts[..., 0], verts[..., 1]), -1)
+    return triangles(placed[:, ::-1] if tr.reflected else placed, ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +83,7 @@ class PlaneTiling:
 
     ``rows`` holds the generated strip rows (contiguous, containing 0) and
     ``transforms`` their placements.  Each row is the whole base strip,
-    columns -n_cols..n_cols.  Tiles materialize lazily through
-    :func:`plane_triangle`.
+    columns -n_cols..n_cols, placed from its vertex array by ``tiles()``.
     """
 
     base: StripTiling
@@ -108,40 +92,23 @@ class PlaneTiling:
 
     def tiles(self) -> list[Triangle]:
         """Every generated tile, ordered by (row, col, slot)."""
-        return [plane_triangle(self, tid)
-                for k in self.rows for tid in tile_ids(self.base.n_cols, row=k)]
+        verts = window_vertices(self.base)
+        return [tri for k in self.rows
+                for tri in _placed(self.transforms[k], verts, tile_ids(self.base.n_cols, row=k))]
 
 
 def scale_to_equilateral(t: StripTiling) -> StripTiling:
     """Stretch second coordinates by sqrt(3); tile areas become sqrt(3)."""
     if t.y_scale != 1.0:
         raise InvalidParameter("strip tiling is already vertically scaled")
-    return t.scaled(SQRT3)
+    return replace(t, y_scale=SQRT3)
 
 
 def row_order(count: int) -> list[int]:
     """Strip rows in construction order: 0, +1, -1, +2, -2, ..."""
     if count < 1:
         raise InvalidParameter(f"row count must be >= 1, got {count}")
-    out = [0]
-    k = 1
-    while len(out) < count:
-        out.append(k)
-        if len(out) < count:
-            out.append(-k)
-        k += 1
-    return out
-
-
-def shear_index(k: int) -> int:
-    """1-based index of the shear parameter used by strip row k.
-
-    Row 0 takes the first parameter, then rows +1, -1, +2, -2, ... consume
-    the rest in construction order.
-    """
-    if k == 0:
-        return 1
-    return 2 * k if k > 0 else 2 * (-k) + 1
+    return [0, *(sign * k for k in range(1, count) for sign in (1, -1))][:count]
 
 
 def _gap_to_roots(roots: np.ndarray, value: float) -> float:
@@ -179,7 +146,8 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
 
-    ev = np.array([edge_vectors(t) for t in tiles])  # (N, 3, 2)
+    verts = window_vertices(base)
+    ev = np.roll(verts, -1, axis=1) - verts  # (N, 3, 2) edge vectors
     # every draw lies in [-half_1, half_1] and every margin is at most
     # _MARGIN_CAP, so a root r with |r| > half_1 + _MARGIN_CAP rejects no
     # draw: were it the nearest root, the gap would clear every margin, and
@@ -228,18 +196,14 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
 
 
 def _row_offsets(ks: list[int], mu_of: dict[int, float]) -> dict[int, float]:
-    # translation x-offsets chaining boundary matches away from row 0
+    # translation x-offsets chaining boundary matches away from row 0; the sign
+    # flips with the inner neighbour's parity and below row 0 (exact negation)
     t_off = {0: 0.0}
-    for k in range(1, max(ks) + 1):
-        if (k - 1) % 2 == 0:
-            t_off[k] = t_off[k - 1] + (mu_of[k - 1] - mu_of[k]) * SQRT3
-        else:
-            t_off[k] = t_off[k - 1] + (mu_of[k] - mu_of[k - 1]) * SQRT3
-    for k in range(-1, min(ks) - 1, -1):
-        if (k + 1) % 2 == 0:
-            t_off[k] = t_off[k + 1] + (mu_of[k] - mu_of[k + 1]) * SQRT3
-        else:
-            t_off[k] = t_off[k + 1] + (mu_of[k + 1] - mu_of[k]) * SQRT3
+    for k in sorted(ks, key=abs)[1:]:
+        step = 1 if k > 0 else -1
+        j = k - step  # the inner neighbour, already placed
+        sign = step if j % 2 == 0 else -step
+        t_off[k] = t_off[j] + sign * (mu_of[j] - mu_of[k]) * SQRT3
     return t_off
 
 
@@ -256,11 +220,10 @@ def stack_plane(base: StripTiling, shears, rows: int) -> PlaneTiling:
         raise InvalidParameter("stack_plane needs the vertically scaled strip")
     ks = row_order(rows)
     shears = tuple(float(m) for m in shears)
-    needed = max(shear_index(k) for k in ks)
-    if len(shears) < needed:
-        raise InvalidParameter(f"{needed} shear parameters needed, got {len(shears)}")
+    if len(shears) < len(ks):
+        raise InvalidParameter(f"{len(ks)} shear parameters needed, got {len(shears)}")
 
-    mu_of = {k: shears[shear_index(k) - 1] for k in ks}
+    mu_of = dict(zip(ks, shears))  # the n-th row in construction order takes parameter n
     t_off = _row_offsets(ks, mu_of)
     transforms = {
         k: StripTransform(mu=mu_of[k], reflected=(k % 2 != 0),
@@ -290,23 +253,12 @@ def _assert_boundaries(p: PlaneTiling) -> None:
             raise BoundaryMismatch(k + 1, dev)
 
 
-def plane_triangle(p: PlaneTiling, tid: TileId) -> Triangle:
-    """Materialize one tile of the plane tiling."""
-    if tid.row not in p.transforms:
-        raise IndexOutOfRange(f"row {tid.row} not generated")
-    return p.transforms[tid.row].place_triangle(triangle_at(p.base, tid.col, tid.slot), tid)
-
-
 def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
-    """The tiles' counterparts in the periodic tiling by equilateral
-    triangles of edge length 2 (zero shears, zero horizontal offsets), each
-    read in closed form off the flat strip: x = 2|col| + dx, y = dy*sqrt(3)."""
+    """The tiles' counterparts in the periodic tiling by equilateral triangles
+    of edge length 2: the undistorted strip's, placed with zero shear and offset."""
     out = []
-    for tid in tids:
-        n = abs(tid.col)
-        pts = [(2.0 * n + dx, dy * SQRT3) for dx, dy in _FLAT_OFFSETS[n == 0, tid.slot]]
-        if tid.col < 0:
-            pts = [(-x, y) for x, y in reversed(pts)]
-        out.append(StripTransform(0.0, tid.row % 2 != 0, (0.0, 2.0 * tid.row * SQRT3))
-                   .place_triangle(Triangle(*(Point(x, y) for x, y in pts)), tid))
+    for k, run in itertools.groupby(tids, key=lambda tid: tid.row):
+        run = list(run)
+        verts = flat_vertices(*np.array([(tid.col, tid.slot) for tid in run]).T, SQRT3)
+        out += _placed(StripTransform(0.0, k % 2 != 0, (0.0, 2.0 * k * SQRT3)), verts, run)
     return out

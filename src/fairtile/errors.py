@@ -11,10 +11,6 @@ class InvalidParameter(FairtileError, ValueError):
     """A parameter lies outside its documented domain."""
 
 
-class IndexOutOfRange(FairtileError, IndexError):
-    """A tile address is not part of the generated data."""
-
-
 class DegeneratePolygon(FairtileError):
     """Vertices are collinear, self-intersecting or wrongly oriented."""
 

@@ -23,6 +23,7 @@ __all__ = [
     "TileId",
     "Triangle",
     "Quadrangle",
+    "triangles",
     "signed_area",
     "area",
     "perimeter",
@@ -111,6 +112,15 @@ class Triangle:
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.v1, self.v2, self.v3)
+
+
+def triangles(verts, ids) -> list[Triangle]:
+    """One triangle per row of the (m, 3, 2) array ``verts``, carrying the next
+    of ``ids``; rows become floats 4,096 at a time, never the whole array."""
+    ids = iter(ids)
+    return [Triangle(Point(*p), Point(*q), Point(*r), id=tid)
+            for k in range(0, len(verts), 4096)
+            for (p, q, r), tid in zip(verts[k:k + 4096].tolist(), ids)]
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ CHECKS: dict[str, dict[str, Callable[..., verify.VerificationReport]]] = {
         "area": lambda doc, strip: verify.check_equal_area(doc.tiles, 1.0, 1e-10),
         "v2v": lambda doc, strip: verify.check_vertex_to_vertex(doc.tiles, 1e-9),
         "halfturn": lambda doc, strip: verify.check_halfturn_incongruent(doc.tiles, 1e-9),
-        "identity": lambda doc, strip: verify.check_identity(strip(), 1e-10),
+        "identity": lambda doc, strip: verify.check_identity(strip(), doc.tiles, 1e-10),
         "contraction": lambda doc, strip: verify.check_contraction(deviations(strip())),
     },
     "plane": {

@@ -19,12 +19,12 @@ raw recursion would accumulate over many thousands of columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorVanished, IndexOutOfRange, InvalidParameter
-from .geometry import Point, TileId, Triangle
+from .errors import DenominatorVanished, InvalidParameter
+from .geometry import TileId, Triangle, triangles
 
 __all__ = [
     "MAX_COLS",
@@ -33,8 +33,10 @@ __all__ = [
     "strip_tiling",
     "critical_tiling",
     "deviations",
-    "triangle_at",
+    "window_index",
     "tile_ids",
+    "window_vertices",
+    "flat_vertices",
     "window_triangles",
     "unit_area_residual",
     "identity_residual",
@@ -70,9 +72,6 @@ class StripTiling:
     beta: np.ndarray
     xi: np.ndarray
     y_scale: float = 1.0
-
-    def scaled(self, y_scale: float) -> "StripTiling":
-        return replace(self, y_scale=y_scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +149,10 @@ def critical_tiling(n_cols: int) -> StripTiling:
     b_i = 2i - (sqrt(3)+1)/2 for i >= 1.  Built directly from these forms,
     not from the recursion, so it serves as an independent oracle.
     """
-    if not (isinstance(n_cols, (int, np.integer)) and 1 <= n_cols <= MAX_COLS):
-        raise InvalidParameter(f"n_cols must be an integer in [1, {MAX_COLS}], got {n_cols!r}")
-    n = int(n_cols)
     rt3 = math.sqrt(3.0)
     y0 = 1.0 / rt3
+    _validate_args(y0, n_cols)
+    n = int(n_cols)
 
     idx = np.arange(n + 2, dtype=np.float64)
     aa = 2.0 * idx + (rt3 - 1.0) / 2.0
@@ -188,53 +186,61 @@ def deviations(t: StripTiling) -> DeviationSeries:
     return DeviationSeries(alpha=t.alpha, beta=t.beta, xi=t.xi, y=y, h=h)
 
 
+# Column n >= 1 of a strip has eight points: 0 (a_n, s), 1 (a_{n+1}, s),
+# 2 (b_n, -s), 3 (b_{n+1}, -s), the midline vertices 4 (n - 1) and 5 (n),
+# and the mirror images 6 (-a_n, s) and 7 (-b_n, -s).  Row j - 1 lists the
+# three that the tile in slot j joins, counterclockwise; rows 4 and 5 list
+# the center column's slots 1 and 4, read off column 1.
+_SLOTS = np.array([(0, 5, 1), (4, 5, 0), (4, 2, 5), (2, 3, 5), (4, 0, 6), (4, 7, 2)])
+
+
+def _slot_vertices(cols, slots, which, a, b, x, y, s: float) -> np.ndarray:
+    """Vertices (m, 3, 2) of the tiles in columns ``cols``, slots ``slots``,
+    where row ``which[k]`` of ``a``, ``b``, ``x``, ``y`` holds (a_n, a_{n+1}),
+    (b_n, b_{n+1}) and the midline vertices n - 1, n (``y`` scaled) of tile k's
+    column n = max(|col|, 1).  Negative columns mirror: x negated, order reversed."""
+    up = np.full((len(a), 2), s)
+    points = np.stack([np.concatenate([a, b, x, -a[:, :1], -b[:, :1]], 1),
+                       np.concatenate([up, -up, y, up[:, :1], -up[:, :1]], 1)], -1)
+    verts = points[which[:, None], _SLOTS[np.where(cols == 0, 4 + (slots == 4), slots - 1)]]
+    verts[cols < 0] = verts[cols < 0, ::-1] * (-1.0, 1.0)
+    return verts
+
+
+def window_index(n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and slot of every window tile, ordered by (col, slot)."""
+    cols, slots = np.divmod(np.arange(-4 * n_cols, 4 * n_cols + 4), 4)
+    keep = (cols != 0) | (slots % 3 == 0)  # the center column has slots 1 and 4 only
+    return cols[keep], slots[keep] + 1
+
+
 def tile_ids(n_cols: int, row: int = 0):
     """All tile addresses of a strip window, ordered by (col, slot)."""
-    for i in range(-n_cols, n_cols + 1):
-        for j in (1, 4) if i == 0 else (1, 2, 3, 4):
-            yield TileId(row, i, j)
+    cols, slots = window_index(n_cols)
+    return (TileId(row, i, j) for i, j in zip(cols.tolist(), slots.tolist()))
+
+
+def window_vertices(t: StripTiling) -> np.ndarray:
+    """Vertices of every tile of the tiling, shape ``(8*n_cols + 2, 3, 2)``:
+    columns -n_cols..n_cols ordered by (col, slot), each counterclockwise."""
+    cols, slots = window_index(t.n_cols)
+    # per column n: (a_n, a_{n+1}), (b_n, b_{n+1}), (x_{n-1}, x_n), (y_{n-1}, y_n)
+    pairs = [np.stack([v[:-1], v[1:]], -1) for v in (t.aa[1:], t.bb[1:], t.xs, t.ys * t.y_scale)]
+    return _slot_vertices(cols, slots, np.maximum(np.abs(cols), 1) - 1, *pairs, t.y_scale)
+
+
+def flat_vertices(cols: np.ndarray, slots: np.ndarray, y_scale: float) -> np.ndarray:
+    """Vertices (m, 3, 2) of tiles of the undistorted strip (a_n = b_n = 2n - 1,
+    midline vertex n at (2n, 0)), each from its own column in closed form."""
+    x = 2.0 * np.maximum(np.abs(cols), 1)
+    ends = np.stack([x - 1.0, x + 1.0], -1)
+    return _slot_vertices(cols, slots, np.arange(len(x)), ends, ends, np.stack([x - 2.0, x], -1),
+                          0.0 * ends, y_scale)
 
 
 def window_triangles(t: StripTiling) -> list[Triangle]:
     """Every triangle of the tiling, columns -n_cols..n_cols, ordered by (col, slot)."""
-    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(t.n_cols)]
-
-
-def triangle_at(t: StripTiling, i: int, j: int) -> Triangle:
-    """The triangle in column ``i``, slot ``j``, with vertices in ccw order.
-
-    Negative columns return the exact mirror image (coordinate negation)
-    of the corresponding positive column.
-    """
-    if abs(i) > t.n_cols:
-        raise IndexOutOfRange(f"column {i} outside generated range +-{t.n_cols}")
-    if j not in (1, 2, 3, 4) or (i == 0 and j in (2, 3)):
-        raise IndexOutOfRange(f"no tile at column {i}, slot {j}")
-
-    s = t.y_scale
-    if i == 0:
-        apex = Point(0.0, t.y0 * s)
-        if j == 1:
-            tri = (apex, Point(t.aa[1], s), Point(-t.aa[1], s))
-        else:
-            tri = (apex, Point(-t.bb[1], -s), Point(t.bb[1], -s))
-        return Triangle(*tri, id=TileId(0, 0, j))
-
-    n = abs(i)
-    mid_prev = Point(t.xs[n - 1], t.ys[n - 1] * s)
-    mid = Point(t.xs[n], t.ys[n] * s)
-    if j == 1:
-        tri = (Point(t.aa[n], s), mid, Point(t.aa[n + 1], s))
-    elif j == 2:
-        tri = (mid_prev, mid, Point(t.aa[n], s))
-    elif j == 3:
-        tri = (mid_prev, Point(t.bb[n], -s), mid)
-    else:
-        tri = (Point(t.bb[n], -s), Point(t.bb[n + 1], -s), mid)
-    if i < 0:
-        # negate x and reverse the order so the mirror stays ccw
-        tri = tuple(Point(-p.x, p.y) for p in reversed(tri))
-    return Triangle(*tri, id=TileId(0, i, j))
+    return triangles(window_vertices(t), tile_ids(t.n_cols))
 
 
 def unit_area_residual(t: StripTiling) -> float:

@@ -31,7 +31,8 @@ from .geometry import (
     perimeter,
     tile_label,
 )
-from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual
+from .strip import (DeviationSeries, StripTiling, identity_residual, unit_area_residual,
+                    window_index, window_vertices)
 
 __all__ = [
     "VerificationReport",
@@ -108,12 +109,26 @@ def check_convex(tiles, tol: float = 1e-12) -> VerificationReport:
         offenders=_cap(offenders), tiles_checked=len(tiles), tolerance_used=tol)
 
 
-def check_identity(t: StripTiling, tol: float = 1e-10) -> VerificationReport:
-    """Unit-area determinants and the area-bookkeeping identity of a strip."""
+def check_identity(t: StripTiling, tiles, tol: float = 1e-10) -> VerificationReport:
+    """Unit-area determinants and the area-bookkeeping identity of a strip, and
+    ``tiles`` against its window: count, and each tile's id, vertex count and
+    coordinates bit for bit (-0.0 and 0.0 differ), naming the tiles that differ."""
     worst = max(unit_area_residual(t), identity_residual(t))
+    cols, slots = window_index(t.n_cols)
+    want = np.column_stack([0 * cols, cols, slots, 0 * cols + 3, window_vertices(t).reshape(-1, 6)])
+    m = min(len(tiles), len(want))
+    ids = np.fromiter((c for p in tiles[:m] for c in (p.id.row, p.id.col, p.id.slot,
+                                                       len(p.vertices))), float, 4 * m)
+    xy = np.fromiter((c for p in tiles[:m] for v in p.vertices[:3] for c in v.xy), float, 6 * m)
+    got = np.column_stack([ids.reshape(m, 4), xy.reshape(m, 6)])
+    bad = np.flatnonzero((got.view(np.uint64) != want[:m].view(np.uint64)).any(1)).tolist()
+    bad += range(m, len(tiles))
+    note = (f"{len(bad)} of {len(tiles)} tiles differ from the {len(want)} of the header's strip"
+            if bad or len(tiles) != len(want) else "")
     return VerificationReport(
-        check_name="strip-identities", passed=worst <= tol, worst_residual=worst,
-        margin=None, offenders=(), tiles_checked=4 * t.n_cols + 2, tolerance_used=tol)
+        check_name="strip-identities", passed=worst <= tol and not note, worst_residual=worst,
+        margin=None, offenders=_cap([(tile_label(tiles[i]),) * 2 for i in bad]),
+        tiles_checked=4 * t.n_cols + 2, tolerance_used=tol, note=note)
 
 
 # ---------------------------------------------------------------------------

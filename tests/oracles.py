@@ -5,7 +5,9 @@ replaced, the numpy Newton iteration that :func:`fairtile.quadsplit.newton3`
 replaced, the elementary plane maps that :class:`StripTransform`
 composes into one placement, the shear selection on unfiltered root sets
 that the blocked, reach-filtered one replaced, and the ``json.dumps``
-document serializer that the tile-line template replaced."""
+document serializer that the tile-line template replaced, and the slot
+chain that built one strip tile at a time before the window became one
+vertex array."""
 
 import json
 import math
@@ -19,7 +21,8 @@ from fairtile.congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set,
 from fairtile.document import fmt17
 from fairtile.errors import (DegenerateTriangle, ExhaustedRetries, NoConvergence,
                              SingularDenominator, SingularJacobian)
-from fairtile.geometry import Point, edge_lengths, edge_vectors, interior_angles, with_vertices
+from fairtile.geometry import (Point, TileId, Triangle, edge_lengths, edge_vectors,
+                               interior_angles, with_vertices)
 from fairtile.strip import window_triangles
 
 
@@ -215,3 +218,35 @@ def serialize(doc) -> str:
         lines.append(dump({"id": id_obj,
                            "vertices": [[fmt17(v.x), fmt17(v.y)] for v in tile.vertices]}))
     return "\n".join(lines) + "\n"
+
+
+def triangle_at(t, i: int, j: int) -> Triangle:
+    """The strip triangle in column ``i``, slot ``j``, with vertices in ccw
+    order; negative columns are the exact mirror image (coordinate
+    negation) of the corresponding positive column."""
+    if abs(i) > t.n_cols or j not in (1, 2, 3, 4) or (i == 0 and j in (2, 3)):
+        raise ValueError(f"no tile at column {i}, slot {j}")
+    s = t.y_scale
+    if i == 0:
+        apex = Point(0.0, t.y0 * s)
+        if j == 1:
+            tri = (apex, Point(t.aa[1], s), Point(-t.aa[1], s))
+        else:
+            tri = (apex, Point(-t.bb[1], -s), Point(t.bb[1], -s))
+        return Triangle(*tri, id=TileId(0, 0, j))
+
+    n = abs(i)
+    mid_prev = Point(t.xs[n - 1], t.ys[n - 1] * s)
+    mid = Point(t.xs[n], t.ys[n] * s)
+    if j == 1:
+        tri = (Point(t.aa[n], s), mid, Point(t.aa[n + 1], s))
+    elif j == 2:
+        tri = (mid_prev, mid, Point(t.aa[n], s))
+    elif j == 3:
+        tri = (mid_prev, Point(t.bb[n], -s), mid)
+    else:
+        tri = (Point(t.bb[n], -s), Point(t.bb[n + 1], -s), mid)
+    if i < 0:
+        # negate x and reverse the order so the mirror stays ccw
+        tri = tuple(Point(-p.x, p.y) for p in reversed(tri))
+    return Triangle(*tri, id=TileId(0, i, j))

@@ -3,6 +3,7 @@ pinned tolerance and runtime budget, one printed pass/fail line per
 criterion.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -331,18 +332,64 @@ GATE_HEADERS = {  # (rows, cols, epsilon, seed): (y0, shears)
 }
 
 
-def test_a12_gate_window_headers(plane_run, gate16x4, tmp_path):
-    t0 = time.monotonic()
-    paths = {(6, 20, "0.005", 42): plane_run[0], (16, 4, "0.005", 42): gate16x4[0]}
+@pytest.fixture(scope="module")
+def gate_wide_tall(tmp_path_factory):
+    """The 3x30 and 10x10 gate plane documents, by (rows, cols, epsilon, seed)."""
+    out = tmp_path_factory.mktemp("acceptance-wide-tall")
+    paths = {}
     for rows, cols, epsilon, seed in ((3, 30, "0.005", 11), (10, 10, "0.05", 7)):
-        out = paths[rows, cols, epsilon, seed] = tmp_path / f"plane{rows}x{cols}.tiles"
+        path = paths[rows, cols, epsilon, seed] = out / f"plane{rows}x{cols}.tiles"
         assert cli.main(["gen-plane", "--epsilon", epsilon, "--seed", str(seed), "--rows",
-                         str(rows), "--cols", str(cols), "--out", str(out)]) == 0
+                         str(rows), "--cols", str(cols), "--out", str(path)]) == 0
+    return paths
+
+
+def test_a12_gate_window_headers(plane_run, gate16x4, gate_wide_tall):
+    t0 = time.monotonic()
+    paths = {(6, 20, "0.005", 42): plane_run[0], (16, 4, "0.005", 42): gate16x4[0],
+             **gate_wide_tall}
     for shape, path in paths.items():
         params = read_document(path).parameters
         assert (params["y0"], params["shears"]) == GATE_HEADERS[shape], shape
     conclude("A12", time.monotonic() - t0, 60.0,
              "the 6x20, 3x30, 10x10 and 16x4 windows keep their pinned strip height and shears")
+
+
+# --- A13: the gate documents, byte for byte ----------------------------------------
+
+# SHA-256 of whole gate documents and of the strip gate's verify report, so a
+# change in how any tile's coordinates are produced shows in every bit
+GATE_DIGESTS = {
+    "plane 6x20": "c6355198e8f711f217b8b75d0e01f4251e6f40e81ac1c54f331f43325289555c",
+    "quad 6x20": "6f20d1b7467833f0512e2201e6c1a2f70cb59955e7dcf590951b8708f19203f2",
+    "plane 16x4": "7b0292a07ec8fdf00a2799d9f37db7fbe38b64932596e098e0fd0997dfc8ea1c",
+    "quad 16x4": "4216ea8165709b935637eeb95b3c32afd0cdc62404af243b59d7fe417792f3ea",
+    "plane 3x30": "c6897362dc535182f131b50b4e0c3fa434b41d7423db599e42f1e17ef4972417",
+    "plane 10x10": "be3316a7ad03a40c0b9c8dd8e3cd5db2eee179b041ffd8b037a7867d6797e27f",
+    "strip 0.004x20": "20bc0ca24dc1beb5f5d27d89843c59ecc38f59a50afffb7fc68e6578e488afed",
+    "verify strip 0.004x20": "d79301dc6cd3b15b3d49e97ef95c13c75151a13c25eabbf7bb8edeb40ba80f88",
+    "strip auto 7x40": "a89004fb63070ca02388c2e8fd29712969682a4c89096a61d4c0480be093db88",
+}
+
+
+def test_a13_gate_document_digests(plane_run, quad_run, gate16x4, gate_wide_tall, tmp_path):
+    t0 = time.monotonic()
+    paths = {"plane 6x20": plane_run[0], "quad 6x20": quad_run[0],
+             "plane 16x4": gate16x4[0], "quad 16x4": gate16x4[1],
+             "plane 3x30": gate_wide_tall[3, 30, "0.005", 11],
+             "plane 10x10": gate_wide_tall[10, 10, "0.05", 7]}
+    strip, report, auto = (tmp_path / name for name in ("s.tiles", "s.json", "auto.tiles"))
+    assert cli.main(["gen-strip", "--y0", "0.004", "--cols", "20", "--out", str(strip)]) == 0
+    assert cli.main(["verify", "--in", str(strip), "--json", str(report)]) == 0
+    assert cli.main(["gen-strip", "--y0", "auto", "--seed", "7", "--cols", "40",
+                     "--out", str(auto)]) == 0
+    paths.update({"strip 0.004x20": strip, "verify strip 0.004x20": report,
+                  "strip auto 7x40": auto})
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert got == GATE_DIGESTS
+    conclude("A13", time.monotonic() - t0, 60.0,
+             "the gate plane, quadrangle and strip documents and the strip report keep "
+             "their pinned SHA-256 digests")
 
 
 def test_batched_rows_equal_the_per_polygon_rows_on_the_window(plane_run, quad_run):

@@ -11,11 +11,9 @@ from fairtile.assembly import (
     SQRT3,
     StripTransform,
     periodic_triangles,
-    plane_triangle,
     row_order,
     scale_to_equilateral,
     select_shears,
-    shear_index,
     stack_plane,
 )
 from fairtile.congruence import (
@@ -27,15 +25,13 @@ from fairtile.congruence import (
     signature_key,
     signature_variants,
 )
-from fairtile.errors import (BoundaryMismatch, DegeneratePair, ExhaustedRetries, IndexOutOfRange,
-                             InvalidParameter)
+from fairtile.errors import BoundaryMismatch, DegeneratePair, ExhaustedRetries, InvalidParameter
 from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, edge_vectors
 from fairtile.pipeline import sample_certified_y0
-from fairtile.strip import (StripTiling, critical_tiling, strip_tiling, tile_ids, triangle_at,
-                            window_triangles)
+from fairtile.strip import StripTiling, critical_tiling, strip_tiling, tile_ids, window_triangles
 from fairtile.verify import check_closeness, check_vertex_to_vertex
 import oracles
-from oracles import reflect_x, shear, translate
+from oracles import reflect_x, shear, translate, triangle_at
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +46,7 @@ def window_base(cols):
 
 
 def test_scale_produces_near_equilateral_tiles(base):
-    for tid in tile_ids(6):
-        tri = triangle_at(base, tid.col, tid.slot)
+    for tri in window_triangles(base):
         assert area(tri) == pytest.approx(SQRT3, abs=1e-10)
         for L in edge_lengths(tri):
             assert L == pytest.approx(2.0, abs=0.05)
@@ -72,7 +67,8 @@ def test_scale_preserves_halfturn_relation(base):
 
 def test_shear_map():
     def shear_only(t, mu):
-        return StripTransform(mu, False, (0.0, 0.0)).place_triangle(t, t.id)
+        place = StripTransform(mu, False, (0.0, 0.0)).place
+        return Triangle(*(Point(*place(v.x, v.y)) for v in t.vertices))
 
     t = Triangle(Point(0, 0), Point(2, 0), Point(1, SQRT3))
     assert shear_only(t, 0.0).vertices == t.vertices
@@ -83,7 +79,6 @@ def test_shear_map():
 
 def test_row_order_and_shear_indices():
     assert row_order(6) == [0, 1, -1, 2, -2, 3]
-    assert [shear_index(k) for k in (0, 1, -1, 2, -2, 3)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_select_shears_budget_and_determinism():
@@ -100,7 +95,7 @@ def test_select_shears_budget_and_determinism():
 def test_selected_shears_clear_root_sets():
     base = window_base(2)
     mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(3))
-    tiles = [triangle_at(base, tid.col, tid.slot) for tid in tile_ids(2)]
+    tiles = window_triangles(base)
     for mu in mus:
         for a in range(len(tiles)):
             for b in range(a + 1, len(tiles)):
@@ -325,6 +320,10 @@ def test_periodic_triangle_matches_the_closed_form_lattice():
         assert [tri] == periodic_triangles([tid])
         assert tri.id == tid
         assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
+    # rows interleaved, so each row comes in several runs
+    mixed = tids[::2] + tids[1::2]
+    assert [[v.xy for v in tri.vertices] for tri in periodic_triangles(mixed)] == [
+        _periodic_oracle(tid) for tid in mixed]
     assert periodic_triangles([]) == []
 
 
@@ -338,16 +337,6 @@ def test_periodic_reference_memory_does_not_grow_with_the_column():
         tracemalloc.stop()
     assert peak < 2**20
     assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
-
-
-def test_plane_triangle_bounds():
-    base = window_base(4)
-    mus = select_shears(base, count=2, epsilon=0.01, rng=random.Random(8))
-    plane = stack_plane(base, mus, 2)
-    with pytest.raises(IndexOutOfRange):
-        plane_triangle(plane, TileId(3, 1, 1))
-    with pytest.raises(IndexOutOfRange):
-        plane_triangle(plane, TileId(0, 9, 1))
 
 
 def _chained(tri, tid, mu, reflected, translation):
@@ -410,10 +399,10 @@ def test_tiles_are_built_once_per_placement(monkeypatch):
 
     monkeypatch.setattr(Triangle, "__post_init__", counted)
     tiles = plane.tiles()
-    assert len(tiles) == 3 * 26 and len(built) == 2 * len(tiles)  # strip tile, placed copy
+    assert len(tiles) == 3 * 26 and len(built) == len(tiles)  # the placed copy alone
     built.clear()
     periodic = periodic_triangles([t.id for t in tiles])
-    assert len(built) == 2 * len(periodic)
+    assert len(built) == len(periodic)
     built.clear()
     strip_tiles = window_triangles(base)
     assert len(built) == len(strip_tiles) == 26  # mirrored columns included

@@ -32,9 +32,9 @@ from fairtile.geometry import (
     perimeter,
 )
 from fairtile.quadsplit import fair_split
-from fairtile.strip import critical_tiling, strip_tiling, triangle_at
+from fairtile.strip import critical_tiling, strip_tiling
 from oracles import (halfturn_rows, shear, signature_distance, signature_rows, simeq_distance,
-                     translate)
+                     translate, triangle_at)
 
 SQRT3 = math.sqrt(3.0)
 

@@ -6,16 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairtile.errors import IndexOutOfRange, InvalidParameter
+from fairtile.errors import InvalidParameter
+from fairtile.geometry import TileId
 from fairtile.strip import (
     critical_tiling,
     deviations,
     identity_residual,
     strip_tiling,
     tile_ids,
-    triangle_at,
     unit_area_residual,
+    window_triangles,
+    window_vertices,
 )
+from fairtile.assembly import scale_to_equilateral
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -191,9 +195,14 @@ def test_h_recursion_and_trapezoid_form():
     assert np.max(np.abs(d.xi[1:] - xi_closed)) <= 1e-10
 
 
+def _tile(t, i, j):
+    (tri,) = [tri for tri in window_triangles(t) if tri.id == TileId(0, i, j)]
+    return tri
+
+
 def test_triangle_at_critical_column_one():
     t = critical_tiling(3)
-    tri = triangle_at(t, 1, 2)
+    tri = _tile(t, 1, 2)
     got = sorted(v.xy for v in tri.vertices)
     want = sorted([(0.0, 1.0 / SQRT3), (1.5, 0.0), ((3 + SQRT3) / 2, 1.0)])
     for (gx, gy), (wx, wy) in zip(got, want):
@@ -203,7 +212,7 @@ def test_triangle_at_critical_column_one():
 
 def test_triangle_at_center_column():
     t = critical_tiling(3)
-    tri = triangle_at(t, 0, 1)
+    tri = _tile(t, 0, 1)
     xs = sorted(v.x for v in tri.vertices)
     assert xs[0] == pytest.approx(-(3 + SQRT3) / 2, abs=1e-12)
     assert xs[2] == pytest.approx((3 + SQRT3) / 2, abs=1e-12)
@@ -211,26 +220,47 @@ def test_triangle_at_center_column():
 
 
 def test_triangle_at_rejects_missing_slots():
-    t = strip_tiling(0.2, 3)
-    with pytest.raises(IndexOutOfRange):
-        triangle_at(t, 0, 2)
-    with pytest.raises(IndexOutOfRange):
-        triangle_at(t, 0, 3)
-    with pytest.raises(IndexOutOfRange):
-        triangle_at(t, 4, 1)
-    with pytest.raises(IndexOutOfRange):
-        triangle_at(t, 1, 5)
+    # the center column has no slots 2 and 3, and no column has a slot 5
+    for col, slot in ((0, 2), (0, 3), (1, 5)):
+        with pytest.raises(InvalidParameter):
+            TileId(0, col, slot)
+    assert {(tri.id.col, tri.id.slot) for tri in window_triangles(strip_tiling(0.2, 3))
+            if tri.id.col == 0} == {(0, 1), (0, 4)}
 
 
 def test_mirror_columns_are_exact_reflections():
     t = strip_tiling(0.2, 4)
     for i in (1, 2, 3):
         for j in (1, 2, 3, 4):
-            plus = triangle_at(t, i, j)
-            minus = triangle_at(t, -i, j)
+            plus = _tile(t, i, j)
+            minus = _tile(t, -i, j)
             mirrored = sorted((-v.x, v.y) for v in plus.vertices)
             got = sorted(v.xy for v in minus.vertices)
             assert got == mirrored  # exact coordinate negation
+
+
+def _bits(tris):
+    return np.array([[v.xy for v in tri.vertices] for tri in tris]).view(np.uint64)
+
+
+@pytest.mark.parametrize("tiling", [
+    lambda: strip_tiling(0.004, 20), lambda: scale_to_equilateral(strip_tiling(0.004, 20)),
+    lambda: strip_tiling(0.2, 6), lambda: scale_to_equilateral(strip_tiling(0.2, 6)),
+    lambda: strip_tiling(0.005, 5000), lambda: scale_to_equilateral(strip_tiling(0.005, 5000)),
+    lambda: critical_tiling(7)])
+def test_window_matches_the_slot_chain_oracle(tiling):
+    # bit for bit, zero signs included: -0.0 and 0.0 differ as uint64
+    t = tiling()
+    ids = list(tile_ids(t.n_cols))
+    want = _bits(oracles.triangle_at(t, tid.col, tid.slot) for tid in ids)
+    verts = window_vertices(t)
+    tris = window_triangles(t)
+    assert verts.shape == (8 * t.n_cols + 2, 3, 2) == want.shape
+    assert [tri.id for tri in tris] == ids
+    assert np.array_equal(verts.view(np.uint64), want)
+    assert np.array_equal(_bits(tris), want)
+    assert {type(c) for tri in tris for p in tri.vertices for c in p.xy} == {float}
+    assert (want == np.float64(-0.0).view(np.uint64)).any()
 
 
 def test_window_tile_count():

@@ -25,7 +25,6 @@ from fairtile.strip import (
     deviations,
     strip_tiling,
     tile_ids,
-    triangle_at,
     window_triangles,
 )
 from fairtile.verify import (
@@ -56,8 +55,7 @@ def small_plane():
 
 @pytest.fixture(scope="module")
 def strip_tiles():
-    t = strip_tiling(0.007, 5)
-    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(5)]
+    return window_triangles(strip_tiling(0.007, 5))
 
 
 def _perturb(tiles, index, delta=1e-3):
@@ -263,4 +261,28 @@ def test_perimeter_and_closeness_fault_injection(small_plane):
 
 
 def test_identity_check():
-    assert check_identity(strip_tiling(0.0042, 2000)).passed
+    t = strip_tiling(0.0042, 2000)
+    assert check_identity(t, window_triangles(t)).passed
+
+
+def test_identity_check_compares_the_tiles_bit_for_bit():
+    t = strip_tiling(0.004, 3)
+    tiles = window_triangles(t)
+    good = check_identity(t, tiles)
+    assert good.passed and good.offenders == () and good.note == ""
+    # the mirror of column 1 slot 2 starts at the apex's mirror, x = -0.0
+    k = next(k for k, tri in enumerate(tiles) if tri.id == TileId(0, -1, 2))
+    v = tiles[k].vertices
+    assert str(v[2].x) == "-0.0"
+    flipped = list(tiles)
+    flipped[k] = with_vertices(tiles[k], v[:2] + (Point(0.0, v[2].y),))
+    wrong_id = list(tiles)
+    wrong_id[0] = Triangle(*tiles[0].vertices, id=TileId(1, -3, 1))
+    other = window_triangles(strip_tiling(0.009, 3))
+    cases = [(flipped, ["0/-1/2"]), (wrong_id, ["1/-3/1"]), (tiles + tiles[:1], ["0/-3/1"]),
+             (tiles[:-1], []), (other, [tile_label(p) for p in other[:10]])]
+    for doc_tiles, labels in cases:
+        rep = check_identity(t, doc_tiles)
+        assert not rep.passed and rep.worst_residual == good.worst_residual
+        assert rep.offenders == tuple((label, label) for label in labels)
+        assert f"of {len(doc_tiles)} tiles differ from the {len(tiles)} " in rep.note
