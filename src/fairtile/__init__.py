@@ -26,10 +26,9 @@ from .geometry import (
     Point,
     Quadrangle,
     TileId,
+    Tiles,
     Triangle,
-    area,
     edge_vectors,
-    perimeter,
 )
 from .quadsplit import (
     FAIR,
@@ -53,7 +52,7 @@ from .strip import (
     critical_tiling,
     deviations,
     strip_tiling,
-    window_triangles,
+    window_tiles,
 )
 from .verify import (
     VerificationReport,

@@ -16,7 +16,6 @@ tile congruent to a tile of an earlier row, no tile equilateral.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -26,8 +25,8 @@ import numpy as np
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set, equilateral_shear_set,
                          halfturn_key, halfturn_variants, match_roots, pair_shear_roots)
 from .errors import BoundaryMismatch, ExhaustedRetries, InvalidParameter
-from .geometry import TileId, Triangle, triangles
-from .strip import StripTiling, flat_vertices, tile_ids, window_triangles, window_vertices
+from .geometry import Tiles
+from .strip import StripTiling, flat_vertices, window_tiles
 
 __all__ = [
     "SQRT3",
@@ -70,11 +69,11 @@ class StripTransform:
         return (x + self.mu * y) + tx, (-y if self.reflected else y) + ty
 
 
-def _placed(tr: StripTransform, verts: np.ndarray, ids) -> list[Triangle]:
-    """The copies of the strip tiles ``verts`` (m, 3, 2) that ``tr`` places,
-    carrying ``ids``; reflected copies reverse their vertex order to stay ccw."""
+def _placed(tr: StripTransform, verts: np.ndarray) -> np.ndarray:
+    """The copies of the strip tiles ``verts`` (m, 3, 2) that ``tr`` places;
+    reflected copies reverse their vertex order to stay counterclockwise."""
     placed = np.stack(tr.place(verts[..., 0], verts[..., 1]), -1)
-    return triangles(placed[:, ::-1] if tr.reflected else placed, ids)
+    return placed[:, ::-1] if tr.reflected else placed
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +89,11 @@ class PlaneTiling:
     rows: tuple[int, ...]
     transforms: dict[int, StripTransform]
 
-    def tiles(self) -> list[Triangle]:
+    def tiles(self) -> Tiles:
         """Every generated tile, ordered by (row, col, slot)."""
-        verts = window_vertices(self.base)
-        return [tri for k in self.rows
-                for tri in _placed(self.transforms[k], verts, tile_ids(self.base.n_cols, row=k))]
+        strip, k = window_tiles(self.base), len(self.rows)
+        xy = np.concatenate([_placed(self.transforms[r], strip.xy) for r in self.rows])
+        return Tiles(xy, np.repeat(self.rows, len(strip)), *np.tile([strip.col, strip.slot], k))
 
 
 def scale_to_equilateral(t: StripTiling) -> StripTiling:
@@ -141,13 +140,12 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
     if not 0.0 < epsilon:
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
 
-    tiles = window_triangles(base)
+    tiles = window_tiles(base)
     _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
 
-    verts = window_vertices(base)
-    ev = np.roll(verts, -1, axis=1) - verts  # (N, 3, 2) edge vectors
+    ev = tiles.edges()  # (N, 3, 2)
     # every draw lies in [-half_1, half_1] and every margin is at most
     # _MARGIN_CAP, so a root r with |r| > half_1 + _MARGIN_CAP rejects no
     # draw: were it the nearest root, the gap would clear every margin, and
@@ -253,12 +251,12 @@ def _assert_boundaries(p: PlaneTiling) -> None:
             raise BoundaryMismatch(k + 1, dev)
 
 
-def periodic_triangles(tids: list[TileId]) -> list[Triangle]:
-    """The tiles' counterparts in the periodic tiling by equilateral triangles
-    of edge length 2: the undistorted strip's, placed with zero shear and offset."""
-    out = []
-    for k, run in itertools.groupby(tids, key=lambda tid: tid.row):
-        run = list(run)
-        verts = flat_vertices(*np.array([(tid.col, tid.slot) for tid in run]).T, SQRT3)
-        out += _placed(StripTransform(0.0, k % 2 != 0, (0.0, 2.0 * k * SQRT3)), verts, run)
-    return out
+def periodic_triangles(row: np.ndarray, col: np.ndarray, slot: np.ndarray) -> Tiles:
+    """The counterparts of the tiles with these ids in the periodic tiling by
+    equilateral triangles of edge length 2: the undistorted strip's, placed
+    as ``StripTransform(0.0, row % 2 != 0, (0.0, 2*row*sqrt(3)))`` places them."""
+    verts = flat_vertices(col, slot, SQRT3)
+    odd = (row % 2 != 0)[:, None]
+    y = np.where(odd, -verts[..., 1], verts[..., 1]) + (2.0 * row * SQRT3)[:, None]
+    placed = np.stack([verts[..., 0] + 0.0, y], -1)  # x + 0.0*y + 0.0 is x, with -0.0 as 0.0
+    return Tiles(np.where(odd[..., None], placed[:, ::-1], placed), row, col, slot)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, InvalidParameter, NoUnequalHeights
-from .geometry import Triangle, edge_vectors
+from .geometry import Tiles, Triangle, edge_vectors
 
 __all__ = [
     "ShearRootSet",
@@ -48,40 +48,26 @@ _ROOT_DEDUP = 1e-9
 _BLOCK = 1024  # tile pairs per array pass of the incongruence sweep
 
 
-def _vertices(polys) -> np.ndarray:
-    """Vertex coordinates of polygons with one vertex count, shape (m, n, 2)."""
-    return np.array([[v.xy for v in p.vertices] for p in polys])
-
-
 def _rotations(n: int) -> np.ndarray:
     """Row ``r`` holds the indices 0..n-1 read cyclically from ``r``."""
     k = np.arange(n)
     return (k[:, None] + k) % n
 
 
-def signature_variants(polys) -> np.ndarray:
+def signature_variants(tiles: Tiles) -> np.ndarray:
     """All 2n alignment rows of the (edge length, interior angle) signature
-    of each of m polygons with n vertices, shape (m, 2n, 2n).
+    of each of m tiles with n vertices, shape (m, 2n, 2n).
 
     Comparing every row of one polygon against a fixed row of another
     covers every relative alignment, which is what the vectorized pairwise
     sweeps rely on.  Row ``r < n`` starts at vertex ``r`` and runs forward;
     in reversed rotation ``r`` position ``k`` is vertex ``(-1 - r - k) % n``,
     whose edge in that direction is the one entering it.  Lengths and
-    angles are the floats of :func:`~fairtile.geometry.edge_lengths` and
-    :func:`~fairtile.geometry.interior_angles`: the same differences and
-    products, with ``math.hypot`` and ``math.atan2`` taken one by one.
+    angles are :meth:`~fairtile.geometry.Tiles.lengths` and
+    :meth:`~fairtile.geometry.Tiles.angles`.
     """
-    pts = _vertices(polys)
-    m, n, _ = pts.shape
-    ahead = np.roll(pts, -1, axis=1) - pts
-    behind = np.roll(pts, 1, axis=1) - pts
-    cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
-    dot = ahead[..., 0] * behind[..., 0] + ahead[..., 1] * behind[..., 1]
-    lengths = np.array(list(map(math.hypot, ahead[..., 0].ravel().tolist(),
-                                ahead[..., 1].ravel().tolist()))).reshape(m, n)
-    angles = np.array(list(map(math.atan2, np.abs(cross).ravel().tolist(),
-                               dot.ravel().tolist()))).reshape(m, n)
+    m, n, _ = tiles.xy.shape
+    lengths, angles = tiles.lengths(), tiles.angles()
     fwd = _rotations(n)
     rev = (-1 - fwd) % n
     rows = np.empty((m, 2 * n, 2 * n))
@@ -90,8 +76,8 @@ def signature_variants(polys) -> np.ndarray:
     return rows
 
 
-def halfturn_variants(polys) -> np.ndarray:
-    """All 2n alignment rows of the edge-vector cycle of each of m polygons
+def halfturn_variants(tiles: Tiles) -> np.ndarray:
+    """All 2n alignment rows of the edge-vector cycle of each of m tiles
     with n vertices, shape (m, 2n, 2n).
 
     Rows are the n cyclic rotations of the cycle, then the same rotations
@@ -100,9 +86,8 @@ def halfturn_variants(polys) -> np.ndarray:
     max-component difference of every row of one polygon against the first
     row of another is the distance from the set {T + v, -T + v}.
     """
-    pts = _vertices(polys)
-    m, n, _ = pts.shape
-    rotations = (np.roll(pts, -1, axis=1) - pts)[:, _rotations(n)]
+    m, n, _ = tiles.xy.shape
+    rotations = tiles.edges()[:, _rotations(n)]
     return np.concatenate([rotations, -rotations], axis=1).reshape(m, 2 * n, 2 * n)
 
 
@@ -126,40 +111,36 @@ def _distances(variants, order, s, t):
                axis=1) for k in range(0, len(a), _BLOCK)])
 
 
-def aligned_sweep(polys, rows_of, key_of, quantum: float):
+def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float):
     """Smallest aligned distance over all tile pairs, and every pair within
     ``quantum``.
 
-    ``rows_of(tiles)`` stacks one row per alignment of each of the given
-    same-size tiles; every row of one tile against the first row of
-    another covers every relative alignment.
-    Tiles with different vertex counts are never compared.  The distance of
-    ``key_of(rows)`` never exceeds the aligned distance, so with tiles
-    sorted on the first key component and ``best`` seeded from neighbours
-    in that order, only pairs within ``w = max(best, quantum)`` in key
-    distance are compared: they hold the closest pair and every collision.
+    ``rows_of(tiles)`` stacks one row per alignment of each tile; every row
+    of one tile against the first row of another covers every relative
+    alignment.  The distance of ``key_of(rows)`` never exceeds the aligned
+    distance, so with tiles sorted on the first key component and ``best``
+    seeded from neighbours in that order, only pairs within
+    ``w = max(best, quantum)`` in key distance are compared: they hold the
+    closest pair and every collision.
     """
-    sizes = np.array([len(p.vertices) for p in polys])
-    margin, collisions = math.inf, []
-    for n in np.unique(sizes):
-        idxs = np.nonzero(sizes == n)[0]
-        variants = rows_of([polys[i] for i in idxs])
-        keys = key_of(variants)
-        order = np.argsort(keys[:, 0], kind="stable")
-        keys, first, m = keys[order], keys[order, 0], len(idxs)
-        *_, d = _distances(variants, order, np.arange(m - 1), np.arange(1, m))
-        w = max(float(np.min(d, initial=math.inf)), quantum)
-        # pairs s < t within the window, widened against rounding, in blocks
-        counts = np.searchsorted(first, first + 2.0 * w, side="right") - np.arange(1, m + 1)
-        ends = np.cumsum(counts)
-        for start in range(0, int(ends[-1]), _BLOCK):
-            flat = np.arange(start, min(start + _BLOCK, int(ends[-1])))
-            s = np.searchsorted(ends, flat, side="right")
-            t = s + 1 + flat - (ends[s] - counts[s])
-            near = np.max(np.abs(keys[s] - keys[t]), axis=1) <= w
-            a, b, d = _distances(variants, order, s[near], t[near])
-            margin = min(margin, float(np.min(d, initial=math.inf)))
-            collisions.extend(zip(idxs[a[d <= quantum]].tolist(), idxs[b[d <= quantum]].tolist()))
+    margin, collisions, m = math.inf, [], len(tiles)
+    variants = rows_of(tiles)
+    keys = key_of(variants)
+    order = np.argsort(keys[:, 0], kind="stable")
+    keys, first = keys[order], keys[order, 0]
+    *_, d = _distances(variants, order, np.arange(m - 1), np.arange(1, m))
+    w = max(float(np.min(d, initial=math.inf)), quantum)
+    # pairs s < t within the window, widened against rounding, in blocks
+    counts = np.searchsorted(first, first + 2.0 * w, side="right") - np.arange(1, m + 1)
+    ends, total = np.cumsum(counts), int(np.sum(counts))
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total))
+        s = np.searchsorted(ends, flat, side="right")
+        t = s + 1 + flat - (ends[s] - counts[s])
+        near = np.max(np.abs(keys[s] - keys[t]), axis=1) <= w
+        a, b, d = _distances(variants, order, s[near], t[near])
+        margin = min(margin, float(np.min(d, initial=math.inf)))
+        collisions.extend(zip(a[d <= quantum].tolist(), b[d <= quantum].tolist()))
     return margin, sorted(collisions)
 
 
@@ -267,11 +248,12 @@ def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
     :data:`DEFAULT_QUANTUM`), every shear keeps them congruent and
     :class:`DegeneratePair` is raised.
     """
-    margin, _ = aligned_sweep([t, u], halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
+    pair = Tiles(np.array([[v.xy for v in p.vertices] for p in (t, u)]))
+    margin, _ = aligned_sweep(pair, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if margin <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
-    ev_t, ev_u = np.array([edge_vectors(t)]), np.array([edge_vectors(u)])
-    return _root_set(pair_shear_roots(ev_t, ev_u)[0])
+    ev = pair.edges()
+    return _root_set(pair_shear_roots(ev[:1], ev[1:])[0])
 
 
 def equilateral_shear_set(t: Triangle) -> ShearRootSet:

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DocumentError
-from .geometry import Point, Quadrangle, TileId, Triangle, tile_label
+from .geometry import CORNERS, Point, Quadrangle, TileId, Tiles, Triangle, tile_label
 
 __all__ = [
     "FORMAT_VERSION",
@@ -66,7 +69,7 @@ def make_parameters(**kwargs) -> dict:
 class TilingDocument:
     kind: str
     parameters: dict
-    tiles: list
+    tiles: Tiles
     format_version: str = FORMAT_VERSION
 
     def float_param(self, key: str) -> float:
@@ -96,6 +99,15 @@ def _tile_template(cornered: bool, n_vertices: int) -> str:
             + ",".join(['["%.17g","%.17g"]'] * n_vertices) + "]}")
 
 
+@functools.cache
+def _tile_pattern(n_vertices: int) -> re.Pattern:
+    """The lines :func:`_tile_template` writes, a quadrangle's corner optional:
+    ids as JSON integers, coordinates as ``%.17g`` numerals, grouped in order."""
+    text = re.escape(_tile_template(n_vertices == 4, n_vertices)).replace(
+        '"corner":"%s",', '(?:"corner":"([ABC])",)?').replace("%d", r"(-?(?:0|[1-9]\d*))")
+    return re.compile("^" + text.replace(r"%\.17g", r"(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)") + "$", re.M)
+
+
 def serialize(doc: TilingDocument) -> str:
     if doc.kind not in KINDS:
         raise DocumentError(f"unknown document kind {doc.kind!r}")
@@ -104,27 +116,24 @@ def serialize(doc: TilingDocument) -> str:
         "kind": doc.kind,
         "parameters": doc.parameters,
     })]
-    for tile in doc.tiles:
-        tid = tile.id
-        if tid is None:
-            raise DocumentError("document tiles need ids")
-        corner = getattr(tile, "corner", None)
-        ids = (tid.col, tid.row, tid.slot) if corner is None else (tid.col, corner, tid.row, tid.slot)
-        template = _tile_template(corner is not None, len(tile.vertices))
-        lines.append(template % (*ids, *(c for v in tile.vertices for c in (v.x, v.y))))
+    tiles = doc.tiles
+    if tiles.row is None:
+        raise DocumentError("document tiles need ids")
+    n = tiles.xy.shape[1]
+    codes = [-1] * len(tiles) if tiles.corner is None else tiles.corner.tolist()
+    for col, code, row, slot, xy in zip(tiles.col.tolist(), codes, tiles.row.tolist(),
+                                        tiles.slot.tolist(), tiles.xy.reshape(-1, 2 * n).tolist()):
+        ids = (col, row, slot) if code < 0 else (col, CORNERS[code], row, slot)
+        lines.append(_tile_template(code >= 0, n) % (*ids, *xy))
     return "\n".join(lines) + "\n"
-
-
-def _id_field(id_obj, key: str) -> int:
-    value = id_obj[key]
-    if type(value) is not int:  # refuses floats, strings and booleans alike
-        raise DocumentError(f"tile id field {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _parse_tile(obj) -> Triangle | Quadrangle:
     id_obj = obj["id"]
-    tid = TileId(*(_id_field(id_obj, key) for key in ("row", "col", "slot")))
+    for key in ("row", "col", "slot"):
+        if type(id_obj[key]) is not int:  # refuses floats, strings and booleans alike
+            raise DocumentError(f"tile id field {key!r} must be an integer, got {id_obj[key]!r}")
+    tid = TileId(id_obj["row"], id_obj["col"], id_obj["slot"])
     corner = id_obj.get("corner")
     pts = [Point(float(x), float(y)) for x, y in obj["vertices"]]
     if len(pts) == 3:
@@ -136,16 +145,47 @@ def _parse_tile(obj) -> Triangle | Quadrangle:
     raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(pts)}")
 
 
+def _read_tiles(text: str, start: int, n: int | None):
+    """The tiles on the lines from ``start`` on, as a record when all have
+    ``n`` vertices, else as a list of polygons.  When every line has the
+    template form, ids and coordinates are read with ``int`` and ``float`` as
+    ``json`` would read them; else every line is read through ``json``."""
+    parts, rows, pos, c = [], [], start, int(n == 4)
+
+    def convert():  # the rows so far as the arrays of a record, a chunk at a time
+        fields = list(zip(*rows)) or [()] * (3 + c + 2 * n)
+        xy = np.array([list(map(float, f)) for f in fields[-2 * n:]]).T.reshape(-1, n, 2)
+        ids = [np.array(list(map(int, fields[k])), dtype=np.int64) for k in (1 + c, 0, 2 + c)]
+        corner = [-1 if x is None else CORNERS.index(x) for x in fields[1]] if c else None
+        parts.append([xy, *ids, None if corner is None else np.array(corner, dtype=np.int8)])
+        rows.clear()
+
+    for m in _tile_pattern(n).finditer(text, start) if n else ():
+        if text[pos:m.start()].strip("\n"):  # a line not in template form
+            break
+        rows.append(m.groups())
+        pos = m.end()
+        if len(rows) == 4096:
+            convert()
+    else:
+        if n and not text[pos:].strip("\n"):
+            convert()
+            return Tiles(*(None if a[0] is None else np.concatenate(a) for a in zip(*parts)))
+    tiles = [_parse_tile(json.loads(ln)) for ln in text[start:].split("\n") if ln]
+    return Tiles.of(tiles) if n and all(len(t.vertices) == n for t in tiles) else tiles
+
+
 def parse(text: str) -> TilingDocument:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
+    start = len(text) - len(text.lstrip("\n"))
+    if start == len(text):
         raise DocumentError("empty document")
+    end = text.find("\n", start) % (len(text) + 1)  # the header line; -1 when it is the last
     try:
-        header = json.loads(lines[0])
+        header = json.loads(text[start:end])
         version = header["format_version"]
         kind = header["kind"]
         parameters = header["parameters"]
-        tiles = [_parse_tile(json.loads(ln)) for ln in lines[1:]]
+        tiles = _read_tiles(text, end + 1, _VERTEX_COUNT[kind] if kind in KINDS else None)
     except DocumentError:
         raise
     except Exception as e:
@@ -154,7 +194,7 @@ def parse(text: str) -> TilingDocument:
         raise DocumentError(f"unsupported format version {version!r}")
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    for tile in tiles:
+    for tile in tiles if isinstance(tiles, list) else ():
         if len(tile.vertices) != _VERTEX_COUNT[kind]:
             raise DocumentError(
                 f"{kind} documents hold {_VERTEX_COUNT[kind]}-vertex tiles; "

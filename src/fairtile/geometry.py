@@ -1,5 +1,6 @@
-"""Planar points, triangles and quadrangles, and the handful of primitive
-operations everything else is built on.
+"""Planar points, triangles and quadrangles, the array record that carries
+a whole document's tiles, and the handful of primitive operations
+everything else is built on.
 
 Conventions used throughout the package:
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegeneratePolygon, InvalidParameter
 
@@ -23,17 +25,11 @@ __all__ = [
     "TileId",
     "Triangle",
     "Quadrangle",
-    "triangles",
+    "Tiles",
+    "CORNERS",
     "signed_area",
-    "area",
-    "perimeter",
     "edge_vectors",
-    "edge_lengths",
-    "interior_angles",
     "is_convex",
-    "bounding_box",
-    "scale_uniform",
-    "with_vertices",
     "tile_label",
 ]
 
@@ -75,24 +71,26 @@ class TileId:
             raise InvalidParameter(f"column 0 only has slots 1 and 4, got {self.slot}")
 
 
-def signed_area(points: Sequence[Point]) -> float:
-    """Shoelace sum; positive for counterclockwise order."""
+def signed_area(points) -> float:
+    """Shoelace sum of (x, y) pairs, floats or arrays alike; positive for
+    counterclockwise order."""
     s = 0.0
     n = len(points)
     for k in range(n):
-        p, q = points[k], points[(k + 1) % n]
-        s += p.x * q.y - q.x * p.y
+        (px, py), (qx, qy) = points[k], points[(k + 1) % n]
+        s += px * qy - qx * py
     return 0.5 * s
 
 
-def _segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    # Proper crossing of open segments ab and cd.
+def _segments_cross(a, b, c, d):
+    """Proper crossing of open segments ab and cd, for (x, y) pairs of floats
+    or of arrays."""
     def orient(p, q, r):
-        return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
     o1, o2 = orient(a, b, c), orient(a, b, d)
     o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+    return (o1 * o2 < 0) & (o3 * o4 < 0)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class Triangle:
     id: TileId | None = None
 
     def __post_init__(self):
-        s = signed_area(self.vertices)
+        s = signed_area([v.xy for v in self.vertices])
         if abs(s) <= _DEGENERACY_EPS:
             raise DegeneratePolygon(f"collinear vertices (signed area {s:.3e})")
         if s < 0:
@@ -112,15 +110,6 @@ class Triangle:
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.v1, self.v2, self.v3)
-
-
-def triangles(verts, ids) -> list[Triangle]:
-    """One triangle per row of the (m, 3, 2) array ``verts``, carrying the next
-    of ``ids``; rows become floats 4,096 at a time, never the whole array."""
-    ids = iter(ids)
-    return [Triangle(Point(*p), Point(*q), Point(*r), id=tid)
-            for k in range(0, len(verts), 4096)
-            for (p, q, r), tid in zip(verts[k:k + 4096].tolist(), ids)]
 
 
 @dataclass(frozen=True)
@@ -138,53 +127,117 @@ class Quadrangle:
         if self.corner is not None and self.corner not in CORNERS:
             raise InvalidParameter(f"corner must be one of {CORNERS}, got {self.corner!r}")
         # a repeated vertex leaves a triangle with positive area
-        if min(edge_lengths(self)) <= _DEGENERACY_EPS:
+        if min(math.hypot(dx, dy) for dx, dy in edge_vectors(self)) <= _DEGENERACY_EPS:
             raise DegeneratePolygon("quadrangle with a zero-length edge")
-        s = signed_area(self.vertices)
+        v = [p.xy for p in self.vertices]
+        s = signed_area(v)
         if abs(s) <= _DEGENERACY_EPS:
             raise DegeneratePolygon(f"degenerate quadrangle (signed area {s:.3e})")
         if s < 0:
             raise DegeneratePolygon("vertices must be in counterclockwise order")
-        v = self.vertices
         if _segments_cross(v[0], v[1], v[2], v[3]) or _segments_cross(v[1], v[2], v[3], v[0]):
             raise DegeneratePolygon("self-intersecting quadrangle")
 
 
-def area(p) -> float:
-    s = signed_area(p.vertices)
-    if abs(s) <= _DEGENERACY_EPS:
-        raise DegeneratePolygon(f"degenerate polygon (signed area {s:.3e})")
-    return abs(s)
+_LETTER = {-1: None, **dict(enumerate(CORNERS))}
 
 
-def perimeter(p) -> float:
-    pts = p.vertices
-    return sum(math.hypot(q.x - r.x, q.y - r.y) for q, r in zip(pts, pts[1:] + pts[:1]))
+@dataclass(frozen=True, eq=False)
+class Tiles:
+    """N tiles of n vertices as arrays: counterclockwise coordinates ``xy``
+    (N, n, 2); integer ids ``row``, ``col``, ``slot`` (all None for tiles
+    without ids); for quadrangles, ``corner`` codes (0, 1, 2 for A, B, C; -1
+    for none).  The constructor applies the rules of :class:`TileId`,
+    :class:`Point`, :class:`Triangle` and :class:`Quadrangle` as array
+    predicates; the first offending tile raises what building it raises.
+    ``tiles[i]`` builds tile i as that object, on demand.
+    """
+
+    xy: np.ndarray
+    row: np.ndarray | None = None
+    col: np.ndarray | None = None
+    slot: np.ndarray | None = None
+    corner: np.ndarray | None = None
+
+    def __post_init__(self):
+        shape = self.xy.shape[1:]
+        if shape not in ((3, 2), (4, 2)) or (self.corner is not None and shape[0] == 3):
+            raise InvalidParameter(f"tiles need (N, 3 or 4, 2) coordinates, corners only on "
+                                   f"quadrangles; got {self.xy.shape}")
+        with np.errstate(all="ignore"):  # as Python floats do, overflow and nan pass quietly
+            s = self.signed_areas()
+            bad = ~np.isfinite(self.xy).all(axis=(1, 2)) | (np.abs(s) <= _DEGENERACY_EPS) | (s < 0)
+            if self.slot is not None:
+                bad |= ~np.isin(self.slot, (1, 2, 3, 4)) | (self.col == 0) & (self.slot % 3 != 1)
+            if self.xy.shape[1] == 4:
+                v = list(self.xy.transpose(1, 2, 0))  # per vertex, its (x, y) arrays
+                bad |= ((self.lengths().min(axis=1) <= _DEGENERACY_EPS)
+                        | _segments_cross(*v) | _segments_cross(*v[1:], v[0]))
+                if self.corner is not None:
+                    bad |= ~np.isin(self.corner, tuple(_LETTER))
+        for i in np.flatnonzero(bad).tolist():
+            self[i]  # the object constructors name the offence
+
+    def __len__(self) -> int:
+        return len(self.xy)
+
+    def __getitem__(self, i: int) -> Triangle | Quadrangle:
+        tid = None if self.row is None else TileId(*map(int, (self.row[i], self.col[i], self.slot[i])))
+        pts = tuple(Point(x, y) for x, y in self.xy[i].tolist())
+        if len(pts) == 3:
+            return Triangle(*pts, id=tid)
+        code = -1 if self.corner is None else int(self.corner[i])
+        return Quadrangle(pts, id=tid, corner=_LETTER.get(code, code))
+
+    @classmethod
+    def of(cls, polys) -> Tiles:
+        """The record of polygons with one vertex count, ids on all or none."""
+        polys = list(polys)
+        n = len(polys[0].vertices) if polys else 3
+        xy = np.array([[v.xy for v in p.vertices] for p in polys], dtype=float).reshape(-1, n, 2)
+        ids = np.array([(t.row, t.col, t.slot) for t in (p.id for p in polys) if t], np.int64)
+        if 0 < len(ids) < len(polys):
+            raise InvalidParameter("tiles carry ids on all or none")
+        corner = np.array([CORNERS.index(p.corner) if p.corner else -1 for p in polys],
+                          dtype=np.int8) if n == 4 else None
+        return cls(xy, *(ids.reshape(-1, 3).T if len(ids) or not polys else (None,) * 3), corner)
+
+    def edges(self) -> np.ndarray:
+        """Edge vectors ``v[k+1] - v[k]``, shape (N, n, 2)."""
+        return np.roll(self.xy, -1, axis=1) - self.xy
+
+    def lengths(self) -> np.ndarray:
+        """Edge lengths (N, n), each ``math.hypot`` of an edge vector."""
+        e = self.edges()
+        return np.array(list(map(math.hypot, e[..., 0].ravel().tolist(),
+                                 e[..., 1].ravel().tolist()))).reshape(e.shape[:2])
+
+    def angles(self) -> np.ndarray:
+        """Unsigned interior angles (N, n) in radians (convex tiles), each
+        ``math.atan2`` of |cross| and dot of the edges to the next and the
+        previous vertex."""
+        ahead, behind = self.edges(), np.roll(self.xy, 1, axis=1) - self.xy
+        cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
+        dot = ahead[..., 0] * behind[..., 0] + ahead[..., 1] * behind[..., 1]
+        return np.array(list(map(math.atan2, np.abs(cross).ravel().tolist(),
+                                 dot.ravel().tolist()))).reshape(cross.shape)
+
+    def signed_areas(self) -> np.ndarray:
+        """The :func:`signed_area` of every tile, in its operation order."""
+        return signed_area(list(self.xy.transpose(1, 2, 0)))
+
+    def convex(self, tol: float = 1e-12) -> np.ndarray:
+        """Per tile, whether :func:`is_convex` holds."""
+        e = self.edges()
+        f = np.roll(e, -1, axis=1)
+        cross = e[..., 0] * f[..., 1] - e[..., 1] * f[..., 0]
+        return (cross >= -tol).all(axis=1) | (cross <= tol).all(axis=1)
 
 
 def edge_vectors(p) -> list[tuple[float, float]]:
     """Edge vectors v[k+1]-v[k] in counterclockwise order; they sum to zero."""
     pts = p.vertices
     return [(q.x - r.x, q.y - r.y) for r, q in zip(pts, pts[1:] + pts[:1])]
-
-
-def edge_lengths(p) -> list[float]:
-    return [math.hypot(dx, dy) for dx, dy in edge_vectors(p)]
-
-
-def interior_angles(p) -> list[float]:
-    """Unsigned interior angles in radians, one per vertex (convex polygons)."""
-    pts = p.vertices
-    n = len(pts)
-    out = []
-    for k in range(n):
-        v = pts[k]
-        a = (pts[(k + 1) % n].x - v.x, pts[(k + 1) % n].y - v.y)
-        b = (pts[(k - 1) % n].x - v.x, pts[(k - 1) % n].y - v.y)
-        cross = a[0] * b[1] - a[1] * b[0]
-        dot = a[0] * b[0] + a[1] * b[1]
-        out.append(math.atan2(abs(cross), dot))
-    return out
 
 
 def is_convex(p, tol: float = 1e-12) -> bool:
@@ -197,21 +250,6 @@ def is_convex(p, tol: float = 1e-12) -> bool:
     return all(c >= -tol for c in crosses) or all(c <= tol for c in crosses)
 
 
-def bounding_box(p) -> tuple[float, float, float, float]:
-    pts = p.vertices
-    xs = [v.x for v in pts]
-    ys = [v.y for v in pts]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def with_vertices(p, pts: Iterable[Point]):
-    """Copy of the polygon with replaced vertices, keeping its identity."""
-    pts = tuple(pts)
-    if isinstance(p, Triangle):
-        return Triangle(*pts, id=p.id)
-    return Quadrangle(pts, id=p.id, corner=p.corner)
-
-
 def tile_label(p) -> str:
     """Compact "row/col/slot[/corner]" label for reports, "?" if unknown."""
     tid = p.id
@@ -220,10 +258,3 @@ def tile_label(p) -> str:
     corner = getattr(p, "corner", None)
     base = f"{tid.row}/{tid.col}/{tid.slot}"
     return f"{base}/{corner}" if corner else base
-
-
-def scale_uniform(p, s: float):
-    """Uniform scaling about the origin by a positive factor."""
-    if s <= 0:
-        raise InvalidParameter(f"scale factor must be positive, got {s!r}")
-    return with_vertices(p, (Point(s * v.x, s * v.y) for v in p.vertices))

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 from . import assembly, document, quadsplit, verify
 from .errors import ExhaustedRetries, InvalidParameter
-from .geometry import Quadrangle
-from .strip import StripTiling, deviations, strip_tiling, window_triangles
+from .geometry import Tiles
+from .strip import StripTiling, deviations, strip_tiling, window_tiles
 
 __all__ = [
     "Y0_RANGE",
@@ -127,7 +127,7 @@ def sample_certified_y0(rng: random.Random, cols: int,
         if not gate.passed:
             last = f"contraction gate failed for y0={y0!r}"
             continue
-        sep = verify.check_halfturn_incongruent(window_triangles(tiling))
+        sep = verify.check_halfturn_incongruent(window_tiles(tiling))
         if not sep.passed:
             last = f"strip-level congruence for y0={y0!r} (margin {sep.margin:.3e})"
             continue
@@ -195,7 +195,7 @@ def strip_document(tiling: StripTiling, *,
                    seed: int | None = None, mode: str = "fixed") -> document.TilingDocument:
     params = document.make_parameters(y0=tiling.y0, cols=tiling.n_cols, seed=seed, mode=mode)
     return document.TilingDocument(kind="strip", parameters=params,
-                                   tiles=window_triangles(tiling))
+                                   tiles=window_tiles(tiling))
 
 
 def plane_document(plane: assembly.PlaneTiling, epsilon: float,
@@ -208,9 +208,9 @@ def plane_document(plane: assembly.PlaneTiling, epsilon: float,
     return document.TilingDocument(kind="plane", parameters=params, tiles=plane.tiles())
 
 
-def quad_document(quads: list[Quadrangle],
+def quad_document(quads: Tiles,
                   source: document.TilingDocument) -> document.TilingDocument:
     params = dict(source.parameters)
     params.update(document.make_parameters(
         scale=quadsplit.QUADIFY_SCALE, p0=quadsplit.P0))
-    return document.TilingDocument(kind="quad", parameters=params, tiles=list(quads))
+    return document.TilingDocument(kind="quad", parameters=params, tiles=quads)

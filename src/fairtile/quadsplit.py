@@ -29,7 +29,7 @@ sqrt(6)/48-sqrt(2)/24 as derivation-error anchors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,10 +49,9 @@ from .errors import (
 from .geometry import (
     Point,
     Quadrangle,
+    Tiles,
     Triangle,
-    interior_angles,
     is_convex,
-    scale_uniform,
 )
 
 __all__ = [
@@ -483,7 +482,7 @@ def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]
     initial guess.  Far-from-symmetric inputs raise :class:`OutOfBasin`.
     """
     pts = list(q.vertices)
-    angles = interior_angles(q)
+    angles = Tiles.of([q]).angles()[0].tolist()
     order = sorted(range(4), key=lambda k: angles[k])
     if angles[order[1]] - angles[order[0]] <= _ANGLE_TIE_TOL:
         raise OutOfBasin("smallest interior angle is not unique")
@@ -523,7 +522,7 @@ def reconstruction_jacobian_det(step: float = 1e-6) -> float:
     return float(np.linalg.det(jac))
 
 
-def quadify_plane(tiles: list[Triangle]) -> list[Quadrangle]:
+def quadify_plane(tiles: Tiles) -> Tiles:
     """Fair-split every triangle of a window, after one global rescaling.
 
     The single common factor takes stacked-tiling edges (about 2) to the
@@ -533,11 +532,9 @@ def quadify_plane(tiles: list[Triangle]) -> list[Quadrangle]:
     :class:`TileFailed` carrying that tile's id, with the error as its cause.
     """
     out: list[Quadrangle] = []
-    for tri in tiles:
-        posed = scale_uniform(tri, QUADIFY_SCALE)
+    for tri in replace(tiles, xy=QUADIFY_SCALE * tiles.xy):
         try:
-            quads = fair_split(posed)
+            out.extend(fair_split(tri))
         except FairtileError as e:
             raise TileFailed(tri.id, e) from e
-        out.extend(quads)
-    return out
+    return Tiles.of(out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import InvalidParameter
-from .geometry import bounding_box, tile_label
+from .geometry import Tiles, tile_label
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -25,8 +25,11 @@ class RenderOptions:
     scale: float = 40.0  # pixels per geometry unit
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise InvalidParameter(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise InvalidParameter(f"scale must be finite and positive, got {self.scale}")
+        if not (math.isfinite(self.stroke_width) and self.stroke_width >= 0.0):
+            raise InvalidParameter(
+                f"stroke width must be finite and non-negative, got {self.stroke_width}")
         if self.viewbox is not None and not (all(map(math.isfinite, self.viewbox))
                                              and self.viewbox[2] > 0 and self.viewbox[3] > 0):
             raise InvalidParameter(f"viewbox must be finite and nonempty, got {self.viewbox}")
@@ -37,17 +40,13 @@ def _num(x: float) -> str:
     return "0" if s in ("-0", "-0.0") else s
 
 
-def render_svg(tiles, options: RenderOptions = RenderOptions()) -> str:
-    """SVG 1.1 text for a list of tiles (triangles or quadrangles)."""
-    tiles = list(tiles)
+def render_svg(tiles: Tiles, options: RenderOptions = RenderOptions()) -> str:
+    """SVG 1.1 text for a record of tiles (triangles or quadrangles)."""
     if options.viewbox is not None:
         vx, vy, vw, vh = options.viewbox
-    elif tiles:
-        boxes = [bounding_box(t) for t in tiles]
-        xmin = min(b[0] for b in boxes)
-        ymin = min(b[1] for b in boxes)
-        xmax = max(b[2] for b in boxes)
-        ymax = max(b[3] for b in boxes)
+    elif len(tiles):
+        xmin, ymin = tiles.xy.min(axis=(0, 1)).tolist()
+        xmax, ymax = tiles.xy.max(axis=(0, 1)).tolist()
         pad = 0.02 * max(xmax - xmin, ymax - ymin, 1.0)
         # flip: render y = -math y
         vx, vy = xmin - pad, -ymax - pad
@@ -66,17 +65,16 @@ def render_svg(tiles, options: RenderOptions = RenderOptions()) -> str:
         'stroke-linejoin="round">',
     ]
     labels = []
-    for tile in tiles:
-        pts = tile.vertices
-        d = "M" + "L".join(f"{_num(v.x)} {_num(-v.y)}" for v in pts) + "Z"
+    for i, pts in enumerate(tiles.xy.tolist()):
+        d = "M" + "L".join(f"{_num(x)} {_num(-y)}" for x, y in pts) + "Z"
         out.append(f'<path d="{d}"/>')
         if options.label_tiles:
-            cx = sum(v.x for v in pts) / len(pts)
-            cy = sum(v.y for v in pts) / len(pts)
+            cx = sum(x for x, _ in pts) / len(pts)
+            cy = sum(y for _, y in pts) / len(pts)
             labels.append(
                 f'<text x="{_num(cx)}" y="{_num(-cy)}" font-size="{_num(0.18)}" '
                 f'text-anchor="middle" fill="black" stroke="none">'
-                f"{escape(tile_label(tile))}</text>")
+                f"{escape(tile_label(tiles[i]))}</text>")
     out.append("</g>")
     if labels:
         out.append('<g font-family="sans-serif">')

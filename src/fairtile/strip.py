@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenominatorVanished, InvalidParameter
-from .geometry import TileId, Triangle, triangles
+from .geometry import Tiles
 
 __all__ = [
     "MAX_COLS",
@@ -33,11 +33,8 @@ __all__ = [
     "strip_tiling",
     "critical_tiling",
     "deviations",
-    "window_index",
-    "tile_ids",
-    "window_vertices",
+    "window_tiles",
     "flat_vertices",
-    "window_triangles",
     "unit_area_residual",
     "identity_residual",
 ]
@@ -207,26 +204,16 @@ def _slot_vertices(cols, slots, which, a, b, x, y, s: float) -> np.ndarray:
     return verts
 
 
-def window_index(n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column and slot of every window tile, ordered by (col, slot)."""
-    cols, slots = np.divmod(np.arange(-4 * n_cols, 4 * n_cols + 4), 4)
+def window_tiles(t: StripTiling) -> Tiles:
+    """Every tile of the tiling as row 0: ``8*n_cols + 2`` tiles, columns
+    -n_cols..n_cols ordered by (col, slot), each counterclockwise."""
+    cols, slots = np.divmod(np.arange(-4 * t.n_cols, 4 * t.n_cols + 4), 4)
     keep = (cols != 0) | (slots % 3 == 0)  # the center column has slots 1 and 4 only
-    return cols[keep], slots[keep] + 1
-
-
-def tile_ids(n_cols: int, row: int = 0):
-    """All tile addresses of a strip window, ordered by (col, slot)."""
-    cols, slots = window_index(n_cols)
-    return (TileId(row, i, j) for i, j in zip(cols.tolist(), slots.tolist()))
-
-
-def window_vertices(t: StripTiling) -> np.ndarray:
-    """Vertices of every tile of the tiling, shape ``(8*n_cols + 2, 3, 2)``:
-    columns -n_cols..n_cols ordered by (col, slot), each counterclockwise."""
-    cols, slots = window_index(t.n_cols)
+    cols, slots = cols[keep], slots[keep] + 1
     # per column n: (a_n, a_{n+1}), (b_n, b_{n+1}), (x_{n-1}, x_n), (y_{n-1}, y_n)
     pairs = [np.stack([v[:-1], v[1:]], -1) for v in (t.aa[1:], t.bb[1:], t.xs, t.ys * t.y_scale)]
-    return _slot_vertices(cols, slots, np.maximum(np.abs(cols), 1) - 1, *pairs, t.y_scale)
+    verts = _slot_vertices(cols, slots, np.maximum(np.abs(cols), 1) - 1, *pairs, t.y_scale)
+    return Tiles(verts, 0 * cols, cols, slots)
 
 
 def flat_vertices(cols: np.ndarray, slots: np.ndarray, y_scale: float) -> np.ndarray:
@@ -236,11 +223,6 @@ def flat_vertices(cols: np.ndarray, slots: np.ndarray, y_scale: float) -> np.nda
     ends = np.stack([x - 1.0, x + 1.0], -1)
     return _slot_vertices(cols, slots, np.arange(len(x)), ends, ends, np.stack([x - 2.0, x], -1),
                           0.0 * ends, y_scale)
-
-
-def window_triangles(t: StripTiling) -> list[Triangle]:
-    """Every triangle of the tiling, columns -n_cols..n_cols, ordered by (col, slot)."""
-    return triangles(window_vertices(t), tile_ids(t.n_cols))
 
 
 def unit_area_residual(t: StripTiling) -> float:

@@ -14,6 +14,7 @@ tolerance for classification only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,16 +24,8 @@ from . import assembly
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, halfturn_key, halfturn_variants,
                          signature_key, signature_variants)
 from .errors import InvalidParameter
-from .geometry import (
-    area,
-    bounding_box,
-    edge_lengths,
-    is_convex,
-    perimeter,
-    tile_label,
-)
-from .strip import (DeviationSeries, StripTiling, identity_residual, unit_area_residual,
-                    window_index, window_vertices)
+from .geometry import Tiles, tile_label
+from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual, window_tiles
 
 __all__ = [
     "VerificationReport",
@@ -70,65 +63,60 @@ class VerificationReport:
     subchecks: tuple["VerificationReport", ...] = ()
 
 
-def _cap(offenders) -> tuple[tuple[str, str], ...]:
-    return tuple(offenders[:_MAX_OFFENDERS])
+def _labels(tiles: Tiles, idx) -> tuple[tuple[str, str], ...]:
+    """(label, label) of the first offending tiles among ``idx``."""
+    return tuple((tile_label(tiles[i]),) * 2 for i in idx[:_MAX_OFFENDERS])
 
 
-def _scalar_sweep(name, tiles, target, tol, measure) -> VerificationReport:
-    if not tiles:
+def _scalar_sweep(name, tiles: Tiles, target, tol, measure) -> VerificationReport:
+    if not len(tiles):
         raise InvalidParameter(f"{name}: empty tile list")
-    worst = 0.0
-    offenders = []
-    for p in tiles:
-        r = float(abs(measure(p) - target))
-        if r > tol:
-            offenders.append((tile_label(p), tile_label(p)))
-        worst = max(worst, r)
+    r = np.abs(measure(tiles) - target)
+    worst = float(np.max(r))
     return VerificationReport(
         check_name=name, passed=worst <= tol, worst_residual=worst, margin=None,
-        offenders=_cap(offenders), tiles_checked=len(tiles), tolerance_used=tol)
+        offenders=_labels(tiles, np.flatnonzero(r > tol)), tiles_checked=len(tiles),
+        tolerance_used=tol)
 
 
-def check_equal_area(tiles, target: float, tol: float = 1e-10) -> VerificationReport:
+def check_equal_area(tiles: Tiles, target: float, tol: float = 1e-10) -> VerificationReport:
     """Worst |area - target| over the tiles."""
-    return _scalar_sweep("equal-area", tiles, target, tol, area)
+    return _scalar_sweep("equal-area", tiles, target, tol, lambda t: np.abs(t.signed_areas()))
 
 
-def check_equal_perimeter(tiles, target: float, tol: float = 1e-9) -> VerificationReport:
-    """Worst |perimeter - target| over the tiles."""
-    return _scalar_sweep("equal-perimeter", tiles, target, tol, perimeter)
+def check_equal_perimeter(tiles: Tiles, target: float, tol: float = 1e-9) -> VerificationReport:
+    """Worst |perimeter - target| over the tiles, edge lengths summed in order."""
+    return _scalar_sweep("equal-perimeter", tiles, target, tol,
+                         lambda t: functools.reduce(np.add, t.lengths().T))
 
 
-def check_convex(tiles, tol: float = 1e-12) -> VerificationReport:
+def check_convex(tiles: Tiles, tol: float = 1e-12) -> VerificationReport:
     """Every tile's consecutive-edge cross products share one sign."""
-    if not tiles:
+    if not len(tiles):
         raise InvalidParameter("convex: empty tile list")
-    offenders = [(tile_label(p), tile_label(p)) for p in tiles if not is_convex(p, tol)]
+    offenders = _labels(tiles, np.flatnonzero(~tiles.convex(tol)))
     return VerificationReport(
         check_name="convex", passed=not offenders, worst_residual=None, margin=None,
-        offenders=_cap(offenders), tiles_checked=len(tiles), tolerance_used=tol)
+        offenders=offenders, tiles_checked=len(tiles), tolerance_used=tol)
 
 
-def check_identity(t: StripTiling, tiles, tol: float = 1e-10) -> VerificationReport:
+def check_identity(t: StripTiling, tiles: Tiles, tol: float = 1e-10) -> VerificationReport:
     """Unit-area determinants and the area-bookkeeping identity of a strip, and
     ``tiles`` against its window: count, and each tile's id, vertex count and
     coordinates bit for bit (-0.0 and 0.0 differ), naming the tiles that differ."""
     worst = max(unit_area_residual(t), identity_residual(t))
-    cols, slots = window_index(t.n_cols)
-    want = np.column_stack([0 * cols, cols, slots, 0 * cols + 3, window_vertices(t).reshape(-1, 6)])
+    want = window_tiles(t)
     m = min(len(tiles), len(want))
-    ids = np.fromiter((c for p in tiles[:m] for c in (p.id.row, p.id.col, p.id.slot,
-                                                       len(p.vertices))), float, 4 * m)
-    xy = np.fromiter((c for p in tiles[:m] for v in p.vertices[:3] for c in v.xy), float, 6 * m)
-    got = np.column_stack([ids.reshape(m, 4), xy.reshape(m, 6)])
-    bad = np.flatnonzero((got.view(np.uint64) != want[:m].view(np.uint64)).any(1)).tolist()
+    got, exp = (np.column_stack([r.row[:m], r.col[:m], r.slot[:m], np.full(m, r.xy.shape[1]),
+                                 r.xy[:m, :3].reshape(m, 6)]) for r in (tiles, want))
+    bad = np.flatnonzero((got.view(np.uint64) != exp.view(np.uint64)).any(1)).tolist()
     bad += range(m, len(tiles))
     note = (f"{len(bad)} of {len(tiles)} tiles differ from the {len(want)} of the header's strip"
             if bad or len(tiles) != len(want) else "")
     return VerificationReport(
         check_name="strip-identities", passed=worst <= tol and not note, worst_residual=worst,
-        margin=None, offenders=_cap([(tile_label(tiles[i]),) * 2 for i in bad]),
-        tiles_checked=4 * t.n_cols + 2, tolerance_used=tol, note=note)
+        margin=None, offenders=_labels(tiles, bad), tiles_checked=len(want),
+        tolerance_used=tol, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def _contact(P, Q, tol: float):
     return np.logical_or.reduce(rules), np.select(rules, sizes, 0.0)
 
 
-def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
+def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationReport:
     """Every tile pair must meet in nothing, one vertex, or a full edge.
 
     Pairs whose bounding boxes are apart by more than ``tol`` are skipped;
@@ -197,33 +185,18 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
     n = len(tiles)
     if n == 0:
         raise InvalidParameter("vertex-to-vertex: empty tile list")
-    for p in tiles:  # edge lines decide overlap only between convex tiles
-        if not is_convex(p):
-            raise InvalidParameter(f"vertex-to-vertex needs convex tiles; {tile_label(p)} is not")
-    boxes = np.array([bounding_box(p) for p in tiles])
-    xmin, ymin, xmax, ymax = boxes.T
+    convex = tiles.convex()
+    if not convex.all():  # edge lines decide overlap only between convex tiles
+        raise InvalidParameter(f"vertex-to-vertex needs convex tiles; "
+                               f"{tile_label(tiles[int(np.argmin(convex))])} is not")
+    (xmin, ymin), (xmax, ymax) = tiles.xy.min(axis=1).T, tiles.xy.max(axis=1).T
     near = [np.nonzero(
         (xmin[i + 1:] <= xmax[i] + tol) & (xmax[i + 1:] >= xmin[i] - tol)
         & (ymin[i + 1:] <= ymax[i] + tol) & (ymax[i + 1:] >= ymin[i] - tol))[0] + i + 1
         for i in range(n)]
     I = np.repeat(np.arange(n), [len(js) for js in near])
     J = np.concatenate(near)
-
-    counts = np.array([len(p.vertices) for p in tiles])
-    row = np.zeros(n, dtype=np.intp)
-    verts = {}
-    for k in np.unique(counts):
-        members = np.nonzero(counts == k)[0]
-        row[members] = np.arange(len(members))
-        verts[k] = np.array([[v.xy for v in tiles[i].vertices] for i in members])
-    bad = np.zeros(len(I), dtype=bool)
-    size = np.zeros(len(I))
-    for kp in verts:
-        for kq in verts:
-            sel = np.nonzero((counts[I] == kp) & (counts[J] == kq))[0]
-            if sel.size:
-                bad[sel], size[sel] = _contact(
-                    verts[kp][row[I[sel]]], verts[kq][row[J[sel]]], tol)
+    bad, size = _contact(tiles.xy[I], tiles.xy[J], tol)
     first = np.nonzero(bad)[0][:_MAX_OFFENDERS]
     offenders = [(tile_label(tiles[i]), tile_label(tiles[j])) for i, j in zip(I[first], J[first])]
     return VerificationReport(
@@ -236,16 +209,17 @@ def check_vertex_to_vertex(tiles, tol: float = 1e-9) -> VerificationReport:
 # pairwise incongruence
 
 
-def _incongruence(name, polys, quantum: float, rows_of, key_of) -> VerificationReport:
+def _incongruence(name, tiles: Tiles, quantum: float, rows_of, key_of) -> VerificationReport:
     if quantum <= 0:
         raise InvalidParameter(f"quantum must be positive, got {quantum!r}")
-    if not polys:
+    if not len(tiles):
         raise InvalidParameter(f"{name}: empty tile list")
-    margin, collisions = aligned_sweep(polys, rows_of, key_of, quantum)
-    offenders = [(tile_label(polys[a]), tile_label(polys[b])) for a, b in collisions]
+    margin, collisions = aligned_sweep(tiles, rows_of, key_of, quantum)
+    offenders = [(tile_label(tiles[a]), tile_label(tiles[b]))
+                 for a, b in collisions[:_MAX_OFFENDERS]]
     return VerificationReport(
         check_name=name, passed=not collisions, worst_residual=None, margin=margin,
-        offenders=_cap(offenders), tiles_checked=len(polys), tolerance_used=quantum)
+        offenders=tuple(offenders), tiles_checked=len(tiles), tolerance_used=quantum)
 
 
 def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> VerificationReport:
@@ -258,13 +232,15 @@ def check_pairwise_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> Verif
     """
     report = _incongruence("pairwise-incongruent", tiles, quantum, signature_variants,
                           signature_key)
-    triangles = [(p, edge_lengths(p)) for p in tiles if len(p.vertices) == 3]
-    equilateral = [(tile_label(p), tile_label(p)) for p, lengths in triangles
-                   if max(lengths) - min(lengths) <= quantum]
-    if not equilateral:
+    if tiles.xy.shape[1] != 3:
         return report
-    return replace(report, passed=False, offenders=_cap(report.offenders + tuple(equilateral)),
-                   note=f"{len(equilateral)} equilateral tile(s) flagged")
+    lengths = tiles.lengths()
+    equilateral = np.flatnonzero(lengths.max(axis=1) - lengths.min(axis=1) <= quantum)
+    if not equilateral.size:
+        return report
+    offenders = report.offenders + _labels(tiles, equilateral)
+    return replace(report, passed=False, offenders=offenders[:_MAX_OFFENDERS],
+                   note=f"{equilateral.size} equilateral tile(s) flagged")
 
 
 def check_halfturn_incongruent(tiles, quantum: float = DEFAULT_QUANTUM) -> VerificationReport:
@@ -343,25 +319,22 @@ def check_contraction(series: DeviationSeries) -> VerificationReport:
 # closeness to the periodic reference
 
 
-def check_closeness(tiles, epsilon: float) -> VerificationReport:
+def check_closeness(tiles: Tiles, epsilon: float) -> VerificationReport:
     """Per-coordinate deviation of every vertex from its counterpart in the
     periodic tiling by equilateral edge-2 triangles.
 
     The worst residual is the largest deviation; the check passes when it
     stays strictly under the tolerance 2*epsilon.
     """
-    if not tiles:
+    if not len(tiles):
         raise InvalidParameter("closeness: empty tile list")
-    for tri in tiles:
-        if tri.id is None:
-            raise InvalidParameter("closeness needs tiles with ids")
-        if len(tri.vertices) != 3:
-            raise InvalidParameter(
-                f"closeness applies to triangles only; tile {tile_label(tri)} is not one")
-    worst = 0.0
-    for tri, ref in zip(tiles, assembly.periodic_triangles([tri.id for tri in tiles])):
-        for v, r in zip(tri.vertices, ref.vertices):
-            worst = max(worst, float(abs(v.x - r.x)), float(abs(v.y - r.y)))
+    if tiles.row is None:
+        raise InvalidParameter("closeness needs tiles with ids")
+    if tiles.xy.shape[1] != 3:
+        raise InvalidParameter(
+            f"closeness applies to triangles only; tile {tile_label(tiles[0])} is not one")
+    ref = assembly.periodic_triangles(tiles.row, tiles.col, tiles.slot)
+    worst = float(np.max(np.abs(tiles.xy - ref.xy)))
     tol = 2.0 * epsilon
     return VerificationReport(
         check_name="closeness", passed=worst < tol, worst_residual=worst, margin=None,

@@ -5,9 +5,10 @@ replaced, the numpy Newton iteration that :func:`fairtile.quadsplit.newton3`
 replaced, the elementary plane maps that :class:`StripTransform`
 composes into one placement, the shear selection on unfiltered root sets
 that the blocked, reach-filtered one replaced, and the ``json.dumps``
-document serializer that the tile-line template replaced, and the slot
+document serializer that the tile-line template replaced, the slot
 chain that built one strip tile at a time before the window became one
-vertex array."""
+vertex array, and the object builders and document parser that the array
+tile record (:class:`fairtile.geometry.Tiles`) replaced."""
 
 import json
 import math
@@ -18,12 +19,152 @@ from fairtile.assembly import _DRAWS_PER_MARGIN, _MARGIN_CAP, _MARGIN_FLOOR, _MA
 from fairtile.congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set,
                                  equilateral_shear_set, halfturn_key, halfturn_variants,
                                  match_roots, pair_shear_roots)
-from fairtile.document import fmt17
-from fairtile.errors import (DegenerateTriangle, ExhaustedRetries, NoConvergence,
-                             SingularDenominator, SingularJacobian)
-from fairtile.geometry import (Point, TileId, Triangle, edge_lengths, edge_vectors,
-                               interior_angles, with_vertices)
-from fairtile.strip import window_triangles
+from fairtile.document import FORMAT_VERSION, KINDS, fmt17
+from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentError,
+                             ExhaustedRetries, FairtileError, InvalidParameter, NoConvergence,
+                             SingularDenominator, SingularJacobian, TileFailed)
+from fairtile.geometry import (Point, Quadrangle, TileId, Tiles, Triangle, edge_vectors,
+                               signed_area, tile_label)
+from fairtile.quadsplit import QUADIFY_SCALE, fair_split
+from fairtile.strip import strip_tiling, window_tiles
+
+
+def interior_angles(p) -> list[float]:
+    """Unsigned interior angles in radians, one per vertex (convex polygons)."""
+    pts = p.vertices
+    n = len(pts)
+    out = []
+    for k in range(n):
+        v = pts[k]
+        a = (pts[(k + 1) % n].x - v.x, pts[(k + 1) % n].y - v.y)
+        b = (pts[(k - 1) % n].x - v.x, pts[(k - 1) % n].y - v.y)
+        cross = a[0] * b[1] - a[1] * b[0]
+        dot = a[0] * b[0] + a[1] * b[1]
+        out.append(math.atan2(abs(cross), dot))
+    return out
+
+
+def edge_lengths(p) -> list[float]:
+    return [math.hypot(dx, dy) for dx, dy in edge_vectors(p)]
+
+
+def area(p) -> float:
+    s = signed_area([v.xy for v in p.vertices])
+    if abs(s) <= 1e-14:
+        raise DegeneratePolygon(f"degenerate polygon (signed area {s:.3e})")
+    return abs(s)
+
+
+def perimeter(p) -> float:
+    pts = p.vertices
+    return sum(math.hypot(q.x - r.x, q.y - r.y) for q, r in zip(pts, pts[1:] + pts[:1]))
+
+
+def with_vertices(p, pts):
+    """Copy of the polygon with replaced vertices, keeping its identity."""
+    pts = tuple(pts)
+    if isinstance(p, Triangle):
+        return Triangle(*pts, id=p.id)
+    return Quadrangle(pts, id=p.id, corner=p.corner)
+
+
+def scale_uniform(p, s: float):
+    """Uniform scaling about the origin by a positive factor."""
+    if s <= 0:
+        raise InvalidParameter(f"scale factor must be positive, got {s!r}")
+    return with_vertices(p, (Point(s * v.x, s * v.y) for v in p.vertices))
+
+
+def tile_ids(n_cols: int, row: int = 0):
+    """All tile addresses of a strip window, ordered by (col, slot)."""
+    window = window_tiles(strip_tiling(0.005, n_cols))
+    return (TileId(row, i, j) for i, j in zip(window.col.tolist(), window.slot.tolist()))
+
+
+def ids_of(tids):
+    """The (row, col, slot) integer arrays of a list of tile ids."""
+    tids = list(tids)
+    return tuple(np.array([getattr(t, f) for t in tids], dtype=np.int64)
+                 for f in ("row", "col", "slot"))
+
+
+def window_triangles(t) -> list:
+    """Every triangle of a strip window, one slot chain at a time."""
+    return [triangle_at(t, tid.col, tid.slot) for tid in tile_ids(t.n_cols)]
+
+
+def plane_triangles(plane) -> list:
+    """Every tile of a plane window, each strip triangle placed one vertex at
+    a time through its row's :class:`StripTransform`."""
+    out = []
+    for k in plane.rows:
+        tr = plane.transforms[k]
+        for tri in window_triangles(plane.base):
+            pts = [Point(*tr.place(v.x, v.y)) for v in tri.vertices]
+            out.append(Triangle(*(pts[::-1] if tr.reflected else pts),
+                                id=TileId(k, tri.id.col, tri.id.slot)))
+    return out
+
+
+def quadify_plane(tiles) -> list:
+    """The fair split of every triangle, each scaled as its own polygon."""
+    out = []
+    for tri in tiles:
+        posed = scale_uniform(tri, QUADIFY_SCALE)
+        try:
+            out.extend(fair_split(posed))
+        except FairtileError as e:
+            raise TileFailed(tri.id, e) from e
+    return out
+
+
+def _id_field(id_obj, key: str) -> int:
+    value = id_obj[key]
+    if type(value) is not int:
+        raise DocumentError(f"tile id field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_tile(obj):
+    id_obj = obj["id"]
+    tid = TileId(*(_id_field(id_obj, key) for key in ("row", "col", "slot")))
+    corner = id_obj.get("corner")
+    pts = [Point(float(x), float(y)) for x, y in obj["vertices"]]
+    if len(pts) == 3:
+        if corner is not None:
+            raise DocumentError("corner labels belong to quadrangle tiles")
+        return Triangle(*pts, id=tid)
+    if len(pts) == 4:
+        return Quadrangle(tuple(pts), id=tid, corner=corner)
+    raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(pts)}")
+
+
+def parse(text: str):
+    """(kind, parameters, polygons) of a document, every tile line read
+    through ``json`` and built as a validated polygon."""
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines:
+        raise DocumentError("empty document")
+    try:
+        header = json.loads(lines[0])
+        version = header["format_version"]
+        kind = header["kind"]
+        parameters = header["parameters"]
+        tiles = [_parse_tile(json.loads(ln)) for ln in lines[1:]]
+    except DocumentError:
+        raise
+    except Exception as e:
+        raise DocumentError(f"malformed document: {e}") from e
+    if version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format version {version!r}")
+    if kind not in KINDS:
+        raise DocumentError(f"unknown document kind {kind!r}")
+    n = {"strip": 3, "plane": 3, "quad": 4}[kind]
+    for tile in tiles:
+        if len(tile.vertices) != n:
+            raise DocumentError(f"{kind} documents hold {n}-vertex tiles; "
+                                f"tile {tile_label(tile)} has {len(tile.vertices)}")
+    return kind, parameters, tiles
 
 
 def signature_rows(p) -> np.ndarray:
@@ -167,7 +308,8 @@ def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list
     (N, 3N) array, none of them discarded.  The sorted root set each row
     draws against is appended to ``root_sets`` when one is given."""
     tiles = window_triangles(base)
-    _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
+    _, collisions = aligned_sweep(Tiles.of(tiles), halfturn_variants, halfturn_key,
+                                  DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
     ev = np.array([edge_vectors(t) for t in tiles])

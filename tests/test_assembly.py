@@ -26,12 +26,12 @@ from fairtile.congruence import (
     signature_variants,
 )
 from fairtile.errors import BoundaryMismatch, DegeneratePair, ExhaustedRetries, InvalidParameter
-from fairtile.geometry import Point, TileId, Triangle, area, edge_lengths, edge_vectors
+from fairtile.geometry import Point, TileId, Tiles, Triangle, edge_vectors
 from fairtile.pipeline import sample_certified_y0
-from fairtile.strip import StripTiling, critical_tiling, strip_tiling, tile_ids, window_triangles
+from fairtile.strip import StripTiling, critical_tiling, strip_tiling, window_tiles
 from fairtile.verify import check_closeness, check_vertex_to_vertex
 import oracles
-from oracles import reflect_x, shear, translate, triangle_at
+from oracles import area, edge_lengths, ids_of, reflect_x, shear, tile_ids, translate, triangle_at
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def window_base(cols):
 
 
 def test_scale_produces_near_equilateral_tiles(base):
-    for tri in window_triangles(base):
+    for tri in window_tiles(base):
         assert area(tri) == pytest.approx(SQRT3, abs=1e-10)
         for L in edge_lengths(tri):
             assert L == pytest.approx(2.0, abs=0.05)
@@ -59,7 +59,7 @@ def test_scale_preserves_halfturn_relation(base):
 
     def collides(t, a, b):
         pair = [triangle_at(t, *a), triangle_at(t, *b)]
-        return bool(aligned_sweep(pair, halfturn_variants, halfturn_key, 1e-9)[1])
+        return bool(aligned_sweep(Tiles.of(pair), halfturn_variants, halfturn_key, 1e-9)[1])
 
     for a, b in [((1, 1), (-1, 1)), ((1, 2), (2, 2)), ((2, 3), (3, 3))]:
         assert collides(unscaled, a, b) == collides(base, a, b)
@@ -95,7 +95,7 @@ def test_select_shears_budget_and_determinism():
 def test_selected_shears_clear_root_sets():
     base = window_base(2)
     mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(3))
-    tiles = window_triangles(base)
+    tiles = list(window_tiles(base))
     for mu in mus:
         for a in range(len(tiles)):
             for b in range(a + 1, len(tiles)):
@@ -273,7 +273,7 @@ def test_closeness_of_stacked_window():
 
 
 def test_periodic_reference_self_closeness():
-    tiles = periodic_triangles([tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)])
+    tiles = periodic_triangles(*ids_of([tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)]))
     rep = check_closeness(tiles, 1e-6)
     assert rep.passed
     assert rep.worst_residual == 0.0
@@ -281,12 +281,12 @@ def test_periodic_reference_self_closeness():
 
 def test_periodic_tiles_are_equilateral_area_sqrt3():
     tids = [TileId(0, 0, 1), TileId(0, 2, 3), TileId(1, -1, 2), TileId(-2, 3, 4)]
-    for tri in periodic_triangles(tids):
+    for tri in periodic_triangles(*ids_of(tids)):
         assert area(tri) == pytest.approx(SQRT3, abs=1e-12)
         for L in edge_lengths(tri):
             assert L == pytest.approx(2.0, abs=1e-12)
     # a tile and the mirrored copy of another, one row up
-    mirrored_pair = periodic_triangles([TileId(0, 1, 2), TileId(1, 2, 1)])
+    mirrored_pair = periodic_triangles(*ids_of([TileId(0, 1, 2), TileId(1, 2, 1)]))
     margin, _ = aligned_sweep(mirrored_pair, signature_variants, signature_key, 1e-9)
     assert margin <= 1e-9
 
@@ -316,22 +316,22 @@ def _periodic_oracle(tid):
 def test_periodic_triangle_matches_the_closed_form_lattice():
     tids = [tid for k in (-1, 0, 1) for tid in tile_ids(3, row=k)]
     # a tile read alone equals the same tile read in a list
-    for tri, tid in zip(periodic_triangles(tids), tids):
-        assert [tri] == periodic_triangles([tid])
+    for tri, tid in zip(periodic_triangles(*ids_of(tids)), tids):
+        assert [tri] == list(periodic_triangles(*ids_of([tid])))
         assert tri.id == tid
         assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
     # rows interleaved, so each row comes in several runs
     mixed = tids[::2] + tids[1::2]
-    assert [[v.xy for v in tri.vertices] for tri in periodic_triangles(mixed)] == [
+    assert [[v.xy for v in tri.vertices] for tri in periodic_triangles(*ids_of(mixed))] == [
         _periodic_oracle(tid) for tid in mixed]
-    assert periodic_triangles([]) == []
+    assert len(periodic_triangles(*ids_of([]))) == 0
 
 
 def test_periodic_reference_memory_does_not_grow_with_the_column():
     tid = TileId(1, 1_000_000, 3)
     tracemalloc.start()
     try:
-        (tri,) = periodic_triangles([tid])
+        (tri,) = periodic_triangles(*ids_of([tid]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,7 +382,7 @@ def test_placement_matches_the_transform_chain():
                        bb=2.0 * i - 1.0, alpha=zeros, beta=zeros, xi=zeros[:-1], y_scale=SQRT3)
     chained = [_chained(triangle_at(flat, t.id.col, t.id.slot), t.id, None,
                         t.id.row % 2 != 0, (0.0, 2.0 * t.id.row * SQRT3)) for t in tiles]
-    assert [_bits(t) for t in periodic_triangles([t.id for t in tiles])] == [
+    assert [_bits(t) for t in periodic_triangles(tiles.row, tiles.col, tiles.slot)] == [
         _bits(t) for t in chained]
 
 
@@ -398,11 +398,11 @@ def test_tiles_are_built_once_per_placement(monkeypatch):
         validate(tri)
 
     monkeypatch.setattr(Triangle, "__post_init__", counted)
+    # the placed rows, their periodic reference and the strip are arrays
     tiles = plane.tiles()
-    assert len(tiles) == 3 * 26 and len(built) == len(tiles)  # the placed copy alone
-    built.clear()
-    periodic = periodic_triangles([t.id for t in tiles])
-    assert len(built) == len(periodic)
-    built.clear()
-    strip_tiles = window_triangles(base)
-    assert len(built) == len(strip_tiles) == 26  # mirrored columns included
+    periodic = periodic_triangles(tiles.row, tiles.col, tiles.slot)
+    strip_tiles = window_tiles(base)
+    assert len(tiles) == len(periodic) == 3 * 26 and len(strip_tiles) == 26
+    assert built == []
+    tri = tiles[5]  # one object, built on demand
+    assert tri.id == TileId(-1, -2, 2) and built == [tri.id]

@@ -25,16 +25,14 @@ from fairtile.errors import DegeneratePair, DegeneratePolygon
 from fairtile.geometry import (
     Point,
     Quadrangle,
+    Tiles,
     Triangle,
-    area,
-    edge_lengths,
     edge_vectors,
-    perimeter,
 )
 from fairtile.quadsplit import fair_split
 from fairtile.strip import critical_tiling, strip_tiling
-from oracles import (halfturn_rows, shear, signature_distance, signature_rows, simeq_distance,
-                     translate, triangle_at)
+from oracles import (area, edge_lengths, halfturn_rows, perimeter, shear, signature_distance,
+                     signature_rows, simeq_distance, translate, triangle_at)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,12 +50,24 @@ UNIT_SQUARE = quad((0, 0), (1, 0), (1, 1), (0, 1))
 
 def signature_margin(p, q):
     """Full-congruence distance of one pair, as the sweep measures it."""
-    return aligned_sweep([p, q], signature_variants, signature_key, 1e-9)[0]
+    return aligned_sweep(Tiles.of([p, q]), signature_variants, signature_key, 1e-9)[0]
 
 
 def halfturn_margin(p, q):
     """Translation-or-half-turn distance of one pair, as the sweep measures it."""
-    return aligned_sweep([p, q], halfturn_variants, halfturn_key, 1e-9)[0]
+    return aligned_sweep(Tiles.of([p, q]), halfturn_variants, halfturn_key, 1e-9)[0]
+
+
+def mixed_sweep(polys, rows_of, key_of, quantum):
+    """:func:`aligned_sweep` over each vertex count of a list of triangles
+    and quadrangles, with pairs in list indices."""
+    margin, collisions = math.inf, []
+    for n in (3, 4):
+        idx = [i for i, p in enumerate(polys) if len(p.vertices) == n]
+        m, pairs = aligned_sweep(Tiles.of(polys[i] for i in idx), rows_of, key_of, quantum)
+        margin = min(margin, m)
+        collisions += [(idx[a], idx[b]) for a, b in pairs]
+    return margin, sorted(collisions)
 
 
 # --- area / perimeter / edge vectors ---------------------------------------
@@ -153,7 +163,7 @@ def test_critical_tiling_congruence_classes():
             continue
         tiles += [triangle_at(t, i, j) for j in (1, 2, 3, 4)]
     # one class per tile congruent to no earlier tile
-    _, collisions = aligned_sweep(tiles, signature_variants, signature_key, 1e-9)
+    _, collisions = aligned_sweep(Tiles.of(tiles), signature_variants, signature_key, 1e-9)
     assert len(tiles) - len({b for _, b in collisions}) == 6
 
 
@@ -233,7 +243,7 @@ def test_signature_invariance_under_random_isometries():
             mapped.reverse()
         tiles += [p, Triangle(*mapped) if n == 3 else Quadrangle(tuple(mapped))]
     # every tile collides with its image, whatever else collides in the set
-    _, collisions = aligned_sweep(tiles, signature_variants, signature_key, 1e-9)
+    _, collisions = mixed_sweep(tiles, signature_variants, signature_key, 1e-9)
     assert set(zip(range(0, len(tiles), 2), range(1, len(tiles), 2))) <= set(collisions)
 
 
@@ -242,7 +252,7 @@ def test_fair_split_of_scalene_gives_three_distinct_signatures():
 
     t = Triangle(Point(0, 0), Point(1.01, 0), apex(1.01, 1.00, 0.99))
     quads = fair_split(t)
-    margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
+    margin, _ = aligned_sweep(Tiles.of(quads), signature_variants, signature_key, 1e-9)
     assert margin > 1e-9
 
 
@@ -327,7 +337,7 @@ def test_pruned_sweep_matches_the_unpruned_oracle(seed):
                        if len(p.vertices) == len(q.vertices))
         # the largest distance makes every pair of equal vertex count collide
         for quantum in (1e-9, dists[len(dists) // 3], dists[-1]):
-            margin, collisions = aligned_sweep(tiles, rows_of, key_of, quantum)
+            margin, collisions = mixed_sweep(tiles, rows_of, key_of, quantum)
             want_margin, want = _unpruned_sweep(tiles, one_rows, quantum)
             assert margin.hex() == want_margin.hex()
             assert collisions == want
@@ -359,7 +369,7 @@ def test_batched_rows_equal_the_per_polygon_rows(seed):
         for rows_of, one_rows in ((signature_variants, signature_rows),
                                   (halfturn_variants, halfturn_rows)):
             want = np.stack([one_rows(p) for p in group])
-            assert rows_of(group).tobytes() == want.tobytes()
+            assert rows_of(Tiles.of(group)).tobytes() == want.tobytes()
 
 
 # --- shear root sets ---------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from fairtile import cli, document, pipeline
 from fairtile.document import fmt17, parse, read_document, serialize
 from fairtile.errors import DegeneratePolygon, DocumentError, InvalidParameter
-from fairtile.geometry import Point, Quadrangle, TileId, Triangle
+from fairtile.geometry import Point, Quadrangle, TileId, Tiles, Triangle
 from fairtile.strip import strip_tiling
 import oracles
 
@@ -237,7 +237,8 @@ def test_tile_lines_are_the_json_dumps_bytes(small_docs):
                             for x, y in ((-0.0, 0.1), (2.5, -1e-300), (1 / 3, 7.0))),
                           id=TileId(2, -5, 3))
     docs = list(small_docs.values())
-    docs.append(document.TilingDocument("strip", strip.parameters, strip.tiles + [numpy_tile]))
+    docs.append(document.TilingDocument("strip", strip.parameters,
+                                        Tiles.of([*strip.tiles, numpy_tile])))
     for doc in docs:  # as built in memory, then plain floats after a parse
         assert serialize(doc) == oracles.serialize(doc)
         assert serialize(parse(serialize(doc))) == oracles.serialize(doc)
@@ -308,9 +309,9 @@ def test_quadify_usage_errors(plane_doc, tmp_path):
 
 def test_quadify_refuses_equilateral_tiles(tmp_path):
     from fairtile.assembly import periodic_triangles
-    from fairtile.strip import tile_ids
+    from oracles import ids_of, tile_ids
 
-    tiles = periodic_triangles(list(tile_ids(2)))
+    tiles = periodic_triangles(*ids_of(tile_ids(2)))
     doc = document.TilingDocument(
         kind="plane",
         parameters=document.make_parameters(epsilon=0.01, seed=0, rows=1, cols=2, y0=0.0),
@@ -324,13 +325,14 @@ def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):
     from fairtile.quadsplit import quadify_plane
 
     plane = read_document(plane_doc)
-    quad = pipeline.quad_document(quadify_plane(plane.tiles[:1]), plane)
+    quad = pipeline.quad_document(quadify_plane(Tiles.of([plane.tiles[0]])), plane)
+    plane_lines, quad_lines = (serialize(d).splitlines() for d in (plane, quad))
     # a plane document with one quadrangle, a quad document with one triangle
-    odd = {"plane": (plane, plane.tiles[1:] + quad.tiles[:1]),
-           "quad": (quad, quad.tiles + plane.tiles[1:2])}
-    for kind, (source, tiles) in odd.items():
+    odd = {"plane": plane_lines[:1] + plane_lines[2:] + quad_lines[1:2],
+           "quad": quad_lines + plane_lines[2:3]}
+    for kind, lines in odd.items():
         path = tmp_path / f"{kind}.tiles"
-        document.write_document(document.TilingDocument(kind, source.parameters, tiles), path)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DocumentError):
             read_document(path)
         assert run_cli("verify", "--in", str(path), "--check", "incongruent") == 2
@@ -345,7 +347,7 @@ def test_documents_refuse_a_quadrangle_with_a_repeated_vertex(plane_doc, tmp_pat
         Quadrangle((Point(0, 0), Point(1, 0), Point(1, 0), Point(0, 1)))
     plane = read_document(plane_doc)
     header, first, *rest = serialize(
-        pipeline.quad_document(quadify_plane(plane.tiles[:2]), plane)).splitlines()
+        pipeline.quad_document(quadify_plane(Tiles.of(list(plane.tiles)[:2])), plane)).splitlines()
     tile = json.loads(first)
     tile["vertices"][2] = tile["vertices"][1]
     path = tmp_path / "repeated.tiles"
@@ -419,8 +421,19 @@ def test_render_refuses_a_bad_viewbox(plane_doc, tmp_path, box):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("option", [("--scale", "nan"), ("--scale", "inf"), ("--scale", "0"),
+                                    ("--scale", "-2"), ("--stroke-width", "-1"),
+                                    ("--stroke-width", "nan"), ("--stroke-width", "inf")])
+def test_render_refuses_a_bad_scale_or_stroke_width(plane_doc, tmp_path, option):
+    svg = tmp_path / "bad.svg"
+    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg), *option) == 2
+    assert not svg.exists()
+    assert run_cli("render", "--in", str(plane_doc), "--out", str(svg),
+                   "--stroke-width", "0") == 0  # an unstroked drawing is still valid
+
+
 def test_render_empty_document(tmp_path):
-    doc = document.TilingDocument(kind="strip", parameters={}, tiles=[])
+    doc = document.TilingDocument(kind="strip", parameters={}, tiles=Tiles.of([]))
     path = tmp_path / "empty.tiles"
     document.write_document(doc, path)
     svg = tmp_path / "empty.svg"

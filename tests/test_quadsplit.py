@@ -20,13 +20,9 @@ from fairtile.errors import (
 from fairtile.geometry import (
     Point,
     Quadrangle,
+    Tiles,
     Triangle,
-    area,
-    edge_lengths,
-    interior_angles,
     is_convex,
-    perimeter,
-    scale_uniform,
 )
 from fairtile.quadsplit import (
     FAIR,
@@ -47,6 +43,7 @@ from fairtile.quadsplit import (
     xi_eta,
 )
 import oracles
+from oracles import area, edge_lengths, ids_of, interior_angles, perimeter, scale_uniform, tile_ids
 
 SQRT3 = math.sqrt(3.0)
 
@@ -193,7 +190,7 @@ def test_fair_split_of_equilateral_gives_congruent_quads():
     pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
     placed = [Point(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
     quads = fair_split(Triangle(*placed))
-    _, collisions = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
+    _, collisions = aligned_sweep(Tiles.of(quads), signature_variants, signature_key, 1e-9)
     assert collisions == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -264,7 +261,7 @@ def test_reconstruction_rejects_far_shapes():
 def test_quadify_plane():
     from fairtile import assembly, pipeline
 
-    assert quadify_plane([]) == []
+    assert len(quadify_plane(Tiles.of([]))) == 0
 
     rng = random.Random(4)
     y0, base = pipeline.sample_certified_y0(rng, 2)
@@ -274,7 +271,7 @@ def test_quadify_plane():
     tiles = plane.tiles()
     assert len(tiles) == 18
     quads = quadify_plane(tiles)
-    assert len(quads) == 54
+    assert len(quads) == 54 and quads.xy.shape == (54, 4, 2)
     tri_area = SQRT3 * 0.25  # after the global half-scale
     for q in quads:
         assert area(q) == pytest.approx(tri_area / 3, abs=1e-9)
@@ -284,10 +281,10 @@ def test_quadify_plane():
 
 def test_quadify_plane_names_the_failing_tile():
     from fairtile.assembly import periodic_triangles
-    from fairtile.strip import tile_ids
 
-    tiles = periodic_triangles(list(tile_ids(1)))
+    tiles = list(periodic_triangles(*ids_of(tile_ids(1))))
     tiles[2] = scale_uniform(tiles[2], 3.0)
+    tiles = Tiles.of(tiles)
     with pytest.raises(TileFailed) as info:
         quadify_plane(tiles)
     assert info.value.tile_id == tiles[2].id

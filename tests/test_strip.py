@@ -13,13 +13,12 @@ from fairtile.strip import (
     deviations,
     identity_residual,
     strip_tiling,
-    tile_ids,
     unit_area_residual,
-    window_triangles,
-    window_vertices,
+    window_tiles,
 )
 from fairtile.assembly import scale_to_equilateral
 import oracles
+from oracles import tile_ids
 
 SQRT3 = math.sqrt(3.0)
 
@@ -196,7 +195,7 @@ def test_h_recursion_and_trapezoid_form():
 
 
 def _tile(t, i, j):
-    (tri,) = [tri for tri in window_triangles(t) if tri.id == TileId(0, i, j)]
+    (tri,) = [tri for tri in window_tiles(t) if tri.id == TileId(0, i, j)]
     return tri
 
 
@@ -224,7 +223,7 @@ def test_triangle_at_rejects_missing_slots():
     for col, slot in ((0, 2), (0, 3), (1, 5)):
         with pytest.raises(InvalidParameter):
             TileId(0, col, slot)
-    assert {(tri.id.col, tri.id.slot) for tri in window_triangles(strip_tiling(0.2, 3))
+    assert {(tri.id.col, tri.id.slot) for tri in window_tiles(strip_tiling(0.2, 3))
             if tri.id.col == 0} == {(0, 1), (0, 4)}
 
 
@@ -253,13 +252,15 @@ def test_window_matches_the_slot_chain_oracle(tiling):
     t = tiling()
     ids = list(tile_ids(t.n_cols))
     want = _bits(oracles.triangle_at(t, tid.col, tid.slot) for tid in ids)
-    verts = window_vertices(t)
-    tris = window_triangles(t)
-    assert verts.shape == (8 * t.n_cols + 2, 3, 2) == want.shape
-    assert [tri.id for tri in tris] == ids
-    assert np.array_equal(verts.view(np.uint64), want)
-    assert np.array_equal(_bits(tris), want)
-    assert {type(c) for tri in tris for p in tri.vertices for c in p.xy} == {float}
+    tiles = window_tiles(t)
+    assert tiles.xy.shape == (8 * t.n_cols + 2, 3, 2) == want.shape
+    assert list(zip(tiles.row.tolist(), tiles.col.tolist(), tiles.slot.tolist())) == [
+        (tid.row, tid.col, tid.slot) for tid in ids]
+    assert np.array_equal(tiles.xy.view(np.uint64), want)
+    ends = [tiles[0], tiles[len(tiles) // 2], tiles[-1]]  # tiles built on demand
+    assert [tri.id for tri in ends] == [ids[0], ids[len(ids) // 2], ids[-1]]
+    assert np.array_equal(_bits(ends), want[[0, len(ids) // 2, -1]])
+    assert {type(c) for tri in ends for p in tri.vertices for c in p.xy} == {float}
     assert (want == np.float64(-0.0).view(np.uint64)).any()
 
 

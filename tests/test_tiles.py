@@ -1,0 +1,286 @@
+"""The array tile record: bit for bit against the object builders it
+replaced, its refusals against the polygon constructors, the document
+parser against the per-line ``json`` parser, and no polygon objects on the
+strip path."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairtile import cli, document, pipeline
+from fairtile.assembly import scale_to_equilateral, stack_plane
+from fairtile.errors import InvalidParameter
+from fairtile.geometry import CORNERS, Point, Quadrangle, TileId, Tiles, Triangle
+from fairtile.quadsplit import quadify_plane
+from fairtile.strip import strip_tiling, window_tiles
+import oracles
+
+
+def _table(tiles: Tiles):
+    """Coordinates as uint64 bits, ids and corner letters of a record."""
+    assert tiles.xy.dtype == np.float64 and tiles.row.dtype == np.int64
+    corners = ([None] * len(tiles) if tiles.corner is None
+               else [CORNERS[c] if c >= 0 else None for c in tiles.corner.tolist()])
+    return (tiles.xy.view(np.uint64).tolist(), tiles.row.tolist(), tiles.col.tolist(),
+            tiles.slot.tolist(), corners)
+
+
+def _object_table(polys):
+    """The same layout, read off polygon objects alone."""
+    xy = np.array([[v.xy for v in p.vertices] for p in polys], dtype=float)
+    return (xy.view(np.uint64).tolist(), [p.id.row for p in polys], [p.id.col for p in polys],
+            [p.id.slot for p in polys], [getattr(p, "corner", None) for p in polys])
+
+
+def _run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+@pytest.fixture(scope="module")
+def gate_texts(tmp_path_factory):
+    """Document text of the 20-column strip, the seeded auto strip, the 6x20
+    plane and its quadrangles."""
+    d = tmp_path_factory.mktemp("gates")
+    _run("gen-strip", "--y0", "0.004", "--cols", "20", "--out", d / "strip.tiles")
+    _run("gen-strip", "--y0", "auto", "--seed", "7", "--cols", "40", "--out", d / "auto.tiles")
+    _run("gen-plane", "--epsilon", "0.005", "--seed", "42", "--rows", "6", "--cols", "20",
+         "--out", d / "plane.tiles")
+    _run("quadify", "--in", d / "plane.tiles", "--out", d / "quad.tiles")
+    return {name: (d / f"{name}.tiles").read_text() for name in ("strip", "auto", "plane", "quad")}
+
+
+def test_strip_windows_match_the_object_builder(gate_texts):
+    auto_y0 = float(json.loads(gate_texts["auto"].split("\n")[0])["parameters"]["y0"])
+    for t in (strip_tiling(0.004, 20), strip_tiling(auto_y0, 40)):
+        assert _table(window_tiles(t)) == _object_table(oracles.window_triangles(t))
+
+
+def test_plane_and_quad_records_match_the_object_builders(gate_texts):
+    params = document.parse(gate_texts["plane"]).parameters
+    base = scale_to_equilateral(strip_tiling(float(params["y0"]), 20))
+    plane = stack_plane(base, [float(m) for m in params["shears"]], 6)
+    objects = oracles.plane_triangles(plane)
+    assert _table(plane.tiles()) == _object_table(objects)
+    assert _table(quadify_plane(plane.tiles())) == _object_table(oracles.quadify_plane(objects))
+
+
+def test_parsed_documents_match_the_json_parser(gate_texts):
+    for name, text in gate_texts.items():
+        doc = document.parse(text)
+        kind, params, polys = oracles.parse(text)
+        assert (doc.kind, doc.parameters) == (kind, params), name
+        assert _table(doc.tiles) == _object_table(polys), name
+        assert document.serialize(doc) == text
+
+
+# ---------------------------------------------------------------------------
+# refusals: the first offending tile raises what building it as an object raises
+
+_TRI = [(0.0, 0.0), (2.0, 0.1), (0.9, 1.7)]
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+# (tile shape, index, replacement vertices or None, id changes, corner code)
+_REFUSALS = {
+    "nan": (_TRI, 2, [(0.0, float("nan")), _TRI[1], _TRI[2]], {}, None),
+    "inf": (_SQUARE, 3, [_SQUARE[0], (float("inf"), 0.0), *_SQUARE[2:]], {}, None),
+    "clockwise": (_TRI, 1, _TRI[::-1], {}, None),
+    "collinear": (_TRI, 2, [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], {}, None),
+    "area at the floor": (_TRI, 2, [(0.0, 0.0), (1.0, 0.0), (0.0, 2e-14)], {}, None),
+    "area above the floor": (_TRI, 2, [(0.0, 0.0), (1.0, 0.0), (0.0, 2.2e-14)], {}, None),
+    "quadrangle clockwise": (_SQUARE, 2, _SQUARE[::-1], {}, None),
+    "repeated vertex": (_SQUARE, 2, [_SQUARE[0], _SQUARE[1], _SQUARE[1], _SQUARE[3]], {}, None),
+    "self-crossing": (_SQUARE, 1, [(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 1.0)], {}, None),
+    "corner code": (_SQUARE, 2, None, {}, 7),
+    "slot 5": (_TRI, 2, None, {"slot": 5}, None),
+    "slot 0": (_SQUARE, 1, None, {"slot": 0}, None),
+    "centre slot 2": (_TRI, 2, None, {"col": 0, "slot": 2}, None),
+    "centre slot 3": (_SQUARE, 3, None, {"col": 0, "slot": 3}, None),
+    "slot 5 and nan": (_TRI, 2, [(0.0, float("nan")), _TRI[1], _TRI[2]], {"slot": 5}, None),
+}
+
+
+def _offending(shape, index, verts, ids, code):
+    """Five tiles of one shape, tile ``index`` changed, and a second offence
+    (clockwise order) on the last tile, which must never be the one named."""
+    xy = np.array([[(x + 3.0 * k, y) for x, y in shape] for k in range(5)])
+    if verts is not None:
+        xy[index] = verts
+    xy[4] = xy[4, ::-1]
+    row, col, slot = (np.array(a, dtype=np.int64) for a in ([0] * 5, [1, 2, 3, 4, 5], [1] * 5))
+    for key, value in ids.items():
+        {"row": row, "col": col, "slot": slot}[key][index] = value
+    corner = None
+    if len(shape) == 4:
+        corner = np.array([0, 1, 2, -1, 0], dtype=np.int8)
+        if code is not None:
+            corner[index] = code
+    return xy, row, col, slot, corner
+
+
+def _object_refusal(xy, row, col, slot, corner):
+    """Type and message of the first polygon that fails to build, in order."""
+    try:
+        for i in range(len(xy)):
+            tid = TileId(int(row[i]), int(col[i]), int(slot[i]))
+            pts = tuple(Point(x, y) for x, y in xy[i].tolist())
+            if len(pts) == 3:
+                Triangle(*pts, id=tid)
+            else:
+                code = int(corner[i])
+                Quadrangle(pts, id=tid, corner=CORNERS[code] if 0 <= code < 3 else
+                           (None if code == -1 else code))
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_refusals_match_the_polygon_constructors(case):
+    arrays = _offending(*_REFUSALS[case])
+    want = _object_refusal(*arrays)
+    with pytest.raises(want[0]) as info:
+        Tiles(*arrays)
+    assert str(info.value) == want[1]
+    # without the second offence the first one still decides, or none does
+    good_last = [a.copy() if a is not None else None for a in arrays]
+    good_last[0][4] = good_last[0][4, ::-1]
+    want = _object_refusal(*good_last)
+    if want is None:
+        assert len(Tiles(*good_last)) == 5
+    else:
+        with pytest.raises(want[0], match=re.escape(want[1])):
+            Tiles(*good_last)
+
+
+def test_records_refuse_bad_shapes_and_corners_on_triangles():
+    xy = np.array([_TRI])
+    with pytest.raises(InvalidParameter):
+        Tiles(xy, corner=np.array([0], dtype=np.int8))
+    with pytest.raises(InvalidParameter):
+        Tiles(np.zeros((2, 5, 2)))
+    with pytest.raises(InvalidParameter):
+        Tiles.of([Triangle(*(Point(*p) for p in _TRI)),
+                  Triangle(*(Point(*p) for p in _TRI), id=TileId(0, 1, 1))])
+
+
+# ---------------------------------------------------------------------------
+# the document parser against the per-line json parser, line by mutated line
+
+
+def _small_texts():
+    plane = pipeline.build_plane(0.05, 4, 1, 1).doc
+    quads = pipeline.quad_document(quadify_plane(Tiles.of(list(plane.tiles)[:3])), plane)
+    return [document.serialize(pipeline.strip_document(strip_tiling(0.2, 1))),
+            document.serialize(quads)]
+
+
+_TEXTS = _small_texts()
+_COORDS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1_0", "\\u0031", "-0", "0",
+           "0.5", "1.5e+3", " 1", "1 ", "", "abc", "0x10", "1e", "--1", "1.", ".5"]
+_IDS = ["1.0", "true", "false", "null", "-0", "0", "1", "2", "3", "4", "5", "-7", '"1"', "1e0",
+        "01", " 2", "[]"]
+
+
+def _mutate(line: str, kind: str, draw) -> str:
+    obj = json.loads(line)
+    n = len(obj["vertices"])
+    if kind == "coordinate":  # stays in template form when the value is a numeral
+        head, tail = line.split('"vertices":')
+        k = draw(st.integers(0, 2 * n - 1))
+        value = draw(st.sampled_from(_COORDS) | st.floats(allow_nan=False).map(repr))
+        m = list(re.finditer(r'"[^"]*"', tail))[k]
+        return f'{head}"vertices":{tail[:m.start()]}"{value}"{tail[m.end():]}'
+    if kind == "id":
+        key = draw(st.sampled_from(["row", "col", "slot"]))
+        return re.sub(f'"{key}":[^,}}]*', f'"{key}":' + draw(st.sampled_from(_IDS)), line)
+    if kind == "reorder":
+        obj["id"] = dict(reversed(list(obj["id"].items())))
+        return json.dumps(dict(reversed(list(obj.items()))), separators=(",", ":"))
+    if kind == "whitespace":
+        return draw(st.sampled_from([json.dumps(obj, sort_keys=True), " " + line, line + " ",
+                                     line + "\r", line.replace(",", ", ", 1)]))
+    if kind == "truncate":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "vertices":
+        v = obj["vertices"]
+        obj["vertices"] = draw(st.sampled_from([v[:-1], v + [v[0]], v + [["7", "7"]], v[::-1],
+                                                [v[0], v[0], *v[2:]], [v[0]] + v[:-1], []]))
+    if kind == "corner":
+        corner = draw(st.sampled_from(["A", "B", "C", "D", "", None, 1, "a"]))
+        if corner is None:
+            obj["id"].pop("corner", None)
+        else:
+            obj["id"]["corner"] = corner
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _outcome_of_parse(text):
+    try:
+        doc = document.parse(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return doc.kind, doc.parameters, _table(doc.tiles)
+
+
+def _outcome_of_oracle(text):
+    try:
+        kind, params, polys = oracles.parse(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return kind, params, _object_table(polys)
+
+
+_KINDS = ["coordinate", "id", "reorder", "whitespace", "truncate", "vertices", "corner"]
+# header edits, so that tile refusals meet version, kind and vertex-count refusals
+_HEADERS = [None] * 4 + [('"format_version":"1"', '"format_version":"9"'),
+                         ('"kind":"strip"', '"kind":"quad"'), ('"kind":"quad"', '"kind":"plane"'),
+                         ('"kind":"strip"', '"kind":"blob"')]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_the_json_parser_on_mutated_lines(data):
+    text = data.draw(st.sampled_from(_TEXTS))
+    lines = text.split("\n")
+    for k in data.draw(st.lists(st.integers(1, len(lines) - 2), min_size=1, max_size=2,
+                                unique=True)):
+        lines[k] = _mutate(lines[k], data.draw(st.sampled_from(_KINDS)), data.draw)
+    edit = data.draw(st.sampled_from(_HEADERS))
+    if edit:
+        lines[0] = lines[0].replace(*edit)
+    mutated = "\n".join(lines)
+    assert _outcome_of_parse(mutated) == _outcome_of_oracle(mutated)
+
+
+def test_ids_beyond_64_bits_are_refused_on_both_paths():
+    header, first, *rest = _TEXTS[0].split("\n")
+    huge = first.replace('"row":0', '"row":99999999999999999999')
+    for line in (huge, huge.replace(",", ", ")):  # template form, then json form
+        with pytest.raises(document.DocumentError, match="too large"):
+            document.parse("\n".join([header, line, *rest]))
+
+
+# ---------------------------------------------------------------------------
+# the strip path builds no polygon objects
+
+
+def test_strip_generation_and_verification_build_no_triangles(tmp_path, monkeypatch):
+    built = []
+    validate = Triangle.__post_init__
+
+    def counted(tri):
+        built.append(tri.id)
+        validate(tri)
+
+    monkeypatch.setattr(Triangle, "__post_init__", counted)
+    path = tmp_path / "strip.tiles"
+    _run("gen-strip", "--y0", "0.005", "--cols", "200", "--out", path)
+    _run("verify", "--in", path, "--check", "area", "--check", "contraction",
+         "--check", "identity")
+    assert built == []
+    assert document.read_document(path).tiles[7].id == TileId(0, -199, 4)
+    assert built == [TileId(0, -199, 4)]  # the counter sees a tile built on demand

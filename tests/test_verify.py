@@ -14,20 +14,19 @@ from fairtile.geometry import (
     Point,
     Quadrangle,
     TileId,
+    Tiles,
     Triangle,
-    perimeter,
     tile_label,
-    with_vertices,
 )
 from fairtile.quadsplit import P0, quadify_plane
 from fairtile.strip import (
     DeviationSeries,
     deviations,
     strip_tiling,
-    tile_ids,
-    window_triangles,
+    window_tiles,
 )
 from fairtile.verify import (
+    _contact,
     check_closeness,
     check_contraction,
     check_convex,
@@ -38,7 +37,7 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
-from oracles import signature_distance, simeq_distance
+from oracles import ids_of, perimeter, signature_distance, simeq_distance, tile_ids, with_vertices
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,7 +54,7 @@ def small_plane():
 
 @pytest.fixture(scope="module")
 def strip_tiles():
-    return window_triangles(strip_tiling(0.007, 5))
+    return window_tiles(strip_tiling(0.007, 5))
 
 
 def _perturb(tiles, index, delta=1e-3):
@@ -63,7 +62,7 @@ def _perturb(tiles, index, delta=1e-3):
     tri = out[index]
     v = tri.vertices[0]
     out[index] = with_vertices(tri, (Point(v.x + delta, v.y + delta),) + tri.vertices[1:])
-    return out
+    return Tiles.of(out)
 
 
 def test_equal_area_pass_and_fault(strip_tiles):
@@ -83,7 +82,7 @@ def test_equal_perimeter(small_plane):
     # the stacked triangles deliberately have unequal perimeters
     tri_rep = check_equal_perimeter(small_plane, 6.0, 1e-9)
     assert not tri_rep.passed
-    single = check_equal_perimeter(small_plane[:1], perimeter(small_plane[0]), 1e-9)
+    single = check_equal_perimeter(Tiles.of([small_plane[0]]), perimeter(small_plane[0]), 1e-9)
     assert single.passed
 
 
@@ -106,7 +105,7 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
     assert not check_vertex_to_vertex(quads, 1e-9).passed
     # disjoint tiles are fine
     far = [strip_tiles[2], Triangle(Point(90, 0), Point(92, 0), Point(91, 1), id=TileId(0, 3, 1))]
-    assert check_vertex_to_vertex(far, 1e-9).passed
+    assert check_vertex_to_vertex(Tiles.of(far), 1e-9).passed
 
     # one input per contact rule
     tol = 1e-9
@@ -116,10 +115,10 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
         "shared edge": [t1, _tri((1, 0), (1, 1), (0, 1))],
         "shared vertex": [t1, _tri((1, 0), (2, 0), (1.5, 1))],
         "disjoint, boxes overlapping": [t1, _tri((0.6, 0.6), (1, 0.6), (0.6, 1))],
-        "triangle on a quadrangle's edge": [square, _tri((1, 0), (2, 0.5), (1, 1))],
+        "quadrangle on a quadrangle's edge": [square, _quad((1, 0), (2, 0), (2, 1), (1, 1))],
     }
     for name, tiles in conforming.items():
-        rep = check_vertex_to_vertex(tiles, tol)
+        rep = check_vertex_to_vertex(Tiles.of(tiles), tol)
         assert rep.passed and rep.worst_residual == 0.0, name
     # (tiles, size of the violation); overlaps count by their depth, a length
     faulty = {
@@ -134,20 +133,27 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
         "sliver overlap": ([t1, _tri((-0.5, 5e-9), (0.5, -1), (1.5, 5e-9))], 5e-9),
     }
     for name, (tiles, size) in faulty.items():
-        rep = check_vertex_to_vertex(tiles, tol)
+        rep = check_vertex_to_vertex(Tiles.of(tiles), tol)
         assert not rep.passed and rep.offenders == (("?", "?"),), name
         assert rep.worst_residual == pytest.approx(size, rel=1e-6), name
+    # a record holds one vertex count; the contact rules take mixed ones
+    on_edge = _contact(Tiles.of([square]).xy, Tiles.of([_tri((1, 0), (2, 0.5), (1, 1))]).xy, tol)
+    assert not on_edge[0][0] and on_edge[1][0] == 0.0
+    inside = Tiles.of([_tri((0.5, 0.5), (2, 0), (2, 1))])
+    corner_in = _contact(Tiles.of([square]).xy, inside.xy, tol)
+    assert corner_in[0][0] and corner_in[1][0] == pytest.approx(0.5, rel=1e-6)
     # edge lines decide overlap only between convex tiles
     dart = _quad((0, 0), (2, 0), (0.4, 0.4), (0, 2))
     with pytest.raises(InvalidParameter):
-        check_vertex_to_vertex([dart, _tri((1.2, 0.1), (1.5, 0.5), (1, 0.5))], tol)
+        check_vertex_to_vertex(Tiles.of([dart, _quad((1.2, 0.1), (1.5, 0.1), (1.5, 0.5),
+                                                     (1.2, 0.5))]), tol)
 
 
 def test_pairwise_incongruent(small_plane):
     rep = check_pairwise_incongruent(small_plane, 1e-9)
     assert rep.passed and rep.margin > 0
 
-    periodic = assembly.periodic_triangles(list(tile_ids(2)))
+    periodic = assembly.periodic_triangles(*ids_of(tile_ids(2)))
     rep2 = check_pairwise_incongruent(periodic, 1e-9)
     assert not rep2.passed
     assert rep2.offenders
@@ -163,7 +169,7 @@ def test_pair_straddling_a_rounding_boundary_is_congruent():
     # does not
     pair = [Triangle(Point(0, 0), Point(0.9 + 0.5e-9 + d, 0), Point(0.3, 1.1))
             for d in (-1e-12, 1e-12)]
-    rep = check_pairwise_incongruent(pair, 1e-9)
+    rep = check_pairwise_incongruent(Tiles.of(pair), 1e-9)
     assert not rep.passed and rep.offenders
     assert rep.margin <= 1e-9
 
@@ -171,20 +177,21 @@ def test_pair_straddling_a_rounding_boundary_is_congruent():
 def test_halfturn_check(strip_tiles):
     rep = check_halfturn_incongruent(strip_tiles, 1e-9)
     assert rep.passed and rep.margin > 0
-    doubled = strip_tiles + [strip_tiles[0]]
+    doubled = Tiles.of([*strip_tiles, strip_tiles[0]])
     assert not check_halfturn_incongruent(doubled, 1e-9).passed
 
 
 def test_sweeps_match_the_pair_distances(small_plane):
-    strip = window_triangles(strip_tiling(0.004, 10))
-    quads = quadify_plane(small_plane)[:90]
+    strip = window_tiles(strip_tiling(0.004, 10))
+    quads = Tiles.of(list(quadify_plane(small_plane))[:90])
     for tiles, check, distance in ((strip, check_halfturn_incongruent, simeq_distance),
                                    (quads, check_pairwise_incongruent, signature_distance)):
-        dists = {(i, j): distance(tiles[i], tiles[j])
-                 for i, j in itertools.combinations(range(len(tiles)), 2)}
+        polys = list(tiles)
+        dists = {(i, j): distance(polys[i], polys[j])
+                 for i, j in itertools.combinations(range(len(polys)), 2)}
         # the second quantum lies above the four smallest distances
         for quantum in (1e-9, sorted(dists.values())[3]):
-            offenders = [(tile_label(tiles[i]), tile_label(tiles[j]))
+            offenders = [(tile_label(polys[i]), tile_label(polys[j]))
                          for (i, j), d in dists.items() if d <= quantum]
             rep = check(tiles, quantum)
             assert rep.margin == min(dists.values())
@@ -230,18 +237,18 @@ def test_closeness(small_plane):
     rep = check_closeness(small_plane, 0.01)
     assert rep.passed and rep.worst_residual < 0.02
     assert not check_closeness(small_plane, rep.worst_residual / 4).passed
-    exact = assembly.periodic_triangles(list(tile_ids(2, row=1)))
+    exact = assembly.periodic_triangles(*ids_of(tile_ids(2, row=1)))
     assert check_closeness(exact, 1e-9).worst_residual == 0.0
 
 
 def test_convexity_check():
     square = Quadrangle((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-    assert check_convex([square]).passed
+    assert check_convex(Tiles.of([square])).passed
     dart = Quadrangle((Point(0, 0), Point(2, 0), Point(0.4, 0.4), Point(0, 2)))
-    rep = check_convex([square, dart])
+    rep = check_convex(Tiles.of([square, dart]))
     assert not rep.passed and len(rep.offenders) == 1 and rep.tiles_checked == 2
     with pytest.raises(InvalidParameter):
-        check_convex([])
+        check_convex(Tiles.of([]))
 
 
 def test_perimeter_and_closeness_fault_injection(small_plane):
@@ -251,7 +258,7 @@ def test_perimeter_and_closeness_fault_injection(small_plane):
     v = broken[11].vertices
     broken[11] = Quadrangle((Point(v[0].x + 1e-3, v[0].y),) + v[1:],
                             id=broken[11].id, corner=broken[11].corner)
-    rep = check_equal_perimeter(broken, P0, 1e-9)
+    rep = check_equal_perimeter(Tiles.of(broken), P0, 1e-9)
     assert not rep.passed and rep.offenders
 
     shifted = _perturb(small_plane, 0, delta=0.05)
@@ -262,12 +269,19 @@ def test_perimeter_and_closeness_fault_injection(small_plane):
 
 def test_identity_check():
     t = strip_tiling(0.0042, 2000)
-    assert check_identity(t, window_triangles(t)).passed
+    rep = check_identity(t, window_tiles(t))
+    assert rep.passed and rep.tiles_checked == 8 * 2000 + 2
+
+
+def test_identity_counts_every_tile_of_the_document():
+    doc = pipeline.strip_document(strip_tiling(0.004, 20))
+    (rep,) = pipeline.run_checks(doc, ["identity"])
+    assert rep.passed and rep.tiles_checked == len(doc.tiles) == 8 * 20 + 2
 
 
 def test_identity_check_compares_the_tiles_bit_for_bit():
     t = strip_tiling(0.004, 3)
-    tiles = window_triangles(t)
+    tiles = window_tiles(t)
     good = check_identity(t, tiles)
     assert good.passed and good.offenders == () and good.note == ""
     # the mirror of column 1 slot 2 starts at the apex's mirror, x = -0.0
@@ -278,10 +292,11 @@ def test_identity_check_compares_the_tiles_bit_for_bit():
     flipped[k] = with_vertices(tiles[k], v[:2] + (Point(0.0, v[2].y),))
     wrong_id = list(tiles)
     wrong_id[0] = Triangle(*tiles[0].vertices, id=TileId(1, -3, 1))
-    other = window_triangles(strip_tiling(0.009, 3))
-    cases = [(flipped, ["0/-1/2"]), (wrong_id, ["1/-3/1"]), (tiles + tiles[:1], ["0/-3/1"]),
-             (tiles[:-1], []), (other, [tile_label(p) for p in other[:10]])]
-    for doc_tiles, labels in cases:
+    other = window_tiles(strip_tiling(0.009, 3))
+    cases = [(flipped, ["0/-1/2"]), (wrong_id, ["1/-3/1"]), ([*tiles, tiles[0]], ["0/-3/1"]),
+             (list(tiles)[:-1], []), (other, [tile_label(p) for p in list(other)[:10]])]
+    for polys, labels in cases:
+        doc_tiles = Tiles.of(polys)
         rep = check_identity(t, doc_tiles)
         assert not rep.passed and rep.worst_residual == good.worst_residual
         assert rep.offenders == tuple((label, label) for label in labels)
