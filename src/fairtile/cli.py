@@ -64,6 +64,18 @@ def _cmd_gen_strip(args) -> int:
     return EXIT_OK
 
 
+def _write_build(build: pipeline.Build, out: str, refusal: str, label: str) -> int:
+    """Print the build's reports, then write its document if every check passed."""
+    for r in build.reports:
+        _print_report(r)
+    if not build.passed:
+        print(refusal, file=sys.stderr)
+        return EXIT_GENERATION
+    document.write_document(build.doc, out)
+    print(f"{label}{len(build.doc.tiles)} tiles -> {out}")
+    return EXIT_OK
+
+
 def _cmd_gen_plane(args) -> int:
     if not 0.0 < args.epsilon <= 0.05:
         raise InvalidParameter(f"--epsilon must lie in (0, 0.05], got {args.epsilon}")
@@ -74,28 +86,15 @@ def _cmd_gen_plane(args) -> int:
     if not 1 <= args.cols <= 2000:
         raise InvalidParameter(f"--cols must lie in [1, 2000], got {args.cols}")
     build = pipeline.build_plane(args.epsilon, args.seed, args.rows, args.cols)
-    for r in build.reports:
-        _print_report(r)
-    if not build.passed:
-        print("generation failed verification; no document written", file=sys.stderr)
-        return EXIT_GENERATION
-    document.write_document(build.doc, args.out)
-    print(f"plane document: epsilon={document.fmt17(args.epsilon)}, seed={args.seed}, "
-          f"{len(build.doc.tiles)} tiles -> {args.out}")
-    return EXIT_OK
+    return _write_build(build, args.out, "generation failed verification; no document written",
+                        f"plane document: epsilon={document.fmt17(args.epsilon)}, "
+                        f"seed={args.seed}, ")
 
 
 def _cmd_quadify(args) -> int:
-    doc = document.read_document(args.infile)
-    quad_doc, reports, passed = pipeline.quadify_checked(doc)
-    for r in reports:
-        _print_report(r)
-    if not passed:
-        print("quadify refused: input or output failed verification", file=sys.stderr)
-        return EXIT_GENERATION
-    document.write_document(quad_doc, args.out)
-    print(f"quad document: {len(quad_doc.tiles)} tiles -> {args.out}")
-    return EXIT_OK
+    build = pipeline.quadify_checked(document.read_document(args.infile))
+    return _write_build(build, args.out, "quadify refused: input or output failed verification",
+                        "quad document: ")
 
 
 def _cmd_verify(args) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "halfturn_variants",
     "signature_key",
     "halfturn_key",
+    "window_pairs",
     "aligned_sweep",
     "match_roots",
     "pair_shear_roots",
@@ -111,6 +112,17 @@ def _distances(variants, order, s, t):
                axis=1) for k in range(0, len(a), _BLOCK)])
 
 
+def window_pairs(keys: np.ndarray, upper: np.ndarray):
+    """The positions s < t of ascending ``keys`` with ``keys[t] <= upper[s]``
+    (``upper >= keys``), as index arrays, ``_BLOCK`` pairs at a time in (s, t) order."""
+    counts = np.searchsorted(keys, upper, side="right") - np.arange(1, len(keys) + 1)
+    ends, total = np.cumsum(counts), int(np.sum(counts))
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total))
+        s = np.searchsorted(ends, flat, side="right")
+        yield s, s + 1 + flat - (ends[s] - counts[s])
+
+
 def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float):
     """Smallest aligned distance over all tile pairs, and every pair within
     ``quantum``.
@@ -130,13 +142,8 @@ def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float):
     keys, first = keys[order], keys[order, 0]
     *_, d = _distances(variants, order, np.arange(m - 1), np.arange(1, m))
     w = max(float(np.min(d, initial=math.inf)), quantum)
-    # pairs s < t within the window, widened against rounding, in blocks
-    counts = np.searchsorted(first, first + 2.0 * w, side="right") - np.arange(1, m + 1)
-    ends, total = np.cumsum(counts), int(np.sum(counts))
-    for start in range(0, total, _BLOCK):
-        flat = np.arange(start, min(start + _BLOCK, total))
-        s = np.searchsorted(ends, flat, side="right")
-        t = s + 1 + flat - (ends[s] - counts[s])
+    # pairs s < t within the window, widened against rounding
+    for s, t in window_pairs(first, first + 2.0 * w):
         near = np.max(np.abs(keys[s] - keys[t]), axis=1) <= w
         a, b, d = _distances(variants, order, s[near], t[near])
         margin = min(margin, float(np.min(d, initial=math.inf)))

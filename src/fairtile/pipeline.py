@@ -28,7 +28,7 @@ __all__ = [
     "CHECKS",
     "CHECK_NAMES",
     "run_checks",
-    "PlaneBuild",
+    "Build",
     "sample_certified_y0",
     "build_plane",
     "quadify_checked",
@@ -136,10 +136,11 @@ def sample_certified_y0(rng: random.Random, cols: int,
 
 
 @dataclass(frozen=True)
-class PlaneBuild:
-    """A plane document and the reports of the checks run on it."""
+class Build:
+    """A built document (``None`` when the input was refused) and the
+    reports of the checks run on it."""
 
-    doc: document.TilingDocument
+    doc: document.TilingDocument | None
     reports: tuple[verify.VerificationReport, ...]
 
     @property
@@ -147,7 +148,7 @@ class PlaneBuild:
         return all(r.passed for r in self.reports)
 
 
-def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
+def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> Build:
     """Full pipeline from a closeness budget to a verified plane window."""
     if not 0.0 < epsilon:
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
@@ -164,27 +165,25 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> PlaneBuild:
         check_name="shear-budget", passed=budget < epsilon, worst_residual=None,
         margin=epsilon - budget, offenders=(), tiles_checked=len(shears),
         tolerance_used=epsilon)
-    return PlaneBuild(doc=doc, reports=run_checks(doc) + (budget_report,))
+    return Build(doc=doc, reports=run_checks(doc) + (budget_report,))
 
 
-def quadify_checked(doc: document.TilingDocument):
+def quadify_checked(doc: document.TilingDocument) -> Build:
     """Subdivide a plane document and verify the result.
 
     Refuses inputs containing congruent or equilateral tiles (the fair
     split of an equilateral triangle yields congruent pieces), then checks
     equal areas, equal perimeters, convexity and pairwise incongruence of
-    the output.  Returns (quad document, reports, passed); the document is
-    ``None`` when the input fails its check.
+    the output.  The built document is ``None`` when the input fails its
+    check.
     """
     if doc.kind != "plane":
         raise InvalidParameter(f"quadify needs a plane document, got kind {doc.kind!r}")
     pre = run_checks(doc, ("incongruent",))
     if not pre[0].passed:
-        return None, pre, False
-
+        return Build(doc=None, reports=pre)
     quad_doc = quad_document(quadsplit.quadify_plane(doc.tiles), doc)
-    reports = pre + run_checks(quad_doc)
-    return quad_doc, reports, all(r.passed for r in reports)
+    return Build(doc=quad_doc, reports=pre + run_checks(quad_doc))
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def xi_eta(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
 def _corners(a: float, b: float, c: float, p: FairSplitParams):
     """Posed vertices of the quadrangles at corners A, B and C, each
     counterclockwise."""
-    top = apex(a, b, c)
-    x, y = top.x, top.y
+    x, y = apex(a, b, c).xy
     on_ab = (p.alpha * a, 0.0)
     on_ca = ((1.0 - p.beta) * x, (1.0 - p.beta) * y)
     on_bc = ((1.0 - p.gamma) * a + p.gamma * x, p.gamma * y)
@@ -226,8 +225,7 @@ def _split_residual(a: float, b: float, c: float):
     """Perimeter residuals of the three quadrangles as a function of
     (alpha, beta, gamma), with the interior point eliminated through
     :func:`xi_eta`."""
-    top = apex(a, b, c)
-    x, y = top.x, top.y
+    x, y = apex(a, b, c).xy
 
     def residual(u):
         al, be, ga = float(u[0]), float(u[1]), float(u[2])
@@ -352,45 +350,43 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
     return params
 
 
-def _canonical_frame(origin: Point, along: Point, upper: Point):
-    """Isometry (possibly with a reflection) taking ``origin`` to (0,0),
-    ``along`` onto the positive x-axis and ``upper`` above it.
+def _canonical_frame(origin, along, upper):
+    """Isometry (possibly with a reflection) of (x, y) pairs taking ``origin``
+    to (0,0), ``along`` onto the positive x-axis and ``upper`` above it.
 
     Returns (forward, inverse, mirrored).
     """
-    ux, uy = along.x - origin.x, along.y - origin.y
+    ux, uy = along[0] - origin[0], along[1] - origin[1]
     norm = math.hypot(ux, uy)
     if norm <= 1e-14:
         raise DegeneratePolygon("coincident frame points")
     ex = (ux / norm, uy / norm)
     ey = (-ex[1], ex[0])
-    up = (upper.x - origin.x) * ey[0] + (upper.y - origin.y) * ey[1]
+    up = (upper[0] - origin[0]) * ey[0] + (upper[1] - origin[1]) * ey[1]
     m = -1.0 if up < 0.0 else 1.0
 
-    def forward(p: Point) -> Point:
-        dx, dy = p.x - origin.x, p.y - origin.y
-        return Point(dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
+    def forward(p):
+        dx, dy = p[0] - origin[0], p[1] - origin[1]
+        return (dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
 
-    def inverse(px: float, py: float) -> Point:
+    def inverse(px: float, py: float):
         yy = m * py
-        return Point(origin.x + px * ex[0] + yy * ey[0],
-                     origin.y + px * ex[1] + yy * ey[1])
+        return (origin[0] + px * ex[0] + yy * ey[0], origin[1] + px * ex[1] + yy * ey[1])
 
     return forward, inverse, m < 0.0
 
 
-def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
-    """Fair split of an arbitrarily placed near-unit triangle.
+def _split(pts) -> list:
+    """The fair split of one near-unit triangle, given as three (x, y) pairs:
+    the quadrangles at corners A, B and C, each four (x, y) pairs.
 
     The triangle is posed canonically (longest edge on the positive x-axis
     from the origin, apex above, second-longest edge at the origin corner;
     ties broken by lexicographic vertex order), solved there, and the
-    quadrangles are mapped back through the inverse isometry.  Corner
-    labels and the source tile id ride along on the outputs.
+    quadrangles are mapped back through the inverse isometry.
     """
-    pts = t.vertices
     pairs = [(0, 1), (1, 2), (2, 0)]
-    lengths = {pr: math.hypot(pts[pr[1]].x - pts[pr[0]].x, pts[pr[1]].y - pts[pr[0]].y)
+    lengths = {pr: math.hypot(pts[pr[1]][0] - pts[pr[0]][0], pts[pr[1]][1] - pts[pr[0]][1])
                for pr in pairs}
     if any(not (1.0 - DELTA_Q < L < 1.0 + DELTA_Q) for L in lengths.values()):
         raise EdgeOutOfRange(
@@ -398,35 +394,39 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
             f"({1 - DELTA_Q}, {1 + DELTA_Q})")
 
     def edge_rank(pr):
-        ends = sorted((pts[pr[0]].xy, pts[pr[1]].xy))
+        ends = sorted((pts[pr[0]], pts[pr[1]]))
         return (-lengths[pr], ends[0], ends[1])
 
     base = min(pairs, key=edge_rank)
-    i, j = base
-    k = 3 - i - j
-    p, q, r = pts[i], pts[j], pts[k]
-    bp = math.hypot(r.x - p.x, r.y - p.y)
-    bq = math.hypot(r.x - q.x, r.y - q.y)
-    if abs(bp - bq) <= 1e-12:
-        va, vb = sorted((p, q), key=lambda v: v.xy)
-    elif bp > bq:
-        va, vb = p, q
-    else:
-        va, vb = q, p
+    p, q, r = pts[base[0]], pts[base[1]], pts[3 - sum(base)]
+    bp = math.hypot(r[0] - p[0], r[1] - p[1])
+    bq = math.hypot(r[0] - q[0], r[1] - q[1])
+    va, vb = sorted((p, q)) if abs(bp - bq) <= 1e-12 else (p, q) if bp > bq else (q, p)
 
     a = lengths[base]
-    b = math.hypot(r.x - va.x, r.y - va.y)
-    c = math.hypot(r.x - vb.x, r.y - vb.y)
+    b = math.hypot(r[0] - va[0], r[1] - va[1])
+    c = math.hypot(r[0] - vb[0], r[1] - vb[1])
     params = solve_fair_split(a, b, c)
 
     _, inverse, mirrored = _canonical_frame(va, vb, r)
+    return [[inverse(*v) for v in (posed[::-1] if mirrored else posed)]
+            for posed in _corners(a, b, c, params).values()]
+
+
+def fair_split(tiles: Tiles) -> Tiles:
+    """Fair split of a record of arbitrarily placed near-unit triangles:
+    per triangle, its quadrangles at corners A, B and C, with its id.  A
+    package error on one tile is re-raised as :class:`TileFailed` carrying
+    that tile's id, with the error as its cause."""
     out = []
-    for corner, posed in _corners(a, b, c, params).items():
-        mapped = [inverse(*v) for v in posed]
-        if mirrored:
-            mapped.reverse()
-        out.append(Quadrangle(tuple(mapped), id=t.id, corner=corner))
-    return tuple(out)
+    for i, pts in enumerate(tiles.xy.tolist()):
+        try:
+            out.extend(_split(pts))
+        except FairtileError as e:
+            raise TileFailed(tiles[i].id, e) from e
+    ids = [None if a is None else np.repeat(a, 3) for a in (tiles.row, tiles.col, tiles.slot)]
+    return Tiles(np.array(out, dtype=float).reshape(-1, 4, 2), *ids,
+                 np.tile(np.array([0, 1, 2], dtype=np.int8), len(tiles)))
 
 
 def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: float):
@@ -462,14 +462,11 @@ def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: flo
 
 
 def _posed_tuple(pts, start: int, mirrored: bool):
-    n = len(pts)
-    if mirrored:
-        seq = [pts[(start - k) % n] for k in range(n)]
-    else:
-        seq = [pts[(start + k) % n] for k in range(n)]
-    forward, _, _ = _canonical_frame(seq[0], seq[1], seq[2])
+    step = -1 if mirrored else 1
+    seq = [pts[(start + step * k) % len(pts)].xy for k in range(len(pts))]
+    forward, _, _ = _canonical_frame(*seq[:3])
     posed = [forward(v) for v in seq]
-    return (posed[1].x, posed[3].x, posed[3].y, posed[2].x, posed[2].y)
+    return (posed[1][0], posed[3][0], posed[3][1], posed[2][0], posed[2][1])
 
 
 def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]:
@@ -528,13 +525,6 @@ def quadify_plane(tiles: Tiles) -> Tiles:
     The single common factor takes stacked-tiling edges (about 2) to the
     near-unit regime; because it is shared, equal areas and equal
     perimeters hold across the whole output, three quadrangles per input
-    triangle.  A package error on one tile is re-raised as
-    :class:`TileFailed` carrying that tile's id, with the error as its cause.
+    triangle.
     """
-    out: list[Quadrangle] = []
-    for tri in replace(tiles, xy=QUADIFY_SCALE * tiles.xy):
-        try:
-            out.extend(fair_split(tri))
-        except FairtileError as e:
-            raise TileFailed(tri.id, e) from e
-    return Tiles.of(out)
+    return fair_split(replace(tiles, xy=QUADIFY_SCALE * tiles.xy))

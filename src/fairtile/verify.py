@@ -22,7 +22,7 @@ import numpy as np
 
 from . import assembly
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, halfturn_key, halfturn_variants,
-                         signature_key, signature_variants)
+                         signature_key, signature_variants, window_pairs)
 from .errors import InvalidParameter
 from .geometry import Tiles, tile_label
 from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual, window_tiles
@@ -178,9 +178,11 @@ def _contact(P, Q, tol: float):
 def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationReport:
     """Every tile pair must meet in nothing, one vertex, or a full edge.
 
-    Pairs whose bounding boxes are apart by more than ``tol`` are skipped;
-    the rest are classified at once by :func:`_contact`.  The worst
-    residual is the largest violation size; an overlap counts by its depth.
+    Pairs whose bounding boxes are apart by more than ``tol`` are skipped,
+    from a window of the tiles sorted by least x (widened against rounding);
+    the rest are classified by :func:`_contact`, the earlier tile first.
+    The worst residual is the largest violation size; an overlap counts by
+    its depth.
     """
     n = len(tiles)
     if n == 0:
@@ -189,19 +191,21 @@ def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationRepor
     if not convex.all():  # edge lines decide overlap only between convex tiles
         raise InvalidParameter(f"vertex-to-vertex needs convex tiles; "
                                f"{tile_label(tiles[int(np.argmin(convex))])} is not")
-    (xmin, ymin), (xmax, ymax) = tiles.xy.min(axis=1).T, tiles.xy.max(axis=1).T
-    near = [np.nonzero(
-        (xmin[i + 1:] <= xmax[i] + tol) & (xmax[i + 1:] >= xmin[i] - tol)
-        & (ymin[i + 1:] <= ymax[i] + tol) & (ymax[i + 1:] >= ymin[i] - tol))[0] + i + 1
-        for i in range(n)]
-    I = np.repeat(np.arange(n), [len(js) for js in near])
-    J = np.concatenate(near)
-    bad, size = _contact(tiles.xy[I], tiles.xy[J], tol)
-    first = np.nonzero(bad)[0][:_MAX_OFFENDERS]
-    offenders = [(tile_label(tiles[i]), tile_label(tiles[j])) for i, j in zip(I[first], J[first])]
+    lo, hi = tiles.xy.min(axis=1), tiles.xy.max(axis=1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    found = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # (i, j, size) of violations
+    for s, t in window_pairs(lo[order, 0], hi[order, 0] + 2.0 * tol):
+        i, j = np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
+        near = ((lo[j] <= hi[i] + tol) & (hi[j] >= lo[i] - tol)).all(axis=1)
+        i, j = i[near], j[near]
+        bad, size = _contact(tiles.xy[i], tiles.xy[j], tol)
+        found.append((i[bad], j[bad], size[bad]))
+    i, j, size = map(np.concatenate, zip(*found))
+    first = np.lexsort((j, i))[:_MAX_OFFENDERS]
+    offenders = [(tile_label(tiles[a]), tile_label(tiles[b])) for a, b in zip(i[first], j[first])]
     return VerificationReport(
-        check_name="vertex-to-vertex", passed=not bad.any(),
-        worst_residual=float(size[bad].max(initial=0.0)), margin=None,
+        check_name="vertex-to-vertex", passed=not len(i),
+        worst_residual=float(size.max(initial=0.0)), margin=None,
         offenders=tuple(offenders), tiles_checked=n, tolerance_used=tol)
 
 

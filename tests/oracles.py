@@ -7,8 +7,12 @@ composes into one placement, the shear selection on unfiltered root sets
 that the blocked, reach-filtered one replaced, and the ``json.dumps``
 document serializer that the tile-line template replaced, the slot
 chain that built one strip tile at a time before the window became one
-vertex array, and the object builders and document parser that the array
-tile record (:class:`fairtile.geometry.Tiles`) replaced."""
+vertex array, the object builders and document parser that the array
+tile record (:class:`fairtile.geometry.Tiles`) replaced, and the fair
+split of one :class:`Triangle` into :class:`Quadrangle` objects that the
+record split (:func:`fairtile.quadsplit.fair_split`) replaced, and the
+per-tile bounding-box pass that the sorted window of
+:func:`fairtile.verify.check_vertex_to_vertex` replaced."""
 
 import json
 import math
@@ -21,12 +25,13 @@ from fairtile.congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set,
                                  match_roots, pair_shear_roots)
 from fairtile.document import FORMAT_VERSION, KINDS, fmt17
 from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentError,
-                             ExhaustedRetries, FairtileError, InvalidParameter, NoConvergence,
-                             SingularDenominator, SingularJacobian, TileFailed)
+                             EdgeOutOfRange, ExhaustedRetries, FairtileError, InvalidParameter,
+                             NoConvergence, SingularDenominator, SingularJacobian, TileFailed)
 from fairtile.geometry import (Point, Quadrangle, TileId, Tiles, Triangle, edge_vectors,
                                signed_area, tile_label)
-from fairtile.quadsplit import QUADIFY_SCALE, fair_split
+from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, _corners, solve_fair_split
 from fairtile.strip import strip_tiling, window_tiles
+from fairtile.verify import _contact
 
 
 def interior_angles(p) -> list[float]:
@@ -104,6 +109,84 @@ def plane_triangles(plane) -> list:
             out.append(Triangle(*(pts[::-1] if tr.reflected else pts),
                                 id=TileId(k, tri.id.col, tri.id.slot)))
     return out
+
+
+def _canonical_frame(origin: Point, along: Point, upper: Point):
+    """Isometry (possibly with a reflection) taking ``origin`` to (0,0),
+    ``along`` onto the positive x-axis and ``upper`` above it.
+
+    Returns (forward, inverse, mirrored).
+    """
+    ux, uy = along.x - origin.x, along.y - origin.y
+    norm = math.hypot(ux, uy)
+    if norm <= 1e-14:
+        raise DegeneratePolygon("coincident frame points")
+    ex = (ux / norm, uy / norm)
+    ey = (-ex[1], ex[0])
+    up = (upper.x - origin.x) * ey[0] + (upper.y - origin.y) * ey[1]
+    m = -1.0 if up < 0.0 else 1.0
+
+    def forward(p: Point) -> Point:
+        dx, dy = p.x - origin.x, p.y - origin.y
+        return Point(dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
+
+    def inverse(px: float, py: float) -> Point:
+        yy = m * py
+        return Point(origin.x + px * ex[0] + yy * ey[0],
+                     origin.y + px * ex[1] + yy * ey[1])
+
+    return forward, inverse, m < 0.0
+
+
+def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
+    """Fair split of an arbitrarily placed near-unit triangle.
+
+    The triangle is posed canonically (longest edge on the positive x-axis
+    from the origin, apex above, second-longest edge at the origin corner;
+    ties broken by lexicographic vertex order), solved there, and the
+    quadrangles are mapped back through the inverse isometry.  Corner
+    labels and the source tile id ride along on the outputs.
+    """
+    pts = t.vertices
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    lengths = {pr: math.hypot(pts[pr[1]].x - pts[pr[0]].x, pts[pr[1]].y - pts[pr[0]].y)
+               for pr in pairs}
+    if any(not (1.0 - DELTA_Q < L < 1.0 + DELTA_Q) for L in lengths.values()):
+        raise EdgeOutOfRange(
+            f"edge lengths {sorted(lengths.values())} outside "
+            f"({1 - DELTA_Q}, {1 + DELTA_Q})")
+
+    def edge_rank(pr):
+        ends = sorted((pts[pr[0]].xy, pts[pr[1]].xy))
+        return (-lengths[pr], ends[0], ends[1])
+
+    base = min(pairs, key=edge_rank)
+    i, j = base
+    k = 3 - i - j
+    p, q, r = pts[i], pts[j], pts[k]
+    bp = math.hypot(r.x - p.x, r.y - p.y)
+    bq = math.hypot(r.x - q.x, r.y - q.y)
+    if abs(bp - bq) <= 1e-12:
+        va, vb = sorted((p, q), key=lambda v: v.xy)
+    elif bp > bq:
+        va, vb = p, q
+    else:
+        va, vb = q, p
+
+    a = lengths[base]
+    b = math.hypot(r.x - va.x, r.y - va.y)
+    c = math.hypot(r.x - vb.x, r.y - vb.y)
+    params = solve_fair_split(a, b, c)
+
+    _, inverse, mirrored = _canonical_frame(va, vb, r)
+    out = []
+    for corner, posed in _corners(a, b, c, params).items():
+        mapped = [inverse(*v) for v in posed]
+        if mirrored:
+            mapped.reverse()
+        out.append(Quadrangle(tuple(mapped), id=t.id, corner=corner))
+    return tuple(out)
+
 
 
 def quadify_plane(tiles) -> list:
@@ -392,3 +475,19 @@ def triangle_at(t, i: int, j: int) -> Triangle:
         # negate x and reverse the order so the mirror stays ccw
         tri = tuple(Point(-p.x, p.y) for p in reversed(tri))
     return Triangle(*tri, id=TileId(0, i, j))
+
+
+def vertex_to_vertex_violations(tiles, tol: float):
+    """Every non-conforming pair (i, j), i < j, in that order, and its size:
+    each tile's bounding box against those of all later tiles, one pass per
+    tile, the pairs within ``tol`` classified by ``_contact``."""
+    (xmin, ymin), (xmax, ymax) = tiles.xy.min(axis=1).T, tiles.xy.max(axis=1).T
+    n = len(tiles)
+    near = [np.nonzero(
+        (xmin[i + 1:] <= xmax[i] + tol) & (xmax[i + 1:] >= xmin[i] - tol)
+        & (ymin[i + 1:] <= ymax[i] + tol) & (ymax[i + 1:] >= ymin[i] - tol))[0] + i + 1
+        for i in range(n)]
+    I = np.repeat(np.arange(n), [len(js) for js in near])
+    J = np.concatenate(near)
+    bad, size = _contact(tiles.xy[I], tiles.xy[J], tol)
+    return list(zip(I[bad].tolist(), J[bad].tolist())), size[bad]

@@ -206,8 +206,8 @@ def test_a07_fair_split_ensemble(random_splits):
             assert margin > 1e-9
 
     placed = Triangle(Point(2.0, -1.0), Point(3.0, -1.0), Point(2.5, -1.0 + SQRT3 / 2))
-    _, collisions = aligned_sweep(Tiles.of(fair_split(placed)), signature_variants, signature_key,
-                                  1e-9)
+    _, collisions = aligned_sweep(fair_split(Tiles.of([placed])), signature_variants,
+                                  signature_key, 1e-9)
     assert collisions == [(0, 1), (0, 2), (1, 2)]
     conclude("A7", build_time + (time.monotonic() - t0), 30.0,
              "1000 random near-unit splits: <=12 Newton steps, perimeter p0 and "

@@ -20,6 +20,7 @@ from fairtile.congruence import (
     match_roots,
     signature_key,
     signature_variants,
+    window_pairs,
 )
 from fairtile.errors import DegeneratePair, DegeneratePolygon
 from fairtile.geometry import (
@@ -251,8 +252,8 @@ def test_fair_split_of_scalene_gives_three_distinct_signatures():
     from fairtile.quadsplit import apex
 
     t = Triangle(Point(0, 0), Point(1.01, 0), apex(1.01, 1.00, 0.99))
-    quads = fair_split(t)
-    margin, _ = aligned_sweep(Tiles.of(quads), signature_variants, signature_key, 1e-9)
+    quads = fair_split(Tiles.of([t]))
+    margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
     assert margin > 1e-9
 
 
@@ -341,6 +342,19 @@ def test_pruned_sweep_matches_the_unpruned_oracle(seed):
             want_margin, want = _unpruned_sweep(tiles, one_rows, quantum)
             assert margin.hex() == want_margin.hex()
             assert collisions == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_window_pairs_are_every_pair_within_the_bound(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 90))
+    keys = np.sort(rng.integers(0, 12, n) / 4.0)  # ties, and bounds that equal a key
+    upper = keys + rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], n)
+    blocks = list(window_pairs(keys, upper))
+    got = [(s, t) for ss, tt in blocks for s, t in zip(ss.tolist(), tt.tolist())]
+    assert got == [(s, t) for s in range(n) for t in range(s + 1, n) if keys[t] <= upper[s]]
+    assert all(len(ss) == 1024 for ss, _ in blocks[:-1])
+    assert not list(window_pairs(np.empty(0), np.empty(0)))
 
 
 def _random_convex(rng, n):

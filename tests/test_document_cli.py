@@ -203,6 +203,10 @@ def test_quadify_and_determinism(plane_doc, tmp_path):
     assert doc.kind == "quad"
     assert len(doc.tiles) == 3 * len(src.tiles)
     assert run_cli("verify", "--in", str(q1)) == 0
+    build = pipeline.quadify_checked(src)
+    assert build.passed and serialize(build.doc) == q1.read_text()
+    assert [r.check_name for r in build.reports] == [
+        "pairwise-incongruent", "equal-area", "equal-perimeter", "convex", "pairwise-incongruent"]
 
 
 def test_verify_refuses_closeness_on_quad_documents(tmp_path):
@@ -319,6 +323,10 @@ def test_quadify_refuses_equilateral_tiles(tmp_path):
     path = tmp_path / "periodic.tiles"
     document.write_document(doc, path)
     assert run_cli("quadify", "--in", str(path), "--out", str(tmp_path / "q.tiles")) == 3
+    assert not (tmp_path / "q.tiles").exists()
+    build = pipeline.quadify_checked(doc)
+    assert build.doc is None and not build.passed
+    assert [r.check_name for r in build.reports] == ["pairwise-incongruent"]
 
 
 def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):

@@ -179,8 +179,9 @@ def test_jacobian_anchor_constants():
 
 
 def test_fair_split_requires_near_unit_edges():
-    with pytest.raises(EdgeOutOfRange):
-        fair_split(Triangle(Point(0, 0), Point(2, 0), Point(1, 1)))
+    with pytest.raises(TileFailed) as info:
+        fair_split(Tiles.of([Triangle(Point(0, 0), Point(2, 0), Point(1, 1))]))
+    assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
 def test_fair_split_of_equilateral_gives_congruent_quads():
@@ -189,8 +190,8 @@ def test_fair_split_of_equilateral_gives_congruent_quads():
     c, s = math.cos(0.7), math.sin(0.7)
     pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
     placed = [Point(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
-    quads = fair_split(Triangle(*placed))
-    _, collisions = aligned_sweep(Tiles.of(quads), signature_variants, signature_key, 1e-9)
+    quads = fair_split(Tiles.of([Triangle(*placed)]))
+    _, collisions = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
     assert collisions == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -205,8 +206,8 @@ def test_fair_split_equivariance_under_isometry():
     t = Triangle(Point(0, 0), Point(1.004, 0), apex(1.004, 0.993, 1.008))
     g_t = Triangle(*(iso(v) for v in reversed(t.vertices)))
     for corner in "ABC":
-        ours = next(q for q in fair_split(t) if q.corner == corner)
-        theirs = next(q for q in fair_split(g_t) if q.corner == corner)
+        ours = next(q for q in fair_split(Tiles.of([t])) if q.corner == corner)
+        theirs = next(q for q in fair_split(Tiles.of([g_t])) if q.corner == corner)
         want = sorted((iso(v).x, iso(v).y) for v in ours.vertices)
         got = sorted(v.xy for v in theirs.vertices)
         for (wx, wy), (gx, gy) in zip(want, got):
@@ -235,7 +236,7 @@ def test_reconstruction_round_trip():
         except DegenerateTriangle:
             continue
         want = sorted(edge_lengths(t))
-        for q in fair_split(t):
+        for q in fair_split(Tiles.of([t])):
             tri, _ = reconstruct_triangle(q)
             got = sorted(edge_lengths(tri))
             assert max(abs(u - v) for u, v in zip(want, got)) <= 1e-8
@@ -245,7 +246,7 @@ def test_reconstruction_round_trip():
 def test_reconstruction_accepts_mirrored_quads():
     t = Triangle(Point(0, 0), Point(1.006, 0), apex(1.006, 0.997, 1.001))
     want = sorted(edge_lengths(t))
-    for q in fair_split(t):
+    for q in fair_split(Tiles.of([t])):
         flipped = Quadrangle(tuple(Point(v.x, -v.y) for v in reversed(q.vertices)))
         tri, _ = reconstruct_triangle(flipped)
         got = sorted(edge_lengths(tri))

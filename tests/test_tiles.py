@@ -1,9 +1,11 @@
 """The array tile record: bit for bit against the object builders it
 replaced, its refusals against the polygon constructors, the document
-parser against the per-line ``json`` parser, and no polygon objects on the
-strip path."""
+parser against the per-line ``json`` parser, no polygon objects on the
+strip path, and only the convexity probe's on the quadify path."""
 
 import json
+import math
+import random
 import re
 
 import numpy as np
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 from fairtile import cli, document, pipeline
 from fairtile.assembly import scale_to_equilateral, stack_plane
-from fairtile.errors import InvalidParameter
+from fairtile.errors import EdgeOutOfRange, InvalidParameter, TileFailed
 from fairtile.geometry import CORNERS, Point, Quadrangle, TileId, Tiles, Triangle
-from fairtile.quadsplit import quadify_plane
+from fairtile.quadsplit import apex, fair_split, quadify_plane
 from fairtile.strip import strip_tiling, window_tiles
 import oracles
 
@@ -66,6 +68,77 @@ def test_plane_and_quad_records_match_the_object_builders(gate_texts):
     objects = oracles.plane_triangles(plane)
     assert _table(plane.tiles()) == _object_table(objects)
     assert _table(quadify_plane(plane.tiles())) == _object_table(oracles.quadify_plane(objects))
+
+
+def _placed_triangles(rng, count):
+    """Near-unit triangles, each rotated by a random angle, mirrored every
+    other time and translated, counterclockwise."""
+    out = []
+    while len(out) < count:
+        a, b, c = (rng.uniform(0.99, 1.01) for _ in range(3))
+        pts = [(0.0, 0.0), (a, 0.0), apex(a, b, c).xy]
+        theta, mirror = rng.uniform(0.0, 2.0 * math.pi), len(out) % 2
+        dx, dy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+        co, si = math.cos(theta), math.sin(theta)
+        placed = [Point(co * x - si * y + dx, si * x + co * y + dy)
+                  for x, y in ((x, -y if mirror else y) for x, y in pts)]
+        out.append(placed[::-1] if mirror else placed)
+    return out
+
+
+def _tie_triangles():
+    """Triangles whose pose is decided by a tie: equilateral, isosceles with
+    the legs equal bit for bit beside a longest base, and two equal longest
+    edges; each also mirrored and turned by quarter turns, which is exact."""
+    shapes = [[(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)],
+              [(0.0, 0.0), (1.01, 0.0), (0.505, 0.86)],
+              [(0.0, 0.0), (0.99, 0.0), (0.495, 0.87)],
+              [(2.0, -1.0), (3.0, -1.0), (2.5, -1.0 + math.sqrt(3.0) / 2.0)]]
+    out = []
+    for pts in shapes:
+        for turned in (pts, [(-y, x) for x, y in pts], [(-x, -y) for x, y in pts]):
+            out.append([Point(x, y) for x, y in turned])
+            out.append([Point(-x, y) for x, y in turned[::-1]])
+    return out
+
+
+def test_record_split_matches_the_object_split_bit_for_bit():
+    polys = _placed_triangles(random.Random(18), 300) + _tie_triangles()
+    with_ids = [Triangle(*p, id=TileId(k % 5 - 2, k + 1, 1 + k % 4)) for k, p in enumerate(polys)]
+    want = [q for t in with_ids for q in oracles.fair_split(t)]
+    assert _table(fair_split(Tiles.of(with_ids))) == _object_table(want)
+
+    bare = fair_split(Tiles.of([Triangle(*p) for p in polys]))
+    assert bare.row is None and bare.col is None and bare.slot is None
+    assert bare.xy.view(np.uint64).tolist() == _object_table(want)[0]
+    assert bare.corner.dtype == np.int8 and bare.corner.tolist() == [0, 1, 2] * len(polys)
+    assert len(fair_split(Tiles.of([]))) == 0
+
+
+def test_record_split_names_the_failing_tile():
+    tris = [Triangle(*p, id=TileId(0, k + 1, 2)) for k, p in
+            enumerate(_placed_triangles(random.Random(5), 4))]
+    tris[2] = Triangle(Point(0, 0), Point(2, 0), Point(1, 1), id=TileId(3, -4, 3))
+    with pytest.raises(TileFailed) as info:
+        fair_split(Tiles.of(tris))
+    assert info.value.tile_id == TileId(3, -4, 3)
+    assert isinstance(info.value.__cause__, EdgeOutOfRange)
+    with pytest.raises(TileFailed) as info:
+        fair_split(Tiles.of([Triangle(*t.vertices) for t in tris]))
+    assert info.value.tile_id is None and isinstance(info.value.__cause__, EdgeOutOfRange)
+
+
+def test_quadify_builds_only_the_probe_quadrangles(gate_texts, monkeypatch):
+    tiles = document.parse(gate_texts["plane"]).tiles
+    built = dict.fromkeys(["Triangle", "TileId", "Quadrangle"], 0)
+    for cls in (Triangle, TileId, Quadrangle):
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    quads = quadify_plane(tiles)
+    assert len(tiles) == 972 and len(quads) == 2916
+    assert built == {"Triangle": 0, "TileId": 0, "Quadrangle": 3 * len(tiles)}
 
 
 def test_parsed_documents_match_the_json_parser(gate_texts):

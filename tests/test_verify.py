@@ -37,7 +37,8 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
-from oracles import ids_of, perimeter, signature_distance, simeq_distance, tile_ids, with_vertices
+from oracles import (ids_of, perimeter, signature_distance, simeq_distance, tile_ids,
+                     vertex_to_vertex_violations, with_vertices)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -147,6 +148,33 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
     with pytest.raises(InvalidParameter):
         check_vertex_to_vertex(Tiles.of([dart, _quad((1.2, 0.1), (1.5, 0.1), (1.5, 0.5),
                                                      (1.2, 0.5))]), tol)
+
+
+def _shuffled(tiles, rng):
+    perm = np.array(rng.sample(range(len(tiles)), len(tiles)))
+    return Tiles(*(None if a is None else a[perm]
+                   for a in (tiles.xy, tiles.row, tiles.col, tiles.slot, tiles.corner)))
+
+
+def test_sorted_window_matches_the_per_tile_pass(strip_tiles, small_plane):
+    rng = random.Random(19)
+    quads = quadify_plane(small_plane)  # many overlapping corners, boxes tied in x
+    # T-junctions across an x gap under tol, and across a y gap both ways (sizes 0.6, 0.4)
+    near_miss = Tiles.of([_quad((0, 0), (1, 0), (1, 1), (0, 1)),
+                          _quad((1 + 5e-10, 0.5), (2, 0.5), (2, 1.5), (1 + 5e-10, 1.5)),
+                          _quad((-1, 1 + 5e-10), (0.6, 1 + 5e-10), (0.6, 2), (-1, 2))])
+    cases = [quads, _shuffled(quads, rng), _shuffled(quads, rng), _perturb(strip_tiles, 3),
+             _shuffled(_perturb(strip_tiles, 5, 0.3), rng), small_plane,
+             _shuffled(small_plane, rng), near_miss, _shuffled(near_miss, rng)]
+    for k, tiles in enumerate(cases):
+        for tol in (1e-9, 1e-3):
+            pairs, sizes = vertex_to_vertex_violations(tiles, tol)
+            rep = check_vertex_to_vertex(tiles, tol)
+            labels = tuple((tile_label(tiles[i]), tile_label(tiles[j])) for i, j in pairs[:10])
+            assert rep.offenders == labels and rep.passed == (not pairs), (k, tol)
+            assert rep.worst_residual == float(sizes.max(initial=0.0)), (k, tol)
+    assert len(vertex_to_vertex_violations(quads, 1e-9)[0]) > 10
+    assert check_vertex_to_vertex(near_miss, 1e-9).worst_residual == pytest.approx(0.6)
 
 
 def test_pairwise_incongruent(small_plane):
