@@ -15,7 +15,6 @@ tile congruent to a tile of an earlier row, no tile equilateral.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, replace
@@ -110,16 +109,15 @@ def row_order(count: int) -> list[int]:
     return [0, *(sign * k for k in range(1, count) for sign in (1, -1))][:count]
 
 
-def _gap_to_roots(roots: np.ndarray, value: float) -> float:
-    """Distance from value to the nearest of the sorted, non-empty roots."""
-    idx = bisect.bisect_left(roots, value)  # np.searchsorted's index, without its call overhead
-    return min([abs(r - value) for r in roots[max(idx - 1, 0):idx + 1].tolist()])
-
-
-def _within(roots: np.ndarray, reach: float) -> np.ndarray:
-    """The roots at most ``reach`` from 0, flattened; absent (NaN) roots go too."""
-    roots = roots.ravel()
-    return roots[np.abs(roots) <= reach]
+def _gaps(roots: list[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Distance from each value to the nearest root in any of the sorted root
+    arrays, which need no merging; infinite where they hold none."""
+    gap = np.full(len(values), math.inf)
+    for r in (r for r in roots if r.size):
+        idx = np.searchsorted(r, values)
+        gap = np.minimum(gap, np.minimum(np.abs(r[np.maximum(idx - 1, 0)] - values),
+                                         np.abs(r[np.minimum(idx, r.size - 1)] - values)))
+    return gap
 
 
 def select_shears(base: StripTiling, count: int, epsilon: float,
@@ -153,11 +151,12 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
     # absorbs the rounding of the draw and of |r - draw|; every nearer root
     # is kept, so each verdict is the one the full root set gives.
     reach = 0.5 * epsilon / (2.0 * SQRT3) + 2.0 * _MARGIN_CAP
-    static = [_within(np.array(equilateral_shear_set(tile).roots), reach) for tile in tiles]
+    equilateral = equilateral_shear_set(tiles)
     a, b = np.triu_indices(len(tiles), 1)
-    static += [_within(pair_shear_roots(ev[a[k:k + _PAIR_BLOCK]], ev[b[k:k + _PAIR_BLOCK]]), reach)
-               for k in range(0, len(a), _PAIR_BLOCK)]
-    roots = np.sort(np.concatenate(static))
+    static = [equilateral[np.abs(equilateral) <= reach]] + [
+        pair_shear_roots(ev[a[k:k + _PAIR_BLOCK]], ev[b[k:k + _PAIR_BLOCK]], reach)
+        for k in range(0, len(a), _PAIR_BLOCK)]
+    roots = [np.sort(np.concatenate(static))]  # and one sorted array per fixed row
 
     chosen: list[float] = []
     for n in range(1, count + 1):
@@ -167,29 +166,32 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
             margins.append(margins[-1] / _MARGIN_STEP)
         margins.append(_MARGIN_FLOOR)
         margins.sort(reverse=True)  # intervals narrower than the floor still try it first
-        mu = None
         for margin in margins:
-            for _ in range(_DRAWS_PER_MARGIN):
-                cand = rng.uniform(-half, half)
-                if roots.size == 0 or _gap_to_roots(roots, cand) >= margin:
-                    mu = cand
-                    break
-            if mu is not None:
+            # the level's draws of rng.uniform (a + (b - a) * random()) in one gap pass;
+            # a hit rewinds rng to just after the first accepted draw: the same stream
+            state = rng.getstate()
+            draws = -half + (half - -half) * np.array([rng.random()
+                                                       for _ in range(_DRAWS_PER_MARGIN)])
+            hit = np.flatnonzero(_gaps(roots, draws) >= margin)
+            if hit.size:
+                rng.setstate(state)
+                for _ in range(int(hit[0]) + 1):
+                    rng.random()
                 break
-        if mu is None:
+        else:
             raise ExhaustedRetries(
                 f"no shear for row parameter {n} clears the collision roots by "
                 f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
                 f"(window too dense for epsilon={epsilon})")
+        mu = float(draws[hit[0]])
         chosen.append(mu)
         if n < count:
             # later rows must also avoid matching this row's sheared edges
             sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]],
                                axis=-1).reshape(1, -1, 2)
             step = max(1, _CROSS_BLOCK // sheared.shape[1])
-            roots = np.sort(np.concatenate([roots] + [
-                _within(match_roots(ev[k:k + step], sheared), reach)
-                for k in range(0, len(ev), step)]))
+            roots.append(np.sort(np.concatenate([match_roots(ev[k:k + step], sheared, reach)
+                                                 for k in range(0, len(ev), step)])))
     return chosen
 
 

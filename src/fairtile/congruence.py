@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, InvalidParameter, NoUnequalHeights
-from .geometry import Tiles, Triangle, edge_vectors
+from .geometry import Tiles, Triangle
 
 __all__ = [
     "ShearRootSet",
@@ -171,7 +171,7 @@ def _roots(a, b, c) -> np.ndarray:
     near-zero discriminants clamp to a double root; the cancellation-free
     root comes first and its partner from Vieta's formula.
     """
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, q = b / a, c / a
         disc = 0.25 * p * p - q
@@ -188,6 +188,25 @@ def _roots(a, b, c) -> np.ndarray:
     return np.stack([np.where(quadratic, lo, linear), np.where(quadratic, hi, np.nan)], axis=-1)
 
 
+def _reachable(a, b, c, reach: float) -> np.ndarray:
+    """Where a*mu^2 + b*mu + c may have a root :func:`_within` keeps for
+    ``reach``, or one deciding which of those :func:`_dedup` keeps.  Proof: a
+    dedup chain steps at most 1e-9 through at most 12 roots, so deciding roots
+    lie within rho = reach + 1.1e-8; roots r1, r2 with |r2| <= rho give |c| =
+    |a r1 r2| <= rho (|b| + |a| rho), a linear root gives |c| <= rho |b|.
+    Rounded (p = b/a, q = c/a): a clamped double root -p/2 has |q| < rho |p|/2
+    + 1e-12, absorbed by |a|*2e-12; a far root -p/2 -+ sqrt(p*p/4 - q) and its
+    partner q/far err by 1e-8 relative at most, absorbed by R > rho.  Where p
+    or p*p/4 may overflow (|b| or |c| > 1e150 |a|) an infinite far root gives
+    a spurious partner 0: kept, as NaN coefficients are (false comparisons)."""
+    R = reach * (1.0 + 1e-6) + 1.2e-8
+    a, b, c = np.abs(a), np.abs(b), np.abs(c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        beyond = c > R * (a * R + b) + a * 2e-12
+        wild = (a > _LEADING_EPS) & (np.maximum(b, c) > 1e150 * a)
+    return ~beyond | wild
+
+
 def _dedup(roots: np.ndarray) -> np.ndarray:
     """Each row of roots ascending, with NaN for absent roots and for roots
     within 1e-9 of the last root kept."""
@@ -200,50 +219,63 @@ def _dedup(roots: np.ndarray) -> np.ndarray:
     return s
 
 
-def _root_set(row: np.ndarray) -> ShearRootSet:
-    return ShearRootSet(roots=tuple(row[~np.isnan(row)].tolist()))
-
-
-def match_roots(ev: np.ndarray, ev_fixed: np.ndarray) -> np.ndarray:
-    """Shear parameters at which each sheared triangle of ``ev`` (edge
-    vectors, shape (N, 3, 2)) can match a length of ``ev_fixed`` (shape
-    (N, M, 2) or (1, M, 2)); shape (N, M, 2) as :func:`_roots` gives.
-
-    The certificate is the edge of largest |height|, the first on ties:
-    outside the roots it differs in length from every fixed edge.
-    """
-    pick = np.argmax(np.abs(ev[:, :, 1]), axis=1)
-    e0 = ev[np.arange(len(ev)), pick]
+def _match_coefficients(ev: np.ndarray, ev_fixed: np.ndarray):
+    """The quadratics of :func:`match_roots`: ``a`` and ``b`` (N, 1), ``c`` (N, M)."""
+    e0 = ev[np.arange(len(ev)), np.argmax(np.abs(ev[:, :, 1]), axis=1)]
     if np.any(np.abs(e0[:, 1]) <= _LEADING_EPS):
         raise InvalidParameter("triangle has no edge with nonzero height")
     x0, y0 = e0[:, 0:1], e0[:, 1:2]
     fx, fy = ev_fixed[..., 0], ev_fixed[..., 1]
-    return _roots(y0 * y0, 2.0 * x0 * y0, x0 * x0 + y0 * y0 - (fx * fx + fy * fy))
+    return y0 * y0, 2.0 * x0 * y0, x0 * x0 + y0 * y0 - (fx * fx + fy * fy)
 
 
-def pair_shear_roots(ev_t: np.ndarray, ev_u: np.ndarray) -> np.ndarray:
+def _within(roots: np.ndarray, reach: float) -> np.ndarray:
+    """The roots at most ``reach`` from 0, flattened; absent (NaN) roots go too."""
+    roots = roots.ravel()
+    return roots[np.abs(roots) <= reach]
+
+
+def match_roots(ev: np.ndarray, ev_fixed: np.ndarray, reach: float) -> np.ndarray:
+    """Shear parameters at which each sheared triangle of ``ev`` (edge
+    vectors, shape (N, 3, 2)) can match a length of ``ev_fixed`` (shape
+    (N, M, 2) or (1, M, 2)): the real roots at most ``reach`` from 0,
+    ascending for each (triangle, fixed edge), flattened in that order.
+
+    The certificate is the edge of largest |height|, the first on ties:
+    outside the roots it differs in length from every fixed edge.
+    """
+    a, b, c = _match_coefficients(ev, ev_fixed)
+    i, j = np.nonzero(_reachable(a, b, c, reach))
+    return _within(_roots(a[i, 0], b[i, 0], c[i, j]), reach)
+
+
+def pair_shear_roots(ev_t: np.ndarray, ev_u: np.ndarray, reach: float) -> np.ndarray:
     """Shear parameters at which t[i] and u[i] can collide into congruent
     images, for edge-vector arrays of shape (N, 3, 2) or (1, 3, 2).
 
     Covers the pair sheared together (co-shear roots) and sheared t against
-    u left fixed (match roots).  Each row holds one pair's roots ascending,
-    without repeats within 1e-9, padded with NaN: shape (N, 12).
+    u left fixed (match roots): each pair's roots ascending, without repeats
+    within 1e-9, those at most ``reach`` from 0, flattened in pair order.
     """
     ev_t, ev_u = np.broadcast_arrays(ev_t, ev_u)
     n = len(ev_t)
     # the co-shear certificate edge of t must be a translate of none of u's
     # edges; pick the one farthest, up to sign (segments are unoriented),
-    # from all of them so its quadratics stay well scaled
-    et, eu = ev_t[:, :, None, :], ev_u[:, None, :, :]
-    gap = np.minimum(np.max(np.abs(et - eu), axis=3), np.max(np.abs(et + eu), axis=3))
-    e0 = ev_t[np.arange(n), np.argmax(np.min(gap, axis=2), axis=1)]
+    # from all of them so its quadratics stay well scaled (gap[i, j] of t's
+    # edge i and u's edge j, pairs last: numpy is slow on short inner axes)
+    tx, ty, ux, uy = *ev_t.T, *ev_u.T
+    gap = np.minimum(np.maximum(np.abs(tx[:, None] - ux), np.abs(ty[:, None] - uy)),
+                     np.maximum(np.abs(tx[:, None] + ux), np.abs(ty[:, None] + uy)))
+    e0 = ev_t[np.arange(n), np.argmax(np.minimum(np.minimum(gap[:, 0], gap[:, 1]), gap[:, 2]), 0)]
     x0, y0 = e0[:, 0:1], e0[:, 1:2]
     fx, fy = ev_u[..., 0], ev_u[..., 1]
-    coshear = _roots(y0 * y0 - fy * fy, 2.0 * (x0 * y0 - fx * fy),
-                     x0 * x0 + y0 * y0 - fx * fx - fy * fy)
-    match = match_roots(ev_t, ev_u)
-    roots = np.concatenate([coshear, match], axis=1)
-    return _dedup(roots.reshape(n, 2 * roots.shape[1]))
+    coshear = (y0 * y0 - fy * fy, 2.0 * (x0 * y0 - fx * fy), x0 * x0 + y0 * y0 - fx * fx - fy * fy)
+    a, b, c = (np.concatenate(np.broadcast_arrays(co, m), axis=1)
+               for co, m in zip(coshear, _match_coefficients(ev_t, ev_u)))
+    keep = _reachable(a, b, c, reach)
+    roots = np.full((n, 6, 2), np.nan)
+    roots[keep] = _roots(a[keep], b[keep], c[keep])
+    return _within(_dedup(roots[keep.any(axis=1)].reshape(-1, 12)), reach)
 
 
 def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
@@ -260,22 +292,23 @@ def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
     if margin <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
     ev = pair.edges()
-    return _root_set(pair_shear_roots(ev[:1], ev[1:])[0])
+    return ShearRootSet(roots=tuple(pair_shear_roots(ev[:1], ev[1:], math.inf).tolist()))
 
 
-def equilateral_shear_set(t: Triangle) -> ShearRootSet:
-    """Shear parameters at which the sheared triangle could be equilateral.
+def equilateral_shear_set(tiles: Tiles) -> np.ndarray:
+    """Shear parameters at which each sheared triangle could be equilateral:
+    shape (N, 2), ascending, NaN for absent or repeated roots.
 
-    Uses the edge-vector pair with the largest height difference; outside
-    the (at most two) roots those two sheared edges differ in length, so
-    the sheared triangle is certified non-equilateral.  The root set is a
-    superset filter: a root need not actually produce an equilateral image.
+    Each uses its edge-vector pair with the largest height difference, the
+    first on ties; outside its (at most two) roots those sheared edges differ
+    in length.  A superset filter: a root need not make an equilateral image.
     """
-    ev = edge_vectors(t)
-    pairs = [(ev[i], ev[j]) for i in range(3) for j in range(i + 1, 3)]
-    (x1, y1), (x2, y2) = max(pairs, key=lambda p: abs(abs(p[0][1]) - abs(p[1][1])))
-    if abs(abs(y1) - abs(y2)) <= _LEADING_EPS:
+    ev = tiles.edges()
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    diff = np.abs(np.abs(ev[:, i, 1]) - np.abs(ev[:, j, 1]))
+    k = np.argmax(diff, axis=1)
+    if np.any(diff[np.arange(len(ev)), k] <= _LEADING_EPS):
         raise NoUnequalHeights("every edge-vector pair has equal |y| components")
-    return _root_set(_dedup(_roots(y1 * y1 - y2 * y2,
-                                   2.0 * (x1 * y1 - x2 * y2),
-                                   x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2)))
+    (x1, y1), (x2, y2) = ev[np.arange(len(ev)), i[k]].T, ev[np.arange(len(ev)), j[k]].T
+    return _dedup(_roots(y1 * y1 - y2 * y2, 2.0 * (x1 * y1 - x2 * y2),
+                         x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2))

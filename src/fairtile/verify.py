@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MAX_OFFENDERS = 10
+_CONTACT_BLOCK = 4096  # box-surviving pairs per contact pass, gathered across windows
 
 # binary64 resolution floors for the strict-monotonicity chains of the
 # contraction suite: increments of h below ~ulp(h) and |y| below the
@@ -123,22 +124,20 @@ def check_identity(t: StripTiling, tiles: Tiles, tol: float = 1e-10) -> Verifica
 # vertex-to-vertex conformity
 
 
-def _vertex_edge(V, W):
-    """Vertices ``V`` (M, n, 2) against the edges of ccw polygons ``W``
-    (M, m, 2): each vertex's distance to the nearest edge (M, n), and per
-    pair the largest, over the edges of ``W``, of the least signed distance
-    of ``V`` outside that edge's line (M,), which is positive when that line
-    separates the pair and minus the overlap along its normal otherwise."""
-    D = np.roll(W, -1, axis=1) - W
-    L2 = D[..., 0] ** 2 + D[..., 1] ** 2
-    ax, ay = W[:, None, :, 0], W[:, None, :, 1]
-    vx, vy = V[:, :, None, 0], V[:, :, None, 1]
-    dx, dy = D[:, None, :, 0], D[:, None, :, 1]
-    rx, ry = vx - ax, vy - ay
-    t = np.clip((rx * dx + ry * dy) / L2[:, None, :], 0.0, 1.0)
-    seg = np.hypot(vx - (ax + t * dx), vy - (ay + t * dy))
-    outside = (dy * rx - dx * ry) / np.sqrt(L2)[:, None, :]
-    return seg.min(axis=2), outside.min(axis=1).max(axis=1)
+def _vertex_edge(vx, vy, wx, wy):
+    """Vertices V (``vx``, ``vy``: (n, M)) against the edges of ccw polygons
+    W (``wx``, ``wy``: (m, M)): each vertex's distance to the nearest edge
+    (n, M), and per pair the largest, over the edges of ``W``, of the least
+    signed distance of ``V`` outside that edge's line (M,), which is positive
+    when that line separates the pair and minus the overlap along its normal
+    otherwise."""
+    dx, dy = np.roll(wx, -1, axis=0) - wx, np.roll(wy, -1, axis=0) - wy
+    L2 = dx ** 2 + dy ** 2
+    rx, ry = vx[:, None] - wx, vy[:, None] - wy
+    t = np.clip((rx * dx + ry * dy) / L2, 0.0, 1.0)
+    seg = np.hypot(vx[:, None] - (wx + t * dx), vy[:, None] - (wy + t * dy))
+    outside = (dy * rx - dx * ry) / np.sqrt(L2)
+    return seg.min(axis=1), outside.min(axis=0).max(axis=0)
 
 
 def _contact(P, Q, tol: float):
@@ -152,26 +151,28 @@ def _contact(P, Q, tol: float):
     how far the pair must move apart along the best separating edge
     normal); a vertex away from every vertex of the other tile but on one
     of its edges (that vertex's gap to the nearest vertex); two shared
-    vertices that are not an edge of both tiles (``tol``).
+    vertices that are not an edge of both tiles (``tol``).  The arrays put
+    the pairs last, as numpy is slow on short inner axes.
     """
-    dist = np.hypot(P[:, :, None, 0] - Q[:, None, :, 0], P[:, :, None, 1] - Q[:, None, :, 1])
+    (px, py), (qx, qy) = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)  # (n, M), (m, M)
+    dist = np.hypot(px[:, None] - qx, py[:, None] - qy)  # (n, m, M)
     match = dist <= tol
-    shared_p, shared_q = match.any(axis=2), match.any(axis=1)
-    n_shared = shared_p.sum(axis=1)
-    coincide = ((match.sum(axis=2) > 1).any(axis=1) | (match.sum(axis=1) > 1).any(axis=1)
+    shared_p, shared_q = match.any(axis=1), match.any(axis=0)
+    n_shared = shared_p.sum(axis=0)
+    coincide = ((match.sum(axis=1) > 1).any(axis=0) | (match.sum(axis=0) > 1).any(axis=0)
                 | (n_shared >= 3))
 
-    edge_gap_p, sep_q = _vertex_edge(P, Q)
-    edge_gap_q, sep_p = _vertex_edge(Q, P)
+    edge_gap_p, sep_q = _vertex_edge(px, py, qx, qy)
+    edge_gap_q, sep_p = _vertex_edge(qx, qy, px, py)
     depth = -np.maximum(sep_p, sep_q)
 
-    v_gap = np.concatenate([dist.min(axis=2), dist.min(axis=1)], axis=1)
-    on_edge = (v_gap > tol) & (np.concatenate([edge_gap_p, edge_gap_q], axis=1) <= tol)
+    v_gap = np.concatenate([dist.min(axis=1), dist.min(axis=0)], axis=0)
+    on_edge = (v_gap > tol) & (np.concatenate([edge_gap_p, edge_gap_q], axis=0) <= tol)
 
-    adjacent = ((shared_p & np.roll(shared_p, -1, axis=1)).any(axis=1)
-                & (shared_q & np.roll(shared_q, -1, axis=1)).any(axis=1))
-    rules = [coincide, depth > tol, on_edge.any(axis=1), (n_shared == 2) & ~adjacent]
-    sizes = [tol, depth, v_gap[np.arange(len(P)), np.argmax(on_edge, axis=1)], tol]
+    adjacent = ((shared_p & np.roll(shared_p, -1, axis=0)).any(axis=0)
+                & (shared_q & np.roll(shared_q, -1, axis=0)).any(axis=0))
+    rules = [coincide, depth > tol, on_edge.any(axis=0), (n_shared == 2) & ~adjacent]
+    sizes = [tol, depth, v_gap[np.argmax(on_edge, axis=0), np.arange(len(P))], tol]
     return np.logical_or.reduce(rules), np.select(rules, sizes, 0.0)
 
 
@@ -193,14 +194,16 @@ def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationRepor
                                f"{tile_label(tiles[int(np.argmin(convex))])} is not")
     lo, hi = tiles.xy.min(axis=1), tiles.xy.max(axis=1)
     order = np.argsort(lo[:, 0], kind="stable")
-    found = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # (i, j, size) of violations
+    near = [(np.empty(0, int), np.empty(0, int))]  # (i, j) of the pairs whose boxes meet
     for s, t in window_pairs(lo[order, 0], hi[order, 0] + 2.0 * tol):
         i, j = np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
-        near = ((lo[j] <= hi[i] + tol) & (hi[j] >= lo[i] - tol)).all(axis=1)
-        i, j = i[near], j[near]
-        bad, size = _contact(tiles.xy[i], tiles.xy[j], tol)
-        found.append((i[bad], j[bad], size[bad]))
-    i, j, size = map(np.concatenate, zip(*found))
+        meet = ((lo[j] <= hi[i] + tol) & (hi[j] >= lo[i] - tol)).all(axis=1)
+        near.append((i[meet], j[meet]))
+    i, j = map(np.concatenate, zip(*near))
+    bad, size = map(np.concatenate, zip((np.empty(0, bool), np.empty(0)), *(
+        _contact(tiles.xy[i[k:k + _CONTACT_BLOCK]], tiles.xy[j[k:k + _CONTACT_BLOCK]], tol)
+        for k in range(0, len(i), _CONTACT_BLOCK))))
+    i, j, size = i[bad], j[bad], size[bad]
     first = np.lexsort((j, i))[:_MAX_OFFENDERS]
     offenders = [(tile_label(tiles[a]), tile_label(tiles[b])) for a, b in zip(i[first], j[first])]
     return VerificationReport(

@@ -12,7 +12,11 @@ tile record (:class:`fairtile.geometry.Tiles`) replaced, and the fair
 split of one :class:`Triangle` into :class:`Quadrangle` objects that the
 record split (:func:`fairtile.quadsplit.fair_split`) replaced, and the
 per-tile bounding-box pass that the sorted window of
-:func:`fairtile.verify.check_vertex_to_vertex` replaced."""
+:func:`fairtile.verify.check_vertex_to_vertex` replaced, and the
+equilateral shear roots of one :class:`Triangle` that the record pass
+(:func:`fairtile.congruence.equilateral_shear_set`) replaced, and the
+pair-major contact classification that the pairs-last
+:func:`fairtile.verify._contact` replaced."""
 
 import json
 import math
@@ -20,18 +24,18 @@ import math
 import numpy as np
 
 from fairtile.assembly import _DRAWS_PER_MARGIN, _MARGIN_CAP, _MARGIN_FLOOR, _MARGIN_STEP, SQRT3
-from fairtile.congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set,
-                                 equilateral_shear_set, halfturn_key, halfturn_variants,
+from fairtile.congruence import (_LEADING_EPS, DEFAULT_QUANTUM, ShearRootSet, _dedup, _roots,
+                                 aligned_sweep, bad_shear_set, halfturn_key, halfturn_variants,
                                  match_roots, pair_shear_roots)
 from fairtile.document import FORMAT_VERSION, KINDS, fmt17
 from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentError,
                              EdgeOutOfRange, ExhaustedRetries, FairtileError, InvalidParameter,
-                             NoConvergence, SingularDenominator, SingularJacobian, TileFailed)
+                             NoConvergence, NoUnequalHeights, SingularDenominator,
+                             SingularJacobian, TileFailed)
 from fairtile.geometry import (Point, Quadrangle, TileId, Tiles, Triangle, edge_vectors,
                                signed_area, tile_label)
 from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, _corners, solve_fair_split
 from fairtile.strip import strip_tiling, window_tiles
-from fairtile.verify import _contact
 
 
 def interior_angles(p) -> list[float]:
@@ -385,6 +389,24 @@ def margin_ladder(half: float) -> list[float]:
     return margins
 
 
+def equilateral_shear_set(t: Triangle) -> ShearRootSet:
+    """Shear parameters at which the sheared triangle could be equilateral.
+
+    Uses the edge-vector pair with the largest height difference; outside
+    the (at most two) roots those two sheared edges differ in length, so
+    the sheared triangle is certified non-equilateral.  The root set is a
+    superset filter: a root need not actually produce an equilateral image.
+    """
+    ev = edge_vectors(t)
+    pairs = [(ev[i], ev[j]) for i in range(3) for j in range(i + 1, 3)]
+    (x1, y1), (x2, y2) = max(pairs, key=lambda p: abs(abs(p[0][1]) - abs(p[1][1])))
+    if abs(abs(y1) - abs(y2)) <= _LEADING_EPS:
+        raise NoUnequalHeights("every edge-vector pair has equal |y| components")
+    row = _dedup(_roots(y1 * y1 - y2 * y2, 2.0 * (x1 * y1 - x2 * y2),
+                        x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2))
+    return ShearRootSet(roots=tuple(row[~np.isnan(row)].tolist()))
+
+
 def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list[float]:
     """The shear selection on every root: one static-root call per tile
     against all later tiles, and each fixed row's cross-row roots as one
@@ -399,7 +421,7 @@ def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list
     static = []
     for a, tile in enumerate(tiles):
         static.append(np.array(equilateral_shear_set(tile).roots))
-        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:]).ravel())
+        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:], math.inf))
     roots = np.concatenate(static)
     roots = np.sort(roots[~np.isnan(roots)])
     chosen = []
@@ -424,7 +446,7 @@ def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list
         chosen.append(mu)
         if n < count:
             sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], axis=-1)
-            cross = match_roots(ev, sheared.reshape(1, -1, 2)).ravel()
+            cross = match_roots(ev, sheared.reshape(1, -1, 2), math.inf)
             roots = np.sort(np.concatenate([roots, cross[~np.isnan(cross)]]))
     return chosen
 
@@ -477,10 +499,49 @@ def triangle_at(t, i: int, j: int) -> Triangle:
     return Triangle(*tri, id=TileId(0, i, j))
 
 
+def _vertex_edge(V, W):
+    """Vertices ``V`` (M, n, 2) against the edges of ccw polygons ``W``
+    (M, m, 2): each vertex's distance to the nearest edge (M, n), and per
+    pair the largest, over the edges of ``W``, of the least signed distance
+    of ``V`` outside that edge's line (M,)."""
+    D = np.roll(W, -1, axis=1) - W
+    L2 = D[..., 0] ** 2 + D[..., 1] ** 2
+    ax, ay = W[:, None, :, 0], W[:, None, :, 1]
+    vx, vy = V[:, :, None, 0], V[:, :, None, 1]
+    dx, dy = D[:, None, :, 0], D[:, None, :, 1]
+    rx, ry = vx - ax, vy - ay
+    t = np.clip((rx * dx + ry * dy) / L2[:, None, :], 0.0, 1.0)
+    seg = np.hypot(vx - (ax + t * dx), vy - (ay + t * dy))
+    outside = (dy * rx - dx * ry) / np.sqrt(L2)[:, None, :]
+    return seg.min(axis=2), outside.min(axis=1).max(axis=1)
+
+
+def contact(P, Q, tol: float):
+    """The contact classification of tile pairs ``P`` (M, n, 2) and ``Q``
+    (M, m, 2) on pair-major arrays: (violates, size) per pair, by the rules
+    of :func:`fairtile.verify._contact`."""
+    dist = np.hypot(P[:, :, None, 0] - Q[:, None, :, 0], P[:, :, None, 1] - Q[:, None, :, 1])
+    match = dist <= tol
+    shared_p, shared_q = match.any(axis=2), match.any(axis=1)
+    n_shared = shared_p.sum(axis=1)
+    coincide = ((match.sum(axis=2) > 1).any(axis=1) | (match.sum(axis=1) > 1).any(axis=1)
+                | (n_shared >= 3))
+    edge_gap_p, sep_q = _vertex_edge(P, Q)
+    edge_gap_q, sep_p = _vertex_edge(Q, P)
+    depth = -np.maximum(sep_p, sep_q)
+    v_gap = np.concatenate([dist.min(axis=2), dist.min(axis=1)], axis=1)
+    on_edge = (v_gap > tol) & (np.concatenate([edge_gap_p, edge_gap_q], axis=1) <= tol)
+    adjacent = ((shared_p & np.roll(shared_p, -1, axis=1)).any(axis=1)
+                & (shared_q & np.roll(shared_q, -1, axis=1)).any(axis=1))
+    rules = [coincide, depth > tol, on_edge.any(axis=1), (n_shared == 2) & ~adjacent]
+    sizes = [tol, depth, v_gap[np.arange(len(P)), np.argmax(on_edge, axis=1)], tol]
+    return np.logical_or.reduce(rules), np.select(rules, sizes, 0.0)
+
+
 def vertex_to_vertex_violations(tiles, tol: float):
     """Every non-conforming pair (i, j), i < j, in that order, and its size:
     each tile's bounding box against those of all later tiles, one pass per
-    tile, the pairs within ``tol`` classified by ``_contact``."""
+    tile, the pairs within ``tol`` classified by :func:`contact`."""
     (xmin, ymin), (xmax, ymax) = tiles.xy.min(axis=1).T, tiles.xy.max(axis=1).T
     n = len(tiles)
     near = [np.nonzero(
@@ -489,5 +550,5 @@ def vertex_to_vertex_violations(tiles, tol: float):
         for i in range(n)]
     I = np.repeat(np.arange(n), [len(js) for js in near])
     J = np.concatenate(near)
-    bad, size = _contact(tiles.xy[I], tiles.xy[J], tol)
+    bad, size = contact(tiles.xy[I], tiles.xy[J], tol)
     return list(zip(I[bad].tolist(), J[bad].tolist())), size[bad]

@@ -1,5 +1,6 @@
 """Scaling, shearing, shear certification, stacking, placement."""
 
+import math
 import random
 import tracemalloc
 
@@ -17,11 +18,13 @@ from fairtile.assembly import (
     stack_plane,
 )
 from fairtile.congruence import (
+    _within,
     aligned_sweep,
     bad_shear_set,
     halfturn_key,
     halfturn_variants,
     match_roots,
+    pair_shear_roots,
     signature_key,
     signature_variants,
 )
@@ -32,6 +35,10 @@ from fairtile.strip import StripTiling, critical_tiling, strip_tiling, window_ti
 from fairtile.verify import check_closeness, check_vertex_to_vertex
 import oracles
 from oracles import area, edge_lengths, ids_of, reflect_x, shear, tile_ids, translate, triangle_at
+
+
+# (epsilon, rows, cols, seed) of the gate planes
+GATE_SHAPES = ((0.005, 6, 20, 42), (0.005, 3, 30, 11), (0.05, 10, 10, 7), (0.005, 16, 4, 42))
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +115,7 @@ def test_selected_shears_clear_root_sets():
     for n, mu in enumerate(mus):
         for earlier in mus[:n]:
             fixed = np.array([edge_vectors(shear(u, earlier)) for u in tiles])
-            roots = match_roots(ev, fixed.reshape(1, -1, 2))
+            roots = match_roots(ev, fixed.reshape(1, -1, 2), math.inf)
             assert np.min(np.abs(mu - roots[~np.isnan(roots)])) >= 1e-9 - 1e-13
 
 
@@ -141,6 +148,9 @@ def test_select_shears_matches_the_unfiltered_oracle():
     cases += [(0.0001, 6, strip_tiling(3e-4, 8), 1),
               (2.5e-6, 7, strip_tiling(3.2e-5, 6), 1),  # roots too dense for row 5
               (0.01, 3, critical_tiling(3), 0)]  # mirror columns agree up to a half-turn
+    for epsilon, rows, cols, seed in GATE_SHAPES + ((0.005, 6, 40, 42),):
+        _, strip = sample_certified_y0(random.Random(seed), cols, epsilon)
+        cases.append((epsilon, rows, strip, seed))
     kinds = set()
     for epsilon, rows, strip, seed in cases:
         base = scale_to_equilateral(strip)
@@ -150,16 +160,70 @@ def test_select_shears_matches_the_unfiltered_oracle():
     assert kinds == {"shears", "DegeneratePair", "ExhaustedRetries"}
 
 
+def test_filtered_roots_equal_the_unfiltered_on_the_gate_windows():
+    # every static and cross-row root within reach, bit for bit and in order
+    for epsilon, rows, cols, seed in GATE_SHAPES:
+        rng = random.Random(seed)
+        _, strip = sample_certified_y0(rng, cols, epsilon)
+        base = scale_to_equilateral(strip)
+        ev = window_tiles(base).edges()
+        reach = 0.5 * epsilon / (2.0 * SQRT3) + 2.0 * assembly._MARGIN_CAP
+        a, b = np.triu_indices(len(ev), 1)
+        got = pair_shear_roots(ev[a], ev[b], reach)
+        full = pair_shear_roots(ev[a], ev[b], math.inf)
+        assert got.size and got.tobytes() == _within(full, reach).tobytes()
+        for mu in select_shears(base, rows, epsilon, rng)[:-1]:
+            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], -1).reshape(1, -1, 2)
+            got = match_roots(ev, sheared, reach)
+            full = match_roots(ev, sheared, math.inf)
+            assert got.size and got.tobytes() == _within(full, reach).tobytes()
+
+
+def test_select_shears_solves_the_equilateral_roots_once_and_each_level_in_one_pass(monkeypatch):
+    equilateral_calls, passes = [], []  # passes: the row of each gap pass
+    real_equilateral, real_gaps = assembly.equilateral_shear_set, assembly._gaps
+
+    def equilateral(tiles):
+        equilateral_calls.append(len(tiles))
+        return real_equilateral(tiles)
+
+    def gaps(roots, values):
+        passes.append(len(roots))  # row n draws against n root arrays
+        assert len(values) == assembly._DRAWS_PER_MARGIN
+        return real_gaps(roots, values)
+
+    def ladder(n, epsilon):
+        return len(oracles.margin_ladder((0.5 ** n) * epsilon / (2.0 * SQRT3)))
+
+    monkeypatch.setattr(assembly, "equilateral_shear_set", equilateral)
+    monkeypatch.setattr(assembly, "_gaps", gaps)
+    for epsilon, rows, cols, seed in GATE_SHAPES:
+        rng = random.Random(seed)
+        _, strip = sample_certified_y0(rng, cols, epsilon)
+        equilateral_calls.clear()
+        passes.clear()
+        select_shears(scale_to_equilateral(strip), rows, epsilon, rng)
+        assert equilateral_calls == [len(window_tiles(strip))]
+        for n in range(1, rows + 1):
+            assert 1 <= passes.count(n) <= ladder(n, epsilon), (cols, n)
+    # a window too dense for its budget tries every level of the failing row once
+    equilateral_calls.clear()
+    passes.clear()
+    with pytest.raises(ExhaustedRetries, match="row parameter 5 "):
+        select_shears(scale_to_equilateral(strip_tiling(3.2e-5, 6)), 7, 2.5e-6, random.Random(1))
+    assert len(equilateral_calls) == 1 and passes.count(5) == ladder(5, 2.5e-6)
+
+
 def test_reach_filter_keeps_every_verdict(monkeypatch):
-    real_gap = assembly._gap_to_roots
-    kept_sets = []  # the root array each row draws against, as select_shears passes it
+    real_gaps = assembly._gaps
+    kept_lists = []  # the root arrays each row draws against, as select_shears passes them
 
-    def recording_gap(roots, value):
-        if not kept_sets or kept_sets[-1] is not roots:
-            kept_sets.append(roots)
-        return real_gap(roots, value)
+    def recording_gaps(roots, values):
+        if not kept_lists or len(kept_lists[-1]) != len(roots):  # a row adds one array
+            kept_lists.append(list(roots))
+        return real_gaps(roots, values)
 
-    monkeypatch.setattr(assembly, "_gap_to_roots", recording_gap)
+    monkeypatch.setattr(assembly, "_gaps", recording_gaps)
     cases = [(scale_to_equilateral(strip_tiling(y0, cols)), rows, epsilon)
              for epsilon, rows, y0, cols in ((0.005, 4, 0.001, 10), (0.0001, 4, 2e-5, 8),
                                              (0.05, 5, 0.004, 6))]
@@ -171,13 +235,16 @@ def test_reach_filter_keeps_every_verdict(monkeypatch):
     cases.append((edge_base, 4, (r0 - assembly._MARGIN_CAP / 4) * 4.0 * SQRT3))
     rng = random.Random(17)
     for base, rows, epsilon in cases:
-        kept_sets.clear()
+        kept_lists.clear()
         select_shears(base, rows, epsilon, random.Random(1))
         full_sets = []
         oracles.select_shears(base, rows, epsilon, random.Random(1), full_sets)
-        assert len(kept_sets) == len(full_sets) == rows
+        assert len(kept_lists) == len(full_sets) == rows
         half_1 = 0.5 * epsilon / (2.0 * SQRT3)
-        for n, (kept, full) in enumerate(zip(kept_sets, full_sets), start=1):
+        for n, (kept_list, full) in enumerate(zip(kept_lists, full_sets), start=1):
+            assert len(kept_list) == n  # the static roots, then one array per fixed row
+            assert all(np.array_equal(r, np.sort(r)) for r in kept_list)
+            kept = np.sort(np.concatenate(kept_list))
             # the filter only drops roots, and keeps every root a draw can reach
             assert kept.size < full.size and np.isin(kept, full).all()
             near = half_1 + assembly._MARGIN_CAP
@@ -191,9 +258,11 @@ def test_reach_filter_keeps_every_verdict(monkeypatch):
                     for r in full[max(i - 3, 0):i + 3].tolist():
                         cands += [c for c in (r + k * margin for k in (-1.0, -0.5, 0.5, 1.0))
                                   if -half <= c <= half]
+            gaps = real_gaps(kept_list, np.array(cands))
+            assert gaps.tobytes() == real_gaps([kept], np.array(cands)).tobytes()
             for margin in ladder:
-                for cand in cands:
-                    assert ((real_gap(kept, cand) >= margin)
+                for cand, gap in zip(cands, gaps.tolist()):
+                    assert ((gap >= margin)
                             == (oracles.gap_to_roots(full, cand) >= margin)), (n, margin, cand)
 
 

@@ -7,11 +7,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtile.congruence import (
+    _dedup,
+    _reachable,
     _roots,
+    _within,
     aligned_sweep,
     bad_shear_set,
     equilateral_shear_set,
@@ -22,7 +25,7 @@ from fairtile.congruence import (
     signature_variants,
     window_pairs,
 )
-from fairtile.errors import DegeneratePair, DegeneratePolygon
+from fairtile.errors import DegeneratePair, DegeneratePolygon, NoUnequalHeights
 from fairtile.geometry import (
     Point,
     Quadrangle,
@@ -32,6 +35,7 @@ from fairtile.geometry import (
 )
 from fairtile.quadsplit import fair_split
 from fairtile.strip import critical_tiling, strip_tiling
+import oracles
 from oracles import (area, edge_lengths, halfturn_rows, perimeter, shear, signature_distance,
                      signature_rows, simeq_distance, translate, triangle_at)
 
@@ -445,6 +449,103 @@ def test_array_solver_matches_the_scalar_oracle_bit_for_bit():
         assert math.isnan(row[1]) or not math.isnan(row[0])  # present roots come first
 
 
+# offsets from the prefilter's edges: reach, rho = reach + 1.1e-8 and R
+_EDGE_OFFSETS = (-3e-8, -1.2e-8, -1.1e-8, -1e-8, -2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9,
+                 1e-8, 1.1e-8, 1.2e-8, 1.3e-8, 3e-8)
+_ODD = (0.0, -0.0, 1e-15, -1e-14, 1e-14, 1.0000001e-14, 1e-300, 1e150, -1e160, 1e300,
+        math.inf, -math.inf, math.nan)
+
+
+def _signed(draw, magnitude):
+    return draw(st.sampled_from((1.0, -1.0))) * magnitude
+
+
+def _edge(draw, reach):
+    """A point near an edge of the prefilter, on either side of 0."""
+    rel = draw(st.sampled_from((0.0, -1e-6, 1e-6, -1e-8, 1e-8, -1e-9, 1e-9)))
+    return _signed(draw, (reach + draw(st.sampled_from(_EDGE_OFFSETS))) * (1.0 + rel))
+
+
+@st.composite
+def _quadratic(draw, reach):
+    """One (a, b, c) near an edge of the prefilter for ``reach``."""
+    kind = draw(st.sampled_from(("roots", "double", "clamp", "linear", "zero_b", "overflow",
+                                 "odd", "any")))
+    a = _signed(draw, 10.0 ** draw(st.integers(-13, 4)))
+    edge = _edge(draw, reach)
+    if kind == "roots":  # one root at an edge, its partner anywhere
+        far = draw(st.floats(-1e6, 1e6) | st.sampled_from((edge, -edge, edge + 1e-9)))
+        return a, -a * (edge + far), a * edge * far
+    if kind == "double":  # a near-double root at an edge
+        split = draw(st.sampled_from((0.0, 1e-13, 1e-9, 1e-7, 1e-6, 2e-6, 1e-5)))
+        return a, -a * (2.0 * edge + split), a * edge * (edge + split)
+    if kind == "clamp":  # a discriminant around the clamp
+        d = draw(st.floats(-3e-12, 3e-12))
+        return a, -2.0 * a * edge, a * (edge * edge - d)
+    if kind == "linear":  # |a| <= 1e-14: the root -c/b
+        b = _signed(draw, 10.0 ** draw(st.integers(-15, 4)))
+        return draw(st.sampled_from((0.0, 1e-14, -5e-15, 1e-15))), b, -b * edge
+    if kind == "zero_b":
+        return a, draw(st.sampled_from((0.0, -0.0))), -a * edge * _signed(draw, edge)
+    if kind == "overflow":  # b/a or (b/a)**2 overflows: an infinite far root
+        return (_signed(draw, draw(st.floats(1e-13, 2.0))),
+                *(_signed(draw, 10.0 ** draw(st.integers(140, 308))) for _ in range(2)))
+    if kind == "odd":  # NaN, infinite and subnormal coefficients
+        return tuple(draw(st.sampled_from(_ODD) | st.floats(-2.0, 2.0)) for _ in range(3))
+    return tuple(draw(st.floats(allow_nan=True, allow_infinity=True)) for _ in range(3))
+
+
+@st.composite
+def _chain_row(draw, reach):
+    """Six quadratics whose roots include a dedup chain, at most 1e-9
+    apart, that crosses an edge of the prefilter; the other roots are far."""
+    start, step = _edge(draw, reach), draw(st.sampled_from((1e-9, 9.99e-10, 5e-10, 1.0000001e-9)))
+    inward = -1.0 if start > 0 else 1.0
+    m = draw(st.integers(1, 12))
+    pool = [start + inward * k * step for k in range(m)]
+    pool += [draw(st.floats(-10.0, 10.0)) for _ in range(12 - m)]
+    pool = draw(st.permutations(pool))
+    a = 10.0 ** draw(st.integers(-6, 2))
+    return [(a, -a * (r1 + r2), a * r1 * r2) for r1, r2 in zip(pool[0::2], pool[1::2])]
+
+
+@st.composite
+def _quadratic_rows(draw):
+    """A reach and rows of six quadratics, as pair_shear_roots solves them."""
+    reach = draw(st.sampled_from((0.0, 1e-9, 1e-6, 7.2e-4, 0.05, 1.0, 10.0, 1e3))
+                 | st.floats(0.0, 2.0))
+    rows = [draw(_chain_row(reach) if draw(st.booleans())
+                 else st.lists(_quadratic(reach), min_size=6, max_size=6))
+            for _ in range(draw(st.integers(1, 6)))]
+    return reach, rows
+
+
+def _chain_example(reach, sign):
+    """Roots reach + 2e-9 - k*0.999e-9 (k < 6), each with a far partner:
+    the first lies beyond reach + 1.72e-9 yet decides which later roots
+    within reach :func:`_dedup` keeps."""
+    near = [sign * (reach + 2e-9 - k * 9.99e-10) for k in range(6)]
+    return reach, [[(1.0, -(r + 3.0 + k), r * (3.0 + k)) for k, r in enumerate(near)]]
+
+
+@given(_quadratic_rows())
+@example(_chain_example(7.2e-4, -1.0))
+@example(_chain_example(1e-6, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_prefiltered_roots_equal_the_unfiltered_bit_for_bit(case):
+    reach, rows = case
+    with np.errstate(all="ignore"):
+        a, b, c = (np.array(col, dtype=float).reshape(-1, 6) for col in zip(*sum(rows, [])))
+        full = _roots(a, b, c)
+        keep = _reachable(a, b, c, reach)
+        kept = np.full(full.shape, np.nan)
+        kept[keep] = _roots(a[keep], b[keep], c[keep])
+        assert _within(kept, reach).tobytes() == _within(full, reach).tobytes()
+        # pair_shear_roots deduplicates each pair's 12 roots before the reach
+        assert (_within(_dedup(kept.reshape(-1, 12)), reach).tobytes()
+                == _within(_dedup(full.reshape(-1, 12)), reach).tobytes())
+
+
 def test_bad_shear_set_mirror_pair_contains_zero():
     t = tri((0, 0), (2.1, 0), (0.8, 1.7))
     m = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
@@ -510,7 +611,7 @@ def test_shear_certification_outside_roots():
 
 def _match_roots(t, fixed):
     """The shears at which sheared t can match a length of ``fixed``."""
-    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]))
+    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]), math.inf)
     return _found(roots.ravel())
 
 
@@ -539,11 +640,39 @@ def test_shear_match_roots_allows_identical_inputs():
 
 def test_equilateral_shear_set():
     t = tri((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-    roots = sorted(equilateral_shear_set(t).roots)
-    assert roots[0] == pytest.approx(0.0, abs=1e-12)
-    assert roots[1] == pytest.approx(2 * math.sqrt(3) / 3, abs=1e-12)
+    roots = equilateral_shear_set(Tiles.of([t]))
+    assert roots.shape == (1, 2)
+    assert roots[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert roots[0, 1] == pytest.approx(2 * math.sqrt(3) / 3, abs=1e-12)
 
     scalene = tri((0, 0), (3, 0), (0, 1))
-    for r in equilateral_shear_set(scalene).roots:
+    for r in _found(equilateral_shear_set(Tiles.of([scalene]))[0]):
         lengths = edge_lengths(shear(scalene, r))
         assert max(lengths) - min(lengths) > 1e-6  # superset filter, not equilateral
+
+
+def test_equilateral_record_matches_the_per_tile_roots_bit_for_bit():
+    rng = random.Random(23)
+    tris = [tri((0, 0), (1, 0), (0.5, math.sqrt(3) / 2)),  # two roots, one of them 0
+            tri((0, 0), (2, 0), (1, 1)),  # equal |y| on two edges: the first pair on ties
+            tri((0, 0), (1, 1), (-1, 1))]
+    while len(tris) < 300:
+        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        try:
+            tris.append(tri(*pts))
+        except DegeneratePolygon:
+            continue
+    window = oracles.window_triangles(strip_tiling(0.004, 6))
+    tris += [tri(*(v.xy for v in t.vertices)) for t in window]  # id-less, as the record
+    got = equilateral_shear_set(Tiles.of(tris))
+    assert got.shape == (len(tris), 2)
+    for t, row in zip(tris, got):
+        want = oracles.equilateral_shear_set(t).roots
+        assert [r.hex() for r in _found(row)] == [r.hex() for r in want]
+        assert math.isnan(row[1]) or not math.isnan(row[0])
+    # a record refuses when one of its tiles has no two edges of unequal |y|
+    flat = tri((0, 0), (1000, 0), (500, 2e-15))
+    with pytest.raises(NoUnequalHeights):
+        oracles.equilateral_shear_set(flat)
+    with pytest.raises(NoUnequalHeights):
+        equilateral_shear_set(Tiles.of(tris[:5] + [flat] + tris[5:]))

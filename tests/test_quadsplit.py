@@ -184,6 +184,31 @@ def test_fair_split_requires_near_unit_edges():
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
+def _equilateral(s):
+    return Triangle(Point(0, 0), Point(s, 0), Point(s / 2, s * SQRT3 / 2))
+
+
+def test_fair_split_edge_window_is_the_solver_basin():
+    # the solver leaves its basin inside the old (0.98, 1.02) window
+    for s in (1.013, 1.015, 1.019):
+        with pytest.raises(NoConvergence):
+            solve_fair_split(s, s, s)
+    for s in (0.9801, 1.0119):  # just inside either edge
+        assert len(fair_split(Tiles.of([_equilateral(s)]))) == 3
+    for s in (0.9799, 1.0121, 1.013, 1.015, 1.019):  # refused before Newton runs
+        with pytest.raises(TileFailed) as info:
+            fair_split(Tiles.of([_equilateral(s)]))
+        assert isinstance(info.value.__cause__, EdgeOutOfRange)
+    rng = random.Random(19)
+    tris = []
+    while len(tris) < 300:  # every triangle the window admits splits, the upper corner included
+        a, b, c = sorted((rng.uniform(0.9801, 1.0119) for _ in range(3)), reverse=True)
+        if len(tris) % 3 == 0:
+            a, b, c = 1.0119, 1.0119 - rng.uniform(0, 1e-3), 1.0119 - rng.uniform(0, 1e-3)
+        tris.append(Triangle(Point(0, 0), Point(a, 0), apex(a, b, c)))
+    assert len(fair_split(Tiles.of(tris))) == 3 * len(tris)
+
+
 def test_fair_split_of_equilateral_gives_congruent_quads():
     from fairtile.congruence import aligned_sweep, signature_key, signature_variants
 

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from fairtile import assembly, pipeline
+from fairtile import assembly, pipeline, verify
 from fairtile.errors import InvalidParameter
 from fairtile.geometry import (
     Point,
@@ -26,6 +26,7 @@ from fairtile.strip import (
     window_tiles,
 )
 from fairtile.verify import (
+    _CONTACT_BLOCK,
     _contact,
     check_closeness,
     check_contraction,
@@ -37,20 +38,25 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
+import oracles
 from oracles import (ids_of, perimeter, signature_distance, simeq_distance, tile_ids,
                      vertex_to_vertex_violations, with_vertices)
 
 SQRT3 = math.sqrt(3.0)
 
 
-@pytest.fixture(scope="module")
-def small_plane():
+def _plane(cols):
     rng = random.Random(6)
-    y0, base = pipeline.sample_certified_y0(rng, 4)
+    y0, base = pipeline.sample_certified_y0(rng, cols)
     scaled = assembly.scale_to_equilateral(base)
     shears = assembly.select_shears(scaled, 3, 0.01, rng)
     plane = assembly.stack_plane(scaled, shears, 3)
     return plane.tiles()
+
+
+@pytest.fixture(scope="module")
+def small_plane():
+    return _plane(4)
 
 
 @pytest.fixture(scope="module")
@@ -156,25 +162,59 @@ def _shuffled(tiles, rng):
                    for a in (tiles.xy, tiles.row, tiles.col, tiles.slot, tiles.corner)))
 
 
-def test_sorted_window_matches_the_per_tile_pass(strip_tiles, small_plane):
+def test_sorted_window_matches_the_per_tile_pass(strip_tiles, small_plane, monkeypatch):
     rng = random.Random(19)
     quads = quadify_plane(small_plane)  # many overlapping corners, boxes tied in x
+    wide = quadify_plane(_plane(20))  # box-surviving pairs for more than one contact block
+    blocks = []  # pairs per contact pass
+
+    def counted(P, Q, tol):
+        blocks.append(len(P))
+        return _contact(P, Q, tol)
+
+    monkeypatch.setattr(verify, "_contact", counted)
     # T-junctions across an x gap under tol, and across a y gap both ways (sizes 0.6, 0.4)
     near_miss = Tiles.of([_quad((0, 0), (1, 0), (1, 1), (0, 1)),
                           _quad((1 + 5e-10, 0.5), (2, 0.5), (2, 1.5), (1 + 5e-10, 1.5)),
                           _quad((-1, 1 + 5e-10), (0.6, 1 + 5e-10), (0.6, 2), (-1, 2))])
     cases = [quads, _shuffled(quads, rng), _shuffled(quads, rng), _perturb(strip_tiles, 3),
              _shuffled(_perturb(strip_tiles, 5, 0.3), rng), small_plane,
-             _shuffled(small_plane, rng), near_miss, _shuffled(near_miss, rng)]
+             _shuffled(small_plane, rng), near_miss, _shuffled(near_miss, rng),
+             wide, _shuffled(wide, rng)]
     for k, tiles in enumerate(cases):
         for tol in (1e-9, 1e-3):
             pairs, sizes = vertex_to_vertex_violations(tiles, tol)
+            blocks.clear()
             rep = check_vertex_to_vertex(tiles, tol)
+            # one contact pass per full block of box-surviving pairs
+            assert all(size == _CONTACT_BLOCK for size in blocks[:-1]), (k, tol)
+            if tiles is wide:
+                assert len(blocks) > 1
             labels = tuple((tile_label(tiles[i]), tile_label(tiles[j])) for i, j in pairs[:10])
             assert rep.offenders == labels and rep.passed == (not pairs), (k, tol)
             assert rep.worst_residual == float(sizes.max(initial=0.0)), (k, tol)
     assert len(vertex_to_vertex_violations(quads, 1e-9)[0]) > 10
     assert check_vertex_to_vertex(near_miss, 1e-9).worst_residual == pytest.approx(0.6)
+
+
+def test_contact_matches_the_pair_major_reference_bit_for_bit(small_plane):
+    rng = np.random.default_rng(5)
+    quads = quadify_plane(small_plane)
+    cases = []
+    for tiles, others in ((small_plane, small_plane), (quads, quads), (small_plane, quads)):
+        lo, hi = tiles.xy.min(axis=1), tiles.xy.max(axis=1)
+        olo, ohi = others.xy.min(axis=1), others.xy.max(axis=1)
+        i, j = np.nonzero(((olo[None] <= hi[:, None] + 0.2) & (ohi[None] >= lo[:, None] - 0.2))
+                          .all(axis=2))
+        P, Q = tiles.xy[i], others.xy[j]
+        # a third of the partners nudged: overlaps, T-junctions and near misses
+        nudged = Q + rng.normal(scale=1e-3, size=Q.shape) * (rng.random((len(Q), 1, 1)) < 0.3)
+        cases += [(P, Q), (Q, P), (P, nudged)]
+    for P, Q in cases:
+        for tol in (1e-9, 1e-3, 0.05):
+            got, want = _contact(P, Q, tol), oracles.contact(P, Q, tol)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert oracles.contact(*cases[2], 1e-9)[0].any() and not oracles.contact(*cases[0], 1e-9)[0].all()
 
 
 def test_pairwise_incongruent(small_plane):
