@@ -199,6 +199,15 @@ def parse(text: str) -> TilingDocument:
             raise DocumentError(
                 f"{kind} documents hold {_VERTEX_COUNT[kind]}-vertex tiles; "
                 f"tile {tile_label(tile)} has {len(tile.vertices)}")
+    keys = [k for k in (tiles.corner, tiles.slot, tiles.col, tiles.row) if k is not None]
+    order = np.lexsort(keys)  # stable: the tiles of one id stay in document order
+    same = np.flatnonzero(np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys]))
+    if len(same):
+        d = same[np.argmin(order[same + 1])]  # the first line that repeats an id
+        first, again = order[d].item(), order[d + 1].item()
+        lines = [n for n, line in enumerate(text.split("\n"), 1) if line]  # header, then tiles
+        raise DocumentError(f"duplicate tile id {tile_label(tiles[first])} on lines "
+                            f"{lines[first + 1]} and {lines[again + 1]}")
     return TilingDocument(kind=kind, parameters=parameters, tiles=tiles,
                           format_version=version)
 

@@ -47,11 +47,14 @@ from .errors import (
     TileFailed,
 )
 from .geometry import (
+    CORNERS,
     Point,
     Quadrangle,
     Tiles,
     Triangle,
+    _segments_cross,
     is_convex,
+    signed_area,
 )
 
 __all__ = [
@@ -169,13 +172,21 @@ def apex(a: float, b: float, c: float) -> Point:
     Raises :class:`DegenerateTriangle` when the side lengths violate the
     strict triangle inequalities (vanishing or negative radicand).
     """
+    return Point(*_apex(a, b, c))
+
+
+def _apex(a: float, b: float, c: float) -> tuple[float, float]:
+    """:func:`apex` as an (x, y) pair of floats, refusing what it refuses."""
     if min(a, b, c) <= 0.0:
         raise DegenerateTriangle(f"side lengths must be positive, got {(a, b, c)}")
     rad = (2.0 * a * a * b * b + 2.0 * a * a * c * c + 2.0 * b * b * c * c
            - a ** 4 - b ** 4 - c ** 4)
     if rad <= 1e-14:
         raise DegenerateTriangle(f"sides {(a, b, c)} violate the triangle inequalities")
-    return Point((a * a + b * b - c * c) / (2.0 * a), math.sqrt(rad) / (2.0 * a))
+    x, y = (a * a + b * b - c * c) / (2.0 * a), math.sqrt(rad) / (2.0 * a)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidParameter(f"non-finite coordinates ({x}, {y})")
+    return x, y
 
 
 def xi_eta(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
@@ -192,17 +203,17 @@ def xi_eta(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     return xi, eta
 
 
-def _corners(a: float, b: float, c: float, p: FairSplitParams):
+def _corners(a, x, y, alpha, beta, gamma, xi, eta):
     """Posed vertices of the quadrangles at corners A, B and C, each
-    counterclockwise."""
-    x, y = apex(a, b, c).xy
-    on_ab = (p.alpha * a, 0.0)
-    on_ca = ((1.0 - p.beta) * x, (1.0 - p.beta) * y)
-    on_bc = ((1.0 - p.gamma) * a + p.gamma * x, p.gamma * y)
-    m = (p.xi * a + p.eta * x, p.eta * y)
-    return {"A": ((0.0, 0.0), on_ab, m, on_ca),
-            "B": (on_ab, (a, 0.0), on_bc, m),
-            "C": (m, on_bc, (x, y), on_ca)}
+    counterclockwise, of the triangle (0,0), (a,0), (x,y) cut by the
+    parameters; floats, or arrays of many triangles alike."""
+    zero = 0.0 * a
+    on_ab = (alpha * a, zero)
+    on_ca = ((1.0 - beta) * x, (1.0 - beta) * y)
+    on_bc = ((1.0 - gamma) * a + gamma * x, gamma * y)
+    m = (xi * a + eta * x, eta * y)
+    return (((zero, zero), on_ab, m, on_ca), (on_ab, (a, zero), on_bc, m),
+            (m, on_bc, (x, y), on_ca))
 
 
 def quad_vertices(a: float, b: float, c: float,
@@ -213,9 +224,10 @@ def quad_vertices(a: float, b: float, c: float,
     :class:`NonConvexOutput` if any of them fails convexity at 1e-12,
     which signals parameters outside the perturbative regime.
     """
+    posed = _corners(a, *apex(a, b, c).xy, p.alpha, p.beta, p.gamma, p.xi, p.eta)
     try:
-        quads = tuple(Quadrangle(tuple(Point(*v) for v in posed), corner=corner)
-                      for corner, posed in _corners(a, b, c, p).items())
+        quads = tuple(Quadrangle(tuple(Point(*v) for v in vs), corner=corner)
+                      for corner, vs in zip(CORNERS, posed))
     except DegeneratePolygon as e:
         raise NonConvexOutput(f"degenerate quadrangle for sides {(a, b, c)}: {e}") from e
     for q in quads:
@@ -224,14 +236,29 @@ def quad_vertices(a: float, b: float, c: float,
     return quads
 
 
-def _split_residual(a: float, b: float, c: float):
+def _probe(posed) -> bool:
+    """Whether :func:`quad_vertices` accepts the posed quadrangles, each four
+    (x, y) pairs of finite floats: the :class:`Quadrangle` rules, then
+    :func:`is_convex` at 1e-12, replayed without objects."""
+    for v in posed:
+        e = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(v, v[1:] + v[:1])]
+        turn = [s[0] * t[1] - s[1] * t[0] for s, t in zip(e, e[1:] + e[:1])]
+        area = signed_area(v)
+        if (min(math.hypot(*d) for d in e) <= 1e-14 or abs(area) <= 1e-14 or area < 0
+                or _segments_cross(*v) or _segments_cross(*v[1:], v[0])
+                or not (min(turn) >= -1e-12 or max(turn) <= 1e-12)):
+            return False
+    return True
+
+
+def _split_residual(a: float, b: float, c: float, top=None):
     """Perimeter residuals of the three quadrangles as a function of
     (alpha, beta, gamma), with the interior point eliminated through
-    :func:`xi_eta`."""
-    x, y = apex(a, b, c).xy
+    :func:`xi_eta`; ``top`` is the apex (x, y) when the caller has it."""
+    x, y = top or _apex(a, b, c)
 
     def residual(u):
-        al, be, ga = float(u[0]), float(u[1]), float(u[2])
+        al, be, ga = u[0], u[1], u[2]
         xi, eta = xi_eta(al, be, ga)
         mx, my = xi * a + eta * x, eta * y
         cpx, cpy = al * a, 0.0
@@ -249,10 +276,10 @@ def _split_residual(a: float, b: float, c: float):
 
 def _fd_jacobian(residual, x, step: float) -> list[tuple[float, ...]]:
     """Central-difference Jacobian of ``residual`` at ``x``, as row tuples."""
-    cols = []
-    for k in range(len(x)):
-        up = [v + (step if j == k else 0.0) for j, v in enumerate(x)]
-        down = [v - (step if j == k else 0.0) for j, v in enumerate(x)]
+    cols, ups = [], [v + 0.0 for v in x]  # v + 0.0 is v, but 0.0 for -0.0
+    for k, v in enumerate(x):
+        up, down = ups.copy(), list(x)
+        up[k], down[k] = v + step, v - step
         cols.append([(p - m) / (2.0 * step) for p, m in zip(residual(up), residual(down))])
     return list(zip(*cols))
 
@@ -341,93 +368,67 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
     iteration may fail (:class:`NoConvergence`) or land on parameters that
     no longer produce convex quadrangles (:class:`NonConvexOutput`).
     """
-    residual = _split_residual(a, b, c)
-    u, iterations = newton3(residual, (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
+    top = _apex(a, b, c)
+    u, iterations = newton3(_split_residual(a, b, c, top), (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
+    al, be, ga = u.tolist()
     try:
-        xi, eta = xi_eta(*u)
-        params = FairSplitParams(alpha=float(u[0]), beta=float(u[1]), gamma=float(u[2]),
-                                 xi=xi, eta=eta, iterations=iterations)
+        xi, eta = xi_eta(al, be, ga)
+        params = FairSplitParams(al, be, ga, xi, eta, iterations)
     except InvalidParameter as e:
         raise NonConvexOutput(f"solution left the perturbative regime: {e}") from e
-    quad_vertices(a, b, c, params)
+    if not _probe(_corners(a, *top, al, be, ga, xi, eta)):
+        quad_vertices(a, b, c, params)  # raises what building the quadrangles raises
     return params
-
-
-def _canonical_frame(origin, along, upper):
-    """Isometry (possibly with a reflection) of (x, y) pairs taking ``origin``
-    to (0,0), ``along`` onto the positive x-axis and ``upper`` above it.
-
-    Returns (forward, inverse, mirrored).
-    """
-    ux, uy = along[0] - origin[0], along[1] - origin[1]
-    norm = math.hypot(ux, uy)
-    if norm <= 1e-14:
-        raise DegeneratePolygon("coincident frame points")
-    ex = (ux / norm, uy / norm)
-    ey = (-ex[1], ex[0])
-    up = (upper[0] - origin[0]) * ey[0] + (upper[1] - origin[1]) * ey[1]
-    m = -1.0 if up < 0.0 else 1.0
-
-    def forward(p):
-        dx, dy = p[0] - origin[0], p[1] - origin[1]
-        return (dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
-
-    def inverse(px: float, py: float):
-        yy = m * py
-        return (origin[0] + px * ex[0] + yy * ey[0], origin[1] + px * ex[1] + yy * ey[1])
-
-    return forward, inverse, m < 0.0
-
-
-def _split(pts) -> list:
-    """The fair split of one near-unit triangle, given as three (x, y) pairs:
-    the quadrangles at corners A, B and C, each four (x, y) pairs.
-
-    The triangle is posed canonically (longest edge on the positive x-axis
-    from the origin, apex above, second-longest edge at the origin corner;
-    ties broken by lexicographic vertex order), solved there, and the
-    quadrangles are mapped back through the inverse isometry.
-    """
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    lengths = {pr: math.hypot(pts[pr[1]][0] - pts[pr[0]][0], pts[pr[1]][1] - pts[pr[0]][1])
-               for pr in pairs}
-    if any(not (1.0 - DELTA_Q < L < _EDGE_TOP) for L in lengths.values()):
-        raise EdgeOutOfRange(
-            f"edge lengths {sorted(lengths.values())} outside ({1 - DELTA_Q}, {_EDGE_TOP})")
-
-    def edge_rank(pr):
-        ends = sorted((pts[pr[0]], pts[pr[1]]))
-        return (-lengths[pr], ends[0], ends[1])
-
-    base = min(pairs, key=edge_rank)
-    p, q, r = pts[base[0]], pts[base[1]], pts[3 - sum(base)]
-    bp = math.hypot(r[0] - p[0], r[1] - p[1])
-    bq = math.hypot(r[0] - q[0], r[1] - q[1])
-    va, vb = sorted((p, q)) if abs(bp - bq) <= 1e-12 else (p, q) if bp > bq else (q, p)
-
-    a = lengths[base]
-    b = math.hypot(r[0] - va[0], r[1] - va[1])
-    c = math.hypot(r[0] - vb[0], r[1] - vb[1])
-    params = solve_fair_split(a, b, c)
-
-    _, inverse, mirrored = _canonical_frame(va, vb, r)
-    return [[inverse(*v) for v in (posed[::-1] if mirrored else posed)]
-            for posed in _corners(a, b, c, params).values()]
 
 
 def fair_split(tiles: Tiles) -> Tiles:
     """Fair split of a record of arbitrarily placed near-unit triangles:
     per triangle, its quadrangles at corners A, B and C, with its id.  A
     package error on one tile is re-raised as :class:`TileFailed` carrying
-    that tile's id, with the error as its cause."""
-    out = []
-    for i, pts in enumerate(tiles.xy.tolist()):
+    that tile's id, with the error as its cause.
+
+    Each triangle is posed (longest edge on the positive x-axis from the
+    origin, apex above, second-longest edge at the origin corner; ties
+    broken by lexicographic vertex order), solved there by
+    :func:`solve_fair_split`, and its quadrangles are mapped back; posing
+    and mapping back run on the whole record.
+    """
+    n = np.arange(len(tiles))
+    v, lengths = tiles.xy, tiles.lengths()
+    w = np.roll(v, -1, axis=1)  # edge k runs from v[k] to w[k]
+    swap = (w[..., 0] < v[..., 0]) | (w[..., 0] == v[..., 0]) & (w[..., 1] < v[..., 1])
+    lo, hi = np.where(swap[..., None], w, v), np.where(swap[..., None], v, w)
+    i = np.lexsort((hi[..., 1], hi[..., 0], lo[..., 1], lo[..., 0], -lengths))[:, 0]
+    j, k = (i + 1) % 3, (i + 2) % 3  # the base joins v[i] and v[j]; the apex is v[k]
+    a, bp, bq = lengths[n, i], lengths[n, k], lengths[n, j]
+    flip = np.where(np.abs(bp - bq) <= 1e-12, swap[n, i], ~(bp > bq))  # origin at v[j]
+    b, c = np.where(flip, bq, bp), np.where(flip, bp, bq)
+    ok = ((1.0 - DELTA_Q < lengths) & (lengths < _EDGE_TOP)).all(axis=1).tolist()
+    params = []
+    for t, abc in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
         try:
-            out.extend(_split(pts))
+            if not ok[t]:
+                raise EdgeOutOfRange(f"edge lengths {sorted(lengths[t].tolist())} outside "
+                                     f"({1 - DELTA_Q}, {_EDGE_TOP})")
+            p = solve_fair_split(*abc)
         except FairtileError as e:
-            raise TileFailed(tiles[i].id, e) from e
-    ids = [None if a is None else np.repeat(a, 3) for a in (tiles.row, tiles.col, tiles.slot)]
-    return Tiles(np.array(out, dtype=float).reshape(-1, 4, 2), *ids,
+            raise TileFailed(tiles[t].id, e) from e
+        params.append((p.alpha, p.beta, p.gamma, p.xi, p.eta))
+
+    # _apex on arrays, the fourth powers taken on floats: libm rounds them, numpy may not
+    a4, b4, c4 = (np.array([s ** 4 for s in e.tolist()]) for e in (a, b, c))
+    rad = 2.0 * a * a * b * b + 2.0 * a * a * c * c + 2.0 * b * b * c * c - a4 - b4 - c4
+    x, y = (a * a + b * b - c * c) / (2.0 * a), np.sqrt(rad) / (2.0 * a)
+    px, py = np.array(_corners(a, x, y, *np.array(params).reshape(-1, 5).T)).transpose(2, 0, 1, 3)
+    # back from the frame with its origin at (ox, oy), x-axis (co, si) and y-axis m * (-si, co)
+    (ox, oy), (tx, ty) = np.where(flip, v[n, j].T, v[n, i].T), np.where(flip, v[n, i].T, v[n, j].T)
+    co, si = (tx - ox) / a, (ty - oy) / a
+    m = np.where((v[n, k, 0] - ox) * -si + (v[n, k, 1] - oy) * co < 0.0, -1.0, 1.0)
+    yy = m * py
+    out = np.stack([ox + px * co + yy * -si, oy + px * si + yy * co])  # (2, 3, 4, N)
+    out = np.where(m < 0.0, out[:, :, ::-1], out).transpose(3, 1, 2, 0)
+    ids = [None if e is None else np.repeat(e, 3) for e in (tiles.row, tiles.col, tiles.slot)]
+    return Tiles(out.reshape(-1, 4, 2), *ids,
                  np.tile(np.array([0, 1, 2], dtype=np.int8), len(tiles)))
 
 
@@ -464,11 +465,21 @@ def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: flo
 
 
 def _posed_tuple(pts, start: int, mirrored: bool):
+    """(a^, x^, y^, z^, w^) of the quadrangle read from vertex ``start`` on,
+    backwards when ``mirrored``, after the isometry (a reflection if need
+    be) taking that vertex to (0,0), the next onto the positive x-axis and
+    the one after above it."""
     step = -1 if mirrored else 1
-    seq = [pts[(start + step * k) % len(pts)].xy for k in range(len(pts))]
-    forward, _, _ = _canonical_frame(*seq[:3])
-    posed = [forward(v) for v in seq]
-    return (posed[1][0], posed[3][0], posed[3][1], posed[2][0], posed[2][1])
+    (ox, oy), *seq = [pts[(start + step * k) % len(pts)].xy for k in range(len(pts))]
+    ux, uy = seq[0][0] - ox, seq[0][1] - oy
+    norm = math.hypot(ux, uy)
+    if norm <= 1e-14:
+        raise DegeneratePolygon("coincident frame points")
+    ex, ey = (ux / norm, uy / norm), (-(uy / norm), ux / norm)
+    m = -1.0 if (seq[1][0] - ox) * ey[0] + (seq[1][1] - oy) * ey[1] < 0.0 else 1.0
+    (ah, _), (zh, wh), (xh, yh) = [((x - ox) * ex[0] + (y - oy) * ex[1],
+                                    m * ((x - ox) * ey[0] + (y - oy) * ey[1])) for x, y in seq]
+    return (ah, xh, yh, zh, wh)
 
 
 def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import InvalidParameter
 from .geometry import Tiles, tile_label
@@ -74,7 +73,7 @@ def render_svg(tiles: Tiles, options: RenderOptions = RenderOptions()) -> str:
             labels.append(
                 f'<text x="{_num(cx)}" y="{_num(-cy)}" font-size="{_num(0.18)}" '
                 f'text-anchor="middle" fill="black" stroke="none">'
-                f"{escape(tile_label(tiles[i]))}</text>")
+                f"{tile_label(tiles[i])}</text>")  # digits, -, /, A-C or ?: nothing to escape
     out.append("</g>")
     if labels:
         out.append('<g font-family="sans-serif">')

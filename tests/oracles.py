@@ -34,7 +34,7 @@ from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentErro
                              SingularJacobian, TileFailed)
 from fairtile.geometry import (Point, Quadrangle, TileId, Tiles, Triangle, edge_vectors,
                                signed_area, tile_label)
-from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, _corners, solve_fair_split
+from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, quad_vertices, solve_fair_split
 from fairtile.strip import strip_tiling, window_tiles
 
 
@@ -184,11 +184,11 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
 
     _, inverse, mirrored = _canonical_frame(va, vb, r)
     out = []
-    for corner, posed in _corners(a, b, c, params).items():
-        mapped = [inverse(*v) for v in posed]
+    for posed in quad_vertices(a, b, c, params):
+        mapped = [inverse(*v.xy) for v in posed.vertices]
         if mirrored:
             mapped.reverse()
-        out.append(Quadrangle(tuple(mapped), id=t.id, corner=corner))
+        out.append(Quadrangle(tuple(mapped), id=t.id, corner=posed.corner))
     return tuple(out)
 
 
@@ -228,7 +228,8 @@ def _parse_tile(obj):
 
 def parse(text: str):
     """(kind, parameters, polygons) of a document, every tile line read
-    through ``json`` and built as a validated polygon."""
+    through ``json`` and built as a validated polygon, an id seen twice
+    refused at its second line."""
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise DocumentError("empty document")
@@ -251,6 +252,13 @@ def parse(text: str):
         if len(tile.vertices) != n:
             raise DocumentError(f"{kind} documents hold {n}-vertex tiles; "
                                 f"tile {tile_label(tile)} has {len(tile.vertices)}")
+    seen = {}
+    for number, tile in zip([n for n, ln in enumerate(text.split("\n"), 1) if ln][1:], tiles):
+        key = (tile.id, getattr(tile, "corner", None))
+        if key in seen:
+            raise DocumentError(f"duplicate tile id {tile_label(tile)} on lines "
+                                f"{seen[key]} and {number}")
+        seen[key] = number
     return kind, parameters, tiles
 
 

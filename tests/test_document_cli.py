@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -378,6 +381,26 @@ def test_documents_refuse_tile_ids_that_are_not_integers(tmp_path):
         with pytest.raises(DocumentError):
             read_document(path)
         assert run_cli("verify", "--in", str(path)) == 2
+
+
+def test_verify_refuses_a_repeated_tile_id(tmp_path, capsys):
+    path = tmp_path / "strip.tiles"
+    assert run_cli("gen-strip", "--y0", "0.004", "--cols", "3", "--out", str(path)) == 0
+    lines = path.read_text().split("\n")
+    lines[2] = lines[1]
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(path), "--check", "area") == 2
+    assert "duplicate tile id 0/-3/1 on lines 2 and 3" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_network_stack_out():
+    code = ("import sys, fairtile.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_render(plane_doc, tmp_path):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fairtile.errors import (
+    DegeneratePolygon,
     DegenerateTriangle,
     EdgeOutOfRange,
+    InvalidParameter,
     NoConvergence,
     NonConvexOutput,
     OutOfBasin,
@@ -28,6 +30,9 @@ from fairtile.quadsplit import (
     FAIR,
     P0,
     FairSplitParams,
+    _corners,
+    _fd_jacobian,
+    _probe,
     _singular,
     _split_residual,
     _well_conditioned,
@@ -125,6 +130,17 @@ def test_shared_interior_vertex_is_bit_identical():
     params = solve_fair_split(1.004, 0.998, 0.995)
     q1, q2, q3 = quad_vertices(1.004, 0.998, 0.995, params)
     assert q1.vertices[2] == q2.vertices[3] == q3.vertices[0]
+
+
+def test_split_parameters_are_python_floats():
+    params = solve_fair_split(1.004, 0.998, 0.995)
+    fields = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
+    assert all(type(v) is float for v in fields)
+    assert [v.hex() for v in fields] == [
+        "0x1.afbadb73c0487p-2", "0x1.ae2223913e95bp-2", "0x1.ab633d5c49514p-2",
+        "0x1.52bfe34fcf910p-2", "0x1.57a00ba3f2d3ep-2"]  # the bits numpy scalars carried
+    m = quad_vertices(1.004, 0.998, 0.995, params)[0].vertices[2]
+    assert type(m.x) is float and type(m.y) is float
 
 
 def test_perturbed_split_residuals():
@@ -330,6 +346,77 @@ def test_solve_fair_split_matches_the_numpy_newton_oracle():
         got = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
         assert params.iterations == iterations
+
+
+def _quad_verdict(vertices):
+    """None if ``vertices`` make a convex :class:`Quadrangle`, else the error."""
+    try:
+        q = Quadrangle(tuple(Point(*v) for v in vertices))
+    except DegeneratePolygon as e:
+        return str(e)
+    return None if is_convex(q, 1e-12) else "non-convex"
+
+
+def test_probe_accepts_exactly_what_the_quadrangle_rules_accept():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(4000):  # small grid quadrangles: repeated, collinear, clockwise, crossing
+        scale = rng.choice([1.0, 3e-7])  # at 3e-7 every turn lies within the 1e-12 tolerance
+        v = tuple((scale * rng.randint(0, 3), scale * rng.randint(0, 3)) for _ in range(4))
+        want = _quad_verdict(v)
+        assert _probe([v]) == (want is None), v
+        verdicts.add(want if want is None or "area" not in want else "area")
+    assert len(verdicts) == 6
+    for d in (-3e-12, -6e-13, -4e-13, 0.0, 4e-13, 6e-13, 3e-12):  # one turn of -2d
+        v = ((0.0, 0.0), (1.0, d), (2.0, 0.0), (1.0, 1.0))
+        assert _probe([v]) == (_quad_verdict(v) is None) == (d < 5e-13), d
+
+
+def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
+    import fairtile.quadsplit as quadsplit
+
+    rng = random.Random(23)
+    outcomes = {"accepted": 0, "refused": 0}
+    for _ in range(3000):
+        a, b, c = (rng.uniform(0.8, 1.2) for _ in range(3))
+        spread = rng.choice([0.02, 0.1, 0.3, 0.6])
+        al, be, ga = (FAIR.alpha0 + rng.uniform(-spread, spread) for _ in range(3))
+        try:
+            top = apex(a, b, c).xy
+            params = FairSplitParams(al, be, ga, *xi_eta(al, be, ga))
+        except (DegenerateTriangle, SingularDenominator, InvalidParameter):
+            continue
+        try:
+            quad_vertices(a, b, c, params)
+            want = None
+        except NonConvexOutput as e:
+            want = str(e)
+        assert _probe(_corners(a, *top, al, be, ga, params.xi, params.eta)) == (want is None)
+        # the solver, landing on these parameters, accepts or raises the same
+        monkeypatch.setattr(quadsplit, "newton3", lambda r, x0: (np.array([al, be, ga]), 0))
+        try:
+            assert solve_fair_split(a, b, c) == params and want is None
+        except NonConvexOutput as e:
+            assert str(e) == want
+        outcomes["accepted" if want is None else "refused"] += 1
+    assert min(outcomes.values()) > 300
+
+
+def test_fd_jacobian_steps_through_the_oracle_points():
+    points = []
+
+    def residual(u):
+        points.append([float(v).hex() for v in u])
+        return (u[0] * u[1], u[2] - u[0], math.copysign(1.0, u[1]) + u[2])
+
+    for x in ([-0.0, 0.0, 0.4], [0.0, -0.0, -0.0], [0.25, -2.5, 1e-300]):
+        points.clear()
+        got = [[float(v).hex() for v in row] for row in _fd_jacobian(residual, x, 1e-7)]
+        traced = list(points)
+        points.clear()
+        want = oracles.fd_jacobian(residual, np.array(x), 1e-7)
+        assert traced == points  # raised, -0.0 becomes 0.0; lowered, it stays -0.0
+        assert got == [[v.hex() for v in row] for row in want.tolist()]
 
 
 def _traced_outcome(solver, residual, x0):

@@ -1,7 +1,7 @@
 """The array tile record: bit for bit against the object builders it
 replaced, its refusals against the polygon constructors, the document
-parser against the per-line ``json`` parser, no polygon objects on the
-strip path, and only the convexity probe's on the quadify path."""
+parser against the per-line ``json`` parser, and no polygon objects on the
+strip and quadify paths."""
 
 import json
 import math
@@ -128,17 +128,26 @@ def test_record_split_names_the_failing_tile():
     assert info.value.tile_id is None and isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
-def test_quadify_builds_only_the_probe_quadrangles(gate_texts, monkeypatch):
+def test_quadify_builds_no_polygon_objects(gate_texts, monkeypatch):
     tiles = document.parse(gate_texts["plane"]).tiles
-    built = dict.fromkeys(["Triangle", "TileId", "Quadrangle"], 0)
-    for cls in (Triangle, TileId, Quadrangle):
+    built = dict.fromkeys(["Point", "Triangle", "TileId", "Quadrangle"], 0)
+    for cls in (Point, Triangle, TileId, Quadrangle):
         def counted(self, _check=cls.__post_init__, _name=cls.__name__):
             built[_name] += 1
             _check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     quads = quadify_plane(tiles)
     assert len(tiles) == 972 and len(quads) == 2916
-    assert built == {"Triangle": 0, "TileId": 0, "Quadrangle": 3 * len(tiles)}
+    assert built == {"Point": 0, "Triangle": 0, "TileId": 0, "Quadrangle": 0}
+
+
+def test_gate_plane_and_its_mirror_image_split_as_the_object_split(gate_texts):
+    tiles = document.parse(gate_texts["plane"]).tiles
+    assert len(tiles) == 972
+    for xy in (0.5 * tiles.xy, 0.5 * tiles.xy[:, ::-1] * [-1.0, 1.0]):  # x -> -x turns each pose
+        scaled = Tiles(xy, tiles.row, tiles.col, tiles.slot)
+        want = [q for i in range(len(scaled)) for q in oracles.fair_split(scaled[i])]
+        assert _table(fair_split(scaled)) == _object_table(want)
 
 
 def test_parsed_documents_match_the_json_parser(gate_texts):
@@ -248,7 +257,7 @@ def _small_texts():
     plane = pipeline.build_plane(0.05, 4, 1, 1).doc
     quads = pipeline.quad_document(quadify_plane(Tiles.of(list(plane.tiles)[:3])), plane)
     return [document.serialize(pipeline.strip_document(strip_tiling(0.2, 1))),
-            document.serialize(quads)]
+            document.serialize(quads), document.serialize(plane)]
 
 
 _TEXTS = _small_texts()
@@ -327,6 +336,22 @@ def test_parse_agrees_with_the_json_parser_on_mutated_lines(data):
         lines[0] = lines[0].replace(*edit)
     mutated = "\n".join(lines)
     assert _outcome_of_parse(mutated) == _outcome_of_oracle(mutated)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_refuses_a_repeated_tile_id(data):
+    lines = data.draw(st.sampled_from(_TEXTS)).split("\n")
+    src, dst = data.draw(st.lists(st.integers(1, len(lines) - 2), min_size=2, max_size=2,
+                                  unique=True))
+    # the copy in template form, or in json form, which sends every line through json
+    lines[dst] = lines[src].replace(",", ", ") if data.draw(st.booleans()) else lines[src]
+    tid = json.loads(lines[src])["id"]
+    label = "/".join(str(tid[k]) for k in ("row", "col", "slot", "corner") if k in tid)
+    with pytest.raises(document.DocumentError) as info:
+        document.parse("\n".join(lines))
+    assert str(info.value) == (f"duplicate tile id {label} on lines {min(src, dst) + 1} "
+                               f"and {max(src, dst) + 1}")
 
 
 def test_ids_beyond_64_bits_are_refused_on_both_paths():
