@@ -17,7 +17,6 @@ from .assembly import (
     stack_plane,
 )
 from .congruence import (
-    ShearRootSet,
     bad_shear_set,
     equilateral_shear_set,
 )

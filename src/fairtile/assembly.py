@@ -1,5 +1,6 @@
-"""Scaling the strip tiling to the equilateral regime, certified shear
-selection, and stacking sheared strip copies into a tiling of the plane.
+"""Scaling the strip tiling to the equilateral regime, shear selection by
+the incongruence margin each draw produces, and stacking sheared strip
+copies into a tiling of the plane.
 
 The vertical stretch by sqrt(3) turns the unit strip into
 R x [-sqrt(3), sqrt(3)] and every unit-area tile into a near-equilateral
@@ -7,10 +8,13 @@ triangle of area sqrt(3).  Stacked rows are copies of one base strip, each
 sheared by its own small parameter mu_n; odd rows are additionally
 reflected through the horizontal axis, and every row is translated so that
 consecutive strips share their boundary vertices exactly.  The shear
-parameters are drawn from nested intervals (so the total horizontal drift
-2*sqrt(3)*sum|mu_n| stays under the closeness budget) and certified against
-the finite collision sets of the window: no co-sheared pair congruent, no
-tile congruent to a tile of an earlier row, no tile equilateral.
+parameters are drawn from nested intervals, so the total horizontal drift
+2*sqrt(3)*sum|mu_n| stays under the closeness budget.  A draw is kept when
+the sheared row is incongruent, by more than a stated floor, to itself and
+to every row fixed before it, and when no tile of it can be equilateral.
+Reflection and translation leave a tile's signature unchanged, so the
+rows are compared sheared but unplaced, and the finished plane's
+incongruence margin is the smallest margin a row was accepted with.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, bad_shear_set, equilateral_shear_set,
-                         halfturn_key, halfturn_variants, match_roots, pair_shear_roots)
+                         halfturn_key, halfturn_variants, signature_key, signature_variants)
 from .errors import BoundaryMismatch, ExhaustedRetries, InvalidParameter
 from .geometry import Tiles
 from .strip import StripTiling, flat_vertices, window_tiles
 
 __all__ = [
     "SQRT3",
+    "MARGIN_FLOOR",
     "StripTransform",
     "PlaneTiling",
     "scale_to_equilateral",
@@ -42,15 +47,12 @@ SQRT3 = math.sqrt(3.0)
 
 _BOUNDARY_TOL = 1e-9
 
-# root-avoidance margins tried largest first: window tiles are all nearly
-# congruent, so collision roots pile up densely near 0 and the feasible
-# margin depends on the window; the floor matches the signature quantum
-_MARGIN_CAP = 1e-6
-_MARGIN_FLOOR = 1e-9
-_MARGIN_STEP = 8.0
-_DRAWS_PER_MARGIN = 1000
-_PAIR_BLOCK = 4096  # tile pairs per static-root pass
-_CROSS_BLOCK = 1 << 15  # quadratics per cross-row root pass
+# a draw is accepted when its row's incongruence margin exceeds four
+# quanta of the plane check, and it lies a quantum or more from every shear
+# at which a base tile could turn equilateral; a row that no draw of
+# _DRAWS_PER_ROW clears is refused
+MARGIN_FLOOR = 4.0 * DEFAULT_QUANTUM
+_DRAWS_PER_ROW = 64
 
 
 @dataclass(frozen=True)
@@ -109,29 +111,20 @@ def row_order(count: int) -> list[int]:
     return [0, *(sign * k for k in range(1, count) for sign in (1, -1))][:count]
 
 
-def _gaps(roots: list[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """Distance from each value to the nearest root in any of the sorted root
-    arrays, which need no merging; infinite where they hold none."""
-    gap = np.full(len(values), math.inf)
-    for r in (r for r in roots if r.size):
-        idx = np.searchsorted(r, values)
-        gap = np.minimum(gap, np.minimum(np.abs(r[np.maximum(idx - 1, 0)] - values),
-                                         np.abs(r[np.minimum(idx, r.size - 1)] - values)))
-    return gap
-
-
 def select_shears(base: StripTiling, count: int, epsilon: float,
-                  rng: random.Random) -> list[float]:
-    """Draw and certify the shear parameters for ``count`` copies of the base.
+                  rng: random.Random, accepted: list | None = None) -> list[float]:
+    """Draw the shear parameters for ``count`` copies of the base.
 
-    Parameter n is drawn from ``rng`` in
+    Parameter n is drawn by ``rng.uniform`` from
     (-2^-n * eps/(2*sqrt(3)), +2^-n * eps/(2*sqrt(3))) so the stacked drift
-    stays under eps, and is redrawn until it clears
-    every collision root of the window by a positive margin: the co-shear
-    and equilateral roots of the base, and the match roots against all
-    previously fixed rows.  A pair of base tiles that agrees up to
-    translation or half-turn admits no certified shear and raises
-    :class:`DegeneratePair`.
+    stays under eps.  A draw is accepted when the base sheared by it has
+    signature margin above :data:`MARGIN_FLOOR` within itself and against
+    every row fixed before it, and it clears every equilateral shear of a
+    base tile by 1e-9.  ``(draws, margin)`` of each accepted row is
+    appended to ``accepted`` when one is given.  A row that no draw of
+    ``_DRAWS_PER_ROW`` clears raises :class:`ExhaustedRetries`, and a pair
+    of base tiles that agrees up to translation or half-turn, which no
+    shear separates, raises :class:`DegeneratePair`.
     """
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
@@ -142,56 +135,35 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
     _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
-
-    ev = tiles.edges()  # (N, 3, 2)
-    # every draw lies in [-half_1, half_1] and every margin is at most
-    # _MARGIN_CAP, so a root r with |r| > half_1 + _MARGIN_CAP rejects no
-    # draw: were it the nearest root, the gap would clear every margin, and
-    # the gap to the nearest root kept is no smaller.  The second _MARGIN_CAP
-    # absorbs the rounding of the draw and of |r - draw|; every nearer root
-    # is kept, so each verdict is the one the full root set gives.
-    reach = 0.5 * epsilon / (2.0 * SQRT3) + 2.0 * _MARGIN_CAP
     equilateral = equilateral_shear_set(tiles)
-    a, b = np.triu_indices(len(tiles), 1)
-    static = [equilateral[np.abs(equilateral) <= reach]] + [
-        pair_shear_roots(ev[a[k:k + _PAIR_BLOCK]], ev[b[k:k + _PAIR_BLOCK]], reach)
-        for k in range(0, len(a), _PAIR_BLOCK)]
-    roots = [np.sort(np.concatenate(static))]  # and one sorted array per fixed row
+    equilateral = equilateral[~np.isnan(equilateral)]
 
+    x, y = tiles.xy[..., 0], tiles.xy[..., 1]
+    fixed = np.empty((0, 6, 6))  # the signature rows of the accepted rows
     chosen: list[float] = []
     for n in range(1, count + 1):
         half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
-        margins = [min(_MARGIN_CAP, half / 20.0)]
-        while margins[-1] / _MARGIN_STEP > _MARGIN_FLOOR:
-            margins.append(margins[-1] / _MARGIN_STEP)
-        margins.append(_MARGIN_FLOOR)
-        margins.sort(reverse=True)  # intervals narrower than the floor still try it first
-        for margin in margins:
-            # the level's draws of rng.uniform (a + (b - a) * random()) in one gap pass;
-            # a hit rewinds rng to just after the first accepted draw: the same stream
-            state = rng.getstate()
-            draws = -half + (half - -half) * np.array([rng.random()
-                                                       for _ in range(_DRAWS_PER_MARGIN)])
-            hit = np.flatnonzero(_gaps(roots, draws) >= margin)
-            if hit.size:
-                rng.setstate(state)
-                for _ in range(int(hit[0]) + 1):
-                    rng.random()
+        best = 0.0
+        for draw in range(1, _DRAWS_PER_ROW + 1):
+            mu = rng.uniform(-half, half)
+            if np.any(np.abs(equilateral - mu) < DEFAULT_QUANTUM):
+                continue
+            sheared = Tiles(np.stack([x + mu * y, y], -1))
+            margin, _ = aligned_sweep(sheared, signature_variants, signature_key,
+                                      DEFAULT_QUANTUM, fixed)
+            if margin > MARGIN_FLOOR:
                 break
+            best = max(best, margin)
         else:
             raise ExhaustedRetries(
-                f"no shear for row parameter {n} clears the collision roots by "
-                f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
-                f"(window too dense for epsilon={epsilon})")
-        mu = float(draws[hit[0]])
+                f"no shear for row parameter {n} (strip row {row_order(count)[n - 1]}) "
+                f"clears the incongruence floor "
+                f"{MARGIN_FLOOR:.0e} within {_DRAWS_PER_ROW} draws (best margin {best:.3e}; "
+                f"window too dense for epsilon={epsilon})")
         chosen.append(mu)
-        if n < count:
-            # later rows must also avoid matching this row's sheared edges
-            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]],
-                               axis=-1).reshape(1, -1, 2)
-            step = max(1, _CROSS_BLOCK // sheared.shape[1])
-            roots.append(np.sort(np.concatenate([match_roots(ev[k:k + step], sheared, reach)
-                                                 for k in range(0, len(ev), step)])))
+        if accepted is not None:
+            accepted.append((draw, margin))
+        fixed = np.concatenate([fixed, signature_variants(sheared)])
     return chosen
 
 

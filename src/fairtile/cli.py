@@ -64,10 +64,21 @@ def _cmd_gen_strip(args) -> int:
     return EXIT_OK
 
 
-def _write_build(build: pipeline.Build, out: str, refusal: str, label: str) -> int:
-    """Print the build's reports, then write its document if every check passed."""
+def _write_reports(reports, path: str | None) -> None:
+    """Write the reports as JSON to ``path``, when one is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _write_build(build: pipeline.Build, out: str, refusal: str, label: str,
+                 json_path: str | None = None) -> int:
+    """Print the build's reports (and write them to ``json_path``), then write
+    its document if every check passed."""
     for r in build.reports:
         _print_report(r)
+    _write_reports(build.reports, json_path)
     if not build.passed:
         print(refusal, file=sys.stderr)
         return EXIT_GENERATION
@@ -88,7 +99,7 @@ def _cmd_gen_plane(args) -> int:
     build = pipeline.build_plane(args.epsilon, args.seed, args.rows, args.cols)
     return _write_build(build, args.out, "generation failed verification; no document written",
                         f"plane document: epsilon={document.fmt17(args.epsilon)}, "
-                        f"seed={args.seed}, ")
+                        f"seed={args.seed}, ", args.json)
 
 
 def _cmd_quadify(args) -> int:
@@ -102,10 +113,7 @@ def _cmd_verify(args) -> int:
     reports = pipeline.run_checks(doc, args.check)
     for r in reports:
         _print_report(r)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
@@ -141,6 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True, help="number of strip rows")
     p.add_argument("--cols", type=int, required=True, help="columns on each side of the axis")
     p.add_argument("--out", required=True)
+    p.add_argument("--json", help="also write the reports, shear rows included, to this path")
     p.set_defaults(func=_cmd_gen_plane)
 
     p = sub.add_parser("quadify", help="subdivide a plane document into fair quadrangles")

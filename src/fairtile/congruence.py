@@ -1,6 +1,6 @@
-"""The alignment rows and keys of the pairwise incongruence sweep, and the
-shear parameters at which given triangles can collide into congruent or
-equilateral shapes.
+"""The alignment rows and keys of the pairwise incongruence sweep, the
+refusal of tile pairs that no shear separates, and the shear parameters at
+which given triangles could turn equilateral.
 
 Two congruence relations appear side by side:
 
@@ -19,23 +19,19 @@ boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, InvalidParameter, NoUnequalHeights
+from .errors import DegeneratePair, NoUnequalHeights
 from .geometry import Tiles, Triangle
 
 __all__ = [
-    "ShearRootSet",
     "signature_variants",
     "halfturn_variants",
     "signature_key",
     "halfturn_key",
     "window_pairs",
     "aligned_sweep",
-    "match_roots",
-    "pair_shear_roots",
     "bad_shear_set",
     "equilateral_shear_set",
 ]
@@ -123,7 +119,7 @@ def window_pairs(keys: np.ndarray, upper: np.ndarray):
         yield s, s + 1 + flat - (ends[s] - counts[s])
 
 
-def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float):
+def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float, fixed=None):
     """Smallest aligned distance over all tile pairs, and every pair within
     ``quantum``.
 
@@ -134,33 +130,30 @@ def aligned_sweep(tiles: Tiles, rows_of, key_of, quantum: float):
     seeded from neighbours in that order, only pairs within
     ``w = max(best, quantum)`` in key distance are compared: they hold the
     closest pair and every collision.
+
+    ``fixed`` holds the rows of tiles already swept among themselves.  Only
+    the pairs with a tile of ``tiles`` then count, against each other and
+    against ``fixed``; pairs are indexed with the ``fixed`` tiles first.
     """
-    margin, collisions, m = math.inf, [], len(tiles)
     variants = rows_of(tiles)
+    k = 0 if fixed is None else len(fixed)
+    if k:
+        variants = np.concatenate([fixed, variants])
+    margin, collisions = math.inf, []
     keys = key_of(variants)
     order = np.argsort(keys[:, 0], kind="stable")
     keys, first = keys[order], keys[order, 0]
-    *_, d = _distances(variants, order, np.arange(m - 1), np.arange(1, m))
+    s = np.flatnonzero(np.maximum(order[:-1], order[1:]) >= k)  # neighbours that count
+    *_, d = _distances(variants, order, s, s + 1)
     w = max(float(np.min(d, initial=math.inf)), quantum)
     # pairs s < t within the window, widened against rounding
     for s, t in window_pairs(first, first + 2.0 * w):
-        near = np.max(np.abs(keys[s] - keys[t]), axis=1) <= w
+        near = ((np.max(np.abs(keys[s] - keys[t]), axis=1) <= w)
+                & (np.maximum(order[s], order[t]) >= k))
         a, b, d = _distances(variants, order, s[near], t[near])
         margin = min(margin, float(np.min(d, initial=math.inf)))
         collisions.extend(zip(a[d <= quantum].tolist(), b[d <= quantum].tolist()))
     return margin, sorted(collisions)
-
-
-@dataclass(frozen=True)
-class ShearRootSet:
-    """Real shear parameters at which a congruence collision can occur.
-
-    Away from every root (the sets are finite), the sheared configuration
-    is certified free of the collision the set was derived for.  Each root
-    satisfies its defining quadratic to 1e-9.
-    """
-
-    roots: tuple[float, ...]
 
 
 def _roots(a, b, c) -> np.ndarray:
@@ -188,25 +181,6 @@ def _roots(a, b, c) -> np.ndarray:
     return np.stack([np.where(quadratic, lo, linear), np.where(quadratic, hi, np.nan)], axis=-1)
 
 
-def _reachable(a, b, c, reach: float) -> np.ndarray:
-    """Where a*mu^2 + b*mu + c may have a root :func:`_within` keeps for
-    ``reach``, or one deciding which of those :func:`_dedup` keeps.  Proof: a
-    dedup chain steps at most 1e-9 through at most 12 roots, so deciding roots
-    lie within rho = reach + 1.1e-8; roots r1, r2 with |r2| <= rho give |c| =
-    |a r1 r2| <= rho (|b| + |a| rho), a linear root gives |c| <= rho |b|.
-    Rounded (p = b/a, q = c/a): a clamped double root -p/2 has |q| < rho |p|/2
-    + 1e-12, absorbed by |a|*2e-12; a far root -p/2 -+ sqrt(p*p/4 - q) and its
-    partner q/far err by 1e-8 relative at most, absorbed by R > rho.  Where p
-    or p*p/4 may overflow (|b| or |c| > 1e150 |a|) an infinite far root gives
-    a spurious partner 0: kept, as NaN coefficients are (false comparisons)."""
-    R = reach * (1.0 + 1e-6) + 1.2e-8
-    a, b, c = np.abs(a), np.abs(b), np.abs(c)
-    with np.errstate(invalid="ignore", over="ignore"):
-        beyond = c > R * (a * R + b) + a * 2e-12
-        wild = (a > _LEADING_EPS) & (np.maximum(b, c) > 1e150 * a)
-    return ~beyond | wild
-
-
 def _dedup(roots: np.ndarray) -> np.ndarray:
     """Each row of roots ascending, with NaN for absent roots and for roots
     within 1e-9 of the last root kept."""
@@ -219,80 +193,19 @@ def _dedup(roots: np.ndarray) -> np.ndarray:
     return s
 
 
-def _match_coefficients(ev: np.ndarray, ev_fixed: np.ndarray):
-    """The quadratics of :func:`match_roots`: ``a`` and ``b`` (N, 1), ``c`` (N, M)."""
-    e0 = ev[np.arange(len(ev)), np.argmax(np.abs(ev[:, :, 1]), axis=1)]
-    if np.any(np.abs(e0[:, 1]) <= _LEADING_EPS):
-        raise InvalidParameter("triangle has no edge with nonzero height")
-    x0, y0 = e0[:, 0:1], e0[:, 1:2]
-    fx, fy = ev_fixed[..., 0], ev_fixed[..., 1]
-    return y0 * y0, 2.0 * x0 * y0, x0 * x0 + y0 * y0 - (fx * fx + fy * fy)
+def bad_shear_set(t: Triangle, u: Triangle) -> float:
+    """Refuse a pair of triangles that no shear separates.
 
-
-def _within(roots: np.ndarray, reach: float) -> np.ndarray:
-    """The roots at most ``reach`` from 0, flattened; absent (NaN) roots go too."""
-    roots = roots.ravel()
-    return roots[np.abs(roots) <= reach]
-
-
-def match_roots(ev: np.ndarray, ev_fixed: np.ndarray, reach: float) -> np.ndarray:
-    """Shear parameters at which each sheared triangle of ``ev`` (edge
-    vectors, shape (N, 3, 2)) can match a length of ``ev_fixed`` (shape
-    (N, M, 2) or (1, M, 2)): the real roots at most ``reach`` from 0,
-    ascending for each (triangle, fixed edge), flattened in that order.
-
-    The certificate is the edge of largest |height|, the first on ties:
-    outside the roots it differs in length from every fixed edge.
-    """
-    a, b, c = _match_coefficients(ev, ev_fixed)
-    i, j = np.nonzero(_reachable(a, b, c, reach))
-    return _within(_roots(a[i, 0], b[i, 0], c[i, j]), reach)
-
-
-def pair_shear_roots(ev_t: np.ndarray, ev_u: np.ndarray, reach: float) -> np.ndarray:
-    """Shear parameters at which t[i] and u[i] can collide into congruent
-    images, for edge-vector arrays of shape (N, 3, 2) or (1, 3, 2).
-
-    Covers the pair sheared together (co-shear roots) and sheared t against
-    u left fixed (match roots): each pair's roots ascending, without repeats
-    within 1e-9, those at most ``reach`` from 0, flattened in pair order.
-    """
-    ev_t, ev_u = np.broadcast_arrays(ev_t, ev_u)
-    n = len(ev_t)
-    # the co-shear certificate edge of t must be a translate of none of u's
-    # edges; pick the one farthest, up to sign (segments are unoriented),
-    # from all of them so its quadratics stay well scaled (gap[i, j] of t's
-    # edge i and u's edge j, pairs last: numpy is slow on short inner axes)
-    tx, ty, ux, uy = *ev_t.T, *ev_u.T
-    gap = np.minimum(np.maximum(np.abs(tx[:, None] - ux), np.abs(ty[:, None] - uy)),
-                     np.maximum(np.abs(tx[:, None] + ux), np.abs(ty[:, None] + uy)))
-    e0 = ev_t[np.arange(n), np.argmax(np.minimum(np.minimum(gap[:, 0], gap[:, 1]), gap[:, 2]), 0)]
-    x0, y0 = e0[:, 0:1], e0[:, 1:2]
-    fx, fy = ev_u[..., 0], ev_u[..., 1]
-    coshear = (y0 * y0 - fy * fy, 2.0 * (x0 * y0 - fx * fy), x0 * x0 + y0 * y0 - fx * fx - fy * fy)
-    a, b, c = (np.concatenate(np.broadcast_arrays(co, m), axis=1)
-               for co, m in zip(coshear, _match_coefficients(ev_t, ev_u)))
-    keep = _reachable(a, b, c, reach)
-    roots = np.full((n, 6, 2), np.nan)
-    roots[keep] = _roots(a[keep], b[keep], c[keep])
-    return _within(_dedup(roots[keep.any(axis=1)].reshape(-1, 12)), reach)
-
-
-def bad_shear_set(t: Triangle, u: Triangle) -> ShearRootSet:
-    """Shear parameters at which t and u can collide into congruent images.
-
-    Covers both collision modes: the pair sheared together, and sheared t
-    against u left fixed.  Outside the returned roots both are certified
-    non-congruent.  If t and u agree up to translation/half-turn (within
+    If t and u agree up to translation/half-turn (within
     :data:`DEFAULT_QUANTUM`), every shear keeps them congruent and
-    :class:`DegeneratePair` is raised.
+    :class:`DegeneratePair` is raised; otherwise their half-turn distance
+    is returned.
     """
     pair = Tiles(np.array([[v.xy for v in p.vertices] for p in (t, u)]))
     margin, _ = aligned_sweep(pair, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if margin <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")
-    ev = pair.edges()
-    return ShearRootSet(roots=tuple(pair_shear_roots(ev[:1], ev[1:], math.inf).tolist()))
+    return margin
 
 
 def equilateral_shear_set(tiles: Tiles) -> np.ndarray:

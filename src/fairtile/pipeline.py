@@ -157,14 +157,23 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> Build:
     rng = random.Random(seed)
     _, base = sample_certified_y0(rng, cols, epsilon)
     scaled = assembly.scale_to_equilateral(base)
-    shears = assembly.select_shears(scaled, rows, epsilon, rng)
+    accepted: list[tuple[int, float]] = []
+    shears = assembly.select_shears(scaled, rows, epsilon, rng, accepted)
     doc = plane_document(assembly.stack_plane(scaled, shears, rows), epsilon, seed)
 
+    # one subreport per row: the margin its shear was accepted with, and the
+    # draws it took; the smallest of these margins is the plane's own
+    swept = len(window_tiles(scaled))
+    row_reports = tuple(verify.VerificationReport(
+        check_name=f"shear-row-{n}", passed=margin > assembly.MARGIN_FLOOR,
+        worst_residual=None, margin=margin, offenders=(), tiles_checked=n * swept,
+        tolerance_used=assembly.MARGIN_FLOOR, note=f"accepted at draw {draws}")
+        for n, (draws, margin) in enumerate(accepted, start=1))
     budget = sum(2.0 * assembly.SQRT3 * abs(m) for m in shears)
     budget_report = verify.VerificationReport(
         check_name="shear-budget", passed=budget < epsilon, worst_residual=None,
         margin=epsilon - budget, offenders=(), tiles_checked=len(shears),
-        tolerance_used=epsilon)
+        tolerance_used=epsilon, subchecks=row_reports)
     return Build(doc=doc, reports=run_checks(doc) + (budget_report,))
 
 

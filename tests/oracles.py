@@ -3,9 +3,9 @@ per-pair congruence distances that :func:`fairtile.congruence.aligned_sweep`
 replaced, the per-polygon alignment rows that the batched row builders
 replaced, the numpy Newton iteration that :func:`fairtile.quadsplit.newton3`
 replaced, the elementary plane maps that :class:`StripTransform`
-composes into one placement, the shear selection on unfiltered root sets
-that the blocked, reach-filtered one replaced, and the ``json.dumps``
-document serializer that the tile-line template replaced, the slot
+composes into one placement, the shear selection that sweeps every pair of
+the rows drawn so far (the package sweeps only the pairs with a tile in
+the new row), and the ``json.dumps`` document serializer that the tile-line template replaced, the slot
 chain that built one strip tile at a time before the window became one
 vertex array, the object builders and document parser that the array
 tile record (:class:`fairtile.geometry.Tiles`) replaced, and the fair
@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from fairtile.assembly import _DRAWS_PER_MARGIN, _MARGIN_CAP, _MARGIN_FLOOR, _MARGIN_STEP, SQRT3
-from fairtile.congruence import (_LEADING_EPS, DEFAULT_QUANTUM, ShearRootSet, _dedup, _roots,
-                                 aligned_sweep, bad_shear_set, halfturn_key, halfturn_variants,
-                                 match_roots, pair_shear_roots)
+from fairtile.assembly import _DRAWS_PER_ROW, MARGIN_FLOOR, SQRT3, row_order
+from fairtile.congruence import (_LEADING_EPS, DEFAULT_QUANTUM, _dedup, _roots, aligned_sweep,
+                                 bad_shear_set, halfturn_key, halfturn_variants, signature_key,
+                                 signature_variants)
 from fairtile.document import FORMAT_VERSION, KINDS, fmt17
 from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentError,
                              EdgeOutOfRange, ExhaustedRetries, FairtileError, InvalidParameter,
@@ -380,24 +380,7 @@ def reflect_x(p):
     return with_vertices(p, reversed([Point(v.x, -v.y) for v in p.vertices]))
 
 
-def gap_to_roots(roots: np.ndarray, value: float) -> float:
-    """Distance from value to the nearest of the sorted, non-empty roots."""
-    idx = int(np.searchsorted(roots, value))
-    return float(np.min(np.abs(roots[max(idx - 1, 0):idx + 1] - value)))
-
-
-def margin_ladder(half: float) -> list[float]:
-    """Root-avoidance margins of a row whose draws lie in (-half, half),
-    in the order they are tried."""
-    margins = [min(_MARGIN_CAP, half / 20.0)]
-    while margins[-1] / _MARGIN_STEP > _MARGIN_FLOOR:
-        margins.append(margins[-1] / _MARGIN_STEP)
-    margins.append(_MARGIN_FLOOR)
-    margins.sort(reverse=True)
-    return margins
-
-
-def equilateral_shear_set(t: Triangle) -> ShearRootSet:
+def equilateral_shear_set(t: Triangle) -> tuple[float, ...]:
     """Shear parameters at which the sheared triangle could be equilateral.
 
     Uses the edge-vector pair with the largest height difference; outside
@@ -412,50 +395,41 @@ def equilateral_shear_set(t: Triangle) -> ShearRootSet:
         raise NoUnequalHeights("every edge-vector pair has equal |y| components")
     row = _dedup(_roots(y1 * y1 - y2 * y2, 2.0 * (x1 * y1 - x2 * y2),
                         x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2))
-    return ShearRootSet(roots=tuple(row[~np.isnan(row)].tolist()))
+    return tuple(row[~np.isnan(row)].tolist())
 
 
-def select_shears(base, count: int, epsilon: float, rng, root_sets=None) -> list[float]:
-    """The shear selection on every root: one static-root call per tile
-    against all later tiles, and each fixed row's cross-row roots as one
-    (N, 3N) array, none of them discarded.  The sorted root set each row
-    draws against is appended to ``root_sets`` when one is given."""
+def select_shears(base, count: int, epsilon: float, rng) -> list[float]:
+    """The shear selection on whole planes: a draw is accepted when one sweep
+    over every pair of the rows sheared so far, its own row included, has
+    signature margin above the floor, and it clears the equilateral roots
+    of each triangle, solved one triangle at a time.  The earlier rows'
+    pairs all cleared the floor, so the verdicts, and a refusal's best
+    margin, are those of sweeping only the pairs with a tile in the new row."""
     tiles = window_triangles(base)
     _, collisions = aligned_sweep(Tiles.of(tiles), halfturn_variants, halfturn_key,
                                   DEFAULT_QUANTUM)
     if collisions:
         bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
-    ev = np.array([edge_vectors(t) for t in tiles])
-    static = []
-    for a, tile in enumerate(tiles):
-        static.append(np.array(equilateral_shear_set(tile).roots))
-        static.append(pair_shear_roots(ev[a:a + 1], ev[a + 1:], math.inf))
-    roots = np.concatenate(static)
-    roots = np.sort(roots[~np.isnan(roots)])
+    equilateral = [r for tile in tiles for r in equilateral_shear_set(tile)]
     chosen = []
     for n in range(1, count + 1):
-        if root_sets is not None:
-            root_sets.append(roots)
         half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
-        mu = None
-        for margin in margin_ladder(half):
-            for _ in range(_DRAWS_PER_MARGIN):
-                cand = rng.uniform(-half, half)
-                if roots.size == 0 or gap_to_roots(roots, cand) >= margin:
-                    mu = cand
-                    break
-            if mu is not None:
+        best = 0.0
+        for _ in range(_DRAWS_PER_ROW):
+            cand = rng.uniform(-half, half)
+            if any(abs(r - cand) < DEFAULT_QUANTUM for r in equilateral):
+                continue
+            rows = Tiles.of(shear(tile, mu) for mu in chosen + [cand] for tile in tiles)
+            margin, _ = aligned_sweep(rows, signature_variants, signature_key, DEFAULT_QUANTUM)
+            if margin > MARGIN_FLOOR:
+                chosen.append(cand)
                 break
-        if mu is None:
+            best = max(best, margin)
+        else:
             raise ExhaustedRetries(
-                f"no shear for row parameter {n} clears the collision roots by "
-                f"{_MARGIN_FLOOR} within {_DRAWS_PER_MARGIN} draws per margin level "
-                f"(window too dense for epsilon={epsilon})")
-        chosen.append(mu)
-        if n < count:
-            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], axis=-1)
-            cross = match_roots(ev, sheared.reshape(1, -1, 2), math.inf)
-            roots = np.sort(np.concatenate([roots, cross[~np.isnan(cross)]]))
+                f"no shear for row parameter {n} (strip row {row_order(count)[n - 1]}) "
+                f"clears the incongruence floor {MARGIN_FLOOR:.0e} within {_DRAWS_PER_ROW} "
+                f"draws (best margin {best:.3e}; window too dense for epsilon={epsilon})")
     return chosen
 
 

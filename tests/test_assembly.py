@@ -18,21 +18,17 @@ from fairtile.assembly import (
     stack_plane,
 )
 from fairtile.congruence import (
-    _within,
     aligned_sweep,
-    bad_shear_set,
     halfturn_key,
     halfturn_variants,
-    match_roots,
-    pair_shear_roots,
     signature_key,
     signature_variants,
 )
 from fairtile.errors import BoundaryMismatch, DegeneratePair, ExhaustedRetries, InvalidParameter
-from fairtile.geometry import Point, TileId, Tiles, Triangle, edge_vectors
+from fairtile.geometry import Point, TileId, Tiles, Triangle
 from fairtile.pipeline import sample_certified_y0
 from fairtile.strip import StripTiling, critical_tiling, strip_tiling, window_tiles
-from fairtile.verify import check_closeness, check_vertex_to_vertex
+from fairtile.verify import check_closeness, check_pairwise_incongruent, check_vertex_to_vertex
 import oracles
 from oracles import area, edge_lengths, ids_of, reflect_x, shear, tile_ids, translate, triangle_at
 
@@ -99,24 +95,58 @@ def test_select_shears_budget_and_determinism():
     assert mus == again
 
 
-def test_selected_shears_clear_root_sets():
-    base = window_base(2)
-    mus = select_shears(base, count=3, epsilon=0.01, rng=random.Random(3))
-    tiles = list(window_tiles(base))
-    for mu in mus:
-        for a in range(len(tiles)):
-            for b in range(a + 1, len(tiles)):
-                gaps = [abs(mu - r) for r in bad_shear_set(tiles[a], tiles[b]).roots]
-                assert min(gaps) >= 1e-9
-    # each row also clears the match roots against every tile of the earlier
-    # rows; shearing the vertices rounds differently from shearing the edge
-    # vectors, which moves the roots by far less than the slack
-    ev = np.array([edge_vectors(t) for t in tiles])
-    for n, mu in enumerate(mus):
-        for earlier in mus[:n]:
-            fixed = np.array([edge_vectors(shear(u, earlier)) for u in tiles])
-            roots = match_roots(ev, fixed.reshape(1, -1, 2), math.inf)
-            assert np.min(np.abs(mu - roots[~np.isnan(roots)])) >= 1e-9 - 1e-13
+def _gate_shears(epsilon, rows, cols, seed):
+    """The scaled gate base, its shears and each row's (draws, margin)."""
+    rng = random.Random(seed)
+    _, strip = sample_certified_y0(rng, cols, epsilon)
+    base, accepted = scale_to_equilateral(strip), []
+    return base, select_shears(base, rows, epsilon, rng, accepted), accepted
+
+
+def test_selected_shears_clear_the_margin_floor():
+    for shape in GATE_SHAPES:
+        _, mus, accepted = _gate_shears(*shape)
+        assert len(accepted) == len(mus) == shape[1]
+        for draws, margin in accepted:
+            assert 1 <= draws <= assembly._DRAWS_PER_ROW
+            assert margin > assembly.MARGIN_FLOOR, shape
+
+
+def test_smallest_row_margin_is_the_plane_margin():
+    # the rows are swept sheared but unplaced; placing rounds each coordinate
+    # once more, by half an ulp of its magnitude, and lengths and angles of
+    # edge-2 triangles move by a few such ulps, so 8 ulps of the largest
+    # coordinate bound the difference (row 0 is placed exactly)
+    for epsilon, rows, cols, seed in GATE_SHAPES:
+        base, mus, accepted = _gate_shears(epsilon, rows, cols, seed)
+        tiles = stack_plane(base, mus, rows).tiles()
+        plane = check_pairwise_incongruent(tiles).margin
+        bound = 8.0 * math.ulp(float(np.max(np.abs(tiles.xy))))
+        assert abs(min(m for _, m in accepted) - plane) <= bound, (rows, cols)
+
+
+class _ScriptedRng:
+    """Draws the listed values in turn, whatever the interval."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, lo, hi):
+        return self.values.pop(0)
+
+
+def test_select_shears_sweeps_the_new_row_against_the_fixed_rows():
+    # the strip is mirror symmetric: the mirror of a tile sheared by -mu is
+    # its mirror partner sheared by mu, so a row drawn at -mu repeats every
+    # tile of a row fixed at mu, though each row alone is incongruent
+    base, mu = window_base(6), 1e-4
+    x, y = window_tiles(base).xy.T
+    mirrored = Tiles(np.stack([x - mu * y, y]).T)
+    assert aligned_sweep(mirrored, signature_variants, signature_key, 1e-9)[0] > 1e-6
+    accepted = []
+    mus = select_shears(base, 2, 0.01, _ScriptedRng([mu, -mu, 3e-5]), accepted)
+    assert mus == [mu, 3e-5] and [d for d, _ in accepted] == [1, 2]
+    assert check_pairwise_incongruent(stack_plane(base, mus, 2).tiles()).passed
 
 
 def test_select_shears_sweeps_the_window_once(base, monkeypatch):
@@ -160,115 +190,45 @@ def test_select_shears_matches_the_unfiltered_oracle():
     assert kinds == {"shears", "DegeneratePair", "ExhaustedRetries"}
 
 
-def test_filtered_roots_equal_the_unfiltered_on_the_gate_windows():
-    # every static and cross-row root within reach, bit for bit and in order
-    for epsilon, rows, cols, seed in GATE_SHAPES:
-        rng = random.Random(seed)
-        _, strip = sample_certified_y0(rng, cols, epsilon)
-        base = scale_to_equilateral(strip)
-        ev = window_tiles(base).edges()
-        reach = 0.5 * epsilon / (2.0 * SQRT3) + 2.0 * assembly._MARGIN_CAP
-        a, b = np.triu_indices(len(ev), 1)
-        got = pair_shear_roots(ev[a], ev[b], reach)
-        full = pair_shear_roots(ev[a], ev[b], math.inf)
-        assert got.size and got.tobytes() == _within(full, reach).tobytes()
-        for mu in select_shears(base, rows, epsilon, rng)[:-1]:
-            sheared = np.stack([ev[:, :, 0] + mu * ev[:, :, 1], ev[:, :, 1]], -1).reshape(1, -1, 2)
-            got = match_roots(ev, sheared, reach)
-            full = match_roots(ev, sheared, math.inf)
-            assert got.size and got.tobytes() == _within(full, reach).tobytes()
-
-
-def test_select_shears_solves_the_equilateral_roots_once_and_each_level_in_one_pass(monkeypatch):
-    equilateral_calls, passes = [], []  # passes: the row of each gap pass
-    real_equilateral, real_gaps = assembly.equilateral_shear_set, assembly._gaps
+def test_select_shears_solves_the_equilateral_roots_once(monkeypatch):
+    equilateral_calls, sweeps = [], []  # sweeps: the fixed tiles of each row sweep
+    real_equilateral, real_sweep = assembly.equilateral_shear_set, assembly.aligned_sweep
 
     def equilateral(tiles):
         equilateral_calls.append(len(tiles))
         return real_equilateral(tiles)
 
-    def gaps(roots, values):
-        passes.append(len(roots))  # row n draws against n root arrays
-        assert len(values) == assembly._DRAWS_PER_MARGIN
-        return real_gaps(roots, values)
-
-    def ladder(n, epsilon):
-        return len(oracles.margin_ladder((0.5 ** n) * epsilon / (2.0 * SQRT3)))
+    def sweep(tiles, rows_of, key_of, quantum, fixed=None):
+        if rows_of is signature_variants:
+            sweeps.append(len(fixed))
+        return real_sweep(tiles, rows_of, key_of, quantum, fixed)
 
     monkeypatch.setattr(assembly, "equilateral_shear_set", equilateral)
-    monkeypatch.setattr(assembly, "_gaps", gaps)
+    monkeypatch.setattr(assembly, "aligned_sweep", sweep)
     for epsilon, rows, cols, seed in GATE_SHAPES:
         rng = random.Random(seed)
         _, strip = sample_certified_y0(rng, cols, epsilon)
         equilateral_calls.clear()
-        passes.clear()
-        select_shears(scale_to_equilateral(strip), rows, epsilon, rng)
-        assert equilateral_calls == [len(window_tiles(strip))]
-        for n in range(1, rows + 1):
-            assert 1 <= passes.count(n) <= ladder(n, epsilon), (cols, n)
-    # a window too dense for its budget tries every level of the failing row once
+        sweeps.clear()
+        accepted = []
+        select_shears(scale_to_equilateral(strip), rows, epsilon, rng, accepted)
+        n_tiles = len(window_tiles(strip))
+        assert equilateral_calls == [n_tiles]
+        # row n sweeps its draws against the n - 1 rows fixed before it
+        assert sweeps == [(n - 1) * n_tiles for n, (draws, _) in enumerate(accepted, start=1)
+                          for _ in range(draws)]
+    # a window too dense for its budget sweeps every draw of the failing row
     equilateral_calls.clear()
-    passes.clear()
-    with pytest.raises(ExhaustedRetries, match="row parameter 5 "):
-        select_shears(scale_to_equilateral(strip_tiling(3.2e-5, 6)), 7, 2.5e-6, random.Random(1))
-    assert len(equilateral_calls) == 1 and passes.count(5) == ladder(5, 2.5e-6)
-
-
-def test_reach_filter_keeps_every_verdict(monkeypatch):
-    real_gaps = assembly._gaps
-    kept_lists = []  # the root arrays each row draws against, as select_shears passes them
-
-    def recording_gaps(roots, values):
-        if not kept_lists or len(kept_lists[-1]) != len(roots):  # a row adds one array
-            kept_lists.append(list(roots))
-        return real_gaps(roots, values)
-
-    monkeypatch.setattr(assembly, "_gaps", recording_gaps)
-    cases = [(scale_to_equilateral(strip_tiling(y0, cols)), rows, epsilon)
-             for epsilon, rows, y0, cols in ((0.005, 4, 0.001, 10), (0.0001, 4, 2e-5, 8),
-                                             (0.05, 5, 0.004, 6))]
-    # the first row's interval ends a quarter margin short of a static root
-    # inside the root cluster, so a filter reaching too short shows
-    edge_base, static = cases[1][0], []
-    oracles.select_shears(edge_base, 1, 1.0, random.Random(0), static)
-    r0 = float(static[0][np.searchsorted(static[0], 2e-5)])
-    cases.append((edge_base, 4, (r0 - assembly._MARGIN_CAP / 4) * 4.0 * SQRT3))
-    rng = random.Random(17)
-    for base, rows, epsilon in cases:
-        kept_lists.clear()
-        select_shears(base, rows, epsilon, random.Random(1))
-        full_sets = []
-        oracles.select_shears(base, rows, epsilon, random.Random(1), full_sets)
-        assert len(kept_lists) == len(full_sets) == rows
-        half_1 = 0.5 * epsilon / (2.0 * SQRT3)
-        for n, (kept_list, full) in enumerate(zip(kept_lists, full_sets), start=1):
-            assert len(kept_list) == n  # the static roots, then one array per fixed row
-            assert all(np.array_equal(r, np.sort(r)) for r in kept_list)
-            kept = np.sort(np.concatenate(kept_list))
-            # the filter only drops roots, and keeps every root a draw can reach
-            assert kept.size < full.size and np.isin(kept, full).all()
-            near = half_1 + assembly._MARGIN_CAP
-            assert np.array_equal(kept[np.abs(kept) <= near], full[np.abs(full) <= near])
-            half = (0.5 ** n) * epsilon / (2.0 * SQRT3)
-            ladder = oracles.margin_ladder(half)
-            cands = [rng.uniform(-half, half) for _ in range(300)] + [-half, half]
-            for margin in ladder:  # margin and half a margin from the roots around each end
-                for end in (-half, half):
-                    i = int(np.searchsorted(full, end))
-                    for r in full[max(i - 3, 0):i + 3].tolist():
-                        cands += [c for c in (r + k * margin for k in (-1.0, -0.5, 0.5, 1.0))
-                                  if -half <= c <= half]
-            gaps = real_gaps(kept_list, np.array(cands))
-            assert gaps.tobytes() == real_gaps([kept], np.array(cands)).tobytes()
-            for margin in ladder:
-                for cand, gap in zip(cands, gaps.tolist()):
-                    assert ((gap >= margin)
-                            == (oracles.gap_to_roots(full, cand) >= margin)), (n, margin, cand)
+    sweeps.clear()
+    with pytest.raises(ExhaustedRetries, match=r"row parameter 5 \(strip row -2\) .*best margin"):
+        select_shears(scale_to_equilateral(strip_tiling(1e-4, 6)), 7, 1e-5, random.Random(1))
+    assert len(equilateral_calls) == 1
+    assert sweeps.count(4 * 50) == assembly._DRAWS_PER_ROW
 
 
 def test_select_shears_peaks_below_32_mib_at_6x40():
-    # solving each fixed row's cross-row roots as one (N, 3N) array peaks
-    # at 89 MiB on this window
+    # each draw sweeps one row against the fixed rows' stored signature
+    # rows, (5 * 322, 6, 6) floats at most here: nothing grows as N^2
     rng = random.Random(5)
     _, strip = sample_certified_y0(rng, 40, 0.005)
     base = scale_to_equilateral(strip)

@@ -1,5 +1,6 @@
 """Congruence through the incongruence sweep, vertical widths, the pruned
-sweep against its unpruned oracle, shear root sets."""
+sweep against its unpruned oracle, the refusal of degenerate pairs and the
+equilateral shear roots."""
 
 import itertools
 import math
@@ -7,20 +8,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtile.congruence import (
-    _dedup,
-    _reachable,
     _roots,
-    _within,
     aligned_sweep,
     bad_shear_set,
     equilateral_shear_set,
     halfturn_key,
     halfturn_variants,
-    match_roots,
     signature_key,
     signature_variants,
     window_pairs,
@@ -390,7 +387,7 @@ def test_batched_rows_equal_the_per_polygon_rows(seed):
             assert rows_of(Tiles.of(group)).tobytes() == want.tobytes()
 
 
-# --- shear root sets ---------------------------------------------------------
+# --- degenerate pairs and equilateral shear roots -------------------------
 
 def _found(roots):
     return [float(r) for r in roots if not math.isnan(r)]
@@ -449,110 +446,6 @@ def test_array_solver_matches_the_scalar_oracle_bit_for_bit():
         assert math.isnan(row[1]) or not math.isnan(row[0])  # present roots come first
 
 
-# offsets from the prefilter's edges: reach, rho = reach + 1.1e-8 and R
-_EDGE_OFFSETS = (-3e-8, -1.2e-8, -1.1e-8, -1e-8, -2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9,
-                 1e-8, 1.1e-8, 1.2e-8, 1.3e-8, 3e-8)
-_ODD = (0.0, -0.0, 1e-15, -1e-14, 1e-14, 1.0000001e-14, 1e-300, 1e150, -1e160, 1e300,
-        math.inf, -math.inf, math.nan)
-
-
-def _signed(draw, magnitude):
-    return draw(st.sampled_from((1.0, -1.0))) * magnitude
-
-
-def _edge(draw, reach):
-    """A point near an edge of the prefilter, on either side of 0."""
-    rel = draw(st.sampled_from((0.0, -1e-6, 1e-6, -1e-8, 1e-8, -1e-9, 1e-9)))
-    return _signed(draw, (reach + draw(st.sampled_from(_EDGE_OFFSETS))) * (1.0 + rel))
-
-
-@st.composite
-def _quadratic(draw, reach):
-    """One (a, b, c) near an edge of the prefilter for ``reach``."""
-    kind = draw(st.sampled_from(("roots", "double", "clamp", "linear", "zero_b", "overflow",
-                                 "odd", "any")))
-    a = _signed(draw, 10.0 ** draw(st.integers(-13, 4)))
-    edge = _edge(draw, reach)
-    if kind == "roots":  # one root at an edge, its partner anywhere
-        far = draw(st.floats(-1e6, 1e6) | st.sampled_from((edge, -edge, edge + 1e-9)))
-        return a, -a * (edge + far), a * edge * far
-    if kind == "double":  # a near-double root at an edge
-        split = draw(st.sampled_from((0.0, 1e-13, 1e-9, 1e-7, 1e-6, 2e-6, 1e-5)))
-        return a, -a * (2.0 * edge + split), a * edge * (edge + split)
-    if kind == "clamp":  # a discriminant around the clamp
-        d = draw(st.floats(-3e-12, 3e-12))
-        return a, -2.0 * a * edge, a * (edge * edge - d)
-    if kind == "linear":  # |a| <= 1e-14: the root -c/b
-        b = _signed(draw, 10.0 ** draw(st.integers(-15, 4)))
-        return draw(st.sampled_from((0.0, 1e-14, -5e-15, 1e-15))), b, -b * edge
-    if kind == "zero_b":
-        return a, draw(st.sampled_from((0.0, -0.0))), -a * edge * _signed(draw, edge)
-    if kind == "overflow":  # b/a or (b/a)**2 overflows: an infinite far root
-        return (_signed(draw, draw(st.floats(1e-13, 2.0))),
-                *(_signed(draw, 10.0 ** draw(st.integers(140, 308))) for _ in range(2)))
-    if kind == "odd":  # NaN, infinite and subnormal coefficients
-        return tuple(draw(st.sampled_from(_ODD) | st.floats(-2.0, 2.0)) for _ in range(3))
-    return tuple(draw(st.floats(allow_nan=True, allow_infinity=True)) for _ in range(3))
-
-
-@st.composite
-def _chain_row(draw, reach):
-    """Six quadratics whose roots include a dedup chain, at most 1e-9
-    apart, that crosses an edge of the prefilter; the other roots are far."""
-    start, step = _edge(draw, reach), draw(st.sampled_from((1e-9, 9.99e-10, 5e-10, 1.0000001e-9)))
-    inward = -1.0 if start > 0 else 1.0
-    m = draw(st.integers(1, 12))
-    pool = [start + inward * k * step for k in range(m)]
-    pool += [draw(st.floats(-10.0, 10.0)) for _ in range(12 - m)]
-    pool = draw(st.permutations(pool))
-    a = 10.0 ** draw(st.integers(-6, 2))
-    return [(a, -a * (r1 + r2), a * r1 * r2) for r1, r2 in zip(pool[0::2], pool[1::2])]
-
-
-@st.composite
-def _quadratic_rows(draw):
-    """A reach and rows of six quadratics, as pair_shear_roots solves them."""
-    reach = draw(st.sampled_from((0.0, 1e-9, 1e-6, 7.2e-4, 0.05, 1.0, 10.0, 1e3))
-                 | st.floats(0.0, 2.0))
-    rows = [draw(_chain_row(reach) if draw(st.booleans())
-                 else st.lists(_quadratic(reach), min_size=6, max_size=6))
-            for _ in range(draw(st.integers(1, 6)))]
-    return reach, rows
-
-
-def _chain_example(reach, sign):
-    """Roots reach + 2e-9 - k*0.999e-9 (k < 6), each with a far partner:
-    the first lies beyond reach + 1.72e-9 yet decides which later roots
-    within reach :func:`_dedup` keeps."""
-    near = [sign * (reach + 2e-9 - k * 9.99e-10) for k in range(6)]
-    return reach, [[(1.0, -(r + 3.0 + k), r * (3.0 + k)) for k, r in enumerate(near)]]
-
-
-@given(_quadratic_rows())
-@example(_chain_example(7.2e-4, -1.0))
-@example(_chain_example(1e-6, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_prefiltered_roots_equal_the_unfiltered_bit_for_bit(case):
-    reach, rows = case
-    with np.errstate(all="ignore"):
-        a, b, c = (np.array(col, dtype=float).reshape(-1, 6) for col in zip(*sum(rows, [])))
-        full = _roots(a, b, c)
-        keep = _reachable(a, b, c, reach)
-        kept = np.full(full.shape, np.nan)
-        kept[keep] = _roots(a[keep], b[keep], c[keep])
-        assert _within(kept, reach).tobytes() == _within(full, reach).tobytes()
-        # pair_shear_roots deduplicates each pair's 12 roots before the reach
-        assert (_within(_dedup(kept.reshape(-1, 12)), reach).tobytes()
-                == _within(_dedup(full.reshape(-1, 12)), reach).tobytes())
-
-
-def test_bad_shear_set_mirror_pair_contains_zero():
-    t = tri((0, 0), (2.1, 0), (0.8, 1.7))
-    m = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
-    roots = bad_shear_set(t, m).roots
-    assert min(abs(r) for r in roots) < 1e-12
-
-
 def test_bad_shear_set_degenerate_pair():
     t = tri((0, 0), (2.1, 0), (0.8, 1.7))
     with pytest.raises(DegeneratePair):
@@ -560,82 +453,9 @@ def test_bad_shear_set_degenerate_pair():
     neg = Triangle(*(Point(3.0 - v.x, 2.0 - v.y) for v in t.vertices))
     with pytest.raises(DegeneratePair):
         bad_shear_set(t, neg)
-
-
-def test_bad_shear_roots_mark_length_collisions():
-    rng = random.Random(3)
-    tested = 0
-    while tested < 30:
-        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6)]
-        try:
-            t, u = tri(*pts[:3]), tri(*pts[3:])
-        except Exception:
-            continue
-        if halfturn_margin(t, u) < 1e-3:
-            continue
-        for r in bad_shear_set(t, u).roots:
-            lt = edge_lengths(shear(t, r))
-            lu_sheared = edge_lengths(shear(u, r))
-            lu_fixed = edge_lengths(u)
-            collide = min(
-                min(abs(a - b) for a in lt for b in lu_sheared),
-                min(abs(a - b) for a in lt for b in lu_fixed),
-            )
-            assert collide <= 1e-7 * max(1.0, abs(r)) ** 2
-        tested += 1
-
-
-def test_shear_certification_outside_roots():
-    rng = random.Random(9)
-    tested = 0
-    while tested < 100:
-        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6)]
-        try:
-            t, u = tri(*pts[:3]), tri(*pts[3:])
-        except Exception:
-            continue
-        if halfturn_margin(t, u) < 1e-2:
-            continue
-        roots = bad_shear_set(t, u).roots
-        mu = None
-        for _ in range(50):
-            cand = rng.uniform(-3, 3)
-            if all(abs(cand - r) >= 1e-6 for r in roots):
-                mu = cand
-                break
-        if mu is None:
-            continue
-        assert signature_margin(shear(t, mu), shear(u, mu)) > 1e-9
-        tested += 1
-
-
-def _match_roots(t, fixed):
-    """The shears at which sheared t can match a length of ``fixed``."""
-    roots = match_roots(np.array([edge_vectors(t)]), np.array([edge_vectors(fixed)]), math.inf)
-    return _found(roots.ravel())
-
-
-def test_shear_match_roots_certify_against_fixed():
-    rng = random.Random(21)
-    tested = 0
-    while tested < 60:
-        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6)]
-        try:
-            t, u = tri(*pts[:3]), tri(*pts[3:])
-        except Exception:
-            continue
-        roots = _match_roots(t, u)
-        for _ in range(10):
-            mu = rng.uniform(-3, 3)
-            if all(abs(mu - r) >= 1e-6 for r in roots):
-                assert signature_margin(shear(t, mu), u) > 1e-9
-        tested += 1
-
-
-def test_shear_match_roots_allows_identical_inputs():
-    t = tri((0, 0), (2.1, 0), (0.8, 1.7))
-    roots = _match_roots(t, t)
-    assert min(abs(r) for r in roots) < 1e-12  # the identity shear collides
+    # a mirror image is congruent, but shears separate it: its half-turn distance
+    mirror = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
+    assert bad_shear_set(t, mirror) == halfturn_margin(t, mirror) > 1e-9
 
 
 def test_equilateral_shear_set():
@@ -667,7 +487,7 @@ def test_equilateral_record_matches_the_per_tile_roots_bit_for_bit():
     got = equilateral_shear_set(Tiles.of(tris))
     assert got.shape == (len(tris), 2)
     for t, row in zip(tris, got):
-        want = oracles.equilateral_shear_set(t).roots
+        want = oracles.equilateral_shear_set(t)
         assert [r.hex() for r in _found(row)] == [r.hex() for r in want]
         assert math.isnan(row[1]) or not math.isnan(row[0])
     # a record refuses when one of its tiles has no two edges of unequal |y|

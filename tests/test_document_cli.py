@@ -1,15 +1,21 @@
 """Document round-trips, CLI exit codes, rendering, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtile import cli, document, pipeline
 from fairtile.document import fmt17, parse, read_document, serialize
@@ -132,6 +138,62 @@ def test_gen_plane_usage_errors(tmp_path):
     assert run_cli(*args, "--epsilon", "0.2") == 2
     assert run_cli("gen-plane", "--epsilon", "0.01", "--seed", "1",
                    "--rows", "0", "--cols", "3", "--out", out) == 2
+
+
+def test_gen_plane_json_names_each_rows_draws_and_margin(tmp_path):
+    out, report = tmp_path / "p.tiles", tmp_path / "p.json"
+    assert run_cli("gen-plane", "--epsilon", "0.005", "--seed", "42", "--rows", "6",
+                   "--cols", "80", "--out", str(out), "--json", str(report)) == 0
+    reports = {r["check_name"]: r for r in json.loads(report.read_text())}
+    rows = reports["shear-budget"]["subchecks"]
+    assert [r["check_name"] for r in rows] == [f"shear-row-{n}" for n in range(1, 7)]
+    draws = [int(re.fullmatch(r"accepted at draw (\d+)", r["note"]).group(1)) for r in rows]
+    margins = [r["margin"] for r in rows]
+    assert all(1 <= d <= 64 for d in draws) and all(m > 4e-9 for m in margins)
+    assert all(r["passed"] and r["tolerance_used"] == 4e-9 for r in rows)
+    # placing the rows rounds coordinates below 2e-14 here
+    assert min(margins) == pytest.approx(reports["pairwise-incongruent"]["margin"], abs=1e-13)
+
+
+def _gen_plane(tmp_path, capsys, epsilon, cols):
+    """Exit code, seconds in process, output path and stderr of a 6-row plane."""
+    out = tmp_path / f"p{epsilon}x{cols}.tiles"
+    t0 = time.perf_counter()
+    code = run_cli("gen-plane", "--epsilon", epsilon, "--seed", "42", "--rows", "6",
+                   "--cols", str(cols), "--out", str(out))
+    return code, time.perf_counter() - t0, out, capsys.readouterr().err
+
+
+def test_gen_plane_refuses_a_dense_window_naming_the_row(tmp_path, capsys):
+    # no shear lifts the 6x20 window above the floor at eps 1e-4: its row margins
+    # stay below 1e-9, so the refusal comes before stacking
+    code, elapsed, out, err = _gen_plane(tmp_path, capsys, "0.0001", 20)
+    assert code == 3 and not out.exists() and elapsed < 1.0
+    assert re.search(r"row parameter 1 \(strip row 0\) .*best margin \d", err)
+
+
+def test_gen_plane_wide_windows_finish_or_refuse_in_bounded_time(tmp_path, capsys):
+    code, _, out, _ = _gen_plane(tmp_path, capsys, "0.005", 160)
+    assert code == 0 and out.exists()
+    code, elapsed, out, err = _gen_plane(tmp_path, capsys, "0.005", 320)
+    assert elapsed < 2.0
+    assert (code == 0 and out.exists()) or (
+        code == 3 and not out.exists()
+        and re.search(r"row parameter \d+ \(strip row -?\d+\) .*best margin \d", err))
+
+
+@given(epsilon=st.sampled_from([0.0, -0.0, -1e-3, 5e-324, 1e-300, 1e-8, 1e-6, 1e-4, 0.05,
+                                0.0500001, math.nan, math.inf]) | st.floats(-0.01, 0.06),
+       rows=st.integers(-1, 17), cols=st.integers(-1, 10), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_gen_plane_exit_code_contract(tmp_path_factory, epsilon, rows, cols, seed):
+    out = tmp_path_factory.mktemp("contract") / "p.tiles"
+    argv = ["gen-plane", f"--epsilon={epsilon!r}", "--seed", str(seed), "--rows", str(rows),
+            "--cols", str(cols), "--out", str(out)]  # "=": argparse takes "-1e-05" for an option
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)  # a traceback fails the test
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
 
 
 def test_verify_plane_document(plane_doc, tmp_path):
