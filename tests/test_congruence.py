@@ -453,9 +453,21 @@ def test_bad_shear_set_degenerate_pair():
     neg = Triangle(*(Point(3.0 - v.x, 2.0 - v.y) for v in t.vertices))
     with pytest.raises(DegeneratePair):
         bad_shear_set(t, neg)
-    # a mirror image is congruent, but shears separate it: its half-turn distance
+
+
+def test_bad_shear_set_mirror_pair_contains_zero():
+    # a mirror image is congruent at shear zero only: the pair is not refused,
+    # its half-turn distance comes back, and a nonzero shear separates it
+    t = tri((0, 0), (2.1, 0), (0.8, 1.7))
     mirror = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
     assert bad_shear_set(t, mirror) == halfturn_margin(t, mirror) > 1e-9
+
+    def margin(r):
+        pair = Tiles.of([shear(t, r), shear(mirror, r)])
+        return aligned_sweep(pair, signature_variants, signature_key, 1e-9)[0]
+
+    assert margin(0.0) < 1e-12
+    assert margin(0.3) > 1e-3
 
 
 def test_equilateral_shear_set():
