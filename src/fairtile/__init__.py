@@ -21,14 +21,7 @@ from .congruence import (
     equilateral_shear_set,
 )
 from .errors import FairtileError
-from .geometry import (
-    Point,
-    Quadrangle,
-    TileId,
-    Tiles,
-    Triangle,
-    edge_vectors,
-)
+from .geometry import Tiles
 from .quadsplit import (
     FAIR,
     P0,
@@ -38,7 +31,6 @@ from .quadsplit import (
     fair_split,
     fair_split_jacobian_det,
     newton3,
-    quad_vertices,
     quadify_plane,
     reconstruct_triangle,
     reconstruction_jacobian_det,

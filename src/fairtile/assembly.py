@@ -134,7 +134,7 @@ def select_shears(base: StripTiling, count: int, epsilon: float,
     tiles = window_tiles(base)
     _, collisions = aligned_sweep(tiles, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if collisions:
-        bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
+        bad_shear_set(tiles.xy[list(collisions[0])])  # raises DegeneratePair
     equilateral = equilateral_shear_set(tiles)
     equilateral = equilateral[~np.isnan(equilateral)]
 

@@ -173,10 +173,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true", help="draw tile id labels")
     p.add_argument("--viewbox", nargs=4, type=float, metavar=("X", "Y", "W", "H"),
                    help="explicit viewBox (render coordinates)")
-    # argparse reads "-1e3" as an unknown option; take every string that
-    # starts with "-<digit>" or "-.<digit>" as a value instead
-    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_render)
+    # argparse reads "-1e3" as an unknown option; every subcommand takes each
+    # string that starts with "-<digit>" or "-.<digit>" as a value instead
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DegeneratePair, NoUnequalHeights
-from .geometry import Tiles, Triangle
+from .geometry import Tiles
 
 __all__ = [
     "signature_variants",
@@ -193,15 +193,16 @@ def _dedup(roots: np.ndarray) -> np.ndarray:
     return s
 
 
-def bad_shear_set(t: Triangle, u: Triangle) -> float:
-    """Refuse a pair of triangles that no shear separates.
+def bad_shear_set(xy) -> float:
+    """Refuse a pair of triangles, their (2, 3, 2) vertices, that no shear
+    separates.
 
-    If t and u agree up to translation/half-turn (within
+    If the two agree up to translation/half-turn (within
     :data:`DEFAULT_QUANTUM`), every shear keeps them congruent and
     :class:`DegeneratePair` is raised; otherwise their half-turn distance
     is returned.
     """
-    pair = Tiles(np.array([[v.xy for v in p.vertices] for p in (t, u)]))
+    pair = Tiles(np.asarray(xy, dtype=float))
     margin, _ = aligned_sweep(pair, halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if margin <= DEFAULT_QUANTUM:
         raise DegeneratePair("triangles agree up to translation/half-turn")

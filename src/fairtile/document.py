@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError
-from .geometry import CORNERS, Point, Quadrangle, TileId, Tiles, Triangle, tile_label
+from .errors import DocumentError, InvalidParameter
+from .geometry import CORNERS, Tiles, _label
 
 __all__ = [
     "FORMAT_VERSION",
@@ -128,28 +128,32 @@ def serialize(doc: TilingDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_tile(obj) -> Triangle | Quadrangle:
+def _tile_fields(line: str):
+    """(row, col, slot, corner code, vertices) of a tile line read through
+    ``json``, its id types, vertex pairs and count and its corner checked."""
+    obj = json.loads(line)
     id_obj = obj["id"]
     for key in ("row", "col", "slot"):
         if type(id_obj[key]) is not int:  # refuses floats, strings and booleans alike
             raise DocumentError(f"tile id field {key!r} must be an integer, got {id_obj[key]!r}")
-    tid = TileId(id_obj["row"], id_obj["col"], id_obj["slot"])
     corner = id_obj.get("corner")
-    pts = [Point(float(x), float(y)) for x, y in obj["vertices"]]
-    if len(pts) == 3:
-        if corner is not None:
-            raise DocumentError("corner labels belong to quadrangle tiles")
-        return Triangle(*pts, id=tid)
-    if len(pts) == 4:
-        return Quadrangle(tuple(pts), id=tid, corner=corner)
-    raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(pts)}")
+    xy = [(float(x), float(y)) for x, y in obj["vertices"]]
+    if len(xy) not in (3, 4):
+        raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(xy)}")
+    if corner is not None and len(xy) == 3:
+        raise DocumentError("corner labels belong to quadrangle tiles")
+    if corner is not None and corner not in CORNERS:
+        raise InvalidParameter(f"corner must be one of {CORNERS}, got {corner!r}")
+    return id_obj["row"], id_obj["col"], id_obj["slot"], CORNERS.index(corner) if corner else -1, xy
 
 
-def _read_tiles(text: str, start: int, n: int | None):
-    """The tiles on the lines from ``start`` on, as a record when all have
-    ``n`` vertices, else as a list of polygons.  When every line has the
-    template form, ids and coordinates are read with ``int`` and ``float`` as
-    ``json`` would read them; else every line is read through ``json``."""
+def _read_tiles(text: str, start: int, kind):
+    """The record of the tiles on the lines from ``start`` on, or None for an
+    unknown ``kind``.  When every line has the template form, ids and
+    coordinates are read with ``int`` and ``float`` as ``json`` would read
+    them; else every line is read through ``json`` and checked, then each
+    tile's vertex count against the kind's, then the record is built."""
+    n = _VERTEX_COUNT[kind] if kind in KINDS else None
     parts, rows, pos, c = [], [], start, int(n == 4)
 
     def convert():  # the rows so far as the arrays of a record, a chunk at a time
@@ -171,8 +175,16 @@ def _read_tiles(text: str, start: int, n: int | None):
         if n and not text[pos:].strip("\n"):
             convert()
             return Tiles(*(None if a[0] is None else np.concatenate(a) for a in zip(*parts)))
-    tiles = [_parse_tile(json.loads(ln)) for ln in text[start:].split("\n") if ln]
-    return Tiles.of(tiles) if n and all(len(t.vertices) == n for t in tiles) else tiles
+    tiles = [_tile_fields(line) for line in text[start:].split("\n") if line]
+    if n is None:
+        return None
+    for row, col, slot, code, xy in tiles:
+        if len(xy) != n:
+            raise DocumentError(f"{kind} documents hold {n}-vertex tiles; "
+                                f"tile {_label(row, col, slot, code)} has {len(xy)}")
+    *ids, code, xy = zip(*tiles)
+    return Tiles(np.array(xy, dtype=float), *(np.array(f, dtype=np.int64) for f in ids),
+                 np.array(code, dtype=np.int8) if c else None)
 
 
 def parse(text: str) -> TilingDocument:
@@ -185,7 +197,7 @@ def parse(text: str) -> TilingDocument:
         version = header["format_version"]
         kind = header["kind"]
         parameters = header["parameters"]
-        tiles = _read_tiles(text, end + 1, _VERTEX_COUNT[kind] if kind in KINDS else None)
+        tiles = _read_tiles(text, end + 1, kind)
     except DocumentError:
         raise
     except Exception as e:
@@ -194,11 +206,6 @@ def parse(text: str) -> TilingDocument:
         raise DocumentError(f"unsupported format version {version!r}")
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    for tile in tiles if isinstance(tiles, list) else ():
-        if len(tile.vertices) != _VERTEX_COUNT[kind]:
-            raise DocumentError(
-                f"{kind} documents hold {_VERTEX_COUNT[kind]}-vertex tiles; "
-                f"tile {tile_label(tile)} has {len(tile.vertices)}")
     keys = [k for k in (tiles.corner, tiles.slot, tiles.col, tiles.row) if k is not None]
     order = np.lexsort(keys)  # stable: the tiles of one id stay in document order
     same = np.flatnonzero(np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys]))
@@ -206,7 +213,7 @@ def parse(text: str) -> TilingDocument:
         d = same[np.argmin(order[same + 1])]  # the first line that repeats an id
         first, again = order[d].item(), order[d + 1].item()
         lines = [n for n, line in enumerate(text.split("\n"), 1) if line]  # header, then tiles
-        raise DocumentError(f"duplicate tile id {tile_label(tiles[first])} on lines "
+        raise DocumentError(f"duplicate tile id {tiles.label(first)} on lines "
                             f"{lines[first + 1]} and {lines[again + 1]}")
     return TilingDocument(kind=kind, parameters=parameters, tiles=tiles,
                           format_version=version)

@@ -85,11 +85,12 @@ class BoundaryMismatch(FairtileError):
 
 
 class TileFailed(FairtileError):
-    """Processing one tile of a window failed; the cause is chained."""
+    """Processing one tile of a window failed; the cause is chained.  The tile
+    is named by its report label, "row/col/slot", or "?" without an id."""
 
-    def __init__(self, tile_id, cause: FairtileError):
-        super().__init__(f"tile {tile_id}: {type(cause).__name__}: {cause}")
-        self.tile_id = tile_id
+    def __init__(self, label: str, cause: FairtileError):
+        super().__init__(f"tile {label}: {type(cause).__name__}: {cause}")
+        self.label = label
 
 
 class DocumentError(FairtileError):

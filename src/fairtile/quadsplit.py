@@ -46,16 +46,7 @@ from .errors import (
     SingularJacobian,
     TileFailed,
 )
-from .geometry import (
-    CORNERS,
-    Point,
-    Quadrangle,
-    Tiles,
-    Triangle,
-    _segments_cross,
-    is_convex,
-    signed_area,
-)
+from .geometry import CORNERS, Tiles, _segments_cross, signed_area
 
 __all__ = [
     "P0",
@@ -67,7 +58,6 @@ __all__ = [
     "ReconstructionTriple",
     "apex",
     "xi_eta",
-    "quad_vertices",
     "solve_fair_split",
     "fair_split",
     "reconstruct_triangle",
@@ -166,17 +156,13 @@ class ReconstructionTriple:
     iterations: int = 0
 
 
-def apex(a: float, b: float, c: float) -> Point:
-    """Apex of the triangle with base (0,0)-(a,0), left side b, right side c.
+def apex(a: float, b: float, c: float) -> tuple[float, float]:
+    """Apex (x, y) of the triangle with base (0,0)-(a,0), left side b, right
+    side c.
 
     Raises :class:`DegenerateTriangle` when the side lengths violate the
     strict triangle inequalities (vanishing or negative radicand).
     """
-    return Point(*_apex(a, b, c))
-
-
-def _apex(a: float, b: float, c: float) -> tuple[float, float]:
-    """:func:`apex` as an (x, y) pair of floats, refusing what it refuses."""
     if min(a, b, c) <= 0.0:
         raise DegenerateTriangle(f"side lengths must be positive, got {(a, b, c)}")
     rad = (2.0 * a * a * b * b + 2.0 * a * a * c * c + 2.0 * b * b * c * c
@@ -216,30 +202,11 @@ def _corners(a, x, y, alpha, beta, gamma, xi, eta):
             (m, on_bc, (x, y), on_ca))
 
 
-def quad_vertices(a: float, b: float, c: float,
-                  p: FairSplitParams) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
-    """The three corner quadrangles of the posed triangle, counterclockwise.
-
-    All three share the interior vertex M bit-for-bit.  Raises
-    :class:`NonConvexOutput` if any of them fails convexity at 1e-12,
-    which signals parameters outside the perturbative regime.
-    """
-    posed = _corners(a, *apex(a, b, c).xy, p.alpha, p.beta, p.gamma, p.xi, p.eta)
-    try:
-        quads = tuple(Quadrangle(tuple(Point(*v) for v in vs), corner=corner)
-                      for corner, vs in zip(CORNERS, posed))
-    except DegeneratePolygon as e:
-        raise NonConvexOutput(f"degenerate quadrangle for sides {(a, b, c)}: {e}") from e
-    for q in quads:
-        if not is_convex(q, 1e-12):
-            raise NonConvexOutput(f"non-convex quadrangle at corner {q.corner}")
-    return quads
-
-
-def _probe(posed) -> bool:
-    """Whether :func:`quad_vertices` accepts the posed quadrangles, each four
-    (x, y) pairs of finite floats: the :class:`Quadrangle` rules, then
-    :func:`is_convex` at 1e-12, replayed without objects."""
+def _probe(sides, posed) -> str | None:
+    """Why the posed quadrangles of a split of the triangle with these sides,
+    each four (x, y) pairs of finite floats, are refused, or None: the rules
+    of :class:`~fairtile.geometry.Tiles`, then convexity at 1e-12, first on
+    floats and, for a refusal, again on the record to name it."""
     for v in posed:
         e = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(v, v[1:] + v[:1])]
         turn = [s[0] * t[1] - s[1] * t[0] for s, t in zip(e, e[1:] + e[:1])]
@@ -247,15 +214,21 @@ def _probe(posed) -> bool:
         if (min(math.hypot(*d) for d in e) <= 1e-14 or abs(area) <= 1e-14 or area < 0
                 or _segments_cross(*v) or _segments_cross(*v[1:], v[0])
                 or not (min(turn) >= -1e-12 or max(turn) <= 1e-12)):
-            return False
-    return True
+            break
+    else:
+        return None
+    try:
+        convex = Tiles(np.array(posed)).convex(1e-12)
+    except DegeneratePolygon as e:
+        return f"degenerate quadrangle for sides {sides}: {e}"
+    return None if convex.all() else f"non-convex quadrangle at corner {CORNERS[np.argmin(convex)]}"
 
 
 def _split_residual(a: float, b: float, c: float, top=None):
     """Perimeter residuals of the three quadrangles as a function of
     (alpha, beta, gamma), with the interior point eliminated through
     :func:`xi_eta`; ``top`` is the apex (x, y) when the caller has it."""
-    x, y = top or _apex(a, b, c)
+    x, y = top or apex(a, b, c)
 
     def residual(u):
         al, be, ga = u[0], u[1], u[2]
@@ -368,7 +341,7 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
     iteration may fail (:class:`NoConvergence`) or land on parameters that
     no longer produce convex quadrangles (:class:`NonConvexOutput`).
     """
-    top = _apex(a, b, c)
+    top = apex(a, b, c)
     u, iterations = newton3(_split_residual(a, b, c, top), (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
     al, be, ga = u.tolist()
     try:
@@ -376,8 +349,9 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
         params = FairSplitParams(al, be, ga, xi, eta, iterations)
     except InvalidParameter as e:
         raise NonConvexOutput(f"solution left the perturbative regime: {e}") from e
-    if not _probe(_corners(a, *top, al, be, ga, xi, eta)):
-        quad_vertices(a, b, c, params)  # raises what building the quadrangles raises
+    refusal = _probe((a, b, c), _corners(a, *top, al, be, ga, xi, eta))
+    if refusal is not None:
+        raise NonConvexOutput(refusal)
     return params
 
 
@@ -385,7 +359,7 @@ def fair_split(tiles: Tiles) -> Tiles:
     """Fair split of a record of arbitrarily placed near-unit triangles:
     per triangle, its quadrangles at corners A, B and C, with its id.  A
     package error on one tile is re-raised as :class:`TileFailed` carrying
-    that tile's id, with the error as its cause.
+    that tile's label, with the error as its cause.
 
     Each triangle is posed (longest edge on the positive x-axis from the
     origin, apex above, second-longest edge at the origin corner; ties
@@ -412,10 +386,10 @@ def fair_split(tiles: Tiles) -> Tiles:
                                      f"({1 - DELTA_Q}, {_EDGE_TOP})")
             p = solve_fair_split(*abc)
         except FairtileError as e:
-            raise TileFailed(tiles[t].id, e) from e
+            raise TileFailed(tiles.label(t), e) from e
         params.append((p.alpha, p.beta, p.gamma, p.xi, p.eta))
 
-    # _apex on arrays, the fourth powers taken on floats: libm rounds them, numpy may not
+    # apex on arrays, the fourth powers taken on floats: libm rounds them, numpy may not
     a4, b4, c4 = (np.array([s ** 4 for s in e.tolist()]) for e in (a, b, c))
     rad = 2.0 * a * a * b * b + 2.0 * a * a * c * c + 2.0 * b * b * c * c - a4 - b4 - c4
     x, y = (a * a + b * b - c * c) / (2.0 * a), np.sqrt(rad) / (2.0 * a)
@@ -470,7 +444,7 @@ def _posed_tuple(pts, start: int, mirrored: bool):
     be) taking that vertex to (0,0), the next onto the positive x-axis and
     the one after above it."""
     step = -1 if mirrored else 1
-    (ox, oy), *seq = [pts[(start + step * k) % len(pts)].xy for k in range(len(pts))]
+    (ox, oy), *seq = [pts[(start + step * k) % len(pts)] for k in range(len(pts))]
     ux, uy = seq[0][0] - ox, seq[0][1] - oy
     norm = math.hypot(ux, uy)
     if norm <= 1e-14:
@@ -482,8 +456,9 @@ def _posed_tuple(pts, start: int, mirrored: bool):
     return (ah, xh, yh, zh, wh)
 
 
-def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]:
-    """Recover the split triangle's shape from any one of its quadrangles.
+def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
+    """Recover the split triangle's shape, as its (3, 2) counterclockwise
+    vertices, from the (4, 2) vertices of any one of its quadrangles.
 
     The quadrangle is posed with its strictly smallest interior angle at
     the origin (that angle belongs to the dissected triangle); both
@@ -491,8 +466,8 @@ def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]
     triangle.  Newton then solves for the scale triple from the symmetric
     initial guess.  Far-from-symmetric inputs raise :class:`OutOfBasin`.
     """
-    pts = list(q.vertices)
-    angles = Tiles.of([q]).angles()[0].tolist()
+    quad = Tiles(np.array(q, dtype=float).reshape(1, 4, 2))
+    pts, angles = quad.xy[0].tolist(), quad.angles()[0].tolist()
     order = sorted(range(4), key=lambda k: angles[k])
     if angles[order[1]] - angles[order[0]] <= _ANGLE_TIE_TOL:
         raise OutOfBasin("smallest interior angle is not unique")
@@ -512,8 +487,8 @@ def reconstruct_triangle(q: Quadrangle) -> tuple[Triangle, ReconstructionTriple]
     u, iterations = newton3(residual, (FAIR.rho0, FAIR.sigma0, FAIR.tau0))
     rho, sigma, tau = (float(v) for v in u)
     triple = ReconstructionTriple(rho=rho, sigma=sigma, tau=tau, iterations=iterations)
-    triangle = Triangle(Point(0.0, 0.0), Point(rho * ah, 0.0), Point(sigma * xh, sigma * yh))
-    return triangle, triple
+    triangle = Tiles(np.array([[[0.0, 0.0], [rho * ah, 0.0], [sigma * xh, sigma * yh]]]))
+    return triangle.xy[0], triple
 
 
 def fair_split_jacobian_det(step: float = 1e-6) -> float:

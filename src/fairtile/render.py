@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .geometry import Tiles, tile_label
+from .geometry import Tiles
 
 __all__ = ["RenderOptions", "render_svg"]
 
@@ -73,7 +73,7 @@ def render_svg(tiles: Tiles, options: RenderOptions = RenderOptions()) -> str:
             labels.append(
                 f'<text x="{_num(cx)}" y="{_num(-cy)}" font-size="{_num(0.18)}" '
                 f'text-anchor="middle" fill="black" stroke="none">'
-                f"{tile_label(tiles[i])}</text>")  # digits, -, /, A-C or ?: nothing to escape
+                f"{tiles.label(i)}</text>")  # digits, -, /, A-C or ?: nothing to escape
     out.append("</g>")
     if labels:
         out.append('<g font-family="sans-serif">')

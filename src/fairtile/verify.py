@@ -24,7 +24,7 @@ from . import assembly
 from .congruence import (DEFAULT_QUANTUM, aligned_sweep, halfturn_key, halfturn_variants,
                          signature_key, signature_variants, window_pairs)
 from .errors import InvalidParameter
-from .geometry import Tiles, tile_label
+from .geometry import Tiles
 from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual, window_tiles
 
 __all__ = [
@@ -66,7 +66,7 @@ class VerificationReport:
 
 def _labels(tiles: Tiles, idx) -> tuple[tuple[str, str], ...]:
     """(label, label) of the first offending tiles among ``idx``."""
-    return tuple((tile_label(tiles[i]),) * 2 for i in idx[:_MAX_OFFENDERS])
+    return tuple((tiles.label(i),) * 2 for i in idx[:_MAX_OFFENDERS])
 
 
 def _scalar_sweep(name, tiles: Tiles, target, tol, measure) -> VerificationReport:
@@ -191,7 +191,7 @@ def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationRepor
     convex = tiles.convex()
     if not convex.all():  # edge lines decide overlap only between convex tiles
         raise InvalidParameter(f"vertex-to-vertex needs convex tiles; "
-                               f"{tile_label(tiles[int(np.argmin(convex))])} is not")
+                               f"{tiles.label(np.argmin(convex))} is not")
     lo, hi = tiles.xy.min(axis=1), tiles.xy.max(axis=1)
     order = np.argsort(lo[:, 0], kind="stable")
     near = [(np.empty(0, int), np.empty(0, int))]  # (i, j) of the pairs whose boxes meet
@@ -205,7 +205,7 @@ def check_vertex_to_vertex(tiles: Tiles, tol: float = 1e-9) -> VerificationRepor
         for k in range(0, len(i), _CONTACT_BLOCK))))
     i, j, size = i[bad], j[bad], size[bad]
     first = np.lexsort((j, i))[:_MAX_OFFENDERS]
-    offenders = [(tile_label(tiles[a]), tile_label(tiles[b])) for a, b in zip(i[first], j[first])]
+    offenders = [(tiles.label(a), tiles.label(b)) for a, b in zip(i[first], j[first])]
     return VerificationReport(
         check_name="vertex-to-vertex", passed=not len(i),
         worst_residual=float(size.max(initial=0.0)), margin=None,
@@ -222,7 +222,7 @@ def _incongruence(name, tiles: Tiles, quantum: float, rows_of, key_of) -> Verifi
     if not len(tiles):
         raise InvalidParameter(f"{name}: empty tile list")
     margin, collisions = aligned_sweep(tiles, rows_of, key_of, quantum)
-    offenders = [(tile_label(tiles[a]), tile_label(tiles[b]))
+    offenders = [(tiles.label(a), tiles.label(b))
                  for a, b in collisions[:_MAX_OFFENDERS]]
     return VerificationReport(
         check_name=name, passed=not collisions, worst_residual=None, margin=margin,
@@ -339,7 +339,7 @@ def check_closeness(tiles: Tiles, epsilon: float) -> VerificationReport:
         raise InvalidParameter("closeness needs tiles with ids")
     if tiles.xy.shape[1] != 3:
         raise InvalidParameter(
-            f"closeness applies to triangles only; tile {tile_label(tiles[0])} is not one")
+            f"closeness applies to triangles only; tile {tiles.label(0)} is not one")
     ref = assembly.periodic_triangles(tiles.row, tiles.col, tiles.slot)
     worst = float(np.max(np.abs(tiles.xy - ref.xy)))
     tol = 2.0 * epsilon

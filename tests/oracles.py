@@ -1,25 +1,19 @@
-"""Reference implementations the tests compare the package against: the
-per-pair congruence distances that :func:`fairtile.congruence.aligned_sweep`
-replaced, the per-polygon alignment rows that the batched row builders
-replaced, the numpy Newton iteration that :func:`fairtile.quadsplit.newton3`
-replaced, the elementary plane maps that :class:`StripTransform`
-composes into one placement, the shear selection that sweeps every pair of
-the rows drawn so far (the package sweeps only the pairs with a tile in
-the new row), and the ``json.dumps`` document serializer that the tile-line template replaced, the slot
-chain that built one strip tile at a time before the window became one
-vertex array, the object builders and document parser that the array
-tile record (:class:`fairtile.geometry.Tiles`) replaced, and the fair
-split of one :class:`Triangle` into :class:`Quadrangle` objects that the
-record split (:func:`fairtile.quadsplit.fair_split`) replaced, and the
-per-tile bounding-box pass that the sorted window of
-:func:`fairtile.verify.check_vertex_to_vertex` replaced, and the
-equilateral shear roots of one :class:`Triangle` that the record pass
-(:func:`fairtile.congruence.equilateral_shear_set`) replaced, and the
-pair-major contact classification that the pairs-last
-:func:`fairtile.verify._contact` replaced."""
+"""Reference implementations the tests compare the package against, each
+the code a faster or smaller package path replaced:
+
+* the per-tile objects (``Point``, ``TileId``, ``Triangle``, ``Quadrangle``)
+  that :class:`fairtile.geometry.Tiles` replaced, whose constructors are
+  the reference for the record's refusals and labels, and the object-built
+  document parser and serializer, strip slot chain and fair split;
+* per-pair congruence distances and per-polygon alignment rows for the
+  batched sweep, the numpy Newton iteration, the elementary plane maps of
+  :class:`StripTransform`, the shear selection over every pair of the rows
+  drawn so far, per-triangle equilateral shear roots, and the per-tile
+  box pass and pair-major contact rules of the conformity check."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +24,177 @@ from fairtile.congruence import (_LEADING_EPS, DEFAULT_QUANTUM, _dedup, _roots, 
 from fairtile.document import FORMAT_VERSION, KINDS, fmt17
 from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentError,
                              EdgeOutOfRange, ExhaustedRetries, FairtileError, InvalidParameter,
-                             NoConvergence, NoUnequalHeights, SingularDenominator,
-                             SingularJacobian, TileFailed)
-from fairtile.geometry import (Point, Quadrangle, TileId, Tiles, Triangle, edge_vectors,
-                               signed_area, tile_label)
-from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, quad_vertices, solve_fair_split
+                             NoConvergence, NonConvexOutput, NoUnequalHeights,
+                             SingularDenominator, SingularJacobian, TileFailed)
+from fairtile.geometry import CORNERS, Tiles, _segments_cross, signed_area
+from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, _corners, apex, solve_fair_split
 from fairtile.strip import strip_tiling, window_tiles
+
+
+# ---------------------------------------------------------------------------
+# the per-tile objects that the array record replaced: each validates itself
+# on construction, the reference for the record's refusals and labels
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise InvalidParameter(f"non-finite coordinates ({self.x}, {self.y})")
+
+    @property
+    def xy(self) -> tuple[float, float]:
+        return (self.x, self.y)
+
+
+@dataclass(frozen=True, order=True)
+class TileId:
+    """Strip row, column and slot of a tile; column 0 has only slots 1 and 4."""
+
+    row: int = 0
+    col: int = 0
+    slot: int = 1
+
+    def __post_init__(self):
+        if self.slot not in (1, 2, 3, 4):
+            raise InvalidParameter(f"slot must be 1..4, got {self.slot}")
+        if self.col == 0 and self.slot not in (1, 4):
+            raise InvalidParameter(f"column 0 only has slots 1 and 4, got {self.slot}")
+
+
+@dataclass(frozen=True)
+class Triangle:
+    v1: Point
+    v2: Point
+    v3: Point
+    id: TileId | None = None
+
+    def __post_init__(self):
+        s = signed_area([v.xy for v in self.vertices])
+        if abs(s) <= 1e-14:
+            raise DegeneratePolygon(f"collinear vertices (signed area {s:.3e})")
+        if s < 0:
+            raise DegeneratePolygon("vertices must be in counterclockwise order")
+
+    @property
+    def vertices(self) -> tuple[Point, Point, Point]:
+        return (self.v1, self.v2, self.v3)
+
+
+@dataclass(frozen=True)
+class Quadrangle:
+    vertices: tuple[Point, Point, Point, Point]
+    id: TileId | None = None
+    corner: str | None = None
+
+    def __post_init__(self):
+        if self.corner is not None and self.corner not in CORNERS:
+            raise InvalidParameter(f"corner must be one of {CORNERS}, got {self.corner!r}")
+        if min(math.hypot(dx, dy) for dx, dy in edge_vectors(self)) <= 1e-14:
+            raise DegeneratePolygon("quadrangle with a zero-length edge")
+        v = [p.xy for p in self.vertices]
+        s = signed_area(v)
+        if abs(s) <= 1e-14:
+            raise DegeneratePolygon(f"degenerate quadrangle (signed area {s:.3e})")
+        if s < 0:
+            raise DegeneratePolygon("vertices must be in counterclockwise order")
+        if _segments_cross(v[0], v[1], v[2], v[3]) or _segments_cross(v[1], v[2], v[3], v[0]):
+            raise DegeneratePolygon("self-intersecting quadrangle")
+
+
+def edge_vectors(p) -> list[tuple[float, float]]:
+    """Edge vectors v[k+1]-v[k] in counterclockwise order; they sum to zero."""
+    pts = vertices_of(p)
+    return [(q[0] - r[0], q[1] - r[1]) for r, q in zip(pts, pts[1:] + pts[:1])]
+
+
+def is_convex(p, tol: float = 1e-12) -> bool:
+    """True when all consecutive-edge cross products share one sign."""
+    ev = edge_vectors(p)
+    crosses = [a[0] * b[1] - a[1] * b[0] for a, b in zip(ev, ev[1:] + ev[:1])]
+    return all(c >= -tol for c in crosses) or all(c <= tol for c in crosses)
+
+
+def tile_label(p) -> str:
+    """Compact "row/col/slot[/corner]" label for reports, "?" if unknown."""
+    corner = getattr(p, "corner", None)
+    return "?" if p.id is None else "/".join(
+        map(str, (p.id.row, p.id.col, p.id.slot) + ((corner,) if corner else ())))
+
+
+def record(polys) -> Tiles:
+    """The record of polygons or vertex lists of one vertex count, with ids
+    when every polygon has one."""
+    polys = list(polys)
+    xy = np.array([vertices_of(p) for p in polys], dtype=float)
+    tids = [getattr(p, "id", None) for p in polys]
+    ids = zip(*[(t.row, t.col, t.slot) for t in tids]) if all(tids) else [None] * 3
+    corner = np.array([CORNERS.index(c) if c else -1 for c in (getattr(p, "corner", None)
+                                                               for p in polys)], dtype=np.int8)
+    return Tiles(xy, *(None if a is None else np.array(a, dtype=np.int64) for a in ids),
+                 corner if xy.shape[1] == 4 else None)
+
+
+def polygon(ids, corner, pts):
+    """The polygon of (x, y) pairs, built in the order its parts validate:
+    id (row, col, slot) if any, vertices one by one, then the polygon."""
+    tid = None if ids is None else TileId(*ids)
+    pts = [Point(x, y) for x, y in pts]
+    return (Triangle(*pts, id=tid) if len(pts) == 3
+            else Quadrangle(tuple(pts), id=tid, corner=corner))
+
+
+def polygons(tiles: Tiles) -> list:
+    """The tiles of a record as polygons, with their ids and corners."""
+    ids = [None] * len(tiles) if tiles.row is None else zip(
+        tiles.row.tolist(), tiles.col.tolist(), tiles.slot.tolist())
+    codes = [-1] * len(tiles) if tiles.corner is None else tiles.corner.tolist()
+    return [polygon(i, CORNERS[c] if c >= 0 else None, pts)
+            for i, c, pts in zip(ids, codes, tiles.xy.tolist())]
+
+
+def take(tiles: Tiles, idx) -> Tiles:
+    """The record of the tiles of ``tiles`` at ``idx``."""
+    return Tiles(*(None if a is None else a[idx]
+                   for a in (tiles.xy, tiles.row, tiles.col, tiles.slot, tiles.corner)))
+
+
+def quad_vertices(a: float, b: float, c: float, p) -> tuple:
+    """:func:`split_polygons` of the posed triangle cut by the parameters."""
+    return split_polygons((a, b, c), _corners(a, *apex(a, b, c), p.alpha, p.beta, p.gamma,
+                                              p.xi, p.eta))
+
+
+def split_polygons(sides, posed) -> tuple:
+    """The posed quadrangles of a split at corners A, B and C, built as
+    polygons; a degenerate one, then a non-convex one at 1e-12, raises
+    :class:`NonConvexOutput`."""
+    try:
+        quads = tuple(Quadrangle(tuple(Point(*v) for v in vs), corner=corner)
+                      for corner, vs in zip(CORNERS, posed))
+    except DegeneratePolygon as e:
+        raise NonConvexOutput(f"degenerate quadrangle for sides {sides}: {e}") from e
+    for q in quads:
+        if not is_convex(q, 1e-12):
+            raise NonConvexOutput(f"non-convex quadrangle at corner {q.corner}")
+    return quads
+
+
+def vertices_of(p) -> list[tuple[float, float]]:
+    """The (x, y) pairs of a polygon, of a record's tile or of an (n, 2) array."""
+    return [v.xy if isinstance(v, Point) else tuple(map(float, v))
+            for v in getattr(p, "vertices", p)]
 
 
 def interior_angles(p) -> list[float]:
     """Unsigned interior angles in radians, one per vertex (convex polygons)."""
-    pts = p.vertices
-    n = len(pts)
-    out = []
-    for k in range(n):
-        v = pts[k]
-        a = (pts[(k + 1) % n].x - v.x, pts[(k + 1) % n].y - v.y)
-        b = (pts[(k - 1) % n].x - v.x, pts[(k - 1) % n].y - v.y)
-        cross = a[0] * b[1] - a[1] * b[0]
-        dot = a[0] * b[0] + a[1] * b[1]
-        out.append(math.atan2(abs(cross), dot))
-    return out
+    pts = vertices_of(p)
+    pairs = [((nx - x, ny - y), (px - x, py - y)) for (px, py), (x, y), (nx, ny)
+             in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
+    return [math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1]) for a, b in pairs]
 
 
 def edge_lengths(p) -> list[float]:
@@ -58,30 +202,14 @@ def edge_lengths(p) -> list[float]:
 
 
 def area(p) -> float:
-    s = signed_area([v.xy for v in p.vertices])
+    s = signed_area(vertices_of(p))
     if abs(s) <= 1e-14:
         raise DegeneratePolygon(f"degenerate polygon (signed area {s:.3e})")
     return abs(s)
 
 
 def perimeter(p) -> float:
-    pts = p.vertices
-    return sum(math.hypot(q.x - r.x, q.y - r.y) for q, r in zip(pts, pts[1:] + pts[:1]))
-
-
-def with_vertices(p, pts):
-    """Copy of the polygon with replaced vertices, keeping its identity."""
-    pts = tuple(pts)
-    if isinstance(p, Triangle):
-        return Triangle(*pts, id=p.id)
-    return Quadrangle(pts, id=p.id, corner=p.corner)
-
-
-def scale_uniform(p, s: float):
-    """Uniform scaling about the origin by a positive factor."""
-    if s <= 0:
-        raise InvalidParameter(f"scale factor must be positive, got {s!r}")
-    return with_vertices(p, (Point(s * v.x, s * v.y) for v in p.vertices))
+    return sum(edge_lengths(p))
 
 
 def tile_ids(n_cols: int, row: int = 0):
@@ -116,11 +244,9 @@ def plane_triangles(plane) -> list:
 
 
 def _canonical_frame(origin: Point, along: Point, upper: Point):
-    """Isometry (possibly with a reflection) taking ``origin`` to (0,0),
-    ``along`` onto the positive x-axis and ``upper`` above it.
-
-    Returns (forward, inverse, mirrored).
-    """
+    """The inverse of the isometry (possibly with a reflection) taking
+    ``origin`` to (0,0), ``along`` onto the positive x-axis and ``upper``
+    above it, and whether it reflects."""
     ux, uy = along.x - origin.x, along.y - origin.y
     norm = math.hypot(ux, uy)
     if norm <= 1e-14:
@@ -130,16 +256,12 @@ def _canonical_frame(origin: Point, along: Point, upper: Point):
     up = (upper.x - origin.x) * ey[0] + (upper.y - origin.y) * ey[1]
     m = -1.0 if up < 0.0 else 1.0
 
-    def forward(p: Point) -> Point:
-        dx, dy = p.x - origin.x, p.y - origin.y
-        return Point(dx * ex[0] + dy * ex[1], m * (dx * ey[0] + dy * ey[1]))
-
     def inverse(px: float, py: float) -> Point:
         yy = m * py
         return Point(origin.x + px * ex[0] + yy * ey[0],
                      origin.y + px * ex[1] + yy * ey[1])
 
-    return forward, inverse, m < 0.0
+    return inverse, m < 0.0
 
 
 def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
@@ -182,7 +304,7 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
     c = math.hypot(r.x - vb.x, r.y - vb.y)
     params = solve_fair_split(a, b, c)
 
-    _, inverse, mirrored = _canonical_frame(va, vb, r)
+    inverse, mirrored = _canonical_frame(va, vb, r)
     out = []
     for posed in quad_vertices(a, b, c, params):
         mapped = [inverse(*v.xy) for v in posed.vertices]
@@ -192,44 +314,43 @@ def fair_split(t: Triangle) -> tuple[Quadrangle, Quadrangle, Quadrangle]:
     return tuple(out)
 
 
-
 def quadify_plane(tiles) -> list:
     """The fair split of every triangle, each scaled as its own polygon."""
     out = []
     for tri in tiles:
-        posed = scale_uniform(tri, QUADIFY_SCALE)
+        pts = [Point(QUADIFY_SCALE * x, QUADIFY_SCALE * y) for x, y in vertices_of(tri)]
         try:
-            out.extend(fair_split(posed))
+            out.extend(fair_split(Triangle(*pts, id=tri.id)))
         except FairtileError as e:
-            raise TileFailed(tri.id, e) from e
+            raise TileFailed(tile_label(tri), e) from e
     return out
 
 
-def _id_field(id_obj, key: str) -> int:
-    value = id_obj[key]
-    if type(value) is not int:
-        raise DocumentError(f"tile id field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _parse_tile(obj):
-    id_obj = obj["id"]
-    tid = TileId(*(_id_field(id_obj, key) for key in ("row", "col", "slot")))
-    corner = id_obj.get("corner")
-    pts = [Point(float(x), float(y)) for x, y in obj["vertices"]]
-    if len(pts) == 3:
-        if corner is not None:
-            raise DocumentError("corner labels belong to quadrangle tiles")
-        return Triangle(*pts, id=tid)
-    if len(pts) == 4:
-        return Quadrangle(tuple(pts), id=tid, corner=corner)
-    raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(pts)}")
+def _tile_fields(line: str):
+    """(id, corner, vertex pairs) of a tile line read through ``json``, with
+    its id types, vertex count and corner label checked."""
+    obj = json.loads(line)
+    ids = []
+    for key in ("row", "col", "slot"):
+        ids.append(obj["id"][key])
+        if type(ids[-1]) is not int:
+            raise DocumentError(f"tile id field {key!r} must be an integer, got {ids[-1]!r}")
+    corner = obj["id"].get("corner")
+    pts = [(float(x), float(y)) for x, y in obj["vertices"]]
+    if len(pts) not in (3, 4):
+        raise DocumentError(f"tiles must have 3 or 4 vertices, got {len(pts)}")
+    if corner is not None and len(pts) == 3:
+        raise DocumentError("corner labels belong to quadrangle tiles")
+    if corner is not None and corner not in CORNERS:
+        raise InvalidParameter(f"corner must be one of {CORNERS}, got {corner!r}")
+    return ids, corner, pts
 
 
 def parse(text: str):
     """(kind, parameters, polygons) of a document, every tile line read
-    through ``json`` and built as a validated polygon, an id seen twice
-    refused at its second line."""
+    through ``json`` and checked, then each tile's vertex count checked
+    against the kind, then each tile built as a validated polygon, an id
+    seen twice refused at its second line."""
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise DocumentError("empty document")
@@ -238,7 +359,14 @@ def parse(text: str):
         version = header["format_version"]
         kind = header["kind"]
         parameters = header["parameters"]
-        tiles = [_parse_tile(json.loads(ln)) for ln in lines[1:]]
+        fields = [_tile_fields(ln) for ln in lines[1:]]
+        n = {"strip": 3, "plane": 3, "quad": 4}[kind] if kind in KINDS else None
+        for ids, corner, pts in fields if n else ():
+            if len(pts) != n:
+                label = "/".join(map(str, ids + [corner] if corner else ids))
+                raise DocumentError(f"{kind} documents hold {n}-vertex tiles; "
+                                    f"tile {label} has {len(pts)}")
+        tiles = [polygon(*f) for f in (fields if n else ())]
     except DocumentError:
         raise
     except Exception as e:
@@ -247,11 +375,6 @@ def parse(text: str):
         raise DocumentError(f"unsupported format version {version!r}")
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    n = {"strip": 3, "plane": 3, "quad": 4}[kind]
-    for tile in tiles:
-        if len(tile.vertices) != n:
-            raise DocumentError(f"{kind} documents hold {n}-vertex tiles; "
-                                f"tile {tile_label(tile)} has {len(tile.vertices)}")
     seen = {}
     for number, tile in zip([n for n, ln in enumerate(text.split("\n"), 1) if ln][1:], tiles):
         key = (tile.id, getattr(tile, "corner", None))
@@ -265,7 +388,7 @@ def parse(text: str):
 def signature_rows(p) -> np.ndarray:
     """All 2n (edge length, interior angle) alignment rows of one polygon,
     shape (2n, 2n), built from :func:`edge_lengths` and :func:`interior_angles`."""
-    n = len(p.vertices)
+    n = len(vertices_of(p))
     k = np.arange(n)
     fwd = (k[:, None] + k) % n
     rev = (-1 - k[:, None] - k) % n
@@ -333,7 +456,7 @@ def signature_distance(p, q) -> float:
     by which the pair fails to be congruent.  Polygons with different
     vertex counts are infinitely far apart.
     """
-    if len(p.vertices) != len(q.vertices):
+    if len(vertices_of(p)) != len(vertices_of(q)):
         return math.inf
     rows = signature_rows(p)
     return float(np.min(np.max(np.abs(rows - signature_rows(q)[0]), axis=1)))
@@ -363,21 +486,19 @@ def simeq_distance(t, u) -> float:
     return best
 
 
-def translate(p, dx: float, dy: float):
-    return with_vertices(p, (Point(v.x + dx, v.y + dy) for v in p.vertices))
+def translate(p, dx: float, dy: float) -> list:
+    return [(x + dx, y + dy) for x, y in vertices_of(p)]
 
 
-def shear(p, mu: float):
-    """Horizontal shear (x, y) -> (x + mu*y, y); preserves areas."""
-    return with_vertices(p, (Point(v.x + mu * v.y, v.y) for v in p.vertices))
+def shear(p, mu: float) -> list:
+    """Horizontal shear (x, y) -> (x + mu*y, y) of the vertices; preserves areas."""
+    return [(x + mu * y, y) for x, y in vertices_of(p)]
 
 
-def reflect_x(p):
-    """Reflection through the horizontal axis (x, y) -> (x, -y).
-
-    Vertex order is reversed so the result stays counterclockwise.
-    """
-    return with_vertices(p, reversed([Point(v.x, -v.y) for v in p.vertices]))
+def reflect_x(p) -> list:
+    """Reflection through the horizontal axis (x, y) -> (x, -y), the vertex
+    order reversed so the result stays counterclockwise."""
+    return [(x, -y) for x, y in reversed(vertices_of(p))]
 
 
 def equilateral_shear_set(t: Triangle) -> tuple[float, ...]:
@@ -406,10 +527,9 @@ def select_shears(base, count: int, epsilon: float, rng) -> list[float]:
     pairs all cleared the floor, so the verdicts, and a refusal's best
     margin, are those of sweeping only the pairs with a tile in the new row."""
     tiles = window_triangles(base)
-    _, collisions = aligned_sweep(Tiles.of(tiles), halfturn_variants, halfturn_key,
-                                  DEFAULT_QUANTUM)
+    _, collisions = aligned_sweep(record(tiles), halfturn_variants, halfturn_key, DEFAULT_QUANTUM)
     if collisions:
-        bad_shear_set(*(tiles[i] for i in collisions[0]))  # raises DegeneratePair
+        bad_shear_set(record(tiles[i] for i in collisions[0]).xy)  # raises DegeneratePair
     equilateral = [r for tile in tiles for r in equilateral_shear_set(tile)]
     chosen = []
     for n in range(1, count + 1):
@@ -419,7 +539,7 @@ def select_shears(base, count: int, epsilon: float, rng) -> list[float]:
             cand = rng.uniform(-half, half)
             if any(abs(r - cand) < DEFAULT_QUANTUM for r in equilateral):
                 continue
-            rows = Tiles.of(shear(tile, mu) for mu in chosen + [cand] for tile in tiles)
+            rows = record(shear(tile, mu) for mu in chosen + [cand] for tile in tiles)
             margin, _ = aligned_sweep(rows, signature_variants, signature_key, DEFAULT_QUANTUM)
             if margin > MARGIN_FLOOR:
                 chosen.append(cand)
@@ -439,7 +559,7 @@ def serialize(doc) -> str:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     lines = [dump({"format_version": doc.format_version, "kind": doc.kind,
                    "parameters": doc.parameters})]
-    for tile in doc.tiles:
+    for tile in polygons(doc.tiles):
         tid = tile.id
         id_obj = {"row": tid.row, "col": tid.col, "slot": tid.slot}
         if getattr(tile, "corner", None) is not None:

@@ -15,13 +15,13 @@ import pytest
 from fairtile import cli
 from fairtile.congruence import aligned_sweep, halfturn_variants, signature_key, signature_variants
 from fairtile.document import read_document
-from fairtile.geometry import Point, Tiles, Triangle
+from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
     P0,
+    _corners,
     apex,
     fair_split,
     fair_split_jacobian_det,
-    quad_vertices,
     reconstruct_triangle,
     reconstruction_jacobian_det,
     solve_fair_split,
@@ -185,7 +185,8 @@ def random_splits():
     while len(cases) < 1000:
         a, b, c = (rng.uniform(0.99, 1.01) for _ in range(3))
         params = solve_fair_split(a, b, c)
-        quads = quad_vertices(a, b, c, params)
+        p = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
+        quads = Tiles(np.array(_corners(a, *apex(a, b, c), *p)))  # the posed split, validated
         cases.append(((a, b, c), params, quads))
     return cases, time.monotonic() - t0
 
@@ -195,18 +196,18 @@ def test_a07_fair_split_ensemble(random_splits):
     t0 = time.monotonic()
     for (a, b, c), params, quads in cases:
         assert params.iterations <= 12
-        tri_area = a * apex(a, b, c).y / 2
-        for q in quads:
+        tri_area = a * apex(a, b, c)[1] / 2
+        for q in quads.xy:
             assert abs(perimeter(q) - P0) <= 1e-10
             assert abs(area(q) - tri_area / 3) <= 1e-10
-        assert check_convex(Tiles.of(quads)).passed
+        assert check_convex(quads).passed
         spread = max(a, b, c) - min(a, b, c)
         if spread >= 1e-4:
-            margin, _ = aligned_sweep(Tiles.of(quads), signature_variants, signature_key, 1e-9)
+            margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
             assert margin > 1e-9
 
-    placed = Triangle(Point(2.0, -1.0), Point(3.0, -1.0), Point(2.5, -1.0 + SQRT3 / 2))
-    _, collisions = aligned_sweep(fair_split(Tiles.of([placed])), signature_variants,
+    placed = Tiles(np.array([[(2.0, -1.0), (3.0, -1.0), (2.5, -1.0 + SQRT3 / 2)]]))
+    _, collisions = aligned_sweep(fair_split(placed), signature_variants,
                                   signature_key, 1e-9)
     assert collisions == [(0, 1), (0, 2), (1, 2)]
     conclude("A7", build_time + (time.monotonic() - t0), 30.0,
@@ -220,7 +221,7 @@ def test_a08_reconstruction_round_trip(random_splits):
     worst = 0.0
     for (a, b, c), _, quads in cases:
         want = sorted((a, b, c))
-        for q in quads:
+        for q in quads.xy:
             tri, _ = reconstruct_triangle(q)
             got = sorted(edge_lengths(tri))
             worst = max(worst, max(abs(u - v) for u, v in zip(want, got)))

@@ -25,12 +25,14 @@ from fairtile.congruence import (
     signature_variants,
 )
 from fairtile.errors import BoundaryMismatch, DegeneratePair, ExhaustedRetries, InvalidParameter
-from fairtile.geometry import Point, TileId, Tiles, Triangle
+from fairtile import geometry
+from fairtile.geometry import Tiles
 from fairtile.pipeline import sample_certified_y0
 from fairtile.strip import StripTiling, critical_tiling, strip_tiling, window_tiles
 from fairtile.verify import check_closeness, check_pairwise_incongruent, check_vertex_to_vertex
 import oracles
-from oracles import area, edge_lengths, ids_of, reflect_x, shear, tile_ids, translate, triangle_at
+from oracles import (TileId, area, edge_lengths, ids_of, polygon, record, reflect_x, shear,
+                     tile_ids, tile_label, translate, triangle_at, vertices_of)
 
 
 # (epsilon, rows, cols, seed) of the gate planes
@@ -62,7 +64,7 @@ def test_scale_preserves_halfturn_relation(base):
 
     def collides(t, a, b):
         pair = [triangle_at(t, *a), triangle_at(t, *b)]
-        return bool(aligned_sweep(Tiles.of(pair), halfturn_variants, halfturn_key, 1e-9)[1])
+        return bool(aligned_sweep(record(pair), halfturn_variants, halfturn_key, 1e-9)[1])
 
     for a, b in [((1, 1), (-1, 1)), ((1, 2), (2, 2)), ((2, 3), (3, 3))]:
         assert collides(unscaled, a, b) == collides(base, a, b)
@@ -71,13 +73,13 @@ def test_scale_preserves_halfturn_relation(base):
 def test_shear_map():
     def shear_only(t, mu):
         place = StripTransform(mu, False, (0.0, 0.0)).place
-        return Triangle(*(Point(*place(v.x, v.y)) for v in t.vertices))
+        return [place(x, y) for x, y in t]
 
-    t = Triangle(Point(0, 0), Point(2, 0), Point(1, SQRT3))
-    assert shear_only(t, 0.0).vertices == t.vertices
+    t = [(0.0, 0.0), (2.0, 0.0), (1.0, SQRT3)]
+    assert shear_only(t, 0.0) == t
     sheared = shear_only(t, 0.37)
     assert area(sheared) == pytest.approx(area(t), abs=1e-12)
-    assert sheared.vertices[2] == Point(1 + 0.37 * SQRT3, SQRT3)
+    assert sheared[2] == (1 + 0.37 * SQRT3, SQRT3)
 
 
 def test_row_order_and_shear_indices():
@@ -347,11 +349,11 @@ def test_periodic_triangle_matches_the_closed_form_lattice():
     # a tile read alone equals the same tile read in a list
     for tri, tid in zip(periodic_triangles(*ids_of(tids)), tids):
         assert [tri] == list(periodic_triangles(*ids_of([tid])))
-        assert tri.id == tid
-        assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
+        assert tri.label == f"{tid.row}/{tid.col}/{tid.slot}"
+        assert list(tri.vertices) == _periodic_oracle(tid)
     # rows interleaved, so each row comes in several runs
     mixed = tids[::2] + tids[1::2]
-    assert [[v.xy for v in tri.vertices] for tri in periodic_triangles(*ids_of(mixed))] == [
+    assert [list(tri.vertices) for tri in periodic_triangles(*ids_of(mixed))] == [
         _periodic_oracle(tid) for tid in mixed]
     assert len(periodic_triangles(*ids_of([]))) == 0
 
@@ -365,7 +367,7 @@ def test_periodic_reference_memory_does_not_grow_with_the_column():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert [v.xy for v in tri.vertices] == _periodic_oracle(tid)
+    assert list(tri.vertices) == _periodic_oracle(tid)
 
 
 def _chained(tri, tid, mu, reflected, translation):
@@ -376,12 +378,13 @@ def _chained(tri, tid, mu, reflected, translation):
         tri = shear(tri, mu)
     if reflected:
         tri = reflect_x(tri)
-    tri = translate(tri, *translation)
-    return Triangle(*tri.vertices, id=tid)
+    return polygon((tid.row, tid.col, tid.slot), None, translate(tri, *translation))
 
 
 def _bits(tri):
-    return (tri.id, [(float(v.x).hex(), float(v.y).hex()) for v in tri.vertices])
+    """Label and coordinate bits of a polygon or of a record's tile."""
+    label = tri.label if isinstance(tri, geometry.Tile) else tile_label(tri)
+    return (label, [(x.hex(), y.hex()) for x, y in vertices_of(tri)])
 
 
 def test_placement_matches_the_transform_chain():
@@ -389,13 +392,14 @@ def test_placement_matches_the_transform_chain():
     plane = stack_plane(base, select_shears(base, count=3, epsilon=0.01,
                                             rng=random.Random(2)), 3)
     tiles = plane.tiles()
-    assert plane.rows == (-1, 0, 1) and min(t.id.col for t in tiles) == -3
+    assert plane.rows == (-1, 0, 1) and tiles.col.min() == -3
     for k in plane.rows:
         tr = plane.transforms[k]
         chained = [_chained(triangle_at(base, tid.col, tid.slot), tid,
                             tr.mu, tr.reflected, tr.translation)
                    for tid in tile_ids(3, row=k)]
-        assert [_bits(t) for t in chained] == [_bits(t) for t in tiles if t.id.row == k]
+        placed = [_bits(tiles[i]) for i in np.flatnonzero(tiles.row == k)]
+        assert [_bits(t) for t in chained] == placed
         # the boundary profiles are the x-coordinates of the placed row's
         # vertices on its top and bottom lines
         ys = [v.y for t in chained for v in t.vertices]
@@ -409,8 +413,9 @@ def test_placement_matches_the_transform_chain():
     zeros = np.zeros(5)
     flat = StripTiling(y0=0.0, n_cols=3, xs=2.0 * i[:-1], ys=zeros[:-1], aa=2.0 * i - 1.0,
                        bb=2.0 * i - 1.0, alpha=zeros, beta=zeros, xi=zeros[:-1], y_scale=SQRT3)
-    chained = [_chained(triangle_at(flat, t.id.col, t.id.slot), t.id, None,
-                        t.id.row % 2 != 0, (0.0, 2.0 * t.id.row * SQRT3)) for t in tiles]
+    tids = map(TileId, tiles.row.tolist(), tiles.col.tolist(), tiles.slot.tolist())
+    chained = [_chained(triangle_at(flat, t.col, t.slot), t, None,
+                        t.row % 2 != 0, (0.0, 2.0 * t.row * SQRT3)) for t in tids]
     assert [_bits(t) for t in periodic_triangles(tiles.row, tiles.col, tiles.slot)] == [
         _bits(t) for t in chained]
 
@@ -419,19 +424,13 @@ def test_tiles_are_built_once_per_placement(monkeypatch):
     base = window_base(3)
     plane = stack_plane(base, select_shears(base, count=3, epsilon=0.01,
                                             rng=random.Random(2)), 3)
-    built = []
-    validate = Triangle.__post_init__
-
-    def counted(tri):
-        built.append(tri.id)
-        validate(tri)
-
-    monkeypatch.setattr(Triangle, "__post_init__", counted)
+    built, tile_view = [], geometry.Tile
+    monkeypatch.setattr(geometry, "Tile", lambda *view: built.append(tile_view(*view)) or built[-1])
     # the placed rows, their periodic reference and the strip are arrays
     tiles = plane.tiles()
     periodic = periodic_triangles(tiles.row, tiles.col, tiles.slot)
     strip_tiles = window_tiles(base)
     assert len(tiles) == len(periodic) == 3 * 26 and len(strip_tiles) == 26
     assert built == []
-    tri = tiles[5]  # one object, built on demand
-    assert tri.id == TileId(-1, -2, 2) and built == [tri.id]
+    tri = tiles[5]  # one tile view, built on demand
+    assert tri.label == "-1/-2/2" and built == [tri]

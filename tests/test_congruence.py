@@ -23,28 +23,23 @@ from fairtile.congruence import (
     window_pairs,
 )
 from fairtile.errors import DegeneratePair, DegeneratePolygon, NoUnequalHeights
-from fairtile.geometry import (
-    Point,
-    Quadrangle,
-    Tiles,
-    Triangle,
-    edge_vectors,
-)
+from fairtile.geometry import Tiles
 from fairtile.quadsplit import fair_split
 from fairtile.strip import critical_tiling, strip_tiling
 import oracles
-from oracles import (area, edge_lengths, halfturn_rows, perimeter, shear, signature_distance,
-                     signature_rows, simeq_distance, translate, triangle_at)
+from oracles import (area, edge_lengths, edge_vectors, halfturn_rows, perimeter, record, shear,
+                     signature_distance, signature_rows, simeq_distance, translate, triangle_at,
+                     vertices_of)
 
 SQRT3 = math.sqrt(3.0)
 
 
 def tri(*pts):
-    return Triangle(*(Point(*p) for p in pts))
+    """The (x, y) vertex pairs, validated as one tile of a record."""
+    return list(map(tuple, Tiles(np.array([pts], dtype=float)).xy[0].tolist()))
 
 
-def quad(*pts):
-    return Quadrangle(tuple(Point(*p) for p in pts))
+quad = tri
 
 
 UNIT_SQUARE = quad((0, 0), (1, 0), (1, 1), (0, 1))
@@ -52,12 +47,12 @@ UNIT_SQUARE = quad((0, 0), (1, 0), (1, 1), (0, 1))
 
 def signature_margin(p, q):
     """Full-congruence distance of one pair, as the sweep measures it."""
-    return aligned_sweep(Tiles.of([p, q]), signature_variants, signature_key, 1e-9)[0]
+    return aligned_sweep(record([p, q]), signature_variants, signature_key, 1e-9)[0]
 
 
 def halfturn_margin(p, q):
     """Translation-or-half-turn distance of one pair, as the sweep measures it."""
-    return aligned_sweep(Tiles.of([p, q]), halfturn_variants, halfturn_key, 1e-9)[0]
+    return aligned_sweep(record([p, q]), halfturn_variants, halfturn_key, 1e-9)[0]
 
 
 def mixed_sweep(polys, rows_of, key_of, quantum):
@@ -65,8 +60,8 @@ def mixed_sweep(polys, rows_of, key_of, quantum):
     and quadrangles, with pairs in list indices."""
     margin, collisions = math.inf, []
     for n in (3, 4):
-        idx = [i for i, p in enumerate(polys) if len(p.vertices) == n]
-        m, pairs = aligned_sweep(Tiles.of(polys[i] for i in idx), rows_of, key_of, quantum)
+        idx = [i for i, p in enumerate(polys) if len(p) == n]
+        m, pairs = aligned_sweep(record(polys[i] for i in idx), rows_of, key_of, quantum)
         margin = min(margin, m)
         collisions += [(idx[a], idx[b]) for a, b in pairs]
     return margin, sorted(collisions)
@@ -101,13 +96,13 @@ def test_measures_invariant_under_isometry(shift, angle, mirror):
     c, s = math.cos(angle), math.sin(angle)
 
     def iso(v):
-        x, y = (v.x, -v.y) if mirror else (v.x, v.y)
-        return Point(c * x - s * y + shift[0], s * x + c * y + shift[1])
+        x, y = (v[0], -v[1]) if mirror else v
+        return (c * x - s * y + shift[0], s * x + c * y + shift[1])
 
-    pts = [iso(v) for v in t.vertices]
+    pts = [iso(v) for v in t]
     if mirror:
         pts.reverse()
-    u = Triangle(*pts)
+    u = tri(*pts)
     assert area(u) == pytest.approx(area(t), rel=1e-12)
     assert perimeter(u) == pytest.approx(perimeter(t), rel=1e-12)
 
@@ -116,7 +111,7 @@ def test_measures_invariant_under_isometry(shift, angle, mirror):
 
 def vertical_width(t):
     """Largest difference between second coordinates of the vertices."""
-    ys = [v.y for v in t.vertices]
+    ys = [y for _, y in vertices_of(t)]
     return max(ys) - min(ys)
 
 
@@ -165,17 +160,17 @@ def test_critical_tiling_congruence_classes():
             continue
         tiles += [triangle_at(t, i, j) for j in (1, 2, 3, 4)]
     # one class per tile congruent to no earlier tile
-    _, collisions = aligned_sweep(Tiles.of(tiles), signature_variants, signature_key, 1e-9)
+    _, collisions = aligned_sweep(record(tiles), signature_variants, signature_key, 1e-9)
     assert len(tiles) - len({b for _, b in collisions}) == 6
 
 
 def test_halfturn_relation():
     t = tri((0.2, 0.1), (1.7, 0.3), (0.9, 1.2))
     assert halfturn_margin(t, translate(t, 7.0, -3.0)) <= 1e-9
-    neg = Triangle(*(Point(1.0 - v.x, 1.0 - v.y) for v in t.vertices))
+    neg = [(1.0 - x, 1.0 - y) for x, y in t]
     assert halfturn_margin(t, neg) <= 1e-9
     # a reflected copy is congruent but not a translated half-turn
-    refl = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
+    refl = [(-x, y) for x, y in reversed(t)]
     assert signature_margin(t, refl) <= 1e-9
     assert halfturn_margin(t, refl) > 1e-9
 
@@ -205,10 +200,10 @@ def test_halfturn_symmetric_and_reflexive():
 # --- signatures --------------------------------------------------------------
 
 def test_signature_ignores_vertex_rotation_and_reflection():
-    rotated = Quadrangle(tuple(UNIT_SQUARE.vertices[2:] + UNIT_SQUARE.vertices[:2]))
+    rotated = UNIT_SQUARE[2:] + UNIT_SQUARE[:2]
     assert signature_margin(UNIT_SQUARE, rotated) <= 1e-9
     q = quad((0, 0), (1.4, 0.1), (1.5, 1.2), (0.2, 0.9))
-    mirrored = Quadrangle(tuple(Point(-v.x, v.y) for v in reversed(q.vertices)))
+    mirrored = [(-x, y) for x, y in reversed(q)]
     assert signature_margin(q, mirrored) <= 1e-12
 
 
@@ -238,12 +233,12 @@ def test_signature_invariance_under_random_isometries():
         dx, dy = rng.uniform(-30, 30), rng.uniform(-30, 30)
         mirror = rng.random() < 0.5
         mapped = []
-        for v in p.vertices if n == 4 else p.vertices:
-            x, y = (v.x, -v.y) if mirror else (v.x, v.y)
-            mapped.append(Point(c * x - s * y + dx, s * x + c * y + dy))
+        for x, y in p:
+            y = -y if mirror else y
+            mapped.append((c * x - s * y + dx, s * x + c * y + dy))
         if mirror:
             mapped.reverse()
-        tiles += [p, Triangle(*mapped) if n == 3 else Quadrangle(tuple(mapped))]
+        tiles += [p, tri(*mapped)]
     # every tile collides with its image, whatever else collides in the set
     _, collisions = mixed_sweep(tiles, signature_variants, signature_key, 1e-9)
     assert set(zip(range(0, len(tiles), 2), range(1, len(tiles), 2))) <= set(collisions)
@@ -252,8 +247,7 @@ def test_signature_invariance_under_random_isometries():
 def test_fair_split_of_scalene_gives_three_distinct_signatures():
     from fairtile.quadsplit import apex
 
-    t = Triangle(Point(0, 0), Point(1.01, 0), apex(1.01, 1.00, 0.99))
-    quads = fair_split(Tiles.of([t]))
+    quads = fair_split(Tiles(np.array([[(0.0, 0.0), (1.01, 0.0), apex(1.01, 1.00, 0.99)]])))
     margin, _ = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
     assert margin > 1e-9
 
@@ -268,8 +262,7 @@ def test_congruence_soundness_on_congruent_samples():
             continue
         angle = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(angle), math.sin(angle)
-        u = Triangle(*(Point(c * v.x - s * v.y + 3, s * v.x + c * v.y - 2)
-                       for v in t.vertices))
+        u = [(c * x - s * y + 3, s * x + c * y - 2) for x, y in t]
         tol = 1e-9
         assert signature_margin(t, u) <= tol
         assert abs(perimeter(t) - perimeter(u)) <= 4 * tol * 3 + 1e-12
@@ -285,7 +278,7 @@ def _unpruned_sweep(polys, rows_of, quantum):
     polygon at a time by ``rows_of``."""
     groups = {}
     for idx, p in enumerate(polys):
-        groups.setdefault(len(p.vertices), []).append(idx)
+        groups.setdefault(len(p), []).append(idx)
     margin = math.inf
     collisions = []
     for idxs in groups.values():
@@ -311,7 +304,7 @@ def _near_copies(rng, base, count, jitter):
         if kind == "duplicate":
             out.append(base)
             continue
-        pts = [v.xy for v in base.vertices]
+        pts = list(base)
         if kind == "halfturn":
             pts = [(-x, -y) for x, y in pts]
         elif kind == "mirror":
@@ -336,7 +329,7 @@ def test_pruned_sweep_matches_the_unpruned_oracle(seed):
             (signature_variants, signature_key, signature_rows, signature_distance),
             (halfturn_variants, halfturn_key, halfturn_rows, simeq_distance)):
         dists = sorted(distance(p, q) for p, q in itertools.combinations(tiles, 2)
-                       if len(p.vertices) == len(q.vertices))
+                       if len(p) == len(q))
         # the largest distance makes every pair of equal vertex count collide
         for quantum in (1e-9, dists[len(dists) // 3], dists[-1]):
             margin, collisions = mixed_sweep(tiles, rows_of, key_of, quantum)
@@ -364,8 +357,7 @@ def _random_convex(rng, n):
     r, cx, cy = rng.uniform(0.5, 2.0), rng.uniform(-9, 9), rng.uniform(-9, 9)
     pts = [(cx + r * math.cos(t), cy + r * math.sin(t)) for t in angles]
     mirror = [(-x, y) for x, y in reversed(pts)]
-    make = tri if n == 3 else quad
-    return [make(*pts), make(*mirror)]
+    return [tri(*pts), tri(*mirror)]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -380,11 +372,11 @@ def test_batched_rows_equal_the_per_polygon_rows(seed):
             pass
     rng.shuffle(tiles)
     for n in (3, 4):
-        group = [t for t in tiles if len(t.vertices) == n]
+        group = [t for t in tiles if len(t) == n]
         for rows_of, one_rows in ((signature_variants, signature_rows),
                                   (halfturn_variants, halfturn_rows)):
             want = np.stack([one_rows(p) for p in group])
-            assert rows_of(Tiles.of(group)).tobytes() == want.tobytes()
+            assert rows_of(record(group)).tobytes() == want.tobytes()
 
 
 # --- degenerate pairs and equilateral shear roots -------------------------
@@ -449,21 +441,21 @@ def test_array_solver_matches_the_scalar_oracle_bit_for_bit():
 def test_bad_shear_set_degenerate_pair():
     t = tri((0, 0), (2.1, 0), (0.8, 1.7))
     with pytest.raises(DegeneratePair):
-        bad_shear_set(t, translate(t, 4.0, 1.0))
-    neg = Triangle(*(Point(3.0 - v.x, 2.0 - v.y) for v in t.vertices))
+        bad_shear_set(record([t, translate(t, 4.0, 1.0)]).xy)
+    neg = [(3.0 - x, 2.0 - y) for x, y in t]
     with pytest.raises(DegeneratePair):
-        bad_shear_set(t, neg)
+        bad_shear_set(record([t, neg]).xy)
 
 
 def test_bad_shear_set_mirror_pair_contains_zero():
     # a mirror image is congruent at shear zero only: the pair is not refused,
     # its half-turn distance comes back, and a nonzero shear separates it
     t = tri((0, 0), (2.1, 0), (0.8, 1.7))
-    mirror = Triangle(*(Point(-v.x, v.y) for v in reversed(t.vertices)))
-    assert bad_shear_set(t, mirror) == halfturn_margin(t, mirror) > 1e-9
+    mirror = [(-x, y) for x, y in reversed(t)]
+    assert bad_shear_set(record([t, mirror]).xy) == halfturn_margin(t, mirror) > 1e-9
 
     def margin(r):
-        pair = Tiles.of([shear(t, r), shear(mirror, r)])
+        pair = record([shear(t, r), shear(mirror, r)])
         return aligned_sweep(pair, signature_variants, signature_key, 1e-9)[0]
 
     assert margin(0.0) < 1e-12
@@ -472,13 +464,13 @@ def test_bad_shear_set_mirror_pair_contains_zero():
 
 def test_equilateral_shear_set():
     t = tri((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-    roots = equilateral_shear_set(Tiles.of([t]))
+    roots = equilateral_shear_set(record([t]))
     assert roots.shape == (1, 2)
     assert roots[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert roots[0, 1] == pytest.approx(2 * math.sqrt(3) / 3, abs=1e-12)
 
     scalene = tri((0, 0), (3, 0), (0, 1))
-    for r in _found(equilateral_shear_set(Tiles.of([scalene]))[0]):
+    for r in _found(equilateral_shear_set(record([scalene]))[0]):
         lengths = edge_lengths(shear(scalene, r))
         assert max(lengths) - min(lengths) > 1e-6  # superset filter, not equilateral
 
@@ -495,8 +487,8 @@ def test_equilateral_record_matches_the_per_tile_roots_bit_for_bit():
         except DegeneratePolygon:
             continue
     window = oracles.window_triangles(strip_tiling(0.004, 6))
-    tris += [tri(*(v.xy for v in t.vertices)) for t in window]  # id-less, as the record
-    got = equilateral_shear_set(Tiles.of(tris))
+    tris += [vertices_of(t) for t in window]  # id-less, as the record
+    got = equilateral_shear_set(record(tris))
     assert got.shape == (len(tris), 2)
     for t, row in zip(tris, got):
         want = oracles.equilateral_shear_set(t)
@@ -507,4 +499,4 @@ def test_equilateral_record_matches_the_per_tile_roots_bit_for_bit():
     with pytest.raises(NoUnequalHeights):
         oracles.equilateral_shear_set(flat)
     with pytest.raises(NoUnequalHeights):
-        equilateral_shear_set(Tiles.of(tris[:5] + [flat] + tris[5:]))
+        equilateral_shear_set(record(tris[:5] + [flat] + tris[5:]))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fairtile import cli, document, pipeline
 from fairtile.document import fmt17, parse, read_document, serialize
 from fairtile.errors import DegeneratePolygon, DocumentError, InvalidParameter
-from fairtile.geometry import Point, Quadrangle, TileId, Tiles, Triangle
+from fairtile.geometry import Tiles
 from fairtile.strip import strip_tiling
 import oracles
 
@@ -63,7 +63,7 @@ def test_gen_strip_reproduces_published_coordinates(tmp_path):
     out = tmp_path / "fig.tiles"
     assert run_cli("gen-strip", "--y0", "0.2", "--cols", "6", "--out", str(out)) == 0
     doc = read_document(out)
-    xs = {v.xy for t in doc.tiles for v in t.vertices}
+    xs = {v for t in doc.tiles for v in t.vertices}
     for want in [(1.92307692308, -0.169230769231), (3.88360118583, 0.112523014511),
                  (5.86782183927, -0.0671455252767)]:
         assert any(abs(x - want[0]) < 1e-9 and abs(y - want[1]) < 1e-9 for x, y in xs)
@@ -74,7 +74,7 @@ def test_gen_strip_critical_height(tmp_path):
     y0 = 1 / math.sqrt(3)
     assert run_cli("gen-strip", "--y0", fmt17(y0), "--cols", "5", "--out", str(out)) == 0
     doc = read_document(out)
-    xs = {v.xy for t in doc.tiles for v in t.vertices}
+    xs = {v for t in doc.tiles for v in t.vertices}
     assert any(abs(x - 1.5) < 1e-12 and abs(y) < 1e-12 for x, y in xs)
 
 
@@ -184,16 +184,49 @@ def test_gen_plane_wide_windows_finish_or_refuse_in_bounded_time(tmp_path, capsy
 
 @given(epsilon=st.sampled_from([0.0, -0.0, -1e-3, 5e-324, 1e-300, 1e-8, 1e-6, 1e-4, 0.05,
                                 0.0500001, math.nan, math.inf]) | st.floats(-0.01, 0.06),
-       rows=st.integers(-1, 17), cols=st.integers(-1, 10), seed=st.integers(0, 2 ** 31))
+       rows=st.integers(-1, 17), cols=st.integers(-1, 10), seed=st.integers(0, 2 ** 31),
+       joined=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_gen_plane_exit_code_contract(tmp_path_factory, epsilon, rows, cols, seed):
+def test_gen_plane_exit_code_contract(tmp_path_factory, epsilon, rows, cols, seed, joined):
     out = tmp_path_factory.mktemp("contract") / "p.tiles"
-    argv = ["gen-plane", f"--epsilon={epsilon!r}", "--seed", str(seed), "--rows", str(rows),
-            "--cols", str(cols), "--out", str(out)]  # "=": argparse takes "-1e-05" for an option
+    option = [f"--epsilon={epsilon!r}"] if joined else ["--epsilon", repr(epsilon)]
+    argv = ["gen-plane", *option, "--seed", str(seed), "--rows", str(rows),
+            "--cols", str(cols), "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)  # a traceback fails the test
     assert code in (0, 2, 3)
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-plane", "--epsilon", "-1e-05", "--seed", "1", "--rows", "2", "--cols", "4"],
+     "--epsilon must lie in (0, 0.05]"),
+    (["gen-strip", "--y0", "-1e-3", "--cols", "4"], "y0 must lie in (0, 1)"),
+    (["render", "--in", "PLANE", "--stroke-width", "-1e-3"], "stroke width must be"),
+    (["render", "--in", "PLANE", "--scale", "-4e1"], "scale must be"),
+], ids=["gen-plane", "gen-strip", "render-stroke-width", "render-scale"])
+def test_negative_values_in_exponent_form_reach_the_range_checks(plane_doc, tmp_path, capsys,
+                                                                 argv, message):
+    out = tmp_path / "out"
+    argv = [str(plane_doc) if a == "PLANE" else a for a in argv] + ["--out", str(out)]
+    assert run_cli(*argv) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_quadify_names_a_tile_stretched_past_the_edge_window(plane_doc, tmp_path, capsys):
+    plane = read_document(plane_doc)
+    xy = plane.tiles.xy.copy()
+    xy[5] = xy[5].mean(axis=0) + 1.03 * (xy[5] - xy[5].mean(axis=0))  # edges ~2.06, past 2 * 1.012
+    path = tmp_path / "stretched.tiles"
+    stretched = dataclasses.replace(plane.tiles, xy=xy)
+    document.write_document(dataclasses.replace(plane, tiles=stretched), path)
+    capsys.readouterr()
+    assert run_cli("quadify", "--in", str(path), "--out", str(tmp_path / "q.tiles")) == 3
+    assert not (tmp_path / "q.tiles").exists()
+    err = capsys.readouterr().err
+    assert f"TileFailed: tile {plane.tiles.label(5)}: EdgeOutOfRange: " in err
+    assert re.fullmatch(r"-?\d+/-?\d+/[1-4]", plane.tiles.label(5))
 
 
 def test_verify_plane_document(plane_doc, tmp_path):
@@ -299,15 +332,14 @@ def test_reports_of_in_memory_documents_are_json(small_docs):
 
 def test_tile_lines_are_the_json_dumps_bytes(small_docs):
     strip = small_docs["strip"]
-    assert any(str(c) == "-0.0" for t in strip.tiles for v in t.vertices for c in v.xy)
-    assert {q.corner for q in small_docs["quad"].tiles} == {"A", "B", "C"}
-    # window tiles carry Python floats; a tile with NumPy coordinates too
-    numpy_tile = Triangle(*(Point(np.float64(x), np.float64(y))
-                            for x, y in ((-0.0, 0.1), (2.5, -1e-300), (1 / 3, 7.0))),
-                          id=TileId(2, -5, 3))
+    assert any(str(c) == "-0.0" for t in strip.tiles for v in t.vertices for c in v)
+    assert set(small_docs["quad"].tiles.corner.tolist()) == {0, 1, 2}
+    # one more tile, with a negative zero and a subnormal among its coordinates
+    more = [np.concatenate([a, extra]) for a, extra in zip(
+        (strip.tiles.xy, strip.tiles.row, strip.tiles.col, strip.tiles.slot),
+        ([((-0.0, 0.1), (2.5, -1e-300), (1 / 3, 7.0))], [2], [-5], [3]))]
     docs = list(small_docs.values())
-    docs.append(document.TilingDocument("strip", strip.parameters,
-                                        Tiles.of([*strip.tiles, numpy_tile])))
+    docs.append(document.TilingDocument("strip", strip.parameters, Tiles(*more)))
     for doc in docs:  # as built in memory, then plain floats after a parse
         assert serialize(doc) == oracles.serialize(doc)
         assert serialize(parse(serialize(doc))) == oracles.serialize(doc)
@@ -398,7 +430,7 @@ def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):
     from fairtile.quadsplit import quadify_plane
 
     plane = read_document(plane_doc)
-    quad = pipeline.quad_document(quadify_plane(Tiles.of([plane.tiles[0]])), plane)
+    quad = pipeline.quad_document(quadify_plane(oracles.take(plane.tiles, [0])), plane)
     plane_lines, quad_lines = (serialize(d).splitlines() for d in (plane, quad))
     # a plane document with one quadrangle, a quad document with one triangle
     odd = {"plane": plane_lines[:1] + plane_lines[2:] + quad_lines[1:2],
@@ -416,11 +448,11 @@ def test_documents_refuse_tiles_of_another_kind(plane_doc, tmp_path):
 def test_documents_refuse_a_quadrangle_with_a_repeated_vertex(plane_doc, tmp_path):
     from fairtile.quadsplit import quadify_plane
 
-    with pytest.raises(DegeneratePolygon):
-        Quadrangle((Point(0, 0), Point(1, 0), Point(1, 0), Point(0, 1)))
+    with pytest.raises(DegeneratePolygon, match="zero-length edge"):
+        Tiles(np.array([[(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]]))
     plane = read_document(plane_doc)
-    header, first, *rest = serialize(
-        pipeline.quad_document(quadify_plane(Tiles.of(list(plane.tiles)[:2])), plane)).splitlines()
+    header, first, *rest = serialize(pipeline.quad_document(
+        quadify_plane(oracles.take(plane.tiles, slice(2))), plane)).splitlines()
     tile = json.loads(first)
     tile["vertices"][2] = tile["vertices"][1]
     path = tmp_path / "repeated.tiles"
@@ -526,7 +558,8 @@ def test_render_refuses_a_bad_scale_or_stroke_width(plane_doc, tmp_path, option)
 
 
 def test_render_empty_document(tmp_path):
-    doc = document.TilingDocument(kind="strip", parameters={}, tiles=Tiles.of([]))
+    empty = Tiles(np.empty((0, 3, 2)), *np.empty((3, 0), dtype=np.int64))
+    doc = document.TilingDocument(kind="strip", parameters={}, tiles=empty)
     path = tmp_path / "empty.tiles"
     document.write_document(doc, path)
     svg = tmp_path / "empty.svg"

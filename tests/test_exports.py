@@ -3,6 +3,7 @@ uses it."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -16,6 +17,10 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(fairtile.__path__, "fairti
 # Jacobian determinants), not for any caller inside the package
 PAPER_ANCHORS = {"critical_tiling", "reconstruct_triangle",
                  "fair_split_jacobian_det", "reconstruction_jacobian_det"}
+
+# the per-tile object layer that the array record replaced
+RETIRED = {"Point", "TileId", "Triangle", "Quadrangle", "edge_vectors", "is_convex",
+           "tile_label", "quad_vertices", "_apex"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -52,3 +57,16 @@ def test_every_export_has_a_caller_in_the_package():
     unused = sorted(f"{mod}.{name}" for mod, names in exported.items() for name in names
                     if name not in referenced and name not in PAPER_ANCHORS)
     assert not unused, f"exported but never used inside fairtile: {unused}"
+
+
+def test_the_per_tile_object_layer_stays_retired():
+    """``geometry`` defines no class but the record and its per-tile view, and
+    no module defines or exports a retired name, so no path (the strip,
+    plane and quadify runs among them) can build a per-tile object."""
+    geometry = importlib.import_module("fairtile.geometry")
+    classes = {name for name, value in vars(geometry).items()
+               if inspect.isclass(value) and value.__module__ == geometry.__name__}
+    assert classes == {"Tiles", "Tile"}
+    assert not hasattr(geometry.Tiles, "of")
+    for name in ["fairtile", *MODULES]:
+        assert not RETIRED & set(vars(importlib.import_module(name))), name

@@ -2,10 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtile.errors import (
     DegeneratePolygon,
@@ -19,13 +22,7 @@ from fairtile.errors import (
     SingularJacobian,
     TileFailed,
 )
-from fairtile.geometry import (
-    Point,
-    Quadrangle,
-    Tiles,
-    Triangle,
-    is_convex,
-)
+from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
     FAIR,
     P0,
@@ -40,7 +37,6 @@ from fairtile.quadsplit import (
     fair_split,
     fair_split_jacobian_det,
     newton3,
-    quad_vertices,
     quadify_plane,
     reconstruct_triangle,
     reconstruction_jacobian_det,
@@ -48,7 +44,8 @@ from fairtile.quadsplit import (
     xi_eta,
 )
 import oracles
-from oracles import area, edge_lengths, ids_of, interior_angles, perimeter, scale_uniform, tile_ids
+from oracles import (Point, Quadrangle, area, edge_lengths, ids_of, interior_angles, is_convex,
+                     perimeter, quad_vertices, tile_ids)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -61,14 +58,14 @@ def exact_xi_eta(al: Fraction, be: Fraction, ga: Fraction):
 
 
 def test_apex():
-    p = apex(1, 1, 1)
-    assert p.x == pytest.approx(0.5, abs=1e-15)
-    assert p.y == pytest.approx(SQRT3 / 2, abs=1e-15)
+    x, y = apex(1, 1, 1)
+    assert x == pytest.approx(0.5, abs=1e-15)
+    assert y == pytest.approx(SQRT3 / 2, abs=1e-15)
     # exact check: radicand of (4,3,5) is 576, so the apex is (0, 3)
     assert Fraction(2 * 16 * 9 + 2 * 16 * 25 + 2 * 9 * 25 - 256 - 81 - 625) == 576
-    p = apex(4, 3, 5)
-    assert p.x == pytest.approx(0.0, abs=1e-14)
-    assert p.y == pytest.approx(3.0, abs=1e-14)
+    x, y = apex(4, 3, 5)
+    assert x == pytest.approx(0.0, abs=1e-14)
+    assert y == pytest.approx(3.0, abs=1e-14)
     with pytest.raises(DegenerateTriangle):
         apex(1, 1, 2.1)
     with pytest.raises(DegenerateTriangle):
@@ -105,7 +102,7 @@ def test_equal_area_weights_are_affine_invariant():
         except NonConvexOutput:
             continue
         areas = [area(q) for q in quads]
-        tri_area = a * top.y / 2
+        tri_area = a * top[1] / 2
         assert max(areas) - min(areas) <= 1e-10
         assert sum(areas) == pytest.approx(tri_area, abs=1e-10)
 
@@ -139,15 +136,14 @@ def test_split_parameters_are_python_floats():
     assert [v.hex() for v in fields] == [
         "0x1.afbadb73c0487p-2", "0x1.ae2223913e95bp-2", "0x1.ab633d5c49514p-2",
         "0x1.52bfe34fcf910p-2", "0x1.57a00ba3f2d3ep-2"]  # the bits numpy scalars carried
-    m = quad_vertices(1.004, 0.998, 0.995, params)[0].vertices[2]
-    assert type(m.x) is float and type(m.y) is float
+    m = _corners(1.004, *apex(1.004, 0.998, 0.995), *fields)[0][2]
+    assert type(m[0]) is float and type(m[1]) is float
 
 
 def test_perturbed_split_residuals():
     params = solve_fair_split(1.01, 1.00, 0.99)
     quads = quad_vertices(1.01, 1.00, 0.99, params)
-    top = apex(1.01, 1.00, 0.99)
-    tri_area = 1.01 * top.y / 2
+    tri_area = 1.01 * apex(1.01, 1.00, 0.99)[1] / 2
     for q in quads:
         assert perimeter(q) == pytest.approx(P0, abs=1e-10)
         assert area(q) == pytest.approx(tri_area / 3, abs=1e-10)
@@ -196,12 +192,12 @@ def test_jacobian_anchor_constants():
 
 def test_fair_split_requires_near_unit_edges():
     with pytest.raises(TileFailed) as info:
-        fair_split(Tiles.of([Triangle(Point(0, 0), Point(2, 0), Point(1, 1))]))
+        fair_split(Tiles(np.array([[(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)]])))
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
 def _equilateral(s):
-    return Triangle(Point(0, 0), Point(s, 0), Point(s / 2, s * SQRT3 / 2))
+    return Tiles(np.array([[(0.0, 0.0), (s, 0.0), (s / 2, s * SQRT3 / 2)]]))
 
 
 def test_fair_split_edge_window_is_the_solver_basin():
@@ -210,10 +206,10 @@ def test_fair_split_edge_window_is_the_solver_basin():
         with pytest.raises(NoConvergence):
             solve_fair_split(s, s, s)
     for s in (0.9801, 1.0119):  # just inside either edge
-        assert len(fair_split(Tiles.of([_equilateral(s)]))) == 3
+        assert len(fair_split(_equilateral(s))) == 3
     for s in (0.9799, 1.0121, 1.013, 1.015, 1.019):  # refused before Newton runs
         with pytest.raises(TileFailed) as info:
-            fair_split(Tiles.of([_equilateral(s)]))
+            fair_split(_equilateral(s))
         assert isinstance(info.value.__cause__, EdgeOutOfRange)
     rng = random.Random(19)
     tris = []
@@ -221,8 +217,8 @@ def test_fair_split_edge_window_is_the_solver_basin():
         a, b, c = sorted((rng.uniform(0.9801, 1.0119) for _ in range(3)), reverse=True)
         if len(tris) % 3 == 0:
             a, b, c = 1.0119, 1.0119 - rng.uniform(0, 1e-3), 1.0119 - rng.uniform(0, 1e-3)
-        tris.append(Triangle(Point(0, 0), Point(a, 0), apex(a, b, c)))
-    assert len(fair_split(Tiles.of(tris))) == 3 * len(tris)
+        tris.append([(0.0, 0.0), (a, 0.0), apex(a, b, c)])
+    assert len(fair_split(Tiles(np.array(tris)))) == 3 * len(tris)
 
 
 def test_fair_split_of_equilateral_gives_congruent_quads():
@@ -230,8 +226,8 @@ def test_fair_split_of_equilateral_gives_congruent_quads():
 
     c, s = math.cos(0.7), math.sin(0.7)
     pts = [(0, 0), (1, 0), (0.5, SQRT3 / 2)]
-    placed = [Point(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
-    quads = fair_split(Tiles.of([Triangle(*placed)]))
+    placed = [(c * x - s * y - 4.0, s * x + c * y + 11.0) for x, y in pts]
+    quads = fair_split(Tiles(np.array([placed])))
     _, collisions = aligned_sweep(quads, signature_variants, signature_key, 1e-9)
     assert collisions == [(0, 1), (0, 2), (1, 2)]
 
@@ -240,17 +236,16 @@ def test_fair_split_equivariance_under_isometry():
     theta = 1.234
     c, s = math.cos(theta), math.sin(theta)
 
-    def iso(v: Point) -> Point:
-        x, y = v.x, -v.y
-        return Point(c * x - s * y + 0.75, s * x + c * y - 2.0)
+    def iso(v):
+        x, y = v[0], -v[1]
+        return (c * x - s * y + 0.75, s * x + c * y - 2.0)
 
-    t = Triangle(Point(0, 0), Point(1.004, 0), apex(1.004, 0.993, 1.008))
-    g_t = Triangle(*(iso(v) for v in reversed(t.vertices)))
-    for corner in "ABC":
-        ours = next(q for q in fair_split(Tiles.of([t])) if q.corner == corner)
-        theirs = next(q for q in fair_split(Tiles.of([g_t])) if q.corner == corner)
-        want = sorted((iso(v).x, iso(v).y) for v in ours.vertices)
-        got = sorted(v.xy for v in theirs.vertices)
+    t = [(0.0, 0.0), (1.004, 0.0), apex(1.004, 0.993, 1.008)]
+    g_t = [iso(v) for v in reversed(t)]
+    ours, theirs = (fair_split(Tiles(np.array([u]))).xy.tolist() for u in (t, g_t))
+    for k in range(3):  # the quadrangles at corners A, B and C
+        want = sorted(iso(v) for v in ours[k])
+        got = sorted(map(tuple, theirs[k]))
         for (wx, wy), (gx, gy) in zip(want, got):
             assert gx == pytest.approx(wx, abs=1e-10)
             assert gy == pytest.approx(wy, abs=1e-10)
@@ -258,8 +253,7 @@ def test_fair_split_equivariance_under_isometry():
 
 def test_reconstruction_of_symmetric_quad():
     a0, x0, y0, z0, w0 = FAIR.quad0
-    q = Quadrangle((Point(0, 0), Point(a0, 0), Point(z0, w0), Point(x0, y0)))
-    tri, triple = reconstruct_triangle(q)
+    tri, triple = reconstruct_triangle([(0.0, 0.0), (a0, 0.0), (z0, w0), (x0, y0)])
     assert triple.rho == pytest.approx(FAIR.rho0, abs=1e-10)
     assert triple.sigma == pytest.approx(FAIR.sigma0, abs=1e-10)
     assert triple.tau == pytest.approx(FAIR.tau0, abs=1e-10)
@@ -273,11 +267,11 @@ def test_reconstruction_round_trip():
     while done < 120:
         a, b, c = (rng.uniform(0.99, 1.01) for _ in range(3))
         try:
-            t = Triangle(Point(0, 0), Point(a, 0), apex(a, b, c))
+            t = [(0.0, 0.0), (a, 0.0), apex(a, b, c)]
         except DegenerateTriangle:
             continue
         want = sorted(edge_lengths(t))
-        for q in fair_split(Tiles.of([t])):
+        for q in fair_split(Tiles(np.array([t]))).xy:
             tri, _ = reconstruct_triangle(q)
             got = sorted(edge_lengths(tri))
             assert max(abs(u - v) for u, v in zip(want, got)) <= 1e-8
@@ -285,25 +279,23 @@ def test_reconstruction_round_trip():
 
 
 def test_reconstruction_accepts_mirrored_quads():
-    t = Triangle(Point(0, 0), Point(1.006, 0), apex(1.006, 0.997, 1.001))
+    t = [(0.0, 0.0), (1.006, 0.0), apex(1.006, 0.997, 1.001)]
     want = sorted(edge_lengths(t))
-    for q in fair_split(Tiles.of([t])):
-        flipped = Quadrangle(tuple(Point(v.x, -v.y) for v in reversed(q.vertices)))
-        tri, _ = reconstruct_triangle(flipped)
+    for q in fair_split(Tiles(np.array([t]))).xy:
+        tri, _ = reconstruct_triangle([(x, -y) for x, y in q[::-1]])
         got = sorted(edge_lengths(tri))
         assert max(abs(u - v) for u, v in zip(want, got)) <= 1e-8
 
 
 def test_reconstruction_rejects_far_shapes():
-    square = Quadrangle((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
     with pytest.raises(OutOfBasin):
-        reconstruct_triangle(square)
+        reconstruct_triangle([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_quadify_plane():
     from fairtile import assembly, pipeline
 
-    assert len(quadify_plane(Tiles.of([]))) == 0
+    assert len(quadify_plane(Tiles(np.empty((0, 3, 2))))) == 0
 
     rng = random.Random(4)
     y0, base = pipeline.sample_certified_y0(rng, 2)
@@ -318,18 +310,18 @@ def test_quadify_plane():
     for q in quads:
         assert area(q) == pytest.approx(tri_area / 3, abs=1e-9)
         assert perimeter(q) == pytest.approx(P0, abs=1e-9)
-        assert q.id is not None and q.corner in "ABC"
+        assert q.label.count("/") == 3 and q.label[-1] in "ABC"
 
 
 def test_quadify_plane_names_the_failing_tile():
     from fairtile.assembly import periodic_triangles
 
-    tiles = list(periodic_triangles(*ids_of(tile_ids(1))))
-    tiles[2] = scale_uniform(tiles[2], 3.0)
-    tiles = Tiles.of(tiles)
+    tiles = periodic_triangles(*ids_of(tile_ids(1)))
+    xy = tiles.xy.copy()
+    xy[2] *= 3.0
     with pytest.raises(TileFailed) as info:
-        quadify_plane(tiles)
-    assert info.value.tile_id == tiles[2].id
+        quadify_plane(replace(tiles, xy=xy))
+    assert info.value.label == tiles.label(2) == "0/-1/3"
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
@@ -349,12 +341,13 @@ def test_solve_fair_split_matches_the_numpy_newton_oracle():
 
 
 def _quad_verdict(vertices):
-    """None if ``vertices`` make a convex :class:`Quadrangle`, else the error."""
+    """None if ``vertices`` make a convex :class:`Quadrangle`, else the
+    refusal of the split that posed it at corner A."""
     try:
         q = Quadrangle(tuple(Point(*v) for v in vertices))
     except DegeneratePolygon as e:
-        return str(e)
-    return None if is_convex(q, 1e-12) else "non-convex"
+        return f"degenerate quadrangle for sides (1.0, 1.0, 1.0): {e}"
+    return None if is_convex(q, 1e-12) else "non-convex quadrangle at corner A"
 
 
 def test_probe_accepts_exactly_what_the_quadrangle_rules_accept():
@@ -364,12 +357,34 @@ def test_probe_accepts_exactly_what_the_quadrangle_rules_accept():
         scale = rng.choice([1.0, 3e-7])  # at 3e-7 every turn lies within the 1e-12 tolerance
         v = tuple((scale * rng.randint(0, 3), scale * rng.randint(0, 3)) for _ in range(4))
         want = _quad_verdict(v)
-        assert _probe([v]) == (want is None), v
+        assert _probe((1.0, 1.0, 1.0), [v]) == want, v
         verdicts.add(want if want is None or "area" not in want else "area")
     assert len(verdicts) == 6
     for d in (-3e-12, -6e-13, -4e-13, 0.0, 4e-13, 6e-13, 3e-12):  # one turn of -2d
         v = ((0.0, 0.0), (1.0, d), (2.0, 0.0), (1.0, 1.0))
-        assert _probe([v]) == (_quad_verdict(v) is None) == (d < 5e-13), d
+        assert _probe((1.0, 1.0, 1.0), [v]) == _quad_verdict(v)
+        assert (_quad_verdict(v) is None) == (d < 5e-13), d
+
+
+_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+_DART = ((0.0, 0.0), (2.0, 0.0), (0.4, 0.4), (0.0, 2.0))
+# a posed quadrangle: on a 4 x 4 grid (repeated, collinear, clockwise or
+# crossing vertices are common), or a convex or a non-convex simple one
+_POSED = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=4,
+                  max_size=4) | st.sampled_from([_SQUARE, _DART])
+
+
+@given(st.lists(_POSED, min_size=3, max_size=3), st.sampled_from([1.0, 3e-7]),
+       st.tuples(*[st.floats(0.98, 1.012)] * 3))
+@settings(max_examples=500, deadline=None)
+def test_probe_names_the_refusal_the_split_polygons_raise(quads, scale, sides):
+    posed = tuple(tuple((scale * x, scale * y) for x, y in q) for q in quads)
+    try:
+        oracles.split_polygons(sides, posed)
+        want = None
+    except NonConvexOutput as e:
+        want = str(e)
+    assert _probe(sides, posed) == want
 
 
 def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
@@ -382,7 +397,7 @@ def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
         spread = rng.choice([0.02, 0.1, 0.3, 0.6])
         al, be, ga = (FAIR.alpha0 + rng.uniform(-spread, spread) for _ in range(3))
         try:
-            top = apex(a, b, c).xy
+            top = apex(a, b, c)
             params = FairSplitParams(al, be, ga, *xi_eta(al, be, ga))
         except (DegenerateTriangle, SingularDenominator, InvalidParameter):
             continue
@@ -391,7 +406,7 @@ def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
             want = None
         except NonConvexOutput as e:
             want = str(e)
-        assert _probe(_corners(a, *top, al, be, ga, params.xi, params.eta)) == (want is None)
+        assert _probe((a, b, c), _corners(a, *top, al, be, ga, params.xi, params.eta)) == want
         # the solver, landing on these parameters, accepts or raises the same
         monkeypatch.setattr(quadsplit, "newton3", lambda r, x0: (np.array([al, be, ga]), 0))
         try:

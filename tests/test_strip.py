@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairtile.errors import InvalidParameter
-from fairtile.geometry import TileId
+from fairtile.geometry import Tiles
 from fairtile.strip import (
     critical_tiling,
     deviations,
@@ -18,7 +18,7 @@ from fairtile.strip import (
 )
 from fairtile.assembly import scale_to_equilateral
 import oracles
-from oracles import tile_ids
+from oracles import tile_ids, vertices_of
 
 SQRT3 = math.sqrt(3.0)
 
@@ -195,14 +195,14 @@ def test_h_recursion_and_trapezoid_form():
 
 
 def _tile(t, i, j):
-    (tri,) = [tri for tri in window_tiles(t) if tri.id == TileId(0, i, j)]
+    (tri,) = [tri for tri in window_tiles(t) if tri.label == f"0/{i}/{j}"]
     return tri
 
 
 def test_triangle_at_critical_column_one():
     t = critical_tiling(3)
     tri = _tile(t, 1, 2)
-    got = sorted(v.xy for v in tri.vertices)
+    got = sorted(tri.vertices)
     want = sorted([(0.0, 1.0 / SQRT3), (1.5, 0.0), ((3 + SQRT3) / 2, 1.0)])
     for (gx, gy), (wx, wy) in zip(got, want):
         assert gx == pytest.approx(wx, abs=1e-12)
@@ -212,19 +212,21 @@ def test_triangle_at_critical_column_one():
 def test_triangle_at_center_column():
     t = critical_tiling(3)
     tri = _tile(t, 0, 1)
-    xs = sorted(v.x for v in tri.vertices)
+    xs = sorted(x for x, _ in tri.vertices)
     assert xs[0] == pytest.approx(-(3 + SQRT3) / 2, abs=1e-12)
     assert xs[2] == pytest.approx((3 + SQRT3) / 2, abs=1e-12)
-    assert any(v.xy == (0.0, t.y0) for v in tri.vertices)
+    assert (0.0, t.y0) in tri.vertices
 
 
 def test_triangle_at_rejects_missing_slots():
     # the center column has no slots 2 and 3, and no column has a slot 5
+    xy = window_tiles(strip_tiling(0.2, 1)).xy[:1]
     for col, slot in ((0, 2), (0, 3), (1, 5)):
         with pytest.raises(InvalidParameter):
-            TileId(0, col, slot)
-    assert {(tri.id.col, tri.id.slot) for tri in window_tiles(strip_tiling(0.2, 3))
-            if tri.id.col == 0} == {(0, 1), (0, 4)}
+            Tiles(xy, *(np.array([v]) for v in (0, col, slot)))
+    window = window_tiles(strip_tiling(0.2, 3))
+    assert set(zip(window.col[window.col == 0].tolist(),
+                   window.slot[window.col == 0].tolist())) == {(0, 1), (0, 4)}
 
 
 def test_mirror_columns_are_exact_reflections():
@@ -233,13 +235,13 @@ def test_mirror_columns_are_exact_reflections():
         for j in (1, 2, 3, 4):
             plus = _tile(t, i, j)
             minus = _tile(t, -i, j)
-            mirrored = sorted((-v.x, v.y) for v in plus.vertices)
-            got = sorted(v.xy for v in minus.vertices)
+            mirrored = sorted((-x, y) for x, y in plus.vertices)
+            got = sorted(minus.vertices)
             assert got == mirrored  # exact coordinate negation
 
 
 def _bits(tris):
-    return np.array([[v.xy for v in tri.vertices] for tri in tris]).view(np.uint64)
+    return np.array([vertices_of(tri) for tri in tris]).view(np.uint64)
 
 
 @pytest.mark.parametrize("tiling", [
@@ -258,9 +260,10 @@ def test_window_matches_the_slot_chain_oracle(tiling):
         (tid.row, tid.col, tid.slot) for tid in ids]
     assert np.array_equal(tiles.xy.view(np.uint64), want)
     ends = [tiles[0], tiles[len(tiles) // 2], tiles[-1]]  # tiles built on demand
-    assert [tri.id for tri in ends] == [ids[0], ids[len(ids) // 2], ids[-1]]
+    assert [tri.label for tri in ends] == [oracles.tile_label(oracles.triangle_at(
+        t, tid.col, tid.slot)) for tid in (ids[0], ids[len(ids) // 2], ids[-1])]
     assert np.array_equal(_bits(ends), want[[0, len(ids) // 2, -1]])
-    assert {type(c) for tri in ends for p in tri.vertices for c in p.xy} == {float}
+    assert {type(c) for tri in ends for p in tri.vertices for c in p} == {float}
     assert (want == np.float64(-0.0).view(np.uint64)).any()
 
 

@@ -1,7 +1,7 @@
 """The array tile record: bit for bit against the object builders it
 replaced, its refusals against the polygon constructors, the document
-parser against the per-line ``json`` parser, and no polygon objects on the
-strip and quadify paths."""
+parser against the per-line ``json`` parser, and no per-tile views on the
+strip path."""
 
 import json
 import math
@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from fairtile import cli, document, pipeline
 from fairtile.assembly import scale_to_equilateral, stack_plane
+from fairtile.document import fmt17
 from fairtile.errors import EdgeOutOfRange, InvalidParameter, TileFailed
-from fairtile.geometry import CORNERS, Point, Quadrangle, TileId, Tiles, Triangle
+from fairtile.geometry import CORNERS, Tiles
 from fairtile.quadsplit import apex, fair_split, quadify_plane
 from fairtile.strip import strip_tiling, window_tiles
 import oracles
+from oracles import polygon, polygons
 
 
 def _table(tiles: Tiles):
@@ -76,11 +78,11 @@ def _placed_triangles(rng, count):
     out = []
     while len(out) < count:
         a, b, c = (rng.uniform(0.99, 1.01) for _ in range(3))
-        pts = [(0.0, 0.0), (a, 0.0), apex(a, b, c).xy]
+        pts = [(0.0, 0.0), (a, 0.0), apex(a, b, c)]
         theta, mirror = rng.uniform(0.0, 2.0 * math.pi), len(out) % 2
         dx, dy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
         co, si = math.cos(theta), math.sin(theta)
-        placed = [Point(co * x - si * y + dx, si * x + co * y + dy)
+        placed = [(co * x - si * y + dx, si * x + co * y + dy)
                   for x, y in ((x, -y if mirror else y) for x, y in pts)]
         out.append(placed[::-1] if mirror else placed)
     return out
@@ -97,48 +99,38 @@ def _tie_triangles():
     out = []
     for pts in shapes:
         for turned in (pts, [(-y, x) for x, y in pts], [(-x, -y) for x, y in pts]):
-            out.append([Point(x, y) for x, y in turned])
-            out.append([Point(-x, y) for x, y in turned[::-1]])
+            out.append(turned)
+            out.append([(-x, y) for x, y in turned[::-1]])
     return out
 
 
 def test_record_split_matches_the_object_split_bit_for_bit():
-    polys = _placed_triangles(random.Random(18), 300) + _tie_triangles()
-    with_ids = [Triangle(*p, id=TileId(k % 5 - 2, k + 1, 1 + k % 4)) for k, p in enumerate(polys)]
-    want = [q for t in with_ids for q in oracles.fair_split(t)]
-    assert _table(fair_split(Tiles.of(with_ids))) == _object_table(want)
+    xy = np.array(_placed_triangles(random.Random(18), 300) + _tie_triangles())
+    k = np.arange(len(xy))
+    with_ids = Tiles(xy, k % 5 - 2, k + 1, 1 + k % 4)
+    want = [q for t in polygons(with_ids) for q in oracles.fair_split(t)]
+    assert _table(fair_split(with_ids)) == _object_table(want)
 
-    bare = fair_split(Tiles.of([Triangle(*p) for p in polys]))
+    bare = fair_split(Tiles(xy))
     assert bare.row is None and bare.col is None and bare.slot is None
     assert bare.xy.view(np.uint64).tolist() == _object_table(want)[0]
-    assert bare.corner.dtype == np.int8 and bare.corner.tolist() == [0, 1, 2] * len(polys)
-    assert len(fair_split(Tiles.of([]))) == 0
+    assert bare.corner.dtype == np.int8 and bare.corner.tolist() == [0, 1, 2] * len(xy)
+    assert len(fair_split(Tiles(np.empty((0, 3, 2))))) == 0
 
 
 def test_record_split_names_the_failing_tile():
-    tris = [Triangle(*p, id=TileId(0, k + 1, 2)) for k, p in
-            enumerate(_placed_triangles(random.Random(5), 4))]
-    tris[2] = Triangle(Point(0, 0), Point(2, 0), Point(1, 1), id=TileId(3, -4, 3))
+    xy = np.array(_placed_triangles(random.Random(5), 4))
+    xy[2] = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)]
+    row, col, slot = np.array([[0, 0, 3, 0], [1, 2, -4, 4], [2, 2, 3, 2]])
     with pytest.raises(TileFailed) as info:
-        fair_split(Tiles.of(tris))
-    assert info.value.tile_id == TileId(3, -4, 3)
+        fair_split(Tiles(xy, row, col, slot))
+    assert info.value.label == "3/-4/3"
+    assert str(info.value).startswith("tile 3/-4/3: EdgeOutOfRange: ")
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
     with pytest.raises(TileFailed) as info:
-        fair_split(Tiles.of([Triangle(*t.vertices) for t in tris]))
-    assert info.value.tile_id is None and isinstance(info.value.__cause__, EdgeOutOfRange)
-
-
-def test_quadify_builds_no_polygon_objects(gate_texts, monkeypatch):
-    tiles = document.parse(gate_texts["plane"]).tiles
-    built = dict.fromkeys(["Point", "Triangle", "TileId", "Quadrangle"], 0)
-    for cls in (Point, Triangle, TileId, Quadrangle):
-        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
-            built[_name] += 1
-            _check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    quads = quadify_plane(tiles)
-    assert len(tiles) == 972 and len(quads) == 2916
-    assert built == {"Point": 0, "Triangle": 0, "TileId": 0, "Quadrangle": 0}
+        fair_split(Tiles(xy))
+    assert info.value.label == "?" and str(info.value).startswith("tile ?: EdgeOutOfRange: ")
+    assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
 def test_gate_plane_and_its_mirror_image_split_as_the_object_split(gate_texts):
@@ -146,7 +138,7 @@ def test_gate_plane_and_its_mirror_image_split_as_the_object_split(gate_texts):
     assert len(tiles) == 972
     for xy in (0.5 * tiles.xy, 0.5 * tiles.xy[:, ::-1] * [-1.0, 1.0]):  # x -> -x turns each pose
         scaled = Tiles(xy, tiles.row, tiles.col, tiles.slot)
-        want = [q for i in range(len(scaled)) for q in oracles.fair_split(scaled[i])]
+        want = [q for t in polygons(scaled) for q in oracles.fair_split(t)]
         assert _table(fair_split(scaled)) == _object_table(want)
 
 
@@ -207,14 +199,10 @@ def _object_refusal(xy, row, col, slot, corner):
     """Type and message of the first polygon that fails to build, in order."""
     try:
         for i in range(len(xy)):
-            tid = TileId(int(row[i]), int(col[i]), int(slot[i]))
-            pts = tuple(Point(x, y) for x, y in xy[i].tolist())
-            if len(pts) == 3:
-                Triangle(*pts, id=tid)
-            else:
-                code = int(corner[i])
-                Quadrangle(pts, id=tid, corner=CORNERS[code] if 0 <= code < 3 else
-                           (None if code == -1 else code))
+            code = -1 if corner is None else int(corner[i])
+            polygon(None if row is None else (int(row[i]), int(col[i]), int(slot[i])),
+                    CORNERS[code] if 0 <= code < 3 else (None if code == -1 else code),
+                    xy[i].tolist())
     except Exception as e:
         return type(e), str(e)
     return None
@@ -238,15 +226,50 @@ def test_refusals_match_the_polygon_constructors(case):
             Tiles(*good_last)
 
 
+@st.composite
+def _tile_arrays(draw):
+    """Up to six tiles of 3 or 4 vertices on a 4 x 4 grid at scale 1 or 3e-7,
+    so collinear, clockwise, zero-edge and self-crossing tiles are common;
+    some coordinates non-finite, ids (bad and column-0 slots among them) on
+    all or none, and corner codes, bad ones among them, on some quadrangles."""
+    n, count = draw(st.sampled_from([3, 4])), draw(st.integers(1, 6))
+    grid = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n)
+    xy = draw(st.sampled_from([1.0, 3e-7])) * np.array(
+        draw(st.lists(grid, min_size=count, max_size=count)), dtype=float)
+    for _ in range(draw(st.integers(0, 2))):
+        xy[draw(st.integers(0, count - 1)), draw(st.integers(0, n - 1)),
+           draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+
+    def column(values, dtype=np.int64):
+        return np.array(draw(st.lists(values, min_size=count, max_size=count)), dtype=dtype)
+
+    ids = (None,) * 3
+    if draw(st.booleans()):
+        ids = (column(st.integers(-2, 2)), column(st.sampled_from([-1, 0, 0, 1, 2])),
+               column(st.sampled_from([1, 2, 3, 4, 1, 4, 0, 5])))
+    corner = column(st.sampled_from([-1, 0, 1, 2, -2, 3]), np.int8) \
+        if n == 4 and draw(st.booleans()) else None
+    return xy, *ids, corner
+
+
+@given(_tile_arrays())
+@settings(max_examples=500, deadline=None)
+def test_random_refusals_match_the_polygon_constructors(arrays):
+    want = _object_refusal(*arrays)
+    if want is None:
+        assert len(Tiles(*arrays)) == len(arrays[0])
+    else:
+        with pytest.raises(want[0]) as info:
+            Tiles(*arrays)
+        assert type(info.value) is want[0] and str(info.value) == want[1]
+
+
 def test_records_refuse_bad_shapes_and_corners_on_triangles():
     xy = np.array([_TRI])
     with pytest.raises(InvalidParameter):
         Tiles(xy, corner=np.array([0], dtype=np.int8))
     with pytest.raises(InvalidParameter):
         Tiles(np.zeros((2, 5, 2)))
-    with pytest.raises(InvalidParameter):
-        Tiles.of([Triangle(*(Point(*p) for p in _TRI)),
-                  Triangle(*(Point(*p) for p in _TRI), id=TileId(0, 1, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +278,7 @@ def test_records_refuse_bad_shapes_and_corners_on_triangles():
 
 def _small_texts():
     plane = pipeline.build_plane(0.05, 4, 1, 1).doc
-    quads = pipeline.quad_document(quadify_plane(Tiles.of(list(plane.tiles)[:3])), plane)
+    quads = pipeline.quad_document(quadify_plane(oracles.take(plane.tiles, slice(3))), plane)
     return [document.serialize(pipeline.strip_document(strip_tiling(0.2, 1))),
             document.serialize(quads), document.serialize(plane)]
 
@@ -354,6 +377,64 @@ def test_parse_refuses_a_repeated_tile_id(data):
                                f"and {max(src, dst) + 1}")
 
 
+def _with_fault(line: str, fault: str) -> str:
+    """A tile line in ``json`` form (so the whole document is read through
+    ``json``) with one fault."""
+    obj = json.loads(line)
+    v, tid, quad = obj["vertices"], obj["id"], len(obj["vertices"]) == 4
+    if fault == "json":
+        return json.dumps(obj)[:-1]
+    if fault == "id type":
+        tid["col"] = float(tid["col"])
+    elif fault == "numeral":
+        v[1][0] = "abc"
+    elif fault == "vertex pair":
+        v[0] = v[0][:1]
+    elif fault == "vertex count":
+        v += v[:2]
+    elif fault == "kind" and quad:  # a triangle in a quad document
+        del v[-1], tid["corner"]
+    elif fault == "kind":  # a quadrangle among triangles: a vertex added mid-edge
+        v.append([fmt17((float(v[2][k]) + float(v[0][k])) / 2) for k in (0, 1)])
+    elif fault == "corner":
+        tid["corner"] = "D" if quad else "A"
+    elif fault == "slot":
+        tid["slot"] = 5
+    elif fault == "centre slot":
+        tid["col"], tid["slot"] = 0, 2
+    elif fault == "non-finite":
+        v[2][1] = "inf"
+    elif fault == "clockwise":
+        v.reverse()
+    elif fault == "collinear":
+        x, y = map(float, v[0])
+        v[:] = [[fmt17(x + k), fmt17(y)] for k in range(len(v))]
+    elif fault == "repeated vertex":
+        v[1] = v[0]
+    elif fault == "crossing":
+        v[1], v[2] = v[2], v[1]
+    return json.dumps(obj)
+
+
+_FAULTS = ["json", "id type", "numeral", "vertex pair", "vertex count", "kind", "corner",
+           "slot", "centre slot", "non-finite", "clockwise", "collinear", "repeated vertex",
+           "crossing"]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_refuses_one_fault_as_the_polygons_do(data):
+    text = data.draw(st.sampled_from(_TEXTS))
+    header, *lines = text.rstrip("\n").split("\n")
+    fault = data.draw(st.sampled_from(_FAULTS if "quad" in header else _FAULTS[:-1]))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    lines = [_with_fault(ln, fault) if i == k else json.dumps(json.loads(ln))
+             for i, ln in enumerate(lines)]
+    faulty = "\n".join([header, *lines]) + "\n"
+    got, want = _outcome_of_parse(faulty), _outcome_of_oracle(faulty)
+    assert got == want and len(got) == 2, fault  # (type name, message): refused
+
+
 def test_ids_beyond_64_bits_are_refused_on_both_paths():
     header, first, *rest = _TEXTS[0].split("\n")
     huge = first.replace('"row":0', '"row":99999999999999999999')
@@ -363,22 +444,18 @@ def test_ids_beyond_64_bits_are_refused_on_both_paths():
 
 
 # ---------------------------------------------------------------------------
-# the strip path builds no polygon objects
+# the strip path builds no per-tile views
 
 
 def test_strip_generation_and_verification_build_no_triangles(tmp_path, monkeypatch):
-    built = []
-    validate = Triangle.__post_init__
+    from fairtile import geometry
 
-    def counted(tri):
-        built.append(tri.id)
-        validate(tri)
-
-    monkeypatch.setattr(Triangle, "__post_init__", counted)
+    built, tile_view = [], geometry.Tile
+    monkeypatch.setattr(geometry, "Tile", lambda *view: built.append(tile_view(*view)) or built[-1])
     path = tmp_path / "strip.tiles"
     _run("gen-strip", "--y0", "0.005", "--cols", "200", "--out", path)
     _run("verify", "--in", path, "--check", "area", "--check", "contraction",
          "--check", "identity")
     assert built == []
-    assert document.read_document(path).tiles[7].id == TileId(0, -199, 4)
-    assert built == [TileId(0, -199, 4)]  # the counter sees a tile built on demand
+    tile = document.read_document(path).tiles[7]
+    assert tile.label == "0/-199/4" and built == [tile]  # the counter sees a view built on demand

@@ -4,20 +4,14 @@ contraction suite, closeness, fault injection."""
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairtile import assembly, pipeline, verify
 from fairtile.errors import InvalidParameter
-from fairtile.geometry import (
-    Point,
-    Quadrangle,
-    TileId,
-    Tiles,
-    Triangle,
-    tile_label,
-)
+from fairtile.geometry import Tiles
 from fairtile.quadsplit import P0, quadify_plane
 from fairtile.strip import (
     DeviationSeries,
@@ -39,8 +33,8 @@ from fairtile.verify import (
     check_vertex_to_vertex,
 )
 import oracles
-from oracles import (ids_of, perimeter, signature_distance, simeq_distance, tile_ids,
-                     vertex_to_vertex_violations, with_vertices)
+from oracles import (ids_of, perimeter, signature_distance, simeq_distance, take, tile_ids,
+                     vertex_to_vertex_violations)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,11 +59,10 @@ def strip_tiles():
 
 
 def _perturb(tiles, index, delta=1e-3):
-    out = list(tiles)
-    tri = out[index]
-    v = tri.vertices[0]
-    out[index] = with_vertices(tri, (Point(v.x + delta, v.y + delta),) + tri.vertices[1:])
-    return Tiles.of(out)
+    """The record with the first vertex of tile ``index`` moved by (delta, delta)."""
+    xy = tiles.xy.copy()
+    xy[index, 0] += delta
+    return replace(tiles, xy=xy)
 
 
 def test_equal_area_pass_and_fault(strip_tiles):
@@ -89,16 +82,20 @@ def test_equal_perimeter(small_plane):
     # the stacked triangles deliberately have unequal perimeters
     tri_rep = check_equal_perimeter(small_plane, 6.0, 1e-9)
     assert not tri_rep.passed
-    single = check_equal_perimeter(Tiles.of([small_plane[0]]), perimeter(small_plane[0]), 1e-9)
+    single = check_equal_perimeter(take(small_plane, [0]), perimeter(small_plane[0]), 1e-9)
     assert single.passed
 
 
 def _tri(*pts):
-    return Triangle(*(Point(*p) for p in pts))
+    return [tuple(map(float, p)) for p in pts]
 
 
-def _quad(*pts):
-    return Quadrangle(tuple(Point(*p) for p in pts))
+_quad = _tri
+
+
+def _record(polys):
+    """The record of tiles of one vertex count, each given by its vertices."""
+    return Tiles(np.array(polys, dtype=float).reshape(len(polys), -1, 2))
 
 
 def test_vertex_to_vertex(strip_tiles, small_plane):
@@ -111,8 +108,8 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
     quads = quadify_plane(small_plane)
     assert not check_vertex_to_vertex(quads, 1e-9).passed
     # disjoint tiles are fine
-    far = [strip_tiles[2], Triangle(Point(90, 0), Point(92, 0), Point(91, 1), id=TileId(0, 3, 1))]
-    assert check_vertex_to_vertex(Tiles.of(far), 1e-9).passed
+    far = [strip_tiles[2].vertices, _tri((90, 0), (92, 0), (91, 1))]
+    assert check_vertex_to_vertex(_record(far), 1e-9).passed
 
     # one input per contact rule
     tol = 1e-9
@@ -125,7 +122,7 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
         "quadrangle on a quadrangle's edge": [square, _quad((1, 0), (2, 0), (2, 1), (1, 1))],
     }
     for name, tiles in conforming.items():
-        rep = check_vertex_to_vertex(Tiles.of(tiles), tol)
+        rep = check_vertex_to_vertex(_record(tiles), tol)
         assert rep.passed and rep.worst_residual == 0.0, name
     # (tiles, size of the violation); overlaps count by their depth, a length
     faulty = {
@@ -140,20 +137,20 @@ def test_vertex_to_vertex(strip_tiles, small_plane):
         "sliver overlap": ([t1, _tri((-0.5, 5e-9), (0.5, -1), (1.5, 5e-9))], 5e-9),
     }
     for name, (tiles, size) in faulty.items():
-        rep = check_vertex_to_vertex(Tiles.of(tiles), tol)
+        rep = check_vertex_to_vertex(_record(tiles), tol)
         assert not rep.passed and rep.offenders == (("?", "?"),), name
         assert rep.worst_residual == pytest.approx(size, rel=1e-6), name
     # a record holds one vertex count; the contact rules take mixed ones
-    on_edge = _contact(Tiles.of([square]).xy, Tiles.of([_tri((1, 0), (2, 0.5), (1, 1))]).xy, tol)
+    on_edge = _contact(_record([square]).xy, _record([_tri((1, 0), (2, 0.5), (1, 1))]).xy, tol)
     assert not on_edge[0][0] and on_edge[1][0] == 0.0
-    inside = Tiles.of([_tri((0.5, 0.5), (2, 0), (2, 1))])
-    corner_in = _contact(Tiles.of([square]).xy, inside.xy, tol)
+    inside = _record([_tri((0.5, 0.5), (2, 0), (2, 1))])
+    corner_in = _contact(_record([square]).xy, inside.xy, tol)
     assert corner_in[0][0] and corner_in[1][0] == pytest.approx(0.5, rel=1e-6)
     # edge lines decide overlap only between convex tiles
     dart = _quad((0, 0), (2, 0), (0.4, 0.4), (0, 2))
     with pytest.raises(InvalidParameter):
-        check_vertex_to_vertex(Tiles.of([dart, _quad((1.2, 0.1), (1.5, 0.1), (1.5, 0.5),
-                                                     (1.2, 0.5))]), tol)
+        check_vertex_to_vertex(_record([dart, _quad((1.2, 0.1), (1.5, 0.1), (1.5, 0.5),
+                                                    (1.2, 0.5))]), tol)
 
 
 def _shuffled(tiles, rng):
@@ -174,9 +171,9 @@ def test_sorted_window_matches_the_per_tile_pass(strip_tiles, small_plane, monke
 
     monkeypatch.setattr(verify, "_contact", counted)
     # T-junctions across an x gap under tol, and across a y gap both ways (sizes 0.6, 0.4)
-    near_miss = Tiles.of([_quad((0, 0), (1, 0), (1, 1), (0, 1)),
-                          _quad((1 + 5e-10, 0.5), (2, 0.5), (2, 1.5), (1 + 5e-10, 1.5)),
-                          _quad((-1, 1 + 5e-10), (0.6, 1 + 5e-10), (0.6, 2), (-1, 2))])
+    near_miss = _record([_quad((0, 0), (1, 0), (1, 1), (0, 1)),
+                         _quad((1 + 5e-10, 0.5), (2, 0.5), (2, 1.5), (1 + 5e-10, 1.5)),
+                         _quad((-1, 1 + 5e-10), (0.6, 1 + 5e-10), (0.6, 2), (-1, 2))])
     cases = [quads, _shuffled(quads, rng), _shuffled(quads, rng), _perturb(strip_tiles, 3),
              _shuffled(_perturb(strip_tiles, 5, 0.3), rng), small_plane,
              _shuffled(small_plane, rng), near_miss, _shuffled(near_miss, rng),
@@ -190,7 +187,7 @@ def test_sorted_window_matches_the_per_tile_pass(strip_tiles, small_plane, monke
             assert all(size == _CONTACT_BLOCK for size in blocks[:-1]), (k, tol)
             if tiles is wide:
                 assert len(blocks) > 1
-            labels = tuple((tile_label(tiles[i]), tile_label(tiles[j])) for i, j in pairs[:10])
+            labels = tuple((tiles.label(i), tiles.label(j)) for i, j in pairs[:10])
             assert rep.offenders == labels and rep.passed == (not pairs), (k, tol)
             assert rep.worst_residual == float(sizes.max(initial=0.0)), (k, tol)
     assert len(vertex_to_vertex_violations(quads, 1e-9)[0]) > 10
@@ -235,9 +232,8 @@ def test_pair_straddling_a_rounding_boundary_is_congruent():
     # 2e-12 apart, with the base length on either side of a 1e-9 rounding
     # boundary: rounding to the quantum would separate them, the distance
     # does not
-    pair = [Triangle(Point(0, 0), Point(0.9 + 0.5e-9 + d, 0), Point(0.3, 1.1))
-            for d in (-1e-12, 1e-12)]
-    rep = check_pairwise_incongruent(Tiles.of(pair), 1e-9)
+    pair = [_tri((0, 0), (0.9 + 0.5e-9 + d, 0), (0.3, 1.1)) for d in (-1e-12, 1e-12)]
+    rep = check_pairwise_incongruent(_record(pair), 1e-9)
     assert not rep.passed and rep.offenders
     assert rep.margin <= 1e-9
 
@@ -245,13 +241,13 @@ def test_pair_straddling_a_rounding_boundary_is_congruent():
 def test_halfturn_check(strip_tiles):
     rep = check_halfturn_incongruent(strip_tiles, 1e-9)
     assert rep.passed and rep.margin > 0
-    doubled = Tiles.of([*strip_tiles, strip_tiles[0]])
+    doubled = take(strip_tiles, [*range(len(strip_tiles)), 0])
     assert not check_halfturn_incongruent(doubled, 1e-9).passed
 
 
 def test_sweeps_match_the_pair_distances(small_plane):
     strip = window_tiles(strip_tiling(0.004, 10))
-    quads = Tiles.of(list(quadify_plane(small_plane))[:90])
+    quads = take(quadify_plane(small_plane), slice(90))
     for tiles, check, distance in ((strip, check_halfturn_incongruent, simeq_distance),
                                    (quads, check_pairwise_incongruent, signature_distance)):
         polys = list(tiles)
@@ -259,7 +255,7 @@ def test_sweeps_match_the_pair_distances(small_plane):
                  for i, j in itertools.combinations(range(len(polys)), 2)}
         # the second quantum lies above the four smallest distances
         for quantum in (1e-9, sorted(dists.values())[3]):
-            offenders = [(tile_label(polys[i]), tile_label(polys[j]))
+            offenders = [(tiles.label(i), tiles.label(j))
                          for (i, j), d in dists.items() if d <= quantum]
             rep = check(tiles, quantum)
             assert rep.margin == min(dists.values())
@@ -310,23 +306,21 @@ def test_closeness(small_plane):
 
 
 def test_convexity_check():
-    square = Quadrangle((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-    assert check_convex(Tiles.of([square])).passed
-    dart = Quadrangle((Point(0, 0), Point(2, 0), Point(0.4, 0.4), Point(0, 2)))
-    rep = check_convex(Tiles.of([square, dart]))
+    square = _quad((0, 0), (1, 0), (1, 1), (0, 1))
+    assert check_convex(_record([square])).passed
+    dart = _quad((0, 0), (2, 0), (0.4, 0.4), (0, 2))
+    rep = check_convex(_record([square, dart]))
     assert not rep.passed and len(rep.offenders) == 1 and rep.tiles_checked == 2
     with pytest.raises(InvalidParameter):
-        check_convex(Tiles.of([]))
+        check_convex(Tiles(np.empty((0, 4, 2))))
 
 
 def test_perimeter_and_closeness_fault_injection(small_plane):
     quads = quadify_plane(small_plane)
     assert check_equal_perimeter(quads, P0, 1e-9).passed
-    broken = list(quads)
-    v = broken[11].vertices
-    broken[11] = Quadrangle((Point(v[0].x + 1e-3, v[0].y),) + v[1:],
-                            id=broken[11].id, corner=broken[11].corner)
-    rep = check_equal_perimeter(Tiles.of(broken), P0, 1e-9)
+    xy = quads.xy.copy()
+    xy[11, 0, 0] += 1e-3
+    rep = check_equal_perimeter(replace(quads, xy=xy), P0, 1e-9)
     assert not rep.passed and rep.offenders
 
     shifted = _perturb(small_plane, 0, delta=0.05)
@@ -353,18 +347,17 @@ def test_identity_check_compares_the_tiles_bit_for_bit():
     good = check_identity(t, tiles)
     assert good.passed and good.offenders == () and good.note == ""
     # the mirror of column 1 slot 2 starts at the apex's mirror, x = -0.0
-    k = next(k for k, tri in enumerate(tiles) if tri.id == TileId(0, -1, 2))
-    v = tiles[k].vertices
-    assert str(v[2].x) == "-0.0"
-    flipped = list(tiles)
-    flipped[k] = with_vertices(tiles[k], v[:2] + (Point(0.0, v[2].y),))
-    wrong_id = list(tiles)
-    wrong_id[0] = Triangle(*tiles[0].vertices, id=TileId(1, -3, 1))
+    k = next(k for k in range(len(tiles)) if tiles.label(k) == "0/-1/2")
+    assert str(tiles[k].vertices[2][0]) == "-0.0"
+    xy, row = tiles.xy.copy(), tiles.row.copy()
+    xy[k, 2, 0] = 0.0
+    row[0] = 1
+    assert tiles.label(0) == "0/-3/1"
     other = window_tiles(strip_tiling(0.009, 3))
-    cases = [(flipped, ["0/-1/2"]), (wrong_id, ["1/-3/1"]), ([*tiles, tiles[0]], ["0/-3/1"]),
-             (list(tiles)[:-1], []), (other, [tile_label(p) for p in list(other)[:10]])]
-    for polys, labels in cases:
-        doc_tiles = Tiles.of(polys)
+    cases = [(replace(tiles, xy=xy), ["0/-1/2"]), (replace(tiles, row=row), ["1/-3/1"]),
+             (take(tiles, [*range(len(tiles)), 0]), ["0/-3/1"]), (take(tiles, slice(-1)), []),
+             (other, [other.label(i) for i in range(10)])]
+    for doc_tiles, labels in cases:
         rep = check_identity(t, doc_tiles)
         assert not rep.passed and rep.worst_residual == good.worst_residual
         assert rep.offenders == tuple((label, label) for label in labels)
