@@ -26,21 +26,16 @@ from .quadsplit import (
     FAIR,
     P0,
     FairSplitParams,
-    ReconstructionTriple,
     apex,
     fair_split,
-    fair_split_jacobian_det,
     newton3,
     quadify_plane,
-    reconstruct_triangle,
-    reconstruction_jacobian_det,
     solve_fair_split,
     xi_eta,
 )
 from .strip import (
     DeviationSeries,
     StripTiling,
-    critical_tiling,
     deviations,
     strip_tiling,
     window_tiles,

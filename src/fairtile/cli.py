@@ -196,8 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_split_viewbox(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except (InvalidParameter, DocumentError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as e:
+    except (InvalidParameter, DocumentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except FairtileError as e:

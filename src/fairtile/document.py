@@ -226,4 +226,8 @@ def write_document(doc: TilingDocument, path) -> None:
 
 def read_document(path) -> TilingDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentError(f"{path} is not UTF-8 text: {e}") from e
+    return parse(text)

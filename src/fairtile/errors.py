@@ -67,10 +67,6 @@ class EdgeOutOfRange(FairtileError):
     """Triangle edge lengths are outside the supported near-unit window."""
 
 
-class OutOfBasin(FairtileError):
-    """Input is too far from the undistorted shape for reconstruction."""
-
-
 class ExhaustedRetries(FairtileError):
     """Rejection sampling failed to certify a parameter within the retry cap."""
 

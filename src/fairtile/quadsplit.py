@@ -1,6 +1,5 @@
 """Fair subdivision of near-equilateral triangles into three convex
-quadrangles of equal area and one shared perimeter, and the inverse problem
-of recovering the triangle from any single quadrangle.
+quadrangles of equal area and one shared perimeter.
 
 The dissection places one cut point on each edge and joins all three to an
 interior point M.  For a triangle posed as (0,0), (a,0), apex(a,b,c) the
@@ -19,11 +18,10 @@ nonlinear system: all three quadrangle perimeters equal the constant
 
 That system is solved by a damped Newton iteration from the symmetric
 configuration alpha = beta = gamma = 1 - sqrt(3)/3, xi = eta = 1/3, which
-is the exact solution for the unit equilateral triangle.  Both this system
-and the reconstruction system below are hand-derived from the figure
-geometry; their Jacobian determinants at the symmetric point are pinned to
-the closed-form constants 2*sqrt(2)+sqrt(3)-2*sqrt(6) and
-sqrt(6)/48-sqrt(2)/24 as derivation-error anchors.
+is the exact solution for the unit equilateral triangle.  The system is
+hand-derived from the figure geometry; the tests pin its Jacobian
+determinant at the symmetric point to the closed form
+2*sqrt(2)+sqrt(3)-2*sqrt(6) as a derivation-error anchor.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     NonConvexOutput,
-    OutOfBasin,
     SingularDenominator,
     SingularJacobian,
     TileFailed,
@@ -55,15 +52,11 @@ __all__ = [
     "FairConstants",
     "FAIR",
     "FairSplitParams",
-    "ReconstructionTriple",
     "apex",
     "xi_eta",
     "solve_fair_split",
     "fair_split",
-    "reconstruct_triangle",
     "newton3",
-    "fair_split_jacobian_det",
-    "reconstruction_jacobian_det",
     "quadify_plane",
 ]
 
@@ -79,12 +72,6 @@ _EDGE_TOP = 1.012
 # near-unit regime of the solver; a common factor preserves equal
 # perimeters across the whole plane
 QUADIFY_SCALE = 0.5
-
-# reconstruction rejects posed quadrangles further than this per coordinate
-# from the symmetric shape
-_BASIN_RADIUS = 0.1
-
-_ANGLE_TIE_TOL = 1e-9
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
@@ -102,10 +89,6 @@ class FairConstants:
     gamma0: float
     xi0: float
     eta0: float
-    rho0: float
-    sigma0: float
-    tau0: float
-    quad0: tuple[float, float, float, float, float]  # (a^, x^, y^, z^, w^)
 
 
 _T0 = 1.0 - math.sqrt(3.0) / 3.0
@@ -117,10 +100,6 @@ FAIR = FairConstants(
     gamma0=_T0,
     xi0=1.0 / 3.0,
     eta0=1.0 / 3.0,
-    rho0=(3.0 + math.sqrt(3.0)) / 2.0,
-    sigma0=math.sqrt(3.0),
-    tau0=_T0,
-    quad0=(_T0, math.sqrt(3.0) / 6.0, 0.5, 0.5, math.sqrt(3.0) / 6.0),
 )
 
 
@@ -144,16 +123,6 @@ class FairSplitParams:
             raise InvalidParameter(
                 f"interior point weights xi={self.xi!r}, eta={self.eta!r} out of range"
             )
-
-
-@dataclass(frozen=True)
-class ReconstructionTriple:
-    """Scale parameters recovering a triangle from one of its split quads."""
-
-    rho: float
-    sigma: float
-    tau: float
-    iterations: int = 0
 
 
 def apex(a: float, b: float, c: float) -> tuple[float, float]:
@@ -247,13 +216,13 @@ def _split_residual(a: float, b: float, c: float, top=None):
     return residual
 
 
-def _fd_jacobian(residual, x, step: float) -> list[tuple[float, ...]]:
+def _fd_jacobian(residual, x) -> list[tuple[float, ...]]:
     """Central-difference Jacobian of ``residual`` at ``x``, as row tuples."""
     cols, ups = [], [v + 0.0 for v in x]  # v + 0.0 is v, but 0.0 for -0.0
     for k, v in enumerate(x):
         up, down = ups.copy(), list(x)
-        up[k], down[k] = v + step, v - step
-        cols.append([(p - m) / (2.0 * step) for p, m in zip(residual(up), residual(down))])
+        up[k], down[k] = v + _FD_STEP, v - _FD_STEP
+        cols.append([(p - m) / (2.0 * _FD_STEP) for p, m in zip(residual(up), residual(down))])
     return list(zip(*cols))
 
 
@@ -310,7 +279,7 @@ def newton3(residual, x0) -> tuple[np.ndarray, int]:
     for it in range(_NEWTON_MAX_ITER):
         if res <= _NEWTON_TOL:
             return np.array(x), it
-        jac = _fd_jacobian(residual, x, _FD_STEP)
+        jac = _fd_jacobian(residual, x)
         if _singular(jac):
             raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
         step = np.linalg.solve(jac, fx).tolist()
@@ -404,107 +373,6 @@ def fair_split(tiles: Tiles) -> Tiles:
     ids = [None if e is None else np.repeat(e, 3) for e in (tiles.row, tiles.col, tiles.slot)]
     return Tiles(out.reshape(-1, 4, 2), *ids,
                  np.tile(np.array([0, 1, 2], dtype=np.int8), len(tiles)))
-
-
-def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: float):
-    """Equal-area and perimeter residuals of the reconstruction unknowns.
-
-    The posed quadrangle (0,0), (ah,0), (zh,wh), (xh,yh) is the corner
-    piece of a split triangle (0,0), rho*(ah,0), sigma*(xh,yh) whose edge
-    cut opposite the origin sits at the tau-point between the two scaled
-    corners.  The three signed-area identities and the perimeter of the
-    second quadrangle pin (rho, sigma, tau).
-    """
-
-    def det(u0, u1, v0, v1):
-        return u0 * v1 - u1 * v0
-
-    area1 = 0.5 * det(ah, 0.0, xh, yh) + 0.5 * det(xh - zh, yh - wh, ah - zh, -wh)
-
-    def residual(u):
-        rho, sigma, tau = float(u[0]), float(u[1]), float(u[2])
-        bx = rho * ah
-        cx, cy = sigma * xh, sigma * yh
-        px = (1.0 - tau) * bx + tau * cx
-        py = tau * cy
-        area2 = (0.5 * det(px - bx, py, ah - bx, 0.0)
-                 + 0.5 * det(ah - zh, -wh, px - zh, py - wh))
-        area3 = (0.5 * det(xh - cx, yh - cy, px - cx, py - cy)
-                 + 0.5 * det(px - zh, py - wh, xh - zh, yh - wh))
-        perim = (math.hypot(px - bx, py) + math.hypot(ah - bx, 0.0)
-                 + math.hypot(ah - zh, wh) + math.hypot(px - zh, py - wh))
-        return area1 - area2, area1 - area3, perim - P0
-
-    return residual
-
-
-def _posed_tuple(pts, start: int, mirrored: bool):
-    """(a^, x^, y^, z^, w^) of the quadrangle read from vertex ``start`` on,
-    backwards when ``mirrored``, after the isometry (a reflection if need
-    be) taking that vertex to (0,0), the next onto the positive x-axis and
-    the one after above it."""
-    step = -1 if mirrored else 1
-    (ox, oy), *seq = [pts[(start + step * k) % len(pts)] for k in range(len(pts))]
-    ux, uy = seq[0][0] - ox, seq[0][1] - oy
-    norm = math.hypot(ux, uy)
-    if norm <= 1e-14:
-        raise DegeneratePolygon("coincident frame points")
-    ex, ey = (ux / norm, uy / norm), (-(uy / norm), ux / norm)
-    m = -1.0 if (seq[1][0] - ox) * ey[0] + (seq[1][1] - oy) * ey[1] < 0.0 else 1.0
-    (ah, _), (zh, wh), (xh, yh) = [((x - ox) * ex[0] + (y - oy) * ex[1],
-                                    m * ((x - ox) * ey[0] + (y - oy) * ey[1])) for x, y in seq]
-    return (ah, xh, yh, zh, wh)
-
-
-def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
-    """Recover the split triangle's shape, as its (3, 2) counterclockwise
-    vertices, from the (4, 2) vertices of any one of its quadrangles.
-
-    The quadrangle is posed with its strictly smallest interior angle at
-    the origin (that angle belongs to the dissected triangle); both
-    handednesses are tried, since a reflected copy reconstructs the mirror
-    triangle.  Newton then solves for the scale triple from the symmetric
-    initial guess.  Far-from-symmetric inputs raise :class:`OutOfBasin`.
-    """
-    quad = Tiles(np.array(q, dtype=float).reshape(1, 4, 2))
-    pts, angles = quad.xy[0].tolist(), quad.angles()[0].tolist()
-    order = sorted(range(4), key=lambda k: angles[k])
-    if angles[order[1]] - angles[order[0]] <= _ANGLE_TIE_TOL:
-        raise OutOfBasin("smallest interior angle is not unique")
-    start = order[0]
-
-    chosen = None
-    for mirrored in (False, True):
-        tup = _posed_tuple(pts, start, mirrored)
-        if max(abs(v - v0) for v, v0 in zip(tup, FAIR.quad0)) <= _BASIN_RADIUS:
-            chosen = tup
-            break
-    if chosen is None:
-        raise OutOfBasin("posed quadrangle too far from the symmetric shape")
-
-    ah, xh, yh, zh, wh = chosen
-    residual = _reconstruction_residual(ah, xh, yh, zh, wh)
-    u, iterations = newton3(residual, (FAIR.rho0, FAIR.sigma0, FAIR.tau0))
-    rho, sigma, tau = (float(v) for v in u)
-    triple = ReconstructionTriple(rho=rho, sigma=sigma, tau=tau, iterations=iterations)
-    triangle = Tiles(np.array([[[0.0, 0.0], [rho * ah, 0.0], [sigma * xh, sigma * yh]]]))
-    return triangle.xy[0], triple
-
-
-def fair_split_jacobian_det(step: float = 1e-6) -> float:
-    """Central-difference Jacobian determinant of the perimeter system in
-    (alpha, beta, gamma) at the unit equilateral configuration."""
-    residual = _split_residual(1.0, 1.0, 1.0)
-    jac = _fd_jacobian(residual, (FAIR.alpha0, FAIR.beta0, FAIR.gamma0), step)
-    return float(np.linalg.det(jac))
-
-
-def reconstruction_jacobian_det(step: float = 1e-6) -> float:
-    """Central-difference Jacobian determinant of the reconstruction system
-    in (rho, sigma, tau) at the symmetric quadrangle."""
-    residual = _reconstruction_residual(*FAIR.quad0)
-    jac = _fd_jacobian(residual, (FAIR.rho0, FAIR.sigma0, FAIR.tau0), step)
-    return float(np.linalg.det(jac))
 
 
 def quadify_plane(tiles: Tiles) -> Tiles:

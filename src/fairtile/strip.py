@@ -18,7 +18,6 @@ raw recursion would accumulate over many thousands of columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "StripTiling",
     "DeviationSeries",
     "strip_tiling",
-    "critical_tiling",
     "deviations",
     "window_tiles",
     "flat_vertices",
@@ -134,36 +132,6 @@ def strip_tiling(y0: float, n_cols: int) -> StripTiling:
     aa = (2.0 * idx - 1.0) + alpha
     bb = (2.0 * idx - 1.0) + beta
     xs = 2.0 * np.arange(n + 1, dtype=np.float64) + xi
-    return StripTiling(y0=y0, n_cols=n, xs=xs, ys=ys, aa=aa, bb=bb,
-                       alpha=alpha, beta=beta, xi=xi)
-
-
-def critical_tiling(n_cols: int) -> StripTiling:
-    """The closed-form tiling at the critical height 1/sqrt(3).
-
-    At this height the midline collapses onto the axis after one step:
-    x_i = 2i - 1/2, y_i = 0, a_i = 2i + (sqrt(3)-1)/2 and
-    b_i = 2i - (sqrt(3)+1)/2 for i >= 1.  Built directly from these forms,
-    not from the recursion, so it serves as an independent oracle.
-    """
-    rt3 = math.sqrt(3.0)
-    y0 = 1.0 / rt3
-    _validate_args(y0, n_cols)
-    n = int(n_cols)
-
-    idx = np.arange(n + 2, dtype=np.float64)
-    aa = 2.0 * idx + (rt3 - 1.0) / 2.0
-    bb = 2.0 * idx - (rt3 + 1.0) / 2.0
-    xs = 2.0 * np.arange(n + 1, dtype=np.float64) - 0.5
-    ys = np.zeros(n + 1)
-    xs[0] = 0.0
-    ys[0] = y0
-
-    alpha = aa - (2.0 * idx - 1.0)
-    beta = bb - (2.0 * idx - 1.0)
-    alpha[0] = beta[0] = aa[0] = bb[0] = np.nan
-    xi = np.full(n + 1, -0.5)
-    xi[0] = 0.0
     return StripTiling(y0=y0, n_cols=n, xs=xs, ys=ys, aa=aa, bb=bb,
                        alpha=alpha, beta=beta, xi=xi)
 

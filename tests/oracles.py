@@ -1,5 +1,5 @@
 """Reference implementations the tests compare the package against, each
-the code a faster or smaller package path replaced:
+the code a faster or smaller package path replaced, or paper-only code:
 
 * the per-tile objects (``Point``, ``TileId``, ``Triangle``, ``Quadrangle``)
   that :class:`fairtile.geometry.Tiles` replaced, whose constructors are
@@ -9,7 +9,11 @@ the code a faster or smaller package path replaced:
   batched sweep, the numpy Newton iteration, the elementary plane maps of
   :class:`StripTransform`, the shear selection over every pair of the rows
   drawn so far, per-triangle equilateral shear roots, and the per-tile
-  box pass and pair-major contact rules of the conformity check."""
+  box pass and pair-major contact rules of the conformity check;
+* the paper-only code no run reaches: the reconstruction of a triangle
+  from any one of its quadrangles, the two Jacobian determinant anchors
+  of the fair-split and reconstruction systems at the symmetric point,
+  and the closed-form critical tiling at height 1/sqrt(3)."""
 
 import json
 import math
@@ -27,8 +31,10 @@ from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentErro
                              NoConvergence, NonConvexOutput, NoUnequalHeights,
                              SingularDenominator, SingularJacobian, TileFailed)
 from fairtile.geometry import CORNERS, Tiles, _segments_cross, signed_area
-from fairtile.quadsplit import DELTA_Q, QUADIFY_SCALE, _corners, apex, solve_fair_split
-from fairtile.strip import strip_tiling, window_tiles
+from fairtile.quadsplit import (DELTA_Q, FAIR, P0, QUADIFY_SCALE, _corners, _split_residual, apex,
+                                solve_fair_split)
+from fairtile.quadsplit import newton3 as package_newton3
+from fairtile.strip import StripTiling, _validate_args, strip_tiling, window_tiles
 
 
 # ---------------------------------------------------------------------------
@@ -654,3 +660,166 @@ def vertex_to_vertex_violations(tiles, tol: float):
     J = np.concatenate(near)
     bad, size = contact(tiles.xy[I], tiles.xy[J], tol)
     return list(zip(I[bad].tolist(), J[bad].tolist())), size[bad]
+
+
+# ---------------------------------------------------------------------------
+# the paper's inverse problem, the two Jacobian anchors and the critical
+# tiling: closed forms and proofs of the paper that no run needs
+
+
+class OutOfBasin(FairtileError):
+    """Input is too far from the undistorted shape for reconstruction."""
+
+
+@dataclass(frozen=True)
+class ReconstructionTriple:
+    """Scale parameters recovering a triangle from one of its split quads."""
+
+    rho: float
+    sigma: float
+    tau: float
+    iterations: int = 0
+
+
+# the symmetric point of the reconstruction: the scale triple and the posed
+# corner quadrangle (a^, x^, y^, z^, w^) of the unit equilateral split
+RHO0, SIGMA0, TAU0 = (3.0 + math.sqrt(3.0)) / 2.0, math.sqrt(3.0), FAIR.alpha0
+QUAD0 = (FAIR.alpha0, math.sqrt(3.0) / 6.0, 0.5, 0.5, math.sqrt(3.0) / 6.0)
+
+# reconstruction rejects posed quadrangles further than this per coordinate
+# from the symmetric shape
+_BASIN_RADIUS = 0.1
+
+_ANGLE_TIE_TOL = 1e-9
+
+
+def _reconstruction_residual(ah: float, xh: float, yh: float, zh: float, wh: float):
+    """Equal-area and perimeter residuals of the reconstruction unknowns.
+
+    The posed quadrangle (0,0), (ah,0), (zh,wh), (xh,yh) is the corner
+    piece of a split triangle (0,0), rho*(ah,0), sigma*(xh,yh) whose edge
+    cut opposite the origin sits at the tau-point between the two scaled
+    corners.  The three signed-area identities and the perimeter of the
+    second quadrangle pin (rho, sigma, tau).
+    """
+
+    def det(u0, u1, v0, v1):
+        return u0 * v1 - u1 * v0
+
+    area1 = 0.5 * det(ah, 0.0, xh, yh) + 0.5 * det(xh - zh, yh - wh, ah - zh, -wh)
+
+    def residual(u):
+        rho, sigma, tau = float(u[0]), float(u[1]), float(u[2])
+        bx = rho * ah
+        cx, cy = sigma * xh, sigma * yh
+        px = (1.0 - tau) * bx + tau * cx
+        py = tau * cy
+        area2 = (0.5 * det(px - bx, py, ah - bx, 0.0)
+                 + 0.5 * det(ah - zh, -wh, px - zh, py - wh))
+        area3 = (0.5 * det(xh - cx, yh - cy, px - cx, py - cy)
+                 + 0.5 * det(px - zh, py - wh, xh - zh, yh - wh))
+        perim = (math.hypot(px - bx, py) + math.hypot(ah - bx, 0.0)
+                 + math.hypot(ah - zh, wh) + math.hypot(px - zh, py - wh))
+        return area1 - area2, area1 - area3, perim - P0
+
+    return residual
+
+
+def _posed_tuple(pts, start: int, mirrored: bool):
+    """(a^, x^, y^, z^, w^) of the quadrangle read from vertex ``start`` on,
+    backwards when ``mirrored``, after the isometry (a reflection if need
+    be) taking that vertex to (0,0), the next onto the positive x-axis and
+    the one after above it."""
+    step = -1 if mirrored else 1
+    (ox, oy), *seq = [pts[(start + step * k) % len(pts)] for k in range(len(pts))]
+    ux, uy = seq[0][0] - ox, seq[0][1] - oy
+    norm = math.hypot(ux, uy)
+    if norm <= 1e-14:
+        raise DegeneratePolygon("coincident frame points")
+    ex, ey = (ux / norm, uy / norm), (-(uy / norm), ux / norm)
+    m = -1.0 if (seq[1][0] - ox) * ey[0] + (seq[1][1] - oy) * ey[1] < 0.0 else 1.0
+    (ah, _), (zh, wh), (xh, yh) = [((x - ox) * ex[0] + (y - oy) * ex[1],
+                                    m * ((x - ox) * ey[0] + (y - oy) * ey[1])) for x, y in seq]
+    return (ah, xh, yh, zh, wh)
+
+
+def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
+    """Recover the split triangle's shape, as its (3, 2) counterclockwise
+    vertices, from the (4, 2) vertices of any one of its quadrangles.
+
+    The quadrangle is posed with its strictly smallest interior angle at
+    the origin (that angle belongs to the dissected triangle); both
+    handednesses are tried, since a reflected copy reconstructs the mirror
+    triangle.  The package's Newton iteration then solves for the scale
+    triple from the symmetric initial guess.  Far-from-symmetric inputs
+    raise :class:`OutOfBasin`.
+    """
+    quad = Tiles(np.array(q, dtype=float).reshape(1, 4, 2))
+    pts, angles = quad.xy[0].tolist(), quad.angles()[0].tolist()
+    order = sorted(range(4), key=lambda k: angles[k])
+    if angles[order[1]] - angles[order[0]] <= _ANGLE_TIE_TOL:
+        raise OutOfBasin("smallest interior angle is not unique")
+    start = order[0]
+
+    chosen = None
+    for mirrored in (False, True):
+        tup = _posed_tuple(pts, start, mirrored)
+        if max(abs(v - v0) for v, v0 in zip(tup, QUAD0)) <= _BASIN_RADIUS:
+            chosen = tup
+            break
+    if chosen is None:
+        raise OutOfBasin("posed quadrangle too far from the symmetric shape")
+
+    ah, xh, yh, zh, wh = chosen
+    residual = _reconstruction_residual(ah, xh, yh, zh, wh)
+    u, iterations = package_newton3(residual, (RHO0, SIGMA0, TAU0))
+    rho, sigma, tau = (float(v) for v in u)
+    triple = ReconstructionTriple(rho=rho, sigma=sigma, tau=tau, iterations=iterations)
+    triangle = Tiles(np.array([[[0.0, 0.0], [rho * ah, 0.0], [sigma * xh, sigma * yh]]]))
+    return triangle.xy[0], triple
+
+
+def fair_split_jacobian_det(step: float = 1e-6) -> float:
+    """Central-difference Jacobian determinant of the perimeter system in
+    (alpha, beta, gamma) at the unit equilateral configuration."""
+    residual = _split_residual(1.0, 1.0, 1.0)
+    jac = fd_jacobian(residual, np.array([FAIR.alpha0, FAIR.beta0, FAIR.gamma0]), step)
+    return float(np.linalg.det(jac))
+
+
+def reconstruction_jacobian_det(step: float = 1e-6) -> float:
+    """Central-difference Jacobian determinant of the reconstruction system
+    in (rho, sigma, tau) at the symmetric quadrangle."""
+    residual = _reconstruction_residual(*QUAD0)
+    jac = fd_jacobian(residual, np.array([RHO0, SIGMA0, TAU0]), step)
+    return float(np.linalg.det(jac))
+
+
+def critical_tiling(n_cols: int) -> StripTiling:
+    """The closed-form tiling at the critical height 1/sqrt(3).
+
+    At this height the midline collapses onto the axis after one step:
+    x_i = 2i - 1/2, y_i = 0, a_i = 2i + (sqrt(3)-1)/2 and
+    b_i = 2i - (sqrt(3)+1)/2 for i >= 1.  Built directly from these forms,
+    not from the recursion, so it serves as an independent oracle.
+    """
+    rt3 = math.sqrt(3.0)
+    y0 = 1.0 / rt3
+    _validate_args(y0, n_cols)
+    n = int(n_cols)
+
+    idx = np.arange(n + 2, dtype=np.float64)
+    aa = 2.0 * idx + (rt3 - 1.0) / 2.0
+    bb = 2.0 * idx - (rt3 + 1.0) / 2.0
+    xs = 2.0 * np.arange(n + 1, dtype=np.float64) - 0.5
+    ys = np.zeros(n + 1)
+    xs[0] = 0.0
+    ys[0] = y0
+
+    alpha = aa - (2.0 * idx - 1.0)
+    beta = bb - (2.0 * idx - 1.0)
+    alpha[0] = beta[0] = aa[0] = bb[0] = np.nan
+    xi = np.full(n + 1, -0.5)
+    xi[0] = 0.0
+    return StripTiling(y0=y0, n_cols=n, xs=xs, ys=ys, aa=aa, bb=bb,
+                       alpha=alpha, beta=beta, xi=xi)

@@ -21,13 +21,10 @@ from fairtile.quadsplit import (
     _corners,
     apex,
     fair_split,
-    fair_split_jacobian_det,
-    reconstruct_triangle,
-    reconstruction_jacobian_det,
     solve_fair_split,
 )
 from fairtile.render import RenderOptions, render_svg
-from fairtile.strip import critical_tiling, deviations, identity_residual, strip_tiling, unit_area_residual
+from fairtile.strip import deviations, identity_residual, strip_tiling, unit_area_residual
 from fairtile.verify import (
     check_closeness,
     check_contraction,
@@ -37,7 +34,9 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
-from oracles import area, edge_lengths, halfturn_rows, perimeter, signature_rows
+from oracles import (area, critical_tiling, edge_lengths, fair_split_jacobian_det, halfturn_rows,
+                     perimeter, reconstruct_triangle, reconstruction_jacobian_det,
+                     signature_rows)
 
 SQRT3 = math.sqrt(3.0)
 

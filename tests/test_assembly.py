@@ -28,11 +28,11 @@ from fairtile.errors import BoundaryMismatch, DegeneratePair, ExhaustedRetries, 
 from fairtile import geometry
 from fairtile.geometry import Tiles
 from fairtile.pipeline import sample_certified_y0
-from fairtile.strip import StripTiling, critical_tiling, strip_tiling, window_tiles
+from fairtile.strip import StripTiling, strip_tiling, window_tiles
 from fairtile.verify import check_closeness, check_pairwise_incongruent, check_vertex_to_vertex
 import oracles
-from oracles import (TileId, area, edge_lengths, ids_of, polygon, record, reflect_x, shear,
-                     tile_ids, tile_label, translate, triangle_at, vertices_of)
+from oracles import (TileId, area, critical_tiling, edge_lengths, ids_of, polygon, record,
+                     reflect_x, shear, tile_ids, tile_label, translate, triangle_at, vertices_of)
 
 
 # (epsilon, rows, cols, seed) of the gate planes

@@ -25,11 +25,11 @@ from fairtile.congruence import (
 from fairtile.errors import DegeneratePair, DegeneratePolygon, NoUnequalHeights
 from fairtile.geometry import Tiles
 from fairtile.quadsplit import fair_split
-from fairtile.strip import critical_tiling, strip_tiling
+from fairtile.strip import strip_tiling
 import oracles
-from oracles import (area, edge_lengths, edge_vectors, halfturn_rows, perimeter, record, shear,
-                     signature_distance, signature_rows, simeq_distance, translate, triangle_at,
-                     vertices_of)
+from oracles import (area, critical_tiling, edge_lengths, edge_vectors, halfturn_rows, perimeter,
+                     record, shear, signature_distance, signature_rows, simeq_distance,
+                     translate, triangle_at, vertices_of)
 
 SQRT3 = math.sqrt(3.0)
 

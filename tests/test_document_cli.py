@@ -251,9 +251,30 @@ def test_verify_detects_tampering(plane_doc, tmp_path):
     assert run_cli("verify", "--in", str(bad)) == 1
 
 
-def test_verify_missing_file_and_unknown_check(plane_doc, tmp_path):
+def test_verify_missing_file_and_unknown_check(plane_doc, tmp_path, capsys):
     assert run_cli("verify", "--in", str(tmp_path / "nope.tiles")) == 2
     assert run_cli("verify", "--in", str(plane_doc), "--check", "bogus") == 2
+    # a path under a regular file, and a document that is not UTF-8, are
+    # usage errors: one "error: " line and exit 2, never a traceback
+    under = str(tmp_path / "file" / "x")
+    (tmp_path / "file").write_text("")
+    binary = tmp_path / "binary.tiles"
+    binary.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    for argv in (("gen-strip", "--y0", "0.005", "--cols", "3", "--out", under),
+                 ("gen-plane", "--epsilon", "0.01", "--seed", "3", "--rows", "1",
+                  "--cols", "2", "--out", under),
+                 ("quadify", "--in", str(plane_doc), "--out", under),
+                 ("render", "--in", str(plane_doc), "--out", under),
+                 ("verify", "--in", str(plane_doc), "--json", under),
+                 ("verify", "--in", str(binary)),
+                 ("quadify", "--in", str(binary), "--out", str(tmp_path / "q.tiles")),
+                 ("render", "--in", str(binary), "--out", str(tmp_path / "r.svg"))):
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+    assert not (tmp_path / "q.tiles").exists() and not (tmp_path / "r.svg").exists()
 
 
 def test_verify_strip_contraction_report(tmp_path, capsys):

@@ -2,6 +2,7 @@
 uses it."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,14 +14,14 @@ import fairtile
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fairtile.__path__, "fairtile."))
 
-# exported for the paper claims they pin (the critical tiling and the two
-# Jacobian determinants), not for any caller inside the package
-PAPER_ANCHORS = {"critical_tiling", "reconstruct_triangle",
-                 "fair_split_jacobian_det", "reconstruction_jacobian_det"}
-
-# the per-tile object layer that the array record replaced
+# names that left the package for tests/oracles.py: the per-tile object
+# layer that the array record replaced, and the paper-only reconstruction,
+# Jacobian anchors and critical tiling that no run reaches
 RETIRED = {"Point", "TileId", "Triangle", "Quadrangle", "edge_vectors", "is_convex",
-           "tile_label", "quad_vertices", "_apex"}
+           "tile_label", "quad_vertices", "_apex",
+           "reconstruct_triangle", "_reconstruction_residual", "_posed_tuple",
+           "ReconstructionTriple", "OutOfBasin", "_BASIN_RADIUS", "_ANGLE_TIE_TOL",
+           "fair_split_jacobian_det", "reconstruction_jacobian_det", "critical_tiling"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -55,14 +56,15 @@ def test_every_export_has_a_caller_in_the_package():
     exported, referenced = _exports_and_references(Path(fairtile.__file__).parent)
     assert exported, "no module declares __all__"
     unused = sorted(f"{mod}.{name}" for mod, names in exported.items() for name in names
-                    if name not in referenced and name not in PAPER_ANCHORS)
+                    if name not in referenced)
     assert not unused, f"exported but never used inside fairtile: {unused}"
 
 
 def test_the_per_tile_object_layer_stays_retired():
-    """``geometry`` defines no class but the record and its per-tile view, and
-    no module defines or exports a retired name, so no path (the strip,
-    plane and quadify runs among them) can build a per-tile object."""
+    """``geometry`` defines no class but the record and its per-tile view, no
+    module defines, imports or exports a retired name, and ``FAIR`` holds no
+    reconstruction constant, so no path (the strip, plane and quadify runs
+    among them) can build a per-tile object or reach the paper-only code."""
     geometry = importlib.import_module("fairtile.geometry")
     classes = {name for name, value in vars(geometry).items()
                if inspect.isclass(value) and value.__module__ == geometry.__name__}
@@ -70,3 +72,6 @@ def test_the_per_tile_object_layer_stays_retired():
     assert not hasattr(geometry.Tiles, "of")
     for name in ["fairtile", *MODULES]:
         assert not RETIRED & set(vars(importlib.import_module(name))), name
+    assert not RETIRED & _exports_and_references(Path(fairtile.__file__).parent)[1]
+    fields = {f.name for f in dataclasses.fields(fairtile.FAIR)}
+    assert fields == {"p0", "alpha0", "beta0", "gamma0", "xi0", "eta0"}

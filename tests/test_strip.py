@@ -9,7 +9,6 @@ import pytest
 from fairtile.errors import InvalidParameter
 from fairtile.geometry import Tiles
 from fairtile.strip import (
-    critical_tiling,
     deviations,
     identity_residual,
     strip_tiling,
@@ -18,7 +17,7 @@ from fairtile.strip import (
 )
 from fairtile.assembly import scale_to_equilateral
 import oracles
-from oracles import tile_ids, vertices_of
+from oracles import critical_tiling, tile_ids, vertices_of
 
 SQRT3 = math.sqrt(3.0)
 
