@@ -191,10 +191,21 @@ def _split_viewbox(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse, before any work, an output path whose directory is missing or
+    is not a directory; the file itself is opened only when it is written."""
+    import os.path  # loaded with the interpreter; kept off the module-level imports
+    for path in (getattr(args, "out", None), getattr(args, "json", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InvalidParameter(f"cannot write {path}: {os.path.dirname(path)} "
+                                   f"is missing or not a directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_split_viewbox(sys.argv[1:] if argv is None else list(argv)))
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (InvalidParameter, DocumentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

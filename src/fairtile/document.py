@@ -90,42 +90,51 @@ def _dump(obj) -> str:
 
 
 @functools.cache
-def _tile_template(cornered: bool, n_vertices: int) -> str:
-    """The %-template of a tile line: the bytes :func:`_dump` writes for
-    ``{"id": ..., "vertices": [[fmt17(x), fmt17(y)], ...]}``, keys sorted,
-    since ids are integers and corners are validated as A, B or C."""
-    corner = '"corner":"%s",' if cornered else ""
-    return ('{"id":{"col":%d,' + corner + '"row":%d,"slot":%d},"vertices":['
-            + ",".join(['["%.17g","%.17g"]'] * n_vertices) + "]}")
+def _tile_template(n_vertices: int) -> str:
+    """The %-template of a tile line and its newline: the bytes :func:`_dump`
+    writes for ``{"id": ..., "vertices": [[fmt17(x), fmt17(y)], ...]}``, keys
+    sorted, filled with integer ids, the corner entry (``"corner":"A",`` or
+    nothing) and the 17-digit numerals."""
+    return ('{"id":{"col":%d,%s"row":%d,"slot":%d},"vertices":['
+            + ",".join(['["%s","%s"]'] * n_vertices) + "]}\n")
 
 
 @functools.cache
 def _tile_pattern(n_vertices: int) -> re.Pattern:
-    """The lines :func:`_tile_template` writes, a quadrangle's corner optional:
-    ids as JSON integers, coordinates as ``%.17g`` numerals, grouped in order."""
-    text = re.escape(_tile_template(n_vertices == 4, n_vertices)).replace(
-        '"corner":"%s",', '(?:"corner":"([ABC])",)?').replace("%d", r"(-?(?:0|[1-9]\d*))")
-    return re.compile("^" + text.replace(r"%\.17g", r"(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)") + "$", re.M)
+    """The lines :func:`_tile_template` writes, a quadrangle's corner optional,
+    with each id and numeral captured up to the delimiter that ends it; a
+    match whose captures pass :data:`_ID` and :data:`_NUMERAL` is one line."""
+    corner = '(?:"corner":"([ABC])",)?' if n_vertices == 4 else ""
+    text = re.escape(_tile_template(n_vertices)[:-1]).replace('%s"row"', corner + '"row"')
+    return re.compile("^" + text.replace('"%s"', '"([^"]*)"').replace("%d", "([^,}]*)") + "$",
+                      re.M)
+
+
+_ID = re.compile(r"-?(?:0|[1-9]\d*)", re.A)  # a JSON integer
+_NUMERAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", re.A)  # what %.17g writes, and more
+_CORNER_ENTRY = np.array(['"corner":"%s",' % c for c in CORNERS] + [""], dtype=object)
 
 
 def serialize(doc: TilingDocument) -> str:
     if doc.kind not in KINDS:
         raise DocumentError(f"unknown document kind {doc.kind!r}")
-    lines = [_dump({
+    header = _dump({
         "format_version": doc.format_version,
         "kind": doc.kind,
         "parameters": doc.parameters,
-    })]
+    })
     tiles = doc.tiles
     if tiles.row is None:
         raise DocumentError("document tiles need ids")
-    n = tiles.xy.shape[1]
-    codes = [-1] * len(tiles) if tiles.corner is None else tiles.corner.tolist()
-    for col, code, row, slot, xy in zip(tiles.col.tolist(), codes, tiles.row.tolist(),
-                                        tiles.slot.tolist(), tiles.xy.reshape(-1, 2 * n).tolist()):
-        ids = (col, row, slot) if code < 0 else (col, CORNERS[code], row, slot)
-        lines.append(_tile_template(code >= 0, n) % (*ids, *xy))
-    return "\n".join(lines) + "\n"
+    count, n = tiles.xy.shape[:2]
+    # each distinct coordinate formatted once; its bits keep -0.0 apart from 0.0
+    bits, inverse = np.unique(tiles.xy.reshape(-1).view(np.int64), return_inverse=True)
+    numerals = np.array([fmt17(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    fields = np.empty((count, 4 + 2 * n), dtype=object)
+    fields[:, 0], fields[:, 2], fields[:, 3] = tiles.col, tiles.row, tiles.slot
+    fields[:, 1] = "" if tiles.corner is None else _CORNER_ENTRY[tiles.corner]  # -1: none
+    fields[:, 4:] = numerals[inverse].reshape(count, 2 * n)
+    return f"{header}\n" + "".join([_tile_template(n)] * count) % tuple(fields.ravel().tolist())
 
 
 def _tile_fields(line: str):
@@ -149,31 +158,30 @@ def _tile_fields(line: str):
 
 def _read_tiles(text: str, start: int, kind):
     """The record of the tiles on the lines from ``start`` on, or None for an
-    unknown ``kind``.  When every line has the template form, ids and
-    coordinates are read with ``int`` and ``float`` as ``json`` would read
-    them; else every line is read through ``json`` and checked, then each
-    tile's vertex count against the kind's, then the record is built."""
+    unknown ``kind``.  While every line of a chunk has the template form, its
+    ids and coordinates are read with ``int`` and ``float`` as ``json`` would
+    read them, each distinct one once; else every line is read through
+    ``json`` and checked, then each tile's vertex count against the kind's,
+    then the record is built."""
     n = _VERTEX_COUNT[kind] if kind in KINDS else None
-    parts, rows, pos, c = [], [], start, int(n == 4)
-
-    def convert():  # the rows so far as the arrays of a record, a chunk at a time
+    parts, pos, c = [], start, int(n == 4)
+    while n:  # about 256 KB of whole lines at a time
+        end = text.find("\n", pos + (1 << 18)) + 1 or len(text)
+        rows = _tile_pattern(n).findall(text, pos, end)
+        lines = text[pos:end].split("\n")
         fields = list(zip(*rows)) or [()] * (3 + c + 2 * n)
-        xy = np.array([list(map(float, f)) for f in fields[-2 * n:]]).T.reshape(-1, n, 2)
-        ids = [np.array(list(map(int, fields[k])), dtype=np.int64) for k in (1 + c, 0, 2 + c)]
-        corner = [-1 if x is None else CORNERS.index(x) for x in fields[1]] if c else None
-        parts.append([xy, *ids, None if corner is None else np.array(corner, dtype=np.int8)])
-        rows.clear()
-
-    for m in _tile_pattern(n).finditer(text, start) if n else ():
-        if text[pos:m.start()].strip("\n"):  # a line not in template form
-            break
-        rows.append(m.groups())
-        pos = m.end()
-        if len(rows) == 4096:
-            convert()
-    else:
-        if n and not text[pos:].strip("\n"):
-            convert()
+        ids, numerals = set().union(fields[0], *fields[1 + c:3 + c]), set().union(*fields[3 + c:])
+        if (len(rows) != len(lines) - lines.count("") or not all(map(_ID.fullmatch, ids))
+                or not all(map(_NUMERAL.fullmatch, numerals))):
+            break  # a line not in template form
+        floats, ints = dict(zip(numerals, map(float, numerals))), dict(zip(ids, map(int, ids)))
+        xy = np.array([list(map(floats.__getitem__, f)) for f in fields[3 + c:]]).T.reshape(-1, n, 2)
+        parts.append([xy, *(np.array(list(map(ints.__getitem__, fields[k])), dtype=np.int64)
+                            for k in (1 + c, 0, 2 + c)),
+                      np.array([CORNERS.index(x) if x else -1 for x in fields[1]], np.int8)
+                      if c else None])
+        pos = end
+        if pos >= len(text):
             return Tiles(*(None if a[0] is None else np.concatenate(a) for a in zip(*parts)))
     tiles = [_tile_fields(line) for line in text[start:].split("\n") if line]
     if n is None:

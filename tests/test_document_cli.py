@@ -277,6 +277,33 @@ def test_verify_missing_file_and_unknown_check(plane_doc, tmp_path, capsys):
     assert not (tmp_path / "q.tiles").exists() and not (tmp_path / "r.svg").exists()
 
 
+@pytest.mark.parametrize("parent", ["file", "missing"])
+def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, monkeypatch,
+                                                  parent):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    for owner, name in ((pipeline, "quadify_checked"), (pipeline, "build_plane"),
+                        (pipeline, "sample_certified_y0"), (document, "read_document"),
+                        (cli, "strip_tiling")):
+        monkeypatch.setattr(owner, name, never)
+    (tmp_path / "file").write_text("")
+    bad, ok = str(tmp_path / parent / "x"), str(tmp_path / "ok")
+    plane = ("gen-plane", "--epsilon", "0.01", "--seed", "3", "--rows", "1", "--cols", "2")
+    capsys.readouterr()
+    for argv in (("gen-strip", "--y0", "0.005", "--cols", "3", "--out", bad),
+                 ("gen-strip", "--y0", "auto", "--cols", "3", "--out", bad),
+                 (*plane, "--out", bad), (*plane, "--out", ok, "--json", bad),
+                 (*plane, "--out", bad, "--json", ok),
+                 ("quadify", "--in", str(plane_doc), "--out", bad),
+                 ("render", "--in", str(plane_doc), "--out", bad),
+                 ("verify", "--in", str(plane_doc), "--json", bad)):
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err == (f"error: cannot write {bad}: {tmp_path / parent} "
+                                           f"is missing or not a directory\n"), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing opened or created
+
+
 def test_verify_strip_contraction_report(tmp_path, capsys):
     out = tmp_path / "s.tiles"
     assert run_cli("gen-strip", "--y0", "0.005", "--cols", "10", "--out", str(out)) == 0

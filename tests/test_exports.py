@@ -75,3 +75,35 @@ def test_the_per_tile_object_layer_stays_retired():
     assert not RETIRED & _exports_and_references(Path(fairtile.__file__).parent)[1]
     fields = {f.name for f in dataclasses.fields(fairtile.FAIR)}
     assert fields == {"p0", "alpha0", "beta0", "gamma0", "xi0", "eta0"}
+
+
+# Every module ``import fairtile`` loads, outside the package itself.  Each
+# new one adds its own import to the benchmark's ``setup_s``, a fresh-process
+# import of the package; a module a rare path needs is imported in that path.
+IMPORT_ALLOW = {"__future__", "argparse", "dataclasses", "functools", "json", "math", "numpy",
+                "random", "re", "sys", "typing"}
+
+
+def _import_time_imports(node):
+    """Absolute module names the statements under ``node`` import when the
+    module runs, function bodies (which run only when called) left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module
+        else:
+            yield from _import_time_imports(child)
+
+
+def test_modules_import_only_the_allowed_modules_at_load():
+    src = Path(fairtile.__file__).parent
+    found = {(path.name, name) for path in sorted(src.glob("*.py"))
+             for name in _import_time_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found, "no module-level import found; the scan is broken"
+    extra = sorted(f"{file}: import {name}" for file, name in found
+                   if name.split(".")[0] not in IMPORT_ALLOW)
+    assert not extra, f"module-level imports outside the allow-list: {extra}"
+    assert {name.split(".")[0] for _, name in found} == IMPORT_ALLOW  # no stale entry

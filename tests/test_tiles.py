@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -441,6 +442,121 @@ def test_ids_beyond_64_bits_are_refused_on_both_paths():
     for line in (huge, huge.replace(",", ", ")):  # template form, then json form
         with pytest.raises(document.DocumentError, match="too large"):
             document.parse("\n".join([header, line, *rest]))
+
+
+# ---------------------------------------------------------------------------
+# the chunked template reader against the json path, and the distinct-value writer
+
+_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3, -2.75e-8, 1e-7, 1e22, -3e21, 5e-324, 1.5e300]
+_SCALES = [1.0, 0.25, 1e-3, 7.0, 3e5]
+_UNIT = {3: [(0, 0), (1, 0), (0, 1)], 4: [(0, 0), (1, 0), (1, 1), (0, 1)]}
+# numerals and ids the reader's grammar takes although %.17g and the writer
+# never write them, and ones it leaves to json
+_ACCEPTED = {"numeral": ["1.50", "007", "1e+5", "-0.0", "2.5e-3"], "id": ["-0", "-12"]}
+_FALLBACK = {"numeral": ["inf", "1_0", " 1", "0x1p3", "1E5", "٣"],
+             "id": ["01", "+1", "1.0", "1٣"]}
+
+
+def _header(kind):
+    return '{"format_version":"1","kind":"%s","parameters":{}}' % kind
+
+
+@st.composite
+def _records(draw):
+    """Document text of up to 12 tiles with ids of either sign, each a unit
+    shape scaled and moved to a corner drawn from a small pool, so values
+    repeat and -0.0 and exponent forms occur."""
+    n = draw(st.sampled_from([3, 4]))
+    ids = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 4),
+                                  st.sampled_from("ABC") if n == 4 else st.none()),
+                        min_size=1, max_size=12, unique=True))
+    lines = [_header("quad" if n == 4 else draw(st.sampled_from(["strip", "plane"])))]
+    for row, col, slot, corner in ids:
+        (x0, y0), s = draw(st.tuples(*[st.sampled_from(_POOL)] * 2)), draw(st.sampled_from(_SCALES))
+        xy = [[fmt17(x0 + s * u if u else x0), fmt17(y0 + s * v if v else y0)]
+              for u, v in _UNIT[n]]
+        tid = {"row": row, "col": col, "slot": slot, **({"corner": corner} if corner else {})}
+        lines.append(json.dumps({"id": tid, "vertices": xy}, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def _with_value(line, field, value, draw):
+    """The line with one numeral, or one id, replaced by ``value`` as is."""
+    if field == "id":
+        key = draw(st.sampled_from(["row", "col", "slot"]))
+        return re.sub(f'"{key}":[^,}}]*', f'"{key}":{value}', line)
+    head, tail = line.split('"vertices":')
+    m = list(re.finditer(r'"[^"]*"', tail))[draw(st.integers(0, tail.count('"') // 2 - 1))]
+    return f'{head}"vertices":{tail[:m.start()]}"{value}"{tail[m.end():]}'
+
+
+def _read_by_template(text):
+    """The outcome of ``document.parse``, and whether any line went through json."""
+    with mock.patch.object(document, "_tile_fields", wraps=document._tile_fields) as json_path:
+        outcome = _outcome_of_parse(text)
+    return outcome, json_path.called
+
+
+@given(_records())
+@settings(max_examples=300, deadline=None)
+def test_template_reader_reads_random_records_as_json_does(text):
+    assert _read_by_template(text) == (_outcome_of_oracle(text), False)
+
+
+@given(_records(), st.sampled_from(["numeral", "id"]), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_template_reader_takes_its_grammar_and_leaves_the_rest_to_json(text, field, accepted,
+                                                                      data):
+    value = data.draw(st.sampled_from((_ACCEPTED if accepted else _FALLBACK)[field]))
+    lines = text.split("\n")
+    k = data.draw(st.integers(1, len(lines) - 2))
+    lines[k] = _with_value(lines[k], field, value, data.draw)
+    edited = "\n".join(lines)
+    assert _read_by_template(edited) == (_outcome_of_oracle(edited), not accepted), value
+
+
+@given(_records(), st.sampled_from(["", " ", "\t", "\r"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_blank_lines_and_crlf_endings_read_as_json_does(text, blank, data):
+    lines = text.split("\n")
+    k = data.draw(st.integers(1, len(lines) - 1))
+    with_blank = "\n".join(lines[:k] + [blank] + lines[k:])
+    assert _read_by_template(with_blank) == (_outcome_of_oracle(with_blank), blank != "")
+    crlf = text.replace("\n", "\r\n")
+    assert _read_by_template(crlf) == (_outcome_of_oracle(crlf), True)
+
+
+@pytest.fixture(scope="module")
+def long_text():
+    """A strip document of more than two reading chunks."""
+    text = document.serialize(pipeline.strip_document(strip_tiling(0.005, 420)))
+    assert len(text) > 512 * 1024
+    assert _read_by_template(text) == (_outcome_of_oracle(text), False)
+    return text
+
+
+@given(st.sampled_from(["numeral", "id"]), st.data())
+@settings(max_examples=20, deadline=None)
+def test_one_bad_line_past_the_first_chunk_sends_the_document_to_json(long_text, field, data):
+    lines = long_text.split("\n")
+    first = long_text.count("\n", 0, 1 << 18) + 1  # lines that start in the first chunk
+    k = data.draw(st.integers(first + 1, len(lines) - 2))
+    lines[k] = _with_value(lines[k], field, data.draw(st.sampled_from(_FALLBACK[field])),
+                           data.draw)
+    edited = "\n".join(lines)
+    outcome, through_json = _read_by_template(edited)
+    assert through_json and outcome == _outcome_of_oracle(edited)
+
+
+def test_writer_keeps_every_bit():
+    third = 1 / 3
+    xy = np.array([[(0.0, -0.0), (1.0, 0.0), (third, 1.0)],
+                   [(-0.0, 0.0), (1.0, -0.0), (np.nextafter(third, 1.0), 1.0)]])
+    doc = document.TilingDocument("strip", {}, Tiles(xy, *np.array([[0, 0], [1, 2], [1, 1]])))
+    assert len(set(xy.view(np.int64).ravel().tolist())) == 5  # 0.0 and -0.0, third and its ulp
+    text = document.serialize(doc)
+    assert text == oracles.serialize(doc)
+    assert _table(document.parse(text).tiles) == _table(doc.tiles)
 
 
 # ---------------------------------------------------------------------------
