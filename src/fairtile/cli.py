@@ -105,7 +105,7 @@ def _cmd_gen_plane(args) -> int:
 def _cmd_quadify(args) -> int:
     build = pipeline.quadify_checked(document.read_document(args.infile))
     return _write_build(build, args.out, "quadify refused: input or output failed verification",
-                        "quad document: ")
+                        "quad document: ", args.json)
 
 
 def _cmd_verify(args) -> int:
@@ -155,6 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadify", help="subdivide a plane document into fair quadrangles")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--json", help="also write the reports to this path")
     p.set_defaults(func=_cmd_quadify)
 
     p = sub.add_parser("verify", help="run invariant checks on a document")

@@ -18,10 +18,12 @@ nonlinear system: all three quadrangle perimeters equal the constant
 
 That system is solved by a damped Newton iteration from the symmetric
 configuration alpha = beta = gamma = 1 - sqrt(3)/3, xi = eta = 1/3, which
-is the exact solution for the unit equilateral triangle.  The system is
-hand-derived from the figure geometry; the tests pin its Jacobian
-determinant at the symmetric point to the closed form
-2*sqrt(2)+sqrt(3)-2*sqrt(6) as a derivation-error anchor.
+is the exact solution for the unit equilateral triangle.  Its Jacobian is
+analytic (the chain rule through xi_eta and the three distances to M, in
+the same pass as the residual), and each step is adj(J) f / det J.  Both
+are hand-derived from the figure geometry; the tests check the Jacobian
+against central differences and pin its determinant at the symmetric
+point to the closed form 2*sqrt(2)+sqrt(3)-2*sqrt(6) to 1e-14.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ __all__ = [
 
 P0 = 1.0 + math.sqrt(2.0) - math.sqrt(6.0) / 3.0
 
-# edge-length window of the solver, (1 - DELTA_Q, _EDGE_TOP): s*(1, 1, 1)
-# converges for s from 0.98 to 1.0129119 (1e-6 grid) but not on to 1.02, and
-# 48,000 random and 12,000 near-equilateral triangles with edges below 1.01291 did
+# edge-length window of the solver, (1 - DELTA_Q, _EDGE_TOP), measured with the analytic
+# Jacobian: s*(1, 1, 1) converges for s from 0.98 to 1.012911 (1e-6 grid) but not on to
+# 1.02; 48,000 random and 12,000 near-equilateral triangles with edges below 1.01291 do;
+# of 20,000 with edges in (0.98, 1.02), the 499 that fail all have one above 1.0139
 DELTA_Q = 0.02
 _EDGE_TOP = 1.012
 
@@ -75,7 +78,6 @@ QUADIFY_SCALE = 0.5
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
-_FD_STEP = 1e-7
 _COND_LIMIT = 1e12
 
 
@@ -196,34 +198,46 @@ def _probe(sides, posed) -> str | None:
 def _split_residual(a: float, b: float, c: float, top=None):
     """Perimeter residuals of the three quadrangles as a function of
     (alpha, beta, gamma), with the interior point eliminated through
-    :func:`xi_eta`; ``top`` is the apex (x, y) when the caller has it."""
+    :func:`xi_eta`, each with a callable giving their analytic Jacobian
+    rows from the same pass; ``top`` is the apex (x, y) when the caller
+    has it."""
     x, y = top or apex(a, b, c)
 
     def residual(u):
         al, be, ga = u[0], u[1], u[2]
         xi, eta = xi_eta(al, be, ga)
         mx, my = xi * a + eta * x, eta * y
-        cpx, cpy = al * a, 0.0
-        bpx, bpy = (1.0 - be) * x, (1.0 - be) * y
-        apx, apy = (1.0 - ga) * a + ga * x, ga * y
-        ap = math.hypot(mx - cpx, my - cpy)
-        bp = math.hypot(mx - bpx, my - bpy)
-        cp = math.hypot(mx - apx, my - apy)
+        # M less the cut points on AB, CA and BC, and their distances
+        x1, y1 = mx - al * a, my
+        x2, y2 = mx - (1.0 - be) * x, my - (1.0 - be) * y
+        x3, y3 = mx - ((1.0 - ga) * a + ga * x), my - ga * y
+        ap, bp, cp = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
+
+        def jacobian():
+            # chain rule: d(xi, eta) from xi = nx / d and eta = ny / d, dM = (p, q), then
+            # each distance along its unit vector (u, v) less its cut point's own motion
+            d = 3.0 * (1.0 - al - be - ga + al * be + al * ga + be * ga)
+            da, db, dg = 3.0 * (be + ga - 1.0), 3.0 * (al + ga - 1.0), 3.0 * (al + be - 1.0)
+            ea, eb = -eta * da / d, (3.0 * ga - 1.0 - eta * db) / d
+            eg = (3.0 * be - 2.0 - eta * dg) / d
+            pa = a * (3.0 * ga - 2.0 - xi * da) / d + x * ea
+            pb, pg = -a * xi * db / d + x * eb, a * (3.0 * al - 1.0 - xi * dg) / d + x * eg
+            qa, qb, qg = y * ea, y * eb, y * eg
+            if not (ap and bp and cp):
+                raise SingularJacobian("interior point on a cut point: no derivative there")
+            u1, v1, u2, v2, u3, v3 = x1 / ap, y1 / ap, x2 / bp, y2 / bp, x3 / cp, y3 / cp
+            g1a, g1b, g1g = u1 * (pa - a) + v1 * qa, u1 * pb + v1 * qb, u1 * pg + v1 * qg
+            g2a, g2b, g2g = u2 * pa + v2 * qa, u2 * (pb + x) + v2 * (qb + y), u2 * pg + v2 * qg
+            g3a, g3b, g3g = u3 * pa + v3 * qa, u3 * pb + v3 * qb, u3 * (pg + a - x) + v3 * (qg - y)
+            return ((a + g1a + g2a, g1b + g2b - b, g1g + g2g),
+                    (g2a + g3a, b + g2b + g3b, g2g + g3g - c),
+                    (g3a + g1a - a, g3b + g1b, c + g3g + g1g))
+
         return (al * a + ap + bp + (1.0 - be) * b - P0,
                 be * b + bp + cp + (1.0 - ga) * c - P0,
-                ga * c + cp + ap + (1.0 - al) * a - P0)
+                ga * c + cp + ap + (1.0 - al) * a - P0), jacobian
 
     return residual
-
-
-def _fd_jacobian(residual, x) -> list[tuple[float, ...]]:
-    """Central-difference Jacobian of ``residual`` at ``x``, as row tuples."""
-    cols, ups = [], [v + 0.0 for v in x]  # v + 0.0 is v, but 0.0 for -0.0
-    for k, v in enumerate(x):
-        up, down = ups.copy(), list(x)
-        up[k], down[k] = v + _FD_STEP, v - _FD_STEP
-        cols.append([(p - m) / (2.0 * _FD_STEP) for p, m in zip(residual(up), residual(down))])
-    return list(zip(*cols))
 
 
 def _max_abs(f) -> float:
@@ -231,63 +245,64 @@ def _max_abs(f) -> float:
     return math.nan if any(map(math.isnan, f)) else max(map(abs, f))
 
 
-def _well_conditioned(jac) -> bool:
-    """Sufficient test that the 3x3 ``jac`` is finite with cond2 < 1e12.
+def _step(jac, fx) -> list[float]:
+    """The Newton step J^-1 f, or :class:`SingularJacobian` when the 3x3
+    ``jac`` holds a non-finite entry or has cond2 above 1e12.
 
-    cond2(J) <= ||J||_F * ||adj J||_F / |det J|.  Each cofactor and the
-    determinant carry an a priori rounding bound (with an absolute floor
-    for underflow), and the accepted bound is 1e11, so a True is never
-    wrong; a False leaves the verdict to the SVD.
+    cond2(J) <= k = ||J||_F * ||adj J||_F / |det J|.  Each cofactor and
+    the determinant carry an a priori rounding bound (with an absolute
+    floor for underflow).  Where k is at most 1e11 and the determinant's
+    relative rounding bound at most 1e-15 * k, so that the step is as
+    accurate as LAPACK's, it is adj(J) f / det J from the same cofactors.
+    ``np.linalg.cond`` decides the rare rest, and LAPACK solves those it
+    accepts.
     """
     (a, b, c), (d, e, f), (g, h, i) = jac
     pairs = ((e * i, f * h), (f * g, d * i), (d * h, e * g),
              (c * h, b * i), (a * i, c * g), (b * g, a * h),
              (b * f, c * e), (c * d, a * f), (a * e, b * d))
-    cof = [p - q for p, q in pairs]
-    size = [abs(p) + abs(q) for p, q in pairs]
+    cof, size = [p - q for p, q in pairs], [abs(p) + abs(q) for p, q in pairs]
     det = a * cof[0] + b * cof[1] + c * cof[2]
-    low = abs(det) - (1e-15 * (abs(a) * size[0] + abs(b) * size[1] + abs(c) * size[2]) + 1e-300)
-    if not (math.isfinite(det) and low > 0.0):
-        return False
-    fro = math.hypot(a, b, c, d, e, f, g, h, i)
-    adj = math.hypot(*[abs(m) + 1e-15 * s + 1e-300 for m, s in zip(cof, size)])
-    return fro * adj / low <= _COND_LIMIT / 10.0
-
-
-def _singular(jac) -> bool:
-    """Whether ``jac`` holds a non-finite entry or has cond2 above 1e12."""
-    if _well_conditioned(jac):
-        return False
-    arr = np.array(jac)
-    return not np.all(np.isfinite(arr)) or bool(np.linalg.cond(arr) > _COND_LIMIT)
+    det_size = abs(a) * size[0] + abs(b) * size[1] + abs(c) * size[2]
+    low = abs(det) - (1e-15 * det_size + 1e-300)
+    fro_adj = math.hypot(a, b, c, d, e, f, g, h, i) * math.hypot(
+        *[abs(m) + 1e-15 * s + 1e-300 for m, s in zip(cof, size)])
+    if not (math.isfinite(det) and low > 0.0 and det_size <= fro_adj
+            and fro_adj / low <= _COND_LIMIT / 10.0):
+        arr = np.array(jac, dtype=float)
+        if not np.all(np.isfinite(arr)) or np.linalg.cond(arr) > _COND_LIMIT:
+            raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
+        return np.linalg.solve(arr, np.asarray(fx, dtype=float)).tolist()
+    f0, f1, f2 = fx
+    return [(cof[0] * f0 + cof[3] * f1 + cof[6] * f2) / det,
+            (cof[1] * f0 + cof[4] * f1 + cof[7] * f2) / det,
+            (cof[2] * f0 + cof[5] * f1 + cof[8] * f2) / det]
 
 
 def newton3(residual, x0) -> tuple[np.ndarray, int]:
     """Damped Newton iteration for a 3x3 system.
 
-    The Jacobian comes from central differences.  Steps are halved (at
-    most 20 times) whenever the max-norm residual fails to decrease (a NaN
+    ``residual(x)`` returns the residual vector at ``x`` and a callable of
+    no arguments giving the Jacobian rows there, called only at accepted
+    iterates; the step comes from :func:`_step`.  Steps are halved (at most
+    20 times) whenever the max-norm residual fails to decrease (a NaN
     component never decreases it); the iteration stops once that residual
     is at most 1e-12, within 50 iterations.  The iterate is a list of
-    floats; only the step solve goes through LAPACK.  Returns the solution
-    and the number of accepted iterations; raises :class:`NoConvergence`
-    or :class:`SingularJacobian`.
+    floats.  Returns the solution and the number of accepted iterations;
+    raises :class:`NoConvergence` or :class:`SingularJacobian`.
     """
     x = [float(v) for v in x0]
-    fx = residual(x)
+    fx, jacobian = residual(x)
     res = _max_abs(fx)
     for it in range(_NEWTON_MAX_ITER):
         if res <= _NEWTON_TOL:
             return np.array(x), it
-        jac = _fd_jacobian(residual, x)
-        if _singular(jac):
-            raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
-        step = np.linalg.solve(jac, fx).tolist()
+        step = _step(jacobian(), fx)
         lam = 1.0
         for _ in range(20):
             x_new = [v - lam * s for v, s in zip(x, step)]
             try:
-                f_new = residual(x_new)
+                f_new, jac_new = residual(x_new)
             except (SingularDenominator, DegenerateTriangle, ValueError):
                 lam *= 0.5
                 continue
@@ -297,7 +312,7 @@ def newton3(residual, x0) -> tuple[np.ndarray, int]:
             lam *= 0.5
         else:
             raise NoConvergence(it + 1, res)
-        x, fx, res = x_new, f_new, r_new
+        x, fx, jacobian, res = x_new, f_new, jac_new, r_new
     if res <= _NEWTON_TOL:
         return np.array(x), _NEWTON_MAX_ITER
     raise NoConvergence(_NEWTON_MAX_ITER, res)
@@ -306,9 +321,10 @@ def newton3(residual, x0) -> tuple[np.ndarray, int]:
 def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
     """Cut parameters giving equal areas and the common perimeter p0.
 
-    Meant for edge lengths near 1; far outside that window the Newton
-    iteration may fail (:class:`NoConvergence`) or land on parameters that
-    no longer produce convex quadrangles (:class:`NonConvexOutput`).
+    Newton runs on the analytic Jacobian of the perimeter residuals.  Meant
+    for edge lengths near 1; far outside that window the iteration may fail
+    (:class:`NoConvergence`) or land on parameters that no longer produce
+    convex quadrangles (:class:`NonConvexOutput`).
     """
     top = apex(a, b, c)
     u, iterations = newton3(_split_residual(a, b, c, top), (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
@@ -347,7 +363,7 @@ def fair_split(tiles: Tiles) -> Tiles:
     flip = np.where(np.abs(bp - bq) <= 1e-12, swap[n, i], ~(bp > bq))  # origin at v[j]
     b, c = np.where(flip, bq, bp), np.where(flip, bp, bq)
     ok = ((1.0 - DELTA_Q < lengths) & (lengths < _EDGE_TOP)).all(axis=1).tolist()
-    params = []
+    params = []  # one solve_fair_split per triangle: bench/tracing.py counts each as a split
     for t, abc in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
         try:
             if not ok[t]:

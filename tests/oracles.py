@@ -6,10 +6,12 @@ the code a faster or smaller package path replaced, or paper-only code:
   the reference for the record's refusals and labels, and the object-built
   document parser and serializer, strip slot chain and fair split;
 * per-pair congruence distances and per-polygon alignment rows for the
-  batched sweep, the numpy Newton iteration, the elementary plane maps of
-  :class:`StripTransform`, the shear selection over every pair of the rows
-  drawn so far, per-triangle equilateral shear roots, and the per-tile
-  box pass and pair-major contact rules of the conformity check;
+  batched sweep, the central-difference Jacobian the fair-split Newton
+  iteration took before its analytic one, the numpy Newton iteration, the
+  elementary plane maps of :class:`StripTransform`, the shear selection
+  over every pair of the rows drawn so far, per-triangle equilateral shear
+  roots, and the per-tile box pass and pair-major contact rules of the
+  conformity check;
 * the paper-only code no run reaches: the reconstruction of a triangle
   from any one of its quadrangles, the two Jacobian determinant anchors
   of the fair-split and reconstruction systems at the symmetric point,
@@ -422,9 +424,30 @@ def fd_jacobian(residual, x: np.ndarray, step: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
+_FD_STEP = 1e-7
+
+
+def _fd_jacobian(residual, x) -> list[tuple[float, ...]]:
+    """Central-difference Jacobian of ``residual`` at ``x``, as row tuples:
+    the Jacobian the package's Newton iteration took before it had the
+    analytic one."""
+    cols, ups = [], [v + 0.0 for v in x]  # v + 0.0 is v, but 0.0 for -0.0
+    for k, v in enumerate(x):
+        up, down = ups.copy(), list(x)
+        up[k], down[k] = v + _FD_STEP, v - _FD_STEP
+        cols.append([(p - m) / (2.0 * _FD_STEP) for p, m in zip(residual(up), residual(down))])
+    return list(zip(*cols))
+
+
+def with_fd_jacobian(residual):
+    """``residual`` as the system :func:`fairtile.quadsplit.newton3` takes:
+    each residual with a callable giving its :func:`_fd_jacobian`."""
+    return lambda x: (residual(x), lambda: _fd_jacobian(residual, x))
+
+
 def newton3(residual, x0) -> tuple[np.ndarray, int]:
-    """The damped Newton iteration on numpy arrays, with an SVD condition
-    test at every step."""
+    """The damped Newton iteration on numpy arrays, with the
+    central-difference Jacobian and an SVD condition test at every step."""
     x = np.array(x0, dtype=float)
     fx = np.asarray(residual(x), dtype=float)
     res = float(np.max(np.abs(fx)))
@@ -750,9 +773,9 @@ def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
     The quadrangle is posed with its strictly smallest interior angle at
     the origin (that angle belongs to the dissected triangle); both
     handednesses are tried, since a reflected copy reconstructs the mirror
-    triangle.  The package's Newton iteration then solves for the scale
-    triple from the symmetric initial guess.  Far-from-symmetric inputs
-    raise :class:`OutOfBasin`.
+    triangle.  The package's Newton iteration, given the central-difference
+    Jacobian, then solves for the scale triple from the symmetric initial
+    guess.  Far-from-symmetric inputs raise :class:`OutOfBasin`.
     """
     quad = Tiles(np.array(q, dtype=float).reshape(1, 4, 2))
     pts, angles = quad.xy[0].tolist(), quad.angles()[0].tolist()
@@ -772,7 +795,7 @@ def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
 
     ah, xh, yh, zh, wh = chosen
     residual = _reconstruction_residual(ah, xh, yh, zh, wh)
-    u, iterations = package_newton3(residual, (RHO0, SIGMA0, TAU0))
+    u, iterations = package_newton3(with_fd_jacobian(residual), (RHO0, SIGMA0, TAU0))
     rho, sigma, tau = (float(v) for v in u)
     triple = ReconstructionTriple(rho=rho, sigma=sigma, tau=tau, iterations=iterations)
     triangle = Tiles(np.array([[[0.0, 0.0], [rho * ah, 0.0], [sigma * xh, sigma * yh]]]))
@@ -782,8 +805,9 @@ def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
 def fair_split_jacobian_det(step: float = 1e-6) -> float:
     """Central-difference Jacobian determinant of the perimeter system in
     (alpha, beta, gamma) at the unit equilateral configuration."""
-    residual = _split_residual(1.0, 1.0, 1.0)
-    jac = fd_jacobian(residual, np.array([FAIR.alpha0, FAIR.beta0, FAIR.gamma0]), step)
+    system = _split_residual(1.0, 1.0, 1.0)
+    jac = fd_jacobian(lambda u: system(u)[0], np.array([FAIR.alpha0, FAIR.beta0, FAIR.gamma0]),
+                      step)
     return float(np.linalg.det(jac))
 
 

@@ -17,8 +17,10 @@ from fairtile.congruence import aligned_sweep, halfturn_variants, signature_key,
 from fairtile.document import read_document
 from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
+    FAIR,
     P0,
     _corners,
+    _split_residual,
     apex,
     fair_split,
     solve_fair_split,
@@ -165,13 +167,19 @@ def test_a05_plane_window(plane_run):
 
 def test_a06_jacobian_anchors():
     t0 = time.monotonic()
+    want = 2 * math.sqrt(2) + SQRT3 - 2 * math.sqrt(6)
     split = fair_split_jacobian_det()
     recon = reconstruction_jacobian_det()
-    assert abs(split - (2 * math.sqrt(2) + SQRT3 - 2 * math.sqrt(6))) <= 1e-6
+    assert abs(split - want) <= 1e-6
     assert abs(recon - (math.sqrt(6) / 48 - math.sqrt(2) / 24)) <= 1e-6
+    # the package's own anchor: the analytic Jacobian the fair-split Newton steps with
+    _, jacobian = _split_residual(1.0, 1.0, 1.0)([FAIR.alpha0, FAIR.beta0, FAIR.gamma0])
+    analytic = float(np.linalg.det(np.array(jacobian())))
+    assert abs(analytic - want) <= 1e-14
     conclude("A6", time.monotonic() - t0, 1.0,
-             f"perimeter-system determinant {split:.8f} and reconstruction "
-             f"determinant {recon:.8f} match their closed forms to 1e-6")
+             f"perimeter-system determinant {analytic:.15f} (analytic Jacobian, to 1e-14; "
+             f"{split:.8f} by central differences, to 1e-6) and reconstruction "
+             f"determinant {recon:.8f} (to 1e-6) match their closed forms")
 
 
 # --- A7 / A8: random fair splits and round trips -------------------------------
@@ -285,8 +293,8 @@ def test_a10_determinism(plane_run, quad_run, tmp_path):
 
 GATE_MARGINS = {  # (rows, cols): (triangle margin, quadrangle margin), eps 0.005, seed 42
     # each shear row was accepted above the floor assembly.MARGIN_FLOOR = 4e-9
-    (6, 20): (8.280937358051688e-08, 8.928096306703992e-08),
-    (16, 4): (5.126361113383382e-09, 8.744355461942632e-09),
+    (6, 20): (8.280937358051688e-08, 8.928096173477229e-08),
+    (16, 4): (5.126361113383382e-09, 8.74434813447067e-09),
 }
 
 
@@ -363,9 +371,9 @@ def test_a12_gate_window_headers(plane_run, gate16x4, gate_wide_tall):
 # change in how any tile's coordinates are produced shows in every bit
 GATE_DIGESTS = {
     "plane 6x20": "03f1591d40af830b3ec2d7983d98f959cc8cca2a0c0cddac58505eb08e4af3b9",
-    "quad 6x20": "c61c787648f15562b3347fbf15455f6fa96cec3d04739e2aed1b80f326bfcb97",
+    "quad 6x20": "f58a20221bb84809d9707fd018da5652d876d4431ffff2141abd5f76a61eaead",
     "plane 16x4": "37e8ad20b015f08a11e72520baf55b254eee77df4d0de2280a6c27ca037df71d",
-    "quad 16x4": "170cf371b96d8da28487935aa3f32ae9ce96d65bcb445f516c81f3867964d60f",
+    "quad 16x4": "422375aca2cabc6b713cb936c9180d1fc93742d8e104286b5626f3c1b417c502",
     "plane 3x30": "a861e4b4f8910c81a5673a93fbbbd06e8175d24fd8b984d0bb9edb6f2f5e4ad4",
     "plane 10x10": "5d9fd963b8f95bc51afa50e01f6a58d35670cf2b5a1900344ea9d15b8d5f4f06",
     "strip 0.004x20": "20bc0ca24dc1beb5f5d27d89843c59ecc38f59a50afffb7fc68e6578e488afed",

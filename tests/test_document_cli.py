@@ -296,6 +296,8 @@ def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, m
                  (*plane, "--out", bad), (*plane, "--out", ok, "--json", bad),
                  (*plane, "--out", bad, "--json", ok),
                  ("quadify", "--in", str(plane_doc), "--out", bad),
+                 ("quadify", "--in", str(plane_doc), "--out", ok, "--json", bad),
+                 ("quadify", "--in", str(plane_doc), "--out", bad, "--json", ok),
                  ("render", "--in", str(plane_doc), "--out", bad),
                  ("verify", "--in", str(plane_doc), "--json", bad)):
         assert run_cli(*argv) == 2, argv
@@ -353,6 +355,25 @@ def test_quadify_and_determinism(plane_doc, tmp_path):
     assert build.passed and serialize(build.doc) == q1.read_text()
     assert [r.check_name for r in build.reports] == [
         "pairwise-incongruent", "equal-area", "equal-perimeter", "convex", "pairwise-incongruent"]
+
+
+def test_quadify_json_holds_the_reports_it_prints(plane_doc, tmp_path, monkeypatch, capsys):
+    builds, quadify_checked = [], pipeline.quadify_checked
+    monkeypatch.setattr(pipeline, "quadify_checked",
+                        lambda doc: builds.append(quadify_checked(doc)) or builds[-1])
+    out, report, verified = (tmp_path / name for name in ("q.tiles", "q.json", "v.json"))
+    capsys.readouterr()
+    assert run_cli("quadify", "--in", str(plane_doc), "--out", str(out),
+                   "--json", str(report)) == 0
+    printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    (build,) = builds
+    payload = json.loads(report.read_text())
+    assert payload == json.loads(json.dumps([dataclasses.asdict(r) for r in build.reports]))
+    assert printed == [f"[PASS] {r['check_name']}" for r in payload]
+    # the schema of verify --json (and gen-plane --json)
+    assert run_cli("verify", "--in", str(out), "--json", str(verified)) == 0
+    assert {frozenset(r) for r in payload} == {frozenset(r) for r in
+                                               json.loads(verified.read_text())}
 
 
 def test_verify_refuses_closeness_on_quad_documents(tmp_path):

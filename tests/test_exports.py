@@ -15,13 +15,15 @@ import fairtile
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fairtile.__path__, "fairtile."))
 
 # names that left the package for tests/oracles.py: the per-tile object
-# layer that the array record replaced, and the paper-only reconstruction,
-# Jacobian anchors and critical tiling that no run reaches
+# layer that the array record replaced, the paper-only reconstruction,
+# Jacobian anchors and critical tiling that no run reaches, and the
+# central-difference Jacobian that the analytic one replaced
 RETIRED = {"Point", "TileId", "Triangle", "Quadrangle", "edge_vectors", "is_convex",
            "tile_label", "quad_vertices", "_apex",
            "reconstruct_triangle", "_reconstruction_residual", "_posed_tuple",
            "ReconstructionTriple", "OutOfBasin", "_BASIN_RADIUS", "_ANGLE_TIE_TOL",
-           "fair_split_jacobian_det", "reconstruction_jacobian_det", "critical_tiling"}
+           "fair_split_jacobian_det", "reconstruction_jacobian_det", "critical_tiling",
+           "_fd_jacobian", "_FD_STEP"}
 
 
 @pytest.mark.parametrize("name", MODULES)

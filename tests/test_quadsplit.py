@@ -24,15 +24,15 @@ from fairtile.errors import (
 )
 from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
+    _EDGE_TOP,
+    DELTA_Q,
     FAIR,
     P0,
     FairSplitParams,
     _corners,
-    _fd_jacobian,
     _probe,
-    _singular,
     _split_residual,
-    _well_conditioned,
+    _step,
     apex,
     fair_split,
     newton3,
@@ -43,7 +43,8 @@ from fairtile.quadsplit import (
 import oracles
 from oracles import (QUAD0, RHO0, SIGMA0, TAU0, OutOfBasin, Point, Quadrangle, area, edge_lengths,
                      fair_split_jacobian_det, ids_of, interior_angles, is_convex, perimeter,
-                     quad_vertices, reconstruct_triangle, reconstruction_jacobian_det, tile_ids)
+                     quad_vertices, reconstruct_triangle, reconstruction_jacobian_det, tile_ids,
+                     with_fd_jacobian)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,9 +132,9 @@ def test_split_parameters_are_python_floats():
     params = solve_fair_split(1.004, 0.998, 0.995)
     fields = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
     assert all(type(v) is float for v in fields)
-    assert [v.hex() for v in fields] == [
-        "0x1.afbadb73c0487p-2", "0x1.ae2223913e95bp-2", "0x1.ab633d5c49514p-2",
-        "0x1.52bfe34fcf910p-2", "0x1.57a00ba3f2d3ep-2"]  # the bits numpy scalars carried
+    assert [v.hex() for v in fields] == [  # within 5 ulps of the central-difference solve's
+        "0x1.afbadb73c0482p-2", "0x1.ae2223913e95ap-2", "0x1.ab633d5c49518p-2",
+        "0x1.52bfe34fcf915p-2", "0x1.57a00ba3f2d39p-2"]
     m = _corners(1.004, *apex(1.004, 0.998, 0.995), *fields)[0][2]
     assert type(m[0]) is float and type(m[1]) is float
 
@@ -157,17 +158,19 @@ def test_newton3_basics():
     mat = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 1.0]])
     rhs = np.array([1.0, -2.0, 0.5])
 
-    x_fd, _ = newton3(lambda u: mat @ u - rhs, (0.0, 0.0, 0.0))
+    x_fd, _ = newton3(with_fd_jacobian(lambda u: mat @ u - rhs), (0.0, 0.0, 0.0))
     assert np.max(np.abs(mat @ x_fd - rhs)) <= 1e-12
+    x, _ = newton3(lambda u: (mat @ u - rhs, lambda: mat.tolist()), (0.0, 0.0, 0.0))
+    assert np.max(np.abs(x - x_fd)) <= 1e-12
 
-    x, iters = newton3(lambda u: mat @ (u - x_fd), x_fd)
+    x, iters = newton3(with_fd_jacobian(lambda u: mat @ (u - x_fd)), x_fd)
     assert iters == 0
 
     def flat(u):
         return np.array([(u[0] - u[1]) ** 2, 0.0, 0.0])
 
     with pytest.raises(SingularJacobian):
-        newton3(flat, (1.0, 0.0, 0.0))
+        newton3(with_fd_jacobian(flat), (1.0, 0.0, 0.0))
 
 
 def test_shared_perimeter_constant_value():
@@ -323,19 +326,116 @@ def test_quadify_plane_names_the_failing_tile():
     assert isinstance(info.value.__cause__, EdgeOutOfRange)
 
 
-# --- the float Newton iteration against the numpy oracle ------------------------
+# --- the analytic-Jacobian Newton iteration against the FD numpy oracle ------------
 
-def test_solve_fair_split_matches_the_numpy_newton_oracle():
+@pytest.fixture(scope="module")
+def gate_plane():
+    from fairtile import pipeline
+
+    return pipeline.build_plane(0.005, 42, 6, 20).doc.tiles
+
+
+def _posed_sides(tiles, monkeypatch):
+    """The (a, b, c) of every triangle ``quadify_plane`` poses and solves."""
+    import fairtile.quadsplit as quadsplit
+
+    sides = []
+    monkeypatch.setattr(quadsplit, "solve_fair_split",
+                        lambda *abc: sides.append(abc) or solve_fair_split(*abc))
+    quadify_plane(tiles)
+    monkeypatch.undo()
+    return sides
+
+
+def _split_outcome(monkeypatch, abc, newton):
+    """The parameters and iteration count of ``solve_fair_split(*abc)`` with
+    ``newton`` as its Newton iteration, or the type of its error."""
+    import fairtile.quadsplit as quadsplit
+
+    monkeypatch.setattr(quadsplit, "newton3", newton)
+    try:
+        p = solve_fair_split(*abc)
+        return (p.alpha, p.beta, p.gamma, p.xi, p.eta), p.iterations
+    except (NoConvergence, NonConvexOutput, SingularJacobian) as e:
+        return type(e), None
+    finally:
+        monkeypatch.undo()
+
+
+def test_solve_fair_split_agrees_with_the_fd_newton_oracle(gate_plane, monkeypatch):
+    """The analytic Jacobian and adjugate step against the central-difference
+    Jacobian and LAPACK step of ``oracles.newton3``: the same outcome, the
+    same iteration count inside the edge window, and parameters within a
+    measured bound (worst seen: 1.3e-15 on the gate triangles; 2.9e-12 on
+    the random ones, at the one triangle past the window's top edge that
+    took one iteration fewer, and 1.9e-12 over 20,000 more)."""
+    fd = lambda r, x0: oracles.newton3(lambda u: r(u)[0], x0)  # noqa: E731
     rng = random.Random(2024)
-    for _ in range(300):
-        a, b, c = (rng.uniform(0.985, 1.015) for _ in range(3))
-        params = solve_fair_split(a, b, c)
-        u, iterations = oracles.newton3(_split_residual(a, b, c),
-                                        (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
-        want = (*u, *xi_eta(*u))
-        got = (params.alpha, params.beta, params.gamma, params.xi, params.eta)
-        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-        assert params.iterations == iterations
+    drawn = [tuple(rng.uniform(0.985, 1.015) for _ in range(3)) for _ in range(300)]
+    gate = _posed_sides(gate_plane, monkeypatch)
+    assert len(gate) == 972
+    for sides, bound in ((gate, 1e-14), (drawn, 1e-11)):
+        for abc in sides:
+            (got, iters), (want, want_iters) = (_split_outcome(monkeypatch, abc, n)
+                                                for n in (newton3, fd))
+            assert type(got) is type(want), abc
+            in_window = all(1.0 - DELTA_Q < v < _EDGE_TOP for v in abc)
+            assert iters == want_iters or not in_window, abc
+            if iters is not None:
+                assert max(abs(u - v) for u, v in zip(got, want)) <= bound, abc
+
+
+def test_quadify_takes_no_lapack_step_on_the_gate_plane(gate_plane, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "cond", lambda m: conds.append(m) or cond(m))
+    assert len(quadify_plane(gate_plane)) == 3 * 972
+    assert conds == []
+
+
+def _window_points(rng, n):
+    """``n`` random (sides, parameters) pairs in the solver's window."""
+    points = []
+    while len(points) < n:
+        abc = tuple(rng.uniform(1.0 - DELTA_Q, _EDGE_TOP) for _ in range(3))
+        u = [FAIR.alpha0 + rng.uniform(-0.03, 0.03) for _ in range(3)]
+        try:
+            apex(*abc)
+        except DegenerateTriangle:
+            continue
+        points.append((abc, u))
+    return points
+
+
+def test_analytic_jacobian_is_the_central_differences_limit():
+    # at h = 1e-3 and 5e-4 the central-difference error is c * h^2, far above
+    # rounding: were the analytic Jacobian off by some delta, the gap would
+    # not shrink by 4 as h halves; at h = 1e-5 it is below 1e-8
+    gaps = {1e-3: [], 5e-4: [], 1e-5: []}
+    for abc, u in _window_points(random.Random(8), 1000):
+        system = _split_residual(*abc)
+        jac = np.array(system(u)[1]())
+        for h, found in gaps.items():
+            found.append(np.abs(jac - oracles.fd_jacobian(lambda v: system(v)[0],
+                                                          np.array(u), h)).max())
+    assert max(gaps[1e-5]) <= 1e-8
+    ratios = np.array(gaps[1e-3]) / np.array(gaps[5e-4])
+    assert 3.9 < ratios.min() and ratios.max() < 4.1
+
+
+def test_analytic_jacobian_refuses_an_interior_point_on_a_cut_point():
+    # in the flat triangle (0, 0), (1, 0), (x, 0), M of the symmetric
+    # parameters is the cut point alpha * (1, 0): a distance of 0, which has
+    # no derivative
+    u = [FAIR.alpha0, FAIR.beta0, FAIR.gamma0]
+    xi, eta = xi_eta(*u)
+    _, jacobian = _split_residual(1.0, 1.0, 1.0, ((u[0] - xi) / eta, 0.0))(u)
+    with pytest.raises(SingularJacobian):
+        jacobian()
 
 
 def _quad_verdict(vertices):
@@ -424,7 +524,7 @@ def test_fd_jacobian_steps_through_the_oracle_points():
 
     for x in ([-0.0, 0.0, 0.4], [0.0, -0.0, -0.0], [0.25, -2.5, 1e-300]):
         points.clear()
-        got = [[float(v).hex() for v in row] for row in _fd_jacobian(residual, x)]
+        got = [[float(v).hex() for v in row] for row in oracles._fd_jacobian(residual, x)]
         traced = list(points)
         points.clear()
         want = oracles.fd_jacobian(residual, np.array(x), 1e-7)
@@ -455,7 +555,8 @@ def test_newton3_treats_a_nan_component_as_no_decrease(edge):
     def residual(u):
         return (u[0] - 1.0, math.nan if u[0] > edge else u[1] - 2.0, u[2] + 0.5 * u[0])
 
-    got = _traced_outcome(newton3, residual, (0.0, 0.0, 0.0))
+    got = _traced_outcome(lambda r, x0: newton3(with_fd_jacobian(r), x0), residual,
+                          (0.0, 0.0, 0.0))
     assert got == _traced_outcome(oracles.newton3, residual, (0.0, 0.0, 0.0))
     assert got[1] in ("NoConvergence", "SingularJacobian")
 
@@ -466,7 +567,7 @@ def _with_singular_values(rng, values):
     return (u * values) @ v.T
 
 
-def test_conditioning_guard_gives_the_svd_verdict():
+def test_conditioning_guard_gives_the_svd_verdict(monkeypatch):
     rng = np.random.default_rng(11)
     mats = []
     for _ in range(3000):
@@ -482,11 +583,24 @@ def test_conditioning_guard_gives_the_svd_verdict():
             m = rng.standard_normal((3, 3))
             m.flat[k] = bad
             mats.append(m)
-    guarded = 0
+    mats += [10.0 ** e * rng.standard_normal((3, 3)) for e in (-200, -120, 120, 200)]
+    cond, svds = np.linalg.cond, []
+    monkeypatch.setattr(np.linalg, "cond", lambda m: svds.append(m) or cond(m))
+    guarded = worst = 0
     for m in mats:
-        jac = [tuple(row) for row in m.tolist()]
-        want = not np.all(np.isfinite(m)) or np.linalg.cond(m) > 1e12
-        assert _singular(jac) == want, m
-        guarded += _well_conditioned(jac)
-    # both routes run: the bound settles some matrices, the SVD the rest
+        want = not np.all(np.isfinite(m)) or cond(m) > 1e12
+        f = rng.standard_normal(3)
+        svds.clear()
+        try:
+            step = np.array(_step([tuple(row) for row in m.tolist()], f.tolist()))
+            assert not want, m
+            ref = np.linalg.solve(m, f)
+            worst = max(worst, np.abs(step - ref).max() / np.abs(ref).max() / cond(m))
+        except SingularJacobian:
+            assert want, m
+        guarded += not svds
+    # both routes run: the bound settles some matrices, the SVD the rest;
+    # every accepted step is LAPACK's to within cond2 * 1e-15, relatively
+    # (worst seen 8.2e-17; without the determinant's own bound, 1.8e-11)
     assert 0 < guarded < len(mats)
+    assert worst <= 1e-15, worst
