@@ -67,9 +67,8 @@ def _cmd_gen_strip(args) -> int:
 def _write_reports(reports, path: str | None) -> None:
     """Write the reports as JSON to ``path``, when one is given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        document.write_text(path, json.dumps([dataclasses.asdict(r) for r in reports],
+                                             indent=2, sort_keys=True) + "\n")
 
 
 def _write_build(build: pipeline.Build, out: str, refusal: str, label: str,
@@ -122,9 +121,7 @@ def _cmd_render(args) -> int:
     viewbox = tuple(args.viewbox) if args.viewbox else None
     options = render.RenderOptions(stroke_width=args.stroke_width, viewbox=viewbox,
                                    label_tiles=args.labels, scale=args.scale)
-    svg = render.render_svg(doc.tiles, options)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    document.write_text(args.out, render.render_svg(doc.tiles, options))
     print(f"rendered {len(doc.tiles)} tiles -> {args.out}")
     return EXIT_OK
 

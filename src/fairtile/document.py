@@ -28,6 +28,7 @@ __all__ = [
     "make_parameters",
     "serialize",
     "parse",
+    "write_text",
     "write_document",
     "read_document",
 ]
@@ -227,9 +228,31 @@ def parse(text: str) -> TilingDocument:
                           format_version=version)
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the old bytes of ``path`` (a truncating open
+    frees old blocks, which can cost far more than the write), cut to length only
+    where the old file was longer; links followed, inode and mode kept, no sync."""
+    import os  # loaded with the interpreter; kept off the module-level imports
+    data = text.encode("utf-8")  # before the file is touched
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        try:
+            os.ftruncate(fd, 0)  # empty, so no reader takes a half-written file
+        except OSError:
+            pass  # the write's own error is the one to report
+        raise
+    finally:
+        os.close(fd)
+
+
 def write_document(doc: TilingDocument, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(doc))
+    write_text(path, serialize(doc))
 
 
 def read_document(path) -> TilingDocument:

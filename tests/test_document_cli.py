@@ -1,12 +1,16 @@
 """Document round-trips, CLI exit codes, rendering, determinism."""
 
+import builtins
 import contextlib
 import dataclasses
+import errno
+import functools
 import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -57,6 +61,11 @@ def test_document_rejects_malformed_input():
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+@functools.cache
+def _strip_text(cols):
+    return serialize(pipeline.strip_document(strip_tiling(0.005, cols)))
 
 
 def test_gen_strip_reproduces_published_coordinates(tmp_path):
@@ -185,17 +194,28 @@ def test_gen_plane_wide_windows_finish_or_refuse_in_bounded_time(tmp_path, capsy
 @given(epsilon=st.sampled_from([0.0, -0.0, -1e-3, 5e-324, 1e-300, 1e-8, 1e-6, 1e-4, 0.05,
                                 0.0500001, math.nan, math.inf]) | st.floats(-0.01, 0.06),
        rows=st.integers(-1, 17), cols=st.integers(-1, 10), seed=st.integers(0, 2 ** 31),
-       joined=st.booleans())
+       joined=st.booleans(), existing=st.sampled_from([None, 1, 300]))
 @settings(max_examples=40, deadline=None)
-def test_gen_plane_exit_code_contract(tmp_path_factory, epsilon, rows, cols, seed, joined):
-    out = tmp_path_factory.mktemp("contract") / "p.tiles"
+def test_gen_plane_exit_code_contract(tmp_path_factory, epsilon, rows, cols, seed, joined,
+                                      existing):
+    out, fresh = (tmp_path_factory.mktemp("contract") / name for name in ("p.tiles", "f.tiles"))
+    old = existing and _strip_text(existing)  # shorter, or longer, than any plane output
+    if old:
+        out.write_text(old)
     option = [f"--epsilon={epsilon!r}"] if joined else ["--epsilon", repr(epsilon)]
     argv = ["gen-plane", *option, "--seed", str(seed), "--rows", str(rows),
-            "--cols", str(cols), "--out", str(out)]
+            "--cols", str(cols), "--out"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)  # a traceback fails the test
+        code = cli.main([*argv, str(out)])  # a traceback fails the test
+        if existing and code == 0:
+            assert cli.main([*argv, str(fresh)]) == 0
     assert code in (0, 2, 3)
-    assert out.exists() == (code == 0)
+    if not existing:
+        assert out.exists() == (code == 0)
+    elif code == 0:  # rewritten to exactly the bytes of a fresh file
+        assert out.read_bytes() == fresh.read_bytes()
+    else:  # a refusal leaves the old document as it was
+        assert out.read_text() == old
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -304,6 +324,107 @@ def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, m
         assert capsys.readouterr().err == (f"error: cannot write {bad}: {tmp_path / parent} "
                                            f"is missing or not a directory\n"), argv
     assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing opened or created
+
+
+@pytest.mark.parametrize("old_cols, new_cols", [(20, 3), (3, 20)], ids=["shorter", "longer"])
+def test_write_text_rewrites_a_document_in_place(tmp_path, old_cols, new_cols):
+    path, link, fresh = (tmp_path / name for name in ("s.tiles", "hard.tiles", "fresh.tiles"))
+    document.write_text(fresh, _strip_text(new_cols))
+    assert fresh.read_bytes() == _strip_text(new_cols).encode()
+    document.write_text(path, _strip_text(old_cols))
+    os.link(path, link)
+    inode = path.stat().st_ino
+    document.write_text(path, _strip_text(new_cols))
+    assert path.read_bytes() == link.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == inode
+
+
+def test_write_text_follows_a_symlink(tmp_path):
+    target, link = tmp_path / "target.tiles", tmp_path / "link.tiles"
+    document.write_text(target, _strip_text(20))
+    link.symlink_to(target)
+    document.write_text(link, _strip_text(3))
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == _strip_text(3).encode()
+
+
+def test_write_text_keeps_the_mode(tmp_path):
+    path, fresh, opened = (tmp_path / name for name in ("s.tiles", "fresh.tiles", "opened"))
+    document.write_text(fresh, "x\n")
+    with open(opened, "w"):  # a fresh path gets the mode a plain open gives it
+        pass
+    assert fresh.stat().st_mode == opened.stat().st_mode
+    document.write_text(path, _strip_text(20))
+    path.chmod(0o600)
+    document.write_text(path, _strip_text(3))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_bytes() == _strip_text(3).encode()
+
+
+def test_gen_strip_writes_to_the_null_device():
+    assert run_cli("gen-strip", "--y0", "0.005", "--cols", "3", "--out", os.devnull) == 0
+
+
+@pytest.mark.parametrize("cut_fails", [False, True], ids=["cut", "cut-fails"])
+def test_a_failed_write_leaves_an_empty_file(tmp_path, monkeypatch, capsys, cut_fails):
+    path = tmp_path / "s.tiles"
+    argv = ("gen-strip", "--y0", "0.005", "--cols", "3", "--out", str(path))
+    document.write_text(path, _strip_text(20))
+    write = os.write
+
+    def write_half(fd, data):
+        write(fd, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def cut_fails_too(fd, length):
+        raise OSError(errno.EIO, "the cut failed")
+
+    monkeypatch.setattr(os, "write", write_half)
+    if cut_fails:
+        monkeypatch.setattr(os, "ftruncate", cut_fails_too)
+    with pytest.raises(OSError) as info:
+        document.write_text(path, _strip_text(3))
+    assert info.value.errno == errno.ENOSPC  # never the cut's own error
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+    if not cut_fails:
+        assert path.read_bytes() == b""
+        with pytest.raises(DocumentError, match="empty document"):
+            read_document(path)
+
+
+def test_no_output_is_opened_with_truncation(plane_doc, tmp_path, monkeypatch):
+    """Every open, through ``os.open`` or ``open``, is recorded with its flags
+    while each command writes its outputs twice (fresh, then over the first)."""
+    opened, os_open, builtin_open = [], os.open, builtins.open
+
+    def record(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def open_through_record(file, *args, **kwargs):
+        if not isinstance(file, int) and kwargs.get("opener") is None:
+            kwargs["opener"] = lambda path, flags: record(path, flags, 0o666)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", record)
+    monkeypatch.setattr(builtins, "open", open_through_record)
+    out = {name: str(tmp_path / name) for name in
+           ("s.tiles", "p.tiles", "p.json", "q.tiles", "q.json", "v.json", "r.svg")}
+    for _ in range(2):
+        assert run_cli("gen-strip", "--y0", "0.005", "--cols", "3", "--out", out["s.tiles"]) == 0
+        assert run_cli("gen-plane", "--epsilon", "0.01", "--seed", "3", "--rows", "2",
+                       "--cols", "4", "--out", out["p.tiles"], "--json", out["p.json"]) == 0
+        assert run_cli("quadify", "--in", str(plane_doc), "--out", out["q.tiles"],
+                       "--json", out["q.json"]) == 0
+        assert run_cli("verify", "--in", out["q.tiles"], "--json", out["v.json"]) == 0
+        assert run_cli("render", "--in", out["q.tiles"], "--out", out["r.svg"]) == 0
+    writes = [(path, flags) for path, flags in opened if flags & (os.O_WRONLY | os.O_RDWR)]
+    assert sorted({path for path, _ in writes}) == sorted(out.values())
+    assert len(writes) == 2 * len(out)
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 
 def test_verify_strip_contraction_report(tmp_path, capsys):

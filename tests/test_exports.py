@@ -109,3 +109,30 @@ def test_modules_import_only_the_allowed_modules_at_load():
                    if name.split(".")[0] not in IMPORT_ALLOW)
     assert not extra, f"module-level imports outside the allow-list: {extra}"
     assert {name.split(".")[0] for _, name in found} == IMPORT_ALLOW  # no stale entry
+
+
+def test_no_file_is_opened_for_writing_outside_the_one_writer():
+    """Every output goes through ``document.write_text``, which rewrites a file
+    in place: no other ``open`` call in the package takes a writing mode (or a
+    mode the scan cannot read), and no other function calls ``os.open``, so a
+    truncating open cannot come back unseen."""
+    found, opens, writers = [], 0, 0
+    for path in sorted(Path(fairtile.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name == "write_text"
+                    and path.name == "document.py"):
+                writers += 1
+                skip |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if id(node) in skip or getattr(func, "id", getattr(func, "attr", None)) != "open":
+                continue
+            opens += 1
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert writers == 1 and opens, "the writer or the reader is gone; the scan is broken"
+    assert not found, f"files opened for writing outside document.write_text: {found}"
