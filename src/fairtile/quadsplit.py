@@ -45,7 +45,7 @@ from .errors import (
     SingularJacobian,
     TileFailed,
 )
-from .geometry import CORNERS, Tiles, _segments_cross, signed_area
+from .geometry import CORNERS, Tiles
 
 __all__ = [
     "P0",
@@ -175,19 +175,8 @@ def _corners(a, x, y, alpha, beta, gamma, xi, eta):
 
 def _probe(sides, posed) -> str | None:
     """Why the posed quadrangles of a split of the triangle with these sides,
-    each four (x, y) pairs of finite floats, are refused, or None: the rules
-    of :class:`~fairtile.geometry.Tiles`, then convexity at 1e-12, first on
-    floats and, for a refusal, again on the record to name it."""
-    for v in posed:
-        e = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(v, v[1:] + v[:1])]
-        turn = [s[0] * t[1] - s[1] * t[0] for s, t in zip(e, e[1:] + e[:1])]
-        area = signed_area(v)
-        if (min(math.hypot(*d) for d in e) <= 1e-14 or abs(area) <= 1e-14 or area < 0
-                or _segments_cross(*v) or _segments_cross(*v[1:], v[0])
-                or not (min(turn) >= -1e-12 or max(turn) <= 1e-12)):
-            break
-    else:
-        return None
+    each four finite (x, y) pairs, are refused, or None: the rules of
+    :class:`~fairtile.geometry.Tiles`, then convexity at 1e-12."""
     try:
         convex = Tiles(np.array(posed)).convex(1e-12)
     except DegeneratePolygon as e:
@@ -241,8 +230,9 @@ def _split_residual(a: float, b: float, c: float, top=None):
 
 
 def _max_abs(f) -> float:
-    """Max-norm of a residual vector; NaN when any component is NaN."""
-    return math.nan if any(map(math.isnan, f)) else max(map(abs, f))
+    """Max-norm of a residual 3-vector; NaN when any component is NaN."""
+    f0, f1, f2 = f
+    return math.nan if f0 != f0 or f1 != f1 or f2 != f2 else max(abs(f0), abs(f1), abs(f2))
 
 
 def _step(jac, fx) -> list[float]:
@@ -258,15 +248,24 @@ def _step(jac, fx) -> list[float]:
     accepts.
     """
     (a, b, c), (d, e, f), (g, h, i) = jac
-    pairs = ((e * i, f * h), (f * g, d * i), (d * h, e * g),
-             (c * h, b * i), (a * i, c * g), (b * g, a * h),
-             (b * f, c * e), (c * d, a * f), (a * e, b * d))
-    cof, size = [p - q for p, q in pairs], [abs(p) + abs(q) for p, q in pairs]
-    det = a * cof[0] + b * cof[1] + c * cof[2]
-    det_size = abs(a) * size[0] + abs(b) * size[1] + abs(c) * size[2]
+    # the products p, q of each cofactor k = p - q, whose size is s = |p| + |q|
+    ei, fh, fg, di, dh, eg = e * i, f * h, f * g, d * i, d * h, e * g
+    ch, bi, ai, cg, bg, ah = c * h, b * i, a * i, c * g, b * g, a * h
+    bf, ce, cd, af, ae, bd = b * f, c * e, c * d, a * f, a * e, b * d
+    k0, k1, k2, k3, k4, k5 = ei - fh, fg - di, dh - eg, ch - bi, ai - cg, bg - ah
+    k6, k7, k8 = bf - ce, cd - af, ae - bd
+    s0, s1, s2 = abs(ei) + abs(fh), abs(fg) + abs(di), abs(dh) + abs(eg)
+    s3, s4, s5 = abs(ch) + abs(bi), abs(ai) + abs(cg), abs(bg) + abs(ah)
+    s6, s7, s8 = abs(bf) + abs(ce), abs(cd) + abs(af), abs(ae) + abs(bd)
+    det = a * k0 + b * k1 + c * k2
+    det_size = abs(a) * s0 + abs(b) * s1 + abs(c) * s2
     low = abs(det) - (1e-15 * det_size + 1e-300)
     fro_adj = math.hypot(a, b, c, d, e, f, g, h, i) * math.hypot(
-        *[abs(m) + 1e-15 * s + 1e-300 for m, s in zip(cof, size)])
+        abs(k0) + 1e-15 * s0 + 1e-300, abs(k1) + 1e-15 * s1 + 1e-300,
+        abs(k2) + 1e-15 * s2 + 1e-300, abs(k3) + 1e-15 * s3 + 1e-300,
+        abs(k4) + 1e-15 * s4 + 1e-300, abs(k5) + 1e-15 * s5 + 1e-300,
+        abs(k6) + 1e-15 * s6 + 1e-300, abs(k7) + 1e-15 * s7 + 1e-300,
+        abs(k8) + 1e-15 * s8 + 1e-300)
     if not (math.isfinite(det) and low > 0.0 and det_size <= fro_adj
             and fro_adj / low <= _COND_LIMIT / 10.0):
         arr = np.array(jac, dtype=float)
@@ -274,9 +273,8 @@ def _step(jac, fx) -> list[float]:
             raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
         return np.linalg.solve(arr, np.asarray(fx, dtype=float)).tolist()
     f0, f1, f2 = fx
-    return [(cof[0] * f0 + cof[3] * f1 + cof[6] * f2) / det,
-            (cof[1] * f0 + cof[4] * f1 + cof[7] * f2) / det,
-            (cof[2] * f0 + cof[5] * f1 + cof[8] * f2) / det]
+    return [(k0 * f0 + k3 * f1 + k6 * f2) / det, (k1 * f0 + k4 * f1 + k7 * f2) / det,
+            (k2 * f0 + k5 * f1 + k8 * f2) / det]
 
 
 def newton3(residual, x0) -> tuple[np.ndarray, int]:
@@ -323,21 +321,17 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
 
     Newton runs on the analytic Jacobian of the perimeter residuals.  Meant
     for edge lengths near 1; far outside that window the iteration may fail
-    (:class:`NoConvergence`) or land on parameters that no longer produce
-    convex quadrangles (:class:`NonConvexOutput`).
+    (:class:`NoConvergence`) or land on parameters outside their ranges
+    (:class:`NonConvexOutput`).  The quadrangles the parameters cut are not
+    checked here: :func:`fair_split` probes every triangle's at once.
     """
     top = apex(a, b, c)
     u, iterations = newton3(_split_residual(a, b, c, top), (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
     al, be, ga = u.tolist()
     try:
-        xi, eta = xi_eta(al, be, ga)
-        params = FairSplitParams(al, be, ga, xi, eta, iterations)
+        return FairSplitParams(al, be, ga, *xi_eta(al, be, ga), iterations)
     except InvalidParameter as e:
         raise NonConvexOutput(f"solution left the perturbative regime: {e}") from e
-    refusal = _probe((a, b, c), _corners(a, *top, al, be, ga, xi, eta))
-    if refusal is not None:
-        raise NonConvexOutput(refusal)
-    return params
 
 
 def fair_split(tiles: Tiles) -> Tiles:
@@ -349,8 +343,9 @@ def fair_split(tiles: Tiles) -> Tiles:
     Each triangle is posed (longest edge on the positive x-axis from the
     origin, apex above, second-longest edge at the origin corner; ties
     broken by lexicographic vertex order), solved there by
-    :func:`solve_fair_split`, and its quadrangles are mapped back; posing
-    and mapping back run on the whole record.
+    :func:`solve_fair_split`, and its quadrangles are mapped back; posing,
+    the convexity probe and mapping back run on the whole record.  The
+    first triangle to fail, in record order, is the one named.
     """
     n = np.arange(len(tiles))
     v, lengths = tiles.xy, tiles.lengths()
@@ -363,22 +358,35 @@ def fair_split(tiles: Tiles) -> Tiles:
     flip = np.where(np.abs(bp - bq) <= 1e-12, swap[n, i], ~(bp > bq))  # origin at v[j]
     b, c = np.where(flip, bq, bp), np.where(flip, bp, bq)
     ok = ((1.0 - DELTA_Q < lengths) & (lengths < _EDGE_TOP)).all(axis=1).tolist()
-    params = []  # one solve_fair_split per triangle: bench/tracing.py counts each as a split
-    for t, abc in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
+    sides, params, failed = list(zip(a.tolist(), b.tolist(), c.tolist())), [], None
+    for t, abc in enumerate(sides):  # one solve_fair_split each: the traced benchmark counts them
         try:
             if not ok[t]:
                 raise EdgeOutOfRange(f"edge lengths {sorted(lengths[t].tolist())} outside "
                                      f"({1 - DELTA_Q}, {_EDGE_TOP})")
             p = solve_fair_split(*abc)
         except FairtileError as e:
-            raise TileFailed(tiles.label(t), e) from e
+            failed = t, e
+            break
         params.append((p.alpha, p.beta, p.gamma, p.xi, p.eta))
 
-    # apex on arrays, the fourth powers taken on floats: libm rounds them, numpy may not
+    # the triangles solved so far: apex on arrays, the fourth powers taken on floats (libm
+    # rounds them, numpy may not), so the posed corners are bit for bit solve_fair_split's
+    a, b, c = a[:len(params)], b[:len(params)], c[:len(params)]
     a4, b4, c4 = (np.array([s ** 4 for s in e.tolist()]) for e in (a, b, c))
     rad = 2.0 * a * a * b * b + 2.0 * a * a * c * c + 2.0 * b * b * c * c - a4 - b4 - c4
     x, y = (a * a + b * b - c * c) / (2.0 * a), np.sqrt(rad) / (2.0 * a)
-    px, py = np.array(_corners(a, x, y, *np.array(params).reshape(-1, 5).T)).transpose(2, 0, 1, 3)
+    posed = np.array(_corners(a, x, y, *np.array(params).reshape(-1, 5).T))  # (3, 4, 2, N)
+    try:  # every Tiles rule and the convexity test work tile by tile
+        refused = not Tiles(posed.transpose(3, 0, 1, 2).reshape(-1, 4, 2)).convex(1e-12).all()
+    except DegeneratePolygon:
+        refused = True
+    if refused:  # the record would name its first bad tile; name the first bad triangle
+        failed = next((t, NonConvexOutput(r)) for t in range(len(params))
+                      if (r := _probe(sides[t], posed[..., t])))
+    if failed is not None:
+        raise TileFailed(tiles.label(failed[0]), failed[1]) from failed[1]
+    px, py = posed.transpose(2, 0, 1, 3)
     # back from the frame with its origin at (ox, oy), x-axis (co, si) and y-axis m * (-si, co)
     (ox, oy), (tx, ty) = np.where(flip, v[n, j].T, v[n, i].T), np.where(flip, v[n, i].T, v[n, j].T)
     co, si = (tx - ox) / a, (ty - oy) / a

@@ -8,10 +8,10 @@ the code a faster or smaller package path replaced, or paper-only code:
 * per-pair congruence distances and per-polygon alignment rows for the
   batched sweep, the central-difference Jacobian the fair-split Newton
   iteration took before its analytic one, the numpy Newton iteration, the
-  elementary plane maps of :class:`StripTransform`, the shear selection
-  over every pair of the rows drawn so far, per-triangle equilateral shear
-  roots, and the per-tile box pass and pair-major contact rules of the
-  conformity check;
+  list-built Newton step and max-norm, the elementary plane maps of
+  :class:`StripTransform`, the shear selection over every pair of the rows
+  drawn so far, per-triangle equilateral shear roots, and the per-tile box
+  pass and pair-major contact rules of the conformity check;
 * the paper-only code no run reaches: the reconstruction of a triangle
   from any one of its quadrangles, the two Jacobian determinant anchors
   of the fair-split and reconstruction systems at the symmetric point,
@@ -33,8 +33,8 @@ from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentErro
                              NoConvergence, NonConvexOutput, NoUnequalHeights,
                              SingularDenominator, SingularJacobian, TileFailed)
 from fairtile.geometry import CORNERS, Tiles, _segments_cross, signed_area
-from fairtile.quadsplit import (DELTA_Q, FAIR, P0, QUADIFY_SCALE, _corners, _split_residual, apex,
-                                solve_fair_split)
+from fairtile.quadsplit import (_COND_LIMIT, DELTA_Q, FAIR, P0, QUADIFY_SCALE, _corners,
+                                _split_residual, apex, solve_fair_split)
 from fairtile.quadsplit import newton3 as package_newton3
 from fairtile.strip import StripTiling, _validate_args, strip_tiling, window_tiles
 
@@ -476,6 +476,49 @@ def newton3(residual, x0) -> tuple[np.ndarray, int]:
     if res <= 1e-12:
         return x, 50
     raise NoConvergence(50, res)
+
+
+# the Newton step and max-norm the package's iteration took before their
+# arithmetic was spelled out in named floats: the bit-for-bit reference
+
+
+def _max_abs(f) -> float:
+    """Max-norm of a residual vector; NaN when any component is NaN."""
+    return math.nan if any(map(math.isnan, f)) else max(map(abs, f))
+
+
+def _step(jac, fx) -> list[float]:
+    """The Newton step J^-1 f, or :class:`SingularJacobian` when the 3x3
+    ``jac`` holds a non-finite entry or has cond2 above 1e12.
+
+    cond2(J) <= k = ||J||_F * ||adj J||_F / |det J|.  Each cofactor and
+    the determinant carry an a priori rounding bound (with an absolute
+    floor for underflow).  Where k is at most 1e11 and the determinant's
+    relative rounding bound at most 1e-15 * k, so that the step is as
+    accurate as LAPACK's, it is adj(J) f / det J from the same cofactors.
+    ``np.linalg.cond`` decides the rare rest, and LAPACK solves those it
+    accepts.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = jac
+    pairs = ((e * i, f * h), (f * g, d * i), (d * h, e * g),
+             (c * h, b * i), (a * i, c * g), (b * g, a * h),
+             (b * f, c * e), (c * d, a * f), (a * e, b * d))
+    cof, size = [p - q for p, q in pairs], [abs(p) + abs(q) for p, q in pairs]
+    det = a * cof[0] + b * cof[1] + c * cof[2]
+    det_size = abs(a) * size[0] + abs(b) * size[1] + abs(c) * size[2]
+    low = abs(det) - (1e-15 * det_size + 1e-300)
+    fro_adj = math.hypot(a, b, c, d, e, f, g, h, i) * math.hypot(
+        *[abs(m) + 1e-15 * s + 1e-300 for m, s in zip(cof, size)])
+    if not (math.isfinite(det) and low > 0.0 and det_size <= fro_adj
+            and fro_adj / low <= _COND_LIMIT / 10.0):
+        arr = np.array(jac, dtype=float)
+        if not np.all(np.isfinite(arr)) or np.linalg.cond(arr) > _COND_LIMIT:
+            raise SingularJacobian(f"Jacobian condition number exceeds {_COND_LIMIT:.0e}")
+        return np.linalg.solve(arr, np.asarray(fx, dtype=float)).tolist()
+    f0, f1, f2 = fx
+    return [(cof[0] * f0 + cof[3] * f1 + cof[6] * f2) / det,
+            (cof[1] * f0 + cof[4] * f1 + cof[7] * f2) / det,
+            (cof[2] * f0 + cof[5] * f1 + cof[8] * f2) / det]
 
 
 def signature_distance(p, q) -> float:

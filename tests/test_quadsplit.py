@@ -30,6 +30,7 @@ from fairtile.quadsplit import (
     P0,
     FairSplitParams,
     _corners,
+    _max_abs,
     _probe,
     _split_residual,
     _step,
@@ -488,10 +489,16 @@ def test_probe_names_the_refusal_the_split_polygons_raise(quads, scale, sides):
 def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
     import fairtile.quadsplit as quadsplit
 
+    monkeypatch.setattr(quadsplit, "DELTA_Q", 0.25)  # admit the drawn edges, 0.8 to 1.2
+    monkeypatch.setattr(quadsplit, "_EDGE_TOP", 1.25)
     rng = random.Random(23)
     outcomes = {"accepted": 0, "refused": 0}
     for _ in range(3000):
-        a, b, c = (rng.uniform(0.8, 1.2) for _ in range(3))
+        a, b, c = sorted((rng.uniform(0.8, 1.2) for _ in range(3)), reverse=True)
+        # a triangle fair_split poses as it stands: longest edge from the origin, then the
+        # left side; its posed sides are its record's edge lengths
+        record = Tiles(np.array([[(0.0, 0.0), (a, 0.0), apex(a, b, c)]]))
+        a, c, b = record.lengths()[0].tolist()
         spread = rng.choice([0.02, 0.1, 0.3, 0.6])
         al, be, ga = (FAIR.alpha0 + rng.uniform(-spread, spread) for _ in range(3))
         try:
@@ -505,14 +512,91 @@ def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
         except NonConvexOutput as e:
             want = str(e)
         assert _probe((a, b, c), _corners(a, *top, al, be, ga, params.xi, params.eta)) == want
-        # the solver, landing on these parameters, accepts or raises the same
+        # the solver, landing on these parameters, returns them unprobed; fair_split
+        # accepts the triangle or gives the same refusal as its cause
         monkeypatch.setattr(quadsplit, "newton3", lambda r, x0: (np.array([al, be, ga]), 0))
+        assert solve_fair_split(a, b, c) == params
         try:
-            assert solve_fair_split(a, b, c) == params and want is None
-        except NonConvexOutput as e:
-            assert str(e) == want
+            assert len(fair_split(record)) == 3 and want is None
+        except TileFailed as e:
+            assert isinstance(e.__cause__, NonConvexOutput) and str(e.__cause__) == want
         outcomes["accepted" if want is None else "refused"] += 1
     assert min(outcomes.values()) > 300
+
+
+_SIDES = (1.004, 0.998, 0.995)  # posed as they stand: the record's lengths are these floats
+_NON_CONVEX, _DEGENERATE = (0.57, 0.71, 0.78), (1e-15, 0.4, 0.4)  # cut parameters
+
+
+def _split_refusal(u):
+    """The refusal of the split of ``_SIDES`` cut by parameters ``u``."""
+    with pytest.raises(NonConvexOutput) as info:
+        quad_vertices(*_SIDES, FairSplitParams(*u, *xi_eta(*u)))
+    return str(info.value)
+
+
+def _copies(n, scaled=()):
+    """n copies of the triangle of ``_SIDES`` with ids "0/t/1", those in
+    ``scaled`` by 1.05, out of the edge window."""
+    xy = np.repeat(np.array([[(0.0, 0.0), (_SIDES[0], 0.0), apex(*_SIDES)]]), n, axis=0)
+    xy[list(scaled)] *= 1.05
+    return Tiles(xy, np.zeros(n, dtype=int), np.arange(n), np.ones(n, dtype=int))
+
+
+def _fair_split_failure(monkeypatch, faults, n=9):
+    """The :class:`TileFailed`, with its cause, of ``fair_split`` on
+    n copies of one triangle, where triangle t of ``faults`` is out of the
+    edge window (None), or its Newton iteration raises (an error) or lands
+    on cut parameters (a tuple); the rest land on the symmetric start."""
+    import fairtile.quadsplit as quadsplit
+
+    solved = []
+
+    def newton(residual, x0):
+        u = faults.get(len(solved), x0)
+        solved.append(u)
+        if isinstance(u, Exception):
+            raise u
+        return np.array(u), 0
+
+    monkeypatch.setattr(quadsplit, "newton3", newton)
+    with pytest.raises(TileFailed) as info:
+        fair_split(_copies(n, [t for t, u in faults.items() if u is None]))
+    monkeypatch.undo()
+    assert str(info.value).endswith(str(info.value.__cause__))
+    return info.value
+
+
+def test_fair_split_names_the_first_failing_triangle(monkeypatch):
+    edges = sorted(_copies(1, [0]).lengths()[0].tolist())
+    out_of_range = f"edge lengths {edges} outside (0.98, 1.012)"
+    with pytest.raises(InvalidParameter) as info:
+        FairSplitParams(0.999, 0.4, 0.4, *xi_eta(0.999, 0.4, 0.4))
+    out_of_regime = f"solution left the perturbative regime: {info.value}"
+    stuck = NoConvergence(50, 1.0)
+    non_convex, degenerate = (f"NonConvexOutput: {_split_refusal(u)}"
+                              for u in (_NON_CONVEX, _DEGENERATE))
+    cases = [  # (faults, the triangle named, its refusal)
+        ({2: _NON_CONVEX, 5: None}, 2, non_convex),
+        ({2: None, 5: _NON_CONVEX}, 2, f"EdgeOutOfRange: {out_of_range}"),
+        ({3: _NON_CONVEX, 7: _DEGENERATE}, 3, non_convex),
+        ({3: _DEGENERATE, 7: _NON_CONVEX}, 3, degenerate),
+        ({4: _DEGENERATE, 6: stuck}, 4, degenerate),
+        ({4: stuck, 6: _DEGENERATE}, 4, f"NoConvergence: {stuck}"),
+        ({1: _NON_CONVEX, 8: (0.999, 0.4, 0.4)}, 1, non_convex),
+        ({1: (0.999, 0.4, 0.4), 8: _NON_CONVEX}, 1, f"NonConvexOutput: {out_of_regime}"),
+    ]
+    for faults, t, want in cases:
+        assert str(_fair_split_failure(monkeypatch, faults)) == f"tile 0/{t}/1: {want}", faults
+    assert _split_refusal(_NON_CONVEX) == "non-convex quadrangle at corner B"
+    assert "zero-length edge" in _split_refusal(_DEGENERATE)
+    # the degenerate quadrangle breaks a Tiles rule, the non-convex one none: the whole
+    # record of both splits would name the later triangle's
+    posed = [_corners(_SIDES[0], *apex(*_SIDES), *u, *xi_eta(*u)) for u in (_NON_CONVEX,
+                                                                          _DEGENERATE)]
+    Tiles(np.array(posed[0]))
+    with pytest.raises(DegeneratePolygon):
+        Tiles(np.array(posed).reshape(-1, 4, 2))
 
 
 def test_fd_jacobian_steps_through_the_oracle_points():
@@ -604,3 +688,39 @@ def test_conditioning_guard_gives_the_svd_verdict(monkeypatch):
     # (worst seen 8.2e-17; without the determinant's own bound, 1.8e-11)
     assert 0 < guarded < len(mats)
     assert worst <= 1e-15, worst
+
+
+def _step_outcome(step, jac, fx):
+    """The step as hex strings, or the message of its SingularJacobian."""
+    try:
+        return [float(v).hex() for v in step(jac, fx)]
+    except SingularJacobian as e:
+        return str(e)
+
+
+def test_step_and_max_norm_are_the_list_built_ones_bit_for_bit():
+    rng = np.random.default_rng(29)
+    mats = list(rng.standard_normal((2000, 3, 3)))
+    for _ in range(300):  # the conditioning test's matrices, scaled from 1e-200 to 1e200
+        cond = 10.0 ** rng.uniform(9.0, 15.0)
+        m = _with_singular_values(rng, [1.0, cond ** -rng.uniform(0.0, 1.0), 1.0 / cond])
+        mats += [10.0 ** e * m for e in range(-200, 201, 25)]
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in range(9):
+            m = rng.standard_normal((3, 3))
+            m.flat[k] = bad
+            mats.append(m)
+    raised = 0
+    for m in mats:
+        jac, fx = [tuple(row) for row in m.tolist()], rng.standard_normal(3).tolist()
+        got = _step_outcome(_step, jac, fx)
+        assert got == _step_outcome(oracles._step, jac, fx), m
+        raised += isinstance(got, str)
+    assert 0 < raised < len(mats) / 2
+    residuals = [rng.standard_normal(3).tolist() for _ in range(200)]
+    residuals += [[math.nan, 1.0, 2.0], [1.0, math.nan, -3.0], [-1.0, 2.0, math.nan],
+                  [math.nan] * 3, [math.inf, math.nan, 0.0], [-math.inf, 1.0, 2.0],
+                  [-0.0, 0.0, -0.0], [2.0, -2.0, 1.0], np.array([0.5, math.nan, -7.0]),
+                  np.array([0.5, -8.0, 7.0])]
+    for f in residuals:
+        assert float(_max_abs(f)).hex() == float(oracles._max_abs(f)).hex(), f
