@@ -23,7 +23,6 @@ from .congruence import (
 from .errors import FairtileError
 from .geometry import Tiles
 from .quadsplit import (
-    FAIR,
     P0,
     FairSplitParams,
     apex,
@@ -34,7 +33,6 @@ from .quadsplit import (
     xi_eta,
 )
 from .strip import (
-    DeviationSeries,
     StripTiling,
     deviations,
     strip_tiling,

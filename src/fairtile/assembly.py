@@ -222,7 +222,7 @@ def _assert_boundaries(p: PlaneTiling) -> None:
         _, bottom = _boundary_profiles(p, k + 1)
         dev = float(np.max(np.abs(top - bottom)))
         if dev > _BOUNDARY_TOL:
-            raise BoundaryMismatch(k + 1, dev)
+            raise BoundaryMismatch(f"boundary vertices of row {k + 1} deviate by {dev:.3e}")
 
 
 def periodic_triangles(row: np.ndarray, col: np.ndarray, slot: np.ndarray) -> Tiles:

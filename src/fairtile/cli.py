@@ -49,15 +49,15 @@ def _cmd_gen_strip(args) -> int:
     if args.y0 == "auto":
         rng = random.Random(args.seed)
         y0, tiling = pipeline.sample_certified_y0(rng, args.cols)
-        mode, seed = "auto", args.seed
+        seed = args.seed
     else:
         try:
             y0 = float(args.y0)
         except ValueError:
             raise InvalidParameter(f"--y0 must be a number or 'auto', got {args.y0!r}")
         tiling = strip_tiling(y0, args.cols)
-        mode, seed = "fixed", None
-    doc = pipeline.strip_document(tiling, seed=seed, mode=mode)
+        seed = None
+    doc = pipeline.strip_document(tiling, seed=seed)
     document.write_document(doc, args.out)
     print(f"strip document: y0={document.fmt17(y0)}, cols={args.cols}, "
           f"{len(doc.tiles)} tiles -> {args.out}")
@@ -190,10 +190,15 @@ def _split_viewbox(argv: list[str]) -> list[str]:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse, before any work, an output path whose directory is missing or
-    is not a directory; the file itself is opened only when it is written."""
+    """Refuse, before any work, an output path that is empty, is a directory,
+    or whose directory is missing or is not a directory; the file itself is
+    opened only when it is written."""
     import os.path  # loaded with the interpreter; kept off the module-level imports
     for path in (getattr(args, "out", None), getattr(args, "json", None)):
+        if path == "":
+            raise InvalidParameter("cannot write an empty path")
+        if path and os.path.isdir(path):
+            raise InvalidParameter(f"cannot write {path}: it is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise InvalidParameter(f"cannot write {path}: {os.path.dirname(path)} "
                                    f"is missing or not a directory")

@@ -71,7 +71,6 @@ class TilingDocument:
     kind: str
     parameters: dict
     tiles: Tiles
-    format_version: str = FORMAT_VERSION
 
     def float_param(self, key: str) -> float:
         try:
@@ -120,7 +119,7 @@ def serialize(doc: TilingDocument) -> str:
     if doc.kind not in KINDS:
         raise DocumentError(f"unknown document kind {doc.kind!r}")
     header = _dump({
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": doc.kind,
         "parameters": doc.parameters,
     })
@@ -224,8 +223,7 @@ def parse(text: str) -> TilingDocument:
         lines = [n for n, line in enumerate(text.split("\n"), 1) if line]  # header, then tiles
         raise DocumentError(f"duplicate tile id {tiles.label(first)} on lines "
                             f"{lines[first + 1]} and {lines[again + 1]}")
-    return TilingDocument(kind=kind, parameters=parameters, tiles=tiles,
-                          format_version=version)
+    return TilingDocument(kind=kind, parameters=parameters, tiles=tiles)
 
 
 def write_text(path, text: str) -> None:

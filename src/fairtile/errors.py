@@ -26,11 +26,6 @@ class DenominatorVanished(FairtileError):
     is defined.
     """
 
-    def __init__(self, index: int, value: float):
-        super().__init__(f"recursion denominator ~ {value:.3e} at column {index}")
-        self.index = index
-        self.value = value
-
 
 class DegeneratePair(FairtileError):
     """Both triangles agree up to translation/half-turn: every shear is bad."""
@@ -73,11 +68,6 @@ class ExhaustedRetries(FairtileError):
 
 class BoundaryMismatch(FairtileError):
     """Stacked strips do not share their boundary vertices."""
-
-    def __init__(self, row: int, deviation: float):
-        super().__init__(f"boundary vertices of row {row} deviate by {deviation:.3e}")
-        self.row = row
-        self.deviation = deviation
 
 
 class TileFailed(FairtileError):

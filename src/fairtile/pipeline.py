@@ -61,7 +61,8 @@ CHECKS: dict[str, dict[str, Callable[..., verify.VerificationReport]]] = {
         "v2v": lambda doc, strip: verify.check_vertex_to_vertex(doc.tiles, 1e-9),
         "halfturn": lambda doc, strip: verify.check_halfturn_incongruent(doc.tiles, 1e-9),
         "identity": lambda doc, strip: verify.check_identity(strip(), doc.tiles, 1e-10),
-        "contraction": lambda doc, strip: verify.check_contraction(deviations(strip())),
+        "contraction": lambda doc, strip: verify.check_contraction(
+            strip().ys, deviations(strip())),
     },
     "plane": {
         "area": lambda doc, strip: verify.check_equal_area(doc.tiles, assembly.SQRT3, 1e-10),
@@ -123,7 +124,7 @@ def sample_certified_y0(rng: random.Random, cols: int,
     for _ in range(_SAMPLE_TRIES):
         y0 = rng.uniform(lo, hi)
         tiling = strip_tiling(y0, cols)
-        gate = verify.check_contraction(deviations(tiling))
+        gate = verify.check_contraction(tiling.ys, deviations(tiling))
         if not gate.passed:
             last = f"contraction gate failed for y0={y0!r}"
             continue
@@ -162,11 +163,11 @@ def build_plane(epsilon: float, seed: int, rows: int, cols: int) -> Build:
     doc = plane_document(assembly.stack_plane(scaled, shears, rows), epsilon, seed)
 
     # one subreport per row: the margin its shear was accepted with, and the
-    # draws it took; the smallest of these margins is the plane's own
-    swept = len(window_tiles(scaled))
+    # draws it took; the smallest of these margins is the plane's own, and each
+    # row's sweep covers the rows so far, 8 * cols + 2 tiles each
     row_reports = tuple(verify.VerificationReport(
         check_name=f"shear-row-{n}", passed=margin > assembly.MARGIN_FLOOR,
-        worst_residual=None, margin=margin, offenders=(), tiles_checked=n * swept,
+        worst_residual=None, margin=margin, offenders=(), tiles_checked=n * (8 * cols + 2),
         tolerance_used=assembly.MARGIN_FLOOR, note=f"accepted at draw {draws}")
         for n, (draws, margin) in enumerate(accepted, start=1))
     budget = sum(2.0 * assembly.SQRT3 * abs(m) for m in shears)
@@ -199,9 +200,10 @@ def quadify_checked(doc: document.TilingDocument) -> Build:
 # document builders
 
 
-def strip_document(tiling: StripTiling, *,
-                   seed: int | None = None, mode: str = "fixed") -> document.TilingDocument:
-    params = document.make_parameters(y0=tiling.y0, cols=tiling.n_cols, seed=seed, mode=mode)
+def strip_document(tiling: StripTiling, *, seed: int | None = None) -> document.TilingDocument:
+    """The strip's document; a ``seed`` is the one its height was sampled with."""
+    params = document.make_parameters(y0=tiling.y0, cols=tiling.n_cols, seed=seed,
+                                      mode="fixed" if seed is None else "auto")
     return document.TilingDocument(kind="strip", parameters=params,
                                    tiles=window_tiles(tiling))
 

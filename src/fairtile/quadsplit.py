@@ -51,8 +51,6 @@ __all__ = [
     "P0",
     "DELTA_Q",
     "QUADIFY_SCALE",
-    "FairConstants",
-    "FAIR",
     "FairSplitParams",
     "apex",
     "xi_eta",
@@ -81,28 +79,8 @@ _NEWTON_MAX_ITER = 50
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class FairConstants:
-    """Exact parameter values of the split of the unit equilateral triangle."""
-
-    p0: float
-    alpha0: float
-    beta0: float
-    gamma0: float
-    xi0: float
-    eta0: float
-
-
+# every cut of the unit equilateral triangle's split, where Newton starts
 _T0 = 1.0 - math.sqrt(3.0) / 3.0
-
-FAIR = FairConstants(
-    p0=P0,
-    alpha0=_T0,
-    beta0=_T0,
-    gamma0=_T0,
-    xi0=1.0 / 3.0,
-    eta0=1.0 / 3.0,
-)
 
 
 @dataclass(frozen=True)
@@ -114,7 +92,7 @@ class FairSplitParams:
     gamma: float
     xi: float
     eta: float
-    iterations: int = 0
+    iterations: int
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -184,13 +162,12 @@ def _probe(sides, posed) -> str | None:
     return None if convex.all() else f"non-convex quadrangle at corner {CORNERS[np.argmin(convex)]}"
 
 
-def _split_residual(a: float, b: float, c: float, top=None):
+def _split_residual(a: float, b: float, c: float, top):
     """Perimeter residuals of the three quadrangles as a function of
     (alpha, beta, gamma), with the interior point eliminated through
     :func:`xi_eta`, each with a callable giving their analytic Jacobian
-    rows from the same pass; ``top`` is the apex (x, y) when the caller
-    has it."""
-    x, y = top or apex(a, b, c)
+    rows from the same pass; ``top`` is the apex (x, y)."""
+    x, y = top
 
     def residual(u):
         al, be, ga = u[0], u[1], u[2]
@@ -325,8 +302,7 @@ def solve_fair_split(a: float, b: float, c: float) -> FairSplitParams:
     (:class:`NonConvexOutput`).  The quadrangles the parameters cut are not
     checked here: :func:`fair_split` probes every triangle's at once.
     """
-    top = apex(a, b, c)
-    u, iterations = newton3(_split_residual(a, b, c, top), (FAIR.alpha0, FAIR.beta0, FAIR.gamma0))
+    u, iterations = newton3(_split_residual(a, b, c, apex(a, b, c)), (_T0, _T0, _T0))
     al, be, ga = u.tolist()
     try:
         return FairSplitParams(al, be, ga, *xi_eta(al, be, ga), iterations)

@@ -28,7 +28,6 @@ from .geometry import Tiles
 __all__ = [
     "MAX_COLS",
     "StripTiling",
-    "DeviationSeries",
     "strip_tiling",
     "deviations",
     "window_tiles",
@@ -69,22 +68,6 @@ class StripTiling:
     y_scale: float = 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class DeviationSeries:
-    """Deviations of a strip tiling from the undistorted coordinates.
-
-    ``alpha``/``beta`` are 1-based (NaN at index 0) like the boundary
-    sequences they shadow; ``xi``, ``y`` and ``h`` are 0-based.  ``h`` is
-    the contraction driver h_i = 1 + alpha_{i+1} + beta_{i+1}.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    xi: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-
-
 def _validate_args(y0: float, n_cols: int) -> None:
     if not (isinstance(n_cols, (int, np.integer)) and 1 <= n_cols <= MAX_COLS):
         raise InvalidParameter(f"n_cols must be an integer in [1, {MAX_COLS}], got {n_cols!r}")
@@ -118,7 +101,7 @@ def strip_tiling(y0: float, n_cols: int) -> StripTiling:
     for i in range(1, n + 1):
         d = 1.0 + al + be
         if abs(d) < _DENOMINATOR_EPS:
-            raise DenominatorVanished(i, d)
+            raise DenominatorVanished(f"recursion denominator ~ {d:.3e} at column {i}")
         x_dev = x_dev - (al - be) * y / d
         y = y - 2.0 * y / d
         xi[i] = x_dev
@@ -136,8 +119,8 @@ def strip_tiling(y0: float, n_cols: int) -> StripTiling:
                        alpha=alpha, beta=beta, xi=xi)
 
 
-def deviations(t: StripTiling) -> DeviationSeries:
-    """Deviation series of a strip tiling, including the driver sequence h.
+def deviations(t: StripTiling) -> np.ndarray:
+    """The contraction driver h_i of a strip tiling, 0-based like ``t.ys``.
 
     ``h`` is accumulated from its non-negative increments 4y^2/(1-y^2),
     which keeps it exactly non-decreasing in floating point; the equivalent
@@ -147,8 +130,7 @@ def deviations(t: StripTiling) -> DeviationSeries:
     y = t.ys
     h0 = 1.0 + 2.0 * y[0] * y[0] / (1.0 - y[0] * y[0])
     inc = 4.0 * y[1:] * y[1:] / (1.0 - y[1:] * y[1:])
-    h = np.cumsum(np.concatenate(([h0], inc)))  # adds in order, as a running sum does
-    return DeviationSeries(alpha=t.alpha, beta=t.beta, xi=t.xi, y=y, h=h)
+    return np.cumsum(np.concatenate(([h0], inc)))  # adds in order, as a running sum does
 
 
 # Column n >= 1 of a strip has eight points: 0 (a_n, s), 1 (a_{n+1}, s),

@@ -25,7 +25,7 @@ from .congruence import (DEFAULT_QUANTUM, aligned_sweep, halfturn_key, halfturn_
                          signature_key, signature_variants, window_pairs)
 from .errors import InvalidParameter
 from .geometry import Tiles
-from .strip import DeviationSeries, StripTiling, identity_residual, unit_area_residual, window_tiles
+from .strip import StripTiling, identity_residual, unit_area_residual, window_tiles
 
 __all__ = [
     "VerificationReport",
@@ -284,8 +284,9 @@ def _chain(steps: np.ndarray, strict: np.ndarray) -> tuple[bool, float, str]:
     return holds, margin, note
 
 
-def check_contraction(series: DeviationSeries) -> VerificationReport:
-    """The four contraction estimates of the deviation series.
+def check_contraction(y: np.ndarray, h: np.ndarray) -> VerificationReport:
+    """The four contraction estimates of a strip's midline heights ``y`` and
+    its driver sequence ``h`` (:func:`~fairtile.strip.deviations`).
 
     Quantities that sink below binary64 resolution (h increments under one
     ulp, |y| in the subnormal range) cannot support strict comparisons, so
@@ -294,8 +295,7 @@ def check_contraction(series: DeviationSeries) -> VerificationReport:
     (h between 1 and 2, h < 1 + 5*sum(y^2), sum|y| < 4) are enforced
     strictly over the whole series.
     """
-    y = np.asarray(series.y, dtype=float)
-    h = np.asarray(series.h, dtype=float)
+    y, h = np.asarray(y, dtype=float), np.asarray(h, dtype=float)
     n = y.size
 
     cum_sq = 1.0 + 5.0 * np.cumsum(y * y)

@@ -33,7 +33,7 @@ from fairtile.errors import (DegeneratePolygon, DegenerateTriangle, DocumentErro
                              NoConvergence, NonConvexOutput, NoUnequalHeights,
                              SingularDenominator, SingularJacobian, TileFailed)
 from fairtile.geometry import CORNERS, Tiles, _segments_cross, signed_area
-from fairtile.quadsplit import (_COND_LIMIT, DELTA_Q, FAIR, P0, QUADIFY_SCALE, _corners,
+from fairtile.quadsplit import (_COND_LIMIT, DELTA_Q, P0, QUADIFY_SCALE, _corners,
                                 _split_residual, apex, solve_fair_split)
 from fairtile.quadsplit import newton3 as package_newton3
 from fairtile.strip import StripTiling, _validate_args, strip_tiling, window_tiles
@@ -629,7 +629,7 @@ def serialize(doc) -> str:
     """A document as JSON Lines, every line written by ``json.dumps``."""
     def dump(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    lines = [dump({"format_version": doc.format_version, "kind": doc.kind,
+    lines = [dump({"format_version": FORMAT_VERSION, "kind": doc.kind,
                    "parameters": doc.parameters})]
     for tile in polygons(doc.tiles):
         tid = tile.id
@@ -747,10 +747,13 @@ class ReconstructionTriple:
     iterations: int = 0
 
 
+# every cut parameter of the unit equilateral split, where its Newton starts
+T0 = 1.0 - math.sqrt(3.0) / 3.0
+
 # the symmetric point of the reconstruction: the scale triple and the posed
 # corner quadrangle (a^, x^, y^, z^, w^) of the unit equilateral split
-RHO0, SIGMA0, TAU0 = (3.0 + math.sqrt(3.0)) / 2.0, math.sqrt(3.0), FAIR.alpha0
-QUAD0 = (FAIR.alpha0, math.sqrt(3.0) / 6.0, 0.5, 0.5, math.sqrt(3.0) / 6.0)
+RHO0, SIGMA0, TAU0 = (3.0 + math.sqrt(3.0)) / 2.0, math.sqrt(3.0), T0
+QUAD0 = (T0, math.sqrt(3.0) / 6.0, 0.5, 0.5, math.sqrt(3.0) / 6.0)
 
 # reconstruction rejects posed quadrangles further than this per coordinate
 # from the symmetric shape
@@ -848,9 +851,8 @@ def reconstruct_triangle(q) -> tuple[np.ndarray, ReconstructionTriple]:
 def fair_split_jacobian_det(step: float = 1e-6) -> float:
     """Central-difference Jacobian determinant of the perimeter system in
     (alpha, beta, gamma) at the unit equilateral configuration."""
-    system = _split_residual(1.0, 1.0, 1.0)
-    jac = fd_jacobian(lambda u: system(u)[0], np.array([FAIR.alpha0, FAIR.beta0, FAIR.gamma0]),
-                      step)
+    system = _split_residual(1.0, 1.0, 1.0, apex(1.0, 1.0, 1.0))
+    jac = fd_jacobian(lambda u: system(u)[0], np.array([T0, T0, T0]), step)
     return float(np.linalg.det(jac))
 
 

@@ -17,7 +17,6 @@ from fairtile.congruence import aligned_sweep, halfturn_variants, signature_key,
 from fairtile.document import read_document
 from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
-    FAIR,
     P0,
     _corners,
     _split_residual,
@@ -36,8 +35,8 @@ from fairtile.verify import (
     check_pairwise_incongruent,
     check_vertex_to_vertex,
 )
-from oracles import (area, critical_tiling, edge_lengths, fair_split_jacobian_det, halfturn_rows,
-                     perimeter, reconstruct_triangle, reconstruction_jacobian_det,
+from oracles import (T0, area, critical_tiling, edge_lengths, fair_split_jacobian_det,
+                     halfturn_rows, perimeter, reconstruct_triangle, reconstruction_jacobian_det,
                      signature_rows)
 
 SQRT3 = math.sqrt(3.0)
@@ -95,15 +94,16 @@ def test_a02_published_strip_coordinates():
 def test_a03_contraction_suite():
     t0 = time.monotonic()
     for y0 in (0.001, 0.005, 0.01):
-        series = deviations(strip_tiling(y0, 100_000))
-        rep = check_contraction(series)
+        t = strip_tiling(y0, 100_000)
+        h = deviations(t)
+        rep = check_contraction(t.ys, h)
         names = {s.check_name: s for s in rep.subchecks}
         assert rep.passed, f"y0={y0}: {[ (s.check_name, s.passed) for s in rep.subchecks ]}"
         # the constant bounds (2, 4, 5) hold strictly over all 1e5 terms
         assert names["h-bound"].margin > 0
         assert names["y-abs-sum"].margin > 0
-        assert float(np.max(series.h)) < 2.0
-        assert float(np.sum(np.abs(series.y))) < 4.0
+        assert float(np.max(h)) < 2.0
+        assert float(np.sum(np.abs(t.ys))) < 4.0
     conclude("A3", time.monotonic() - t0, 5.0,
              "contraction estimates hold for heights 1e-3, 5e-3, 1e-2 over 1e5 terms")
 
@@ -173,7 +173,7 @@ def test_a06_jacobian_anchors():
     assert abs(split - want) <= 1e-6
     assert abs(recon - (math.sqrt(6) / 48 - math.sqrt(2) / 24)) <= 1e-6
     # the package's own anchor: the analytic Jacobian the fair-split Newton steps with
-    _, jacobian = _split_residual(1.0, 1.0, 1.0)([FAIR.alpha0, FAIR.beta0, FAIR.gamma0])
+    _, jacobian = _split_residual(1.0, 1.0, 1.0, apex(1.0, 1.0, 1.0))([T0, T0, T0])
     analytic = float(np.linalg.det(np.array(jacobian())))
     assert abs(analytic - want) <= 1e-14
     conclude("A6", time.monotonic() - t0, 1.0,
@@ -367,8 +367,9 @@ def test_a12_gate_window_headers(plane_run, gate16x4, gate_wide_tall):
 
 # --- A13: the gate documents, byte for byte ----------------------------------------
 
-# SHA-256 of whole gate documents and of the strip gate's verify report, so a
-# change in how any tile's coordinates are produced shows in every bit
+# SHA-256 of whole gate documents and of the verify reports of the strip gate and
+# the 6x20 plane and quadrangle documents, so a change in how any tile's
+# coordinates or any report's margins are produced shows in every bit
 GATE_DIGESTS = {
     "plane 6x20": "03f1591d40af830b3ec2d7983d98f959cc8cca2a0c0cddac58505eb08e4af3b9",
     "quad 6x20": "f58a20221bb84809d9707fd018da5652d876d4431ffff2141abd5f76a61eaead",
@@ -380,6 +381,8 @@ GATE_DIGESTS = {
     # strip-identities reports the window's 162 tiles as checked
     "verify strip 0.004x20": "9dc7ad729ee66535af1896bed2fc56f6775b7ab4d3dd92a0dc9598c59c93f2d2",
     "strip auto 7x40": "a89004fb63070ca02388c2e8fd29712969682a4c89096a61d4c0480be093db88",
+    "verify plane 6x20": "194e710ae1924b81240b6528e49a3fad1a20e278d13a7c6642e36298546914cb",
+    "verify quad 6x20": "6bccbb3bac22e22969dab3661d3fadfd2228c2a2081595e8ebb75a5442a3e20e",
 }
 
 
@@ -396,11 +399,15 @@ def test_a13_gate_document_digests(plane_run, quad_run, gate16x4, gate_wide_tall
                      "--out", str(auto)]) == 0
     paths.update({"strip 0.004x20": strip, "verify strip 0.004x20": report,
                   "strip auto 7x40": auto})
+    for kind in ("plane", "quad"):
+        paths[f"verify {kind} 6x20"] = tmp_path / f"{kind}.json"
+        assert cli.main(["verify", "--in", str(paths[f"{kind} 6x20"]),
+                         "--json", str(paths[f"verify {kind} 6x20"])]) == 0
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert got == GATE_DIGESTS
     conclude("A13", time.monotonic() - t0, 60.0,
-             "the gate plane, quadrangle and strip documents and the strip report keep "
-             "their pinned SHA-256 digests")
+             "the gate plane, quadrangle and strip documents and the strip, 6x20 plane "
+             "and 6x20 quadrangle reports keep their pinned SHA-256 digests")
 
 
 def test_batched_rows_equal_the_per_polygon_rows_on_the_window(plane_run, quad_run):

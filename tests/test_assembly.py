@@ -278,7 +278,8 @@ def test_boundary_sentinel_detects_corruption():
     plane.transforms[1] = assembly.StripTransform(
         mu=broken.mu, reflected=broken.reflected,
         translation=(broken.translation[0] + 1e-6, broken.translation[1]))
-    with pytest.raises(BoundaryMismatch):
+    with pytest.raises(BoundaryMismatch,
+                       match=r"^boundary vertices of row 1 deviate by 1\.000e-06$"):
         assembly._assert_boundaries(plane)
 
 

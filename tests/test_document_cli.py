@@ -160,6 +160,8 @@ def test_gen_plane_json_names_each_rows_draws_and_margin(tmp_path):
     margins = [r["margin"] for r in rows]
     assert all(1 <= d <= 64 for d in draws) and all(m > 4e-9 for m in margins)
     assert all(r["passed"] and r["tolerance_used"] == 4e-9 for r in rows)
+    # row n's sweep covered the n rows placed so far, each a whole 8 * 80 + 2 tile window
+    assert [r["tiles_checked"] for r in rows] == [n * 642 for n in range(1, 7)]
     # placing the rows rounds coordinates below 2e-14 here
     assert min(margins) == pytest.approx(reports["pairwise-incongruent"]["margin"], abs=1e-13)
 
@@ -297,9 +299,9 @@ def test_verify_missing_file_and_unknown_check(plane_doc, tmp_path, capsys):
     assert not (tmp_path / "q.tiles").exists() and not (tmp_path / "r.svg").exists()
 
 
-@pytest.mark.parametrize("parent", ["file", "missing"])
+@pytest.mark.parametrize("target", ["file", "missing", "empty", "directory", "directory/"])
 def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, monkeypatch,
-                                                  parent):
+                                                  target):
     def never(*args, **kwargs):
         raise AssertionError("work began before the output path was checked")
 
@@ -308,7 +310,16 @@ def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, m
                         (cli, "strip_tiling")):
         monkeypatch.setattr(owner, name, never)
     (tmp_path / "file").write_text("")
-    bad, ok = str(tmp_path / parent / "x"), str(tmp_path / "ok")
+    (tmp_path / "directory").mkdir()
+    ok = str(tmp_path / "ok")
+    if target in ("file", "missing"):  # a parent that is not a directory
+        bad = str(tmp_path / target / "x")
+        want = f"cannot write {bad}: {tmp_path / target} is missing or not a directory"
+    elif target == "empty":
+        bad, want = "", "cannot write an empty path"
+    else:  # an existing directory, with and without the trailing separator
+        bad = str(tmp_path) + os.sep + target
+        want = f"cannot write {bad}: it is a directory"
     plane = ("gen-plane", "--epsilon", "0.01", "--seed", "3", "--rows", "1", "--cols", "2")
     capsys.readouterr()
     for argv in (("gen-strip", "--y0", "0.005", "--cols", "3", "--out", bad),
@@ -321,9 +332,10 @@ def test_output_paths_are_refused_before_any_work(plane_doc, tmp_path, capsys, m
                  ("render", "--in", str(plane_doc), "--out", bad),
                  ("verify", "--in", str(plane_doc), "--json", bad)):
         assert run_cli(*argv) == 2, argv
-        assert capsys.readouterr().err == (f"error: cannot write {bad}: {tmp_path / parent} "
-                                           f"is missing or not a directory\n"), argv
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing opened or created
+        assert capsys.readouterr() == ("", f"error: {want}\n"), argv
+    # nothing opened or created
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "file"]
+    assert not any((tmp_path / "directory").iterdir())
 
 
 @pytest.mark.parametrize("old_cols, new_cols", [(20, 3), (3, 20)], ids=["shorter", "longer"])

@@ -2,7 +2,6 @@
 uses it."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -17,13 +16,15 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(fairtile.__path__, "fairti
 # names that left the package for tests/oracles.py: the per-tile object
 # layer that the array record replaced, the paper-only reconstruction,
 # Jacobian anchors and critical tiling that no run reaches, and the
-# central-difference Jacobian that the analytic one replaced
+# central-difference Jacobian that the analytic one replaced; and records
+# deleted outright: the fair-split constants, whose read fields were all
+# 1 - sqrt(3)/3, and the deviation series, which copied the strip's arrays
 RETIRED = {"Point", "TileId", "Triangle", "Quadrangle", "edge_vectors", "is_convex",
            "tile_label", "quad_vertices", "_apex",
            "reconstruct_triangle", "_reconstruction_residual", "_posed_tuple",
            "ReconstructionTriple", "OutOfBasin", "_BASIN_RADIUS", "_ANGLE_TIE_TOL",
            "fair_split_jacobian_det", "reconstruction_jacobian_det", "critical_tiling",
-           "_fd_jacobian", "_FD_STEP"}
+           "_fd_jacobian", "_FD_STEP", "FAIR", "FairConstants", "DeviationSeries"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,10 +64,10 @@ def test_every_export_has_a_caller_in_the_package():
 
 
 def test_the_per_tile_object_layer_stays_retired():
-    """``geometry`` defines no class but the record and its per-tile view, no
-    module defines, imports or exports a retired name, and ``FAIR`` holds no
-    reconstruction constant, so no path (the strip, plane and quadify runs
-    among them) can build a per-tile object or reach the paper-only code."""
+    """``geometry`` defines no class but the record and its per-tile view, and
+    no module defines, imports or exports a retired name, so no path (the
+    strip, plane and quadify runs among them) can build a per-tile object,
+    reach the paper-only code or bring back a deleted record."""
     geometry = importlib.import_module("fairtile.geometry")
     classes = {name for name, value in vars(geometry).items()
                if inspect.isclass(value) and value.__module__ == geometry.__name__}
@@ -75,8 +76,6 @@ def test_the_per_tile_object_layer_stays_retired():
     for name in ["fairtile", *MODULES]:
         assert not RETIRED & set(vars(importlib.import_module(name))), name
     assert not RETIRED & _exports_and_references(Path(fairtile.__file__).parent)[1]
-    fields = {f.name for f in dataclasses.fields(fairtile.FAIR)}
-    assert fields == {"p0", "alpha0", "beta0", "gamma0", "xi0", "eta0"}
 
 
 # Every module ``import fairtile`` loads, outside the package itself.  Each

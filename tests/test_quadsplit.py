@@ -26,7 +26,6 @@ from fairtile.geometry import Tiles
 from fairtile.quadsplit import (
     _EDGE_TOP,
     DELTA_Q,
-    FAIR,
     P0,
     FairSplitParams,
     _corners,
@@ -42,7 +41,7 @@ from fairtile.quadsplit import (
     xi_eta,
 )
 import oracles
-from oracles import (QUAD0, RHO0, SIGMA0, TAU0, OutOfBasin, Point, Quadrangle, area, edge_lengths,
+from oracles import (QUAD0, RHO0, SIGMA0, T0, TAU0, OutOfBasin, Point, Quadrangle, area, edge_lengths,
                      fair_split_jacobian_det, ids_of, interior_angles, is_convex, perimeter,
                      quad_vertices, reconstruct_triangle, reconstruction_jacobian_det, tile_ids,
                      with_fd_jacobian)
@@ -73,7 +72,7 @@ def test_apex():
 
 
 def test_xi_eta_symmetric_and_exact():
-    for t in (0.3, FAIR.alpha0, 0.55):
+    for t in (0.3, T0, 0.55):
         xi, eta = xi_eta(t, t, t)
         assert xi == pytest.approx(1 / 3, abs=1e-14)
         assert eta == pytest.approx(1 / 3, abs=1e-14)
@@ -89,14 +88,14 @@ def test_xi_eta_symmetric_and_exact():
 def test_equal_area_weights_are_affine_invariant():
     rng = random.Random(77)
     for _ in range(1000):
-        al, be, ga = (FAIR.alpha0 + rng.uniform(-0.05, 0.05) for _ in range(3))
+        al, be, ga = (T0 + rng.uniform(-0.05, 0.05) for _ in range(3))
         a, b, c = (rng.uniform(0.8, 1.2) for _ in range(3))
         try:
             top = apex(a, b, c)
         except DegenerateTriangle:
             continue
         xi, eta = xi_eta(al, be, ga)
-        params = FairSplitParams(al, be, ga, xi, eta)
+        params = FairSplitParams(al, be, ga, xi, eta, 0)
         try:
             quads = quad_vertices(a, b, c, params)
         except NonConvexOutput:
@@ -111,7 +110,7 @@ def test_symmetric_split_of_unit_equilateral():
     params = solve_fair_split(1, 1, 1)
     assert params.iterations == 0
     for v in (params.alpha, params.beta, params.gamma):
-        assert v == pytest.approx(FAIR.alpha0, abs=1e-14)
+        assert v == pytest.approx(T0, abs=1e-14)
     assert params.xi == pytest.approx(1 / 3, abs=1e-14)
     quads = quad_vertices(1, 1, 1, params)
     want_angles = sorted([math.pi / 3, 7 * math.pi / 12, 2 * math.pi / 3, 5 * math.pi / 12])
@@ -403,7 +402,7 @@ def _window_points(rng, n):
     points = []
     while len(points) < n:
         abc = tuple(rng.uniform(1.0 - DELTA_Q, _EDGE_TOP) for _ in range(3))
-        u = [FAIR.alpha0 + rng.uniform(-0.03, 0.03) for _ in range(3)]
+        u = [T0 + rng.uniform(-0.03, 0.03) for _ in range(3)]
         try:
             apex(*abc)
         except DegenerateTriangle:
@@ -418,7 +417,7 @@ def test_analytic_jacobian_is_the_central_differences_limit():
     # not shrink by 4 as h halves; at h = 1e-5 it is below 1e-8
     gaps = {1e-3: [], 5e-4: [], 1e-5: []}
     for abc, u in _window_points(random.Random(8), 1000):
-        system = _split_residual(*abc)
+        system = _split_residual(*abc, apex(*abc))
         jac = np.array(system(u)[1]())
         for h, found in gaps.items():
             found.append(np.abs(jac - oracles.fd_jacobian(lambda v: system(v)[0],
@@ -432,7 +431,7 @@ def test_analytic_jacobian_refuses_an_interior_point_on_a_cut_point():
     # in the flat triangle (0, 0), (1, 0), (x, 0), M of the symmetric
     # parameters is the cut point alpha * (1, 0): a distance of 0, which has
     # no derivative
-    u = [FAIR.alpha0, FAIR.beta0, FAIR.gamma0]
+    u = [T0, T0, T0]
     xi, eta = xi_eta(*u)
     _, jacobian = _split_residual(1.0, 1.0, 1.0, ((u[0] - xi) / eta, 0.0))(u)
     with pytest.raises(SingularJacobian):
@@ -500,10 +499,10 @@ def test_probe_and_fallback_give_the_object_split_verdict(monkeypatch):
         record = Tiles(np.array([[(0.0, 0.0), (a, 0.0), apex(a, b, c)]]))
         a, c, b = record.lengths()[0].tolist()
         spread = rng.choice([0.02, 0.1, 0.3, 0.6])
-        al, be, ga = (FAIR.alpha0 + rng.uniform(-spread, spread) for _ in range(3))
+        al, be, ga = (T0 + rng.uniform(-spread, spread) for _ in range(3))
         try:
             top = apex(a, b, c)
-            params = FairSplitParams(al, be, ga, *xi_eta(al, be, ga))
+            params = FairSplitParams(al, be, ga, *xi_eta(al, be, ga), 0)
         except (DegenerateTriangle, SingularDenominator, InvalidParameter):
             continue
         try:
@@ -531,7 +530,7 @@ _NON_CONVEX, _DEGENERATE = (0.57, 0.71, 0.78), (1e-15, 0.4, 0.4)  # cut paramete
 def _split_refusal(u):
     """The refusal of the split of ``_SIDES`` cut by parameters ``u``."""
     with pytest.raises(NonConvexOutput) as info:
-        quad_vertices(*_SIDES, FairSplitParams(*u, *xi_eta(*u)))
+        quad_vertices(*_SIDES, FairSplitParams(*u, *xi_eta(*u), 0))
     return str(info.value)
 
 
@@ -571,7 +570,7 @@ def test_fair_split_names_the_first_failing_triangle(monkeypatch):
     edges = sorted(_copies(1, [0]).lengths()[0].tolist())
     out_of_range = f"edge lengths {edges} outside (0.98, 1.012)"
     with pytest.raises(InvalidParameter) as info:
-        FairSplitParams(0.999, 0.4, 0.4, *xi_eta(0.999, 0.4, 0.4))
+        FairSplitParams(0.999, 0.4, 0.4, *xi_eta(0.999, 0.4, 0.4), 0)
     out_of_regime = f"solution left the perturbative regime: {info.value}"
     stuck = NoConvergence(50, 1.0)
     non_convex, degenerate = (f"NonConvexOutput: {_split_refusal(u)}"

@@ -148,49 +148,44 @@ def test_unit_areas_and_identity(y0):
 
 
 def test_deviation_series_start_values():
-    d = deviations(strip_tiling(1.0 / SQRT3, 3))
-    assert d.alpha[1] == pytest.approx((SQRT3 + 1) / 2, abs=1e-12)
+    assert strip_tiling(1.0 / SQRT3, 3).alpha[1] == pytest.approx((SQRT3 + 1) / 2, abs=1e-12)
 
-    d2 = deviations(strip_tiling(0.2, 3))
-    assert d2.h[0] == pytest.approx(float(Fraction(13, 12)), abs=1e-14)
-    assert d2.y[1] == pytest.approx(float(Fraction(-11, 65)), abs=1e-14)
+    t = strip_tiling(0.2, 3)
+    assert deviations(t)[0] == pytest.approx(float(Fraction(13, 12)), abs=1e-14)
+    assert t.ys[1] == pytest.approx(float(Fraction(-11, 65)), abs=1e-14)
 
 
 def test_deviation_recursions_hold():
     t = strip_tiling(0.2, 1000)
-    d = deviations(t)
     for i in range(1, t.n_cols + 1):
-        den = 1.0 + d.alpha[i] + d.beta[i]
-        assert abs(d.xi[i] - (d.xi[i - 1] - (d.alpha[i] - d.beta[i]) * d.y[i - 1] / den)) <= 1e-12
-        assert abs(d.y[i] - (d.y[i - 1] - 2 * d.y[i - 1] / den)) <= 1e-12
-        assert abs(d.alpha[i + 1] - (d.alpha[i] + 2 * d.y[i] / (1 - d.y[i]))) <= 1e-12
-        assert abs(d.beta[i + 1] - (d.beta[i] - 2 * d.y[i] / (1 + d.y[i]))) <= 1e-12
+        den = 1.0 + t.alpha[i] + t.beta[i]
+        assert abs(t.xi[i] - (t.xi[i - 1] - (t.alpha[i] - t.beta[i]) * t.ys[i - 1] / den)) <= 1e-12
+        assert abs(t.ys[i] - (t.ys[i - 1] - 2 * t.ys[i - 1] / den)) <= 1e-12
+        assert abs(t.alpha[i + 1] - (t.alpha[i] + 2 * t.ys[i] / (1 - t.ys[i]))) <= 1e-12
+        assert abs(t.beta[i + 1] - (t.beta[i] - 2 * t.ys[i] / (1 + t.ys[i]))) <= 1e-12
 
 
 def test_deviation_series_matches_raw_sequences():
     t = strip_tiling(0.0071, 1000)
-    d = deviations(t)
     i = np.arange(1, t.n_cols + 2, dtype=float)
     # a_i is the rounded sum (2i-1) + alpha_i, so allow one rounding of that scale
     tol = np.maximum(1e-12, 4e-16 * i)
-    assert np.all(np.abs(t.aa[1:] - (2 * i - 1) - d.alpha[1:]) <= tol)
-    assert np.all(np.abs(t.bb[1:] - (2 * i - 1) - d.beta[1:]) <= tol)
+    assert np.all(np.abs(t.aa[1:] - (2 * i - 1) - t.alpha[1:]) <= tol)
+    assert np.all(np.abs(t.bb[1:] - (2 * i - 1) - t.beta[1:]) <= tol)
     j = np.arange(0, t.n_cols + 1, dtype=float)
-    assert np.all(np.abs(t.xs - 2 * j - d.xi) <= np.maximum(1e-12, 4e-16 * (j + 1)))
+    assert np.all(np.abs(t.xs - 2 * j - t.xi) <= np.maximum(1e-12, 4e-16 * (j + 1)))
 
 
 def test_h_recursion_and_trapezoid_form():
     t = strip_tiling(0.0051, 2000)
-    d = deviations(t)
-    y = d.y
-    h = d.h
+    y, h = t.ys, deviations(t)
     assert h[0] == pytest.approx(1 + 2 * y[0] ** 2 / (1 - y[0] ** 2), abs=1e-14)
     inc = 4.0 * y[1:] ** 2 / (1.0 - y[1:] ** 2)
     assert np.max(np.abs(h[1:] - (h[:-1] + inc))) <= 1e-12
     # derived pentagon-area form of the midline deviation
-    al, be = d.alpha[1:-1], d.beta[1:-1]
+    al, be = t.alpha[1:-1], t.beta[1:-1]
     xi_closed = 0.5 * ((al - be) * y[1:] - (al + be))
-    assert np.max(np.abs(d.xi[1:] - xi_closed)) <= 1e-10
+    assert np.max(np.abs(t.xi[1:] - xi_closed)) <= 1e-10
 
 
 def _tile(t, i, j):

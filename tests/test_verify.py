@@ -14,7 +14,6 @@ from fairtile.errors import InvalidParameter
 from fairtile.geometry import Tiles
 from fairtile.quadsplit import P0, quadify_plane
 from fairtile.strip import (
-    DeviationSeries,
     deviations,
     strip_tiling,
     window_tiles,
@@ -269,31 +268,31 @@ def test_sweeps_match_the_pair_distances(small_plane):
 
 def test_contraction_suite_passes_in_regime():
     for y0 in (0.01, 0.2):
-        rep = check_contraction(deviations(strip_tiling(y0, 3000)))
+        t = strip_tiling(y0, 3000)
+        rep = check_contraction(t.ys, deviations(t))
         assert rep.passed, y0
         assert [s.check_name for s in rep.subchecks] == [
             "h-bound", "h-monotone", "y-alternating", "y-abs-sum"]
 
 
 def test_contraction_fails_on_fabricated_series():
-    good = deviations(strip_tiling(0.01, 50))
-    h_bad = np.array(good.h)
+    t = strip_tiling(0.01, 50)
+    h_bad = deviations(t)
     h_bad[10] = h_bad[9] - 1e-3
-    rep = check_contraction(DeviationSeries(
-        alpha=good.alpha, beta=good.beta, xi=good.xi, y=good.y, h=h_bad))
+    rep = check_contraction(t.ys, h_bad)
     assert not rep.passed
     assert not rep.subchecks[1].passed  # h-monotone
 
-    y_bad = np.array(good.y)
+    y_bad = np.array(t.ys)
     y_bad[5] = -y_bad[5]
-    rep2 = check_contraction(DeviationSeries(
-        alpha=good.alpha, beta=good.beta, xi=good.xi, y=y_bad, h=np.array(good.h)))
+    rep2 = check_contraction(y_bad, deviations(t))
     assert not rep2.subchecks[2].passed  # y-alternating
 
 
 def test_contraction_critical_height_fails():
     # at the critical height the midline collapses: the sign pattern breaks
-    rep = check_contraction(deviations(strip_tiling(1 / SQRT3, 50)))
+    t = strip_tiling(1 / SQRT3, 50)
+    rep = check_contraction(t.ys, deviations(t))
     assert not rep.subchecks[2].passed
 
 
